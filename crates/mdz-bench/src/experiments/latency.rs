@@ -57,8 +57,8 @@ pub fn latency(ctx: &mut Ctx) -> Vec<Table> {
 
         // Probe latency: one buffer-sized read per request at positions
         // spread deterministically over the archive. cache_epochs = 1 keeps
-        // each probe cold (the request must decode its epoch) unless two
-        // consecutive probes land in the same epoch.
+        // each probe cold (the request must decode its epoch's anchor and
+        // its own buffer) unless earlier probes left those buffers cached.
         let reader = StoreReader::with_options(
             archive.clone(),
             ReaderOptions { cache_epochs: 1, ..Default::default() },

@@ -139,9 +139,9 @@ fn metrics_json_schema_and_traffic_accounting() {
     let join = std::thread::spawn(move || server.run().unwrap());
 
     let mut client = Client::connect(addr).unwrap();
-    client.get(0..4).unwrap(); // epoch 0: miss
-    client.get(4..8).unwrap(); // epoch 0: hit
-    client.get(8..12).unwrap(); // epoch 1: miss
+    client.get(0..4).unwrap(); // buffer 0 (epoch 0's anchor): miss, 1 decode
+    client.get(2..6).unwrap(); // buffer 0: hit; buffer 1: miss, anchor + itself
+    client.get(8..12).unwrap(); // buffer 2 (epoch 1's anchor): miss, 1 decode
     client.stats().unwrap();
     let snapshot = client.metrics().unwrap();
     handle.shutdown();
@@ -154,7 +154,7 @@ fn metrics_json_schema_and_traffic_accounting() {
     assert_eq!(snapshot.counter("server.requests.stats"), 1);
     assert_eq!(snapshot.counter("server.requests.metrics"), 0);
     assert_eq!(snapshot.counter("server.status.ok"), 4);
-    assert_eq!(snapshot.counter("store.cache.misses"), 2);
+    assert_eq!(snapshot.counter("store.cache.misses"), 3);
     assert_eq!(snapshot.counter("store.cache.hits"), 1);
     assert_eq!(snapshot.counter("store.buffers_decoded"), 4);
     assert_eq!(snapshot.counter("store.decode_errors"), 0);
@@ -162,7 +162,7 @@ fn metrics_json_schema_and_traffic_accounting() {
     assert!(snapshot.counter("store.bytes_in") > 0);
     assert_eq!(snapshot.histogram("server.request_seconds").unwrap().count, 4);
     assert_eq!(snapshot.histogram("server.get_seconds").unwrap().count, 3);
-    // Decoding 2 epochs × 2 buffers × 3 axes.
+    // Decoding 4 buffers (anchor 0 twice, buffers 1 and 2) × 3 axes.
     assert_eq!(snapshot.counter("core.decode.blocks"), 12);
 
     // The JSON rendering of the same snapshot passes the schema gate.

@@ -447,6 +447,39 @@ impl Decompressor {
         self.reference = None;
     }
 
+    /// Whether decoding `block` would leave this decompressor's stream
+    /// state unchanged: a reference snapshot is established and its length
+    /// equals the block header's `n_values`.
+    ///
+    /// A block for which this holds may be skipped, or decoded out of
+    /// order against a copy of the current state, without changing what
+    /// any later block decodes to. A malformed header returns `false`, so
+    /// the caller decodes the block in order and surfaces its error.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use mdz_core::{Compressor, Decompressor, ErrorBound, MdzConfig};
+    ///
+    /// let mut comp = Compressor::new(MdzConfig::new(ErrorBound::Absolute(1e-3)));
+    /// let first = comp.compress_buffer(&[vec![1.0, 2.0], vec![1.1, 2.1]]).unwrap();
+    /// let second = comp.compress_buffer(&[vec![1.2, 2.2], vec![1.3, 2.3]]).unwrap();
+    /// let mut dec = Decompressor::new();
+    /// assert!(!dec.keeps_state(&first)); // establishes the reference
+    /// dec.decompress_block(&first).unwrap();
+    /// assert!(dec.keeps_state(&second));
+    /// ```
+    pub fn keeps_state(&self, block: &[u8]) -> bool {
+        let mut pos = 0;
+        BlockHeader::read(block, &mut pos).is_ok_and(|h| self.reference_fits(h.n_values))
+    }
+
+    /// The reference-update rule, mirroring the compressor's: a block of
+    /// `n_values` keeps the reference iff one exists with that length.
+    fn reference_fits(&self, n_values: usize) -> bool {
+        self.reference.as_ref().is_some_and(|r| r.len() == n_values)
+    }
+
     /// Decompresses a single snapshot from a pure-VQ block without
     /// reconstructing the others — the paper's random-access property
     /// (§VI: "any snapshot data can be decompressed very quickly without a
@@ -554,8 +587,7 @@ impl Decompressor {
         let snapshots = decode_inner(&header, self.reference.as_deref(), &mut self.scratch)?;
         reconstruct.finish();
         self.obs.incr("core.decode.blocks", 1);
-        // Mirror the compressor's reference-update rule.
-        if self.reference.as_ref().is_none_or(|r| r.len() != header.n_values) {
+        if !self.reference_fits(header.n_values) {
             self.reference = Some(snapshots[0].clone());
         }
         Ok(snapshots)

@@ -43,7 +43,6 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use mdz_obs::Obs;
 
 use crate::adaptive::Candidate;
-use crate::format::BlockHeader;
 use crate::{MdzConfig, Method, QuantizerKind, Result};
 
 use super::encode::{encode_buffer_into, EncodeScratch};
@@ -332,20 +331,10 @@ pub(crate) fn decompress_streams(
         obses.push(dec.obs.clone());
         let mut cur_epoch: Option<usize> = None;
         for (slot, block) in blocks.iter().enumerate() {
-            // A block leaves decoder state untouched iff the established
-            // reference already matches its value count (the mirror of the
-            // compressor's reference-update rule).
-            let deferrable = {
-                let mut pos = 0;
-                match BlockHeader::read(block, &mut pos) {
-                    Ok(h) => dec.reference.as_ref().is_some_and(|r| r.len() == h.n_values),
-                    Err(_) => false,
-                }
-            };
-            if deferrable {
+            if dec.keeps_state(block) {
                 dec.obs.incr("core.parallel.deferred_blocks", 1);
                 let epoch = *cur_epoch.get_or_insert_with(|| {
-                    epochs.push(dec.reference.clone().expect("deferrable implies reference"));
+                    epochs.push(dec.reference.clone().expect("keeps_state implies a reference"));
                     epochs.len() - 1
                 });
                 jobs.push(DecodeJob { stream: si, epoch, block });

@@ -360,8 +360,27 @@ pub struct Client {
     max_response_bytes: usize,
 }
 
+/// The per-client settings a reconnect must re-apply: the socket deadlines
+/// set through [`Client::set_timeouts`] and the response-size cap.
+#[derive(Debug, Clone, Copy)]
+struct Settings {
+    read_timeout: Option<Duration>,
+    write_timeout: Option<Duration>,
+    max_response_bytes: usize,
+}
+
+impl Default for Settings {
+    fn default() -> Self {
+        Settings { read_timeout: None, write_timeout: None, max_response_bytes: 1 << 28 }
+    }
+}
+
 impl Client {
     /// Connects to a running server.
+    ///
+    /// The socket sets `TCP_NODELAY`: each request is one small write that
+    /// waits for its reply, and with Nagle's algorithm on it could sit
+    /// ~40 ms in the send buffer waiting for the server's delayed ACK.
     ///
     /// # Examples
     ///
@@ -372,7 +391,26 @@ impl Client {
     /// # Ok::<(), mdz_store::ClientError>(())
     /// ```
     pub fn connect(addr: impl ToSocketAddrs) -> Result<Client, ClientError> {
-        Ok(Client { stream: TcpStream::connect(addr)?, max_response_bytes: 1 << 28 })
+        Self::connect_with(addr, Settings::default())
+    }
+
+    /// Connects and applies `settings` to the new socket.
+    fn connect_with(addr: impl ToSocketAddrs, settings: Settings) -> Result<Client, ClientError> {
+        let stream = TcpStream::connect(addr)?;
+        stream.set_nodelay(true)?;
+        stream.set_read_timeout(settings.read_timeout)?;
+        stream.set_write_timeout(settings.write_timeout)?;
+        Ok(Client { stream, max_response_bytes: settings.max_response_bytes })
+    }
+
+    /// This client's settings; the deadlines are read back from the socket,
+    /// which is where [`set_timeouts`](Self::set_timeouts) keeps them.
+    fn settings(&self) -> Result<Settings, ClientError> {
+        Ok(Settings {
+            read_timeout: self.stream.read_timeout()?,
+            write_timeout: self.stream.write_timeout()?,
+            max_response_bytes: self.max_response_bytes,
+        })
     }
 
     /// Caps how large a response body this client will read (default 256 MiB).
@@ -594,7 +632,8 @@ impl Client {
 
     /// Turns this connection into a [`Follower`] that streams frames from
     /// `from_frame` onward, polling for newly durable frames as the
-    /// archive grows.
+    /// archive grows. Reconnects re-apply this client's timeouts and
+    /// response cap.
     ///
     /// # Examples
     ///
@@ -642,6 +681,7 @@ impl Client {
         let addr = self.stream.peer_addr()?;
         Ok(Follower {
             addr,
+            settings: self.settings()?,
             conn: Some(self),
             next: from_frame,
             poll_interval: Duration::from_millis(100),
@@ -691,6 +731,9 @@ fn parse_reply(request: &Request, body: &[u8]) -> Result<Reply, ClientError> {
 /// Construct with [`Client::follow`]; see there for a runnable example.
 pub struct Follower {
     addr: SocketAddr,
+    /// Settings of the client the follower was made from, re-applied on
+    /// every reconnect.
+    settings: Settings,
     conn: Option<Client>,
     next: usize,
     poll_interval: Duration,
@@ -801,18 +844,25 @@ impl Follower {
     /// means no new frames yet. INFO and GET are idempotent, so a failure
     /// here can be retried without double-delivering.
     fn try_advance(&mut self) -> Result<Option<Vec<Frame>>, ClientError> {
-        if self.conn.is_none() {
-            self.conn = Some(Client::connect(self.addr)?);
-        }
-        let client = self.conn.as_mut().unwrap();
+        let (next, max_batch) = (self.next, self.max_batch);
+        let client = self.connection()?;
         let available = client.info()?.n_frames as usize;
-        if available <= self.next {
+        if available <= next {
             return Ok(None);
         }
-        let end = available.min(self.next + self.max_batch);
-        let frames = client.get(self.next..end)?;
+        let end = available.min(next + max_batch);
+        let frames = client.get(next..end)?;
         self.next = end;
         Ok(Some(frames))
+    }
+
+    /// The live connection, reconnecting with the original client's
+    /// settings if the last one was dropped.
+    fn connection(&mut self) -> Result<&mut Client, ClientError> {
+        if self.conn.is_none() {
+            self.conn = Some(Client::connect_with(self.addr, self.settings)?);
+        }
+        Ok(self.conn.as_mut().expect("connected above"))
     }
 }
 
@@ -831,6 +881,36 @@ fn is_transient_for_follow(err: &ClientError) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::net::TcpListener;
+
+    #[test]
+    fn connect_disables_nagle() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let client = Client::connect(listener.local_addr().unwrap()).unwrap();
+        assert!(client.stream.nodelay().unwrap());
+    }
+
+    #[test]
+    fn follower_reconnect_keeps_client_settings() {
+        // The listener never answers: a stalled server.
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let client =
+            Client::connect(listener.local_addr().unwrap()).unwrap().with_max_response_bytes(4096);
+        let (read, write) = (Duration::from_millis(100), Duration::from_millis(300));
+        client.set_timeouts(Some(read), Some(write)).unwrap();
+        let original = client.settings().unwrap();
+        let mut follower = client.follow(0).unwrap();
+        follower.conn = None; // what a transient error leaves behind
+
+        let conn = follower.connection().unwrap();
+        assert_eq!(conn.stream.read_timeout().unwrap(), original.read_timeout);
+        assert_eq!(conn.stream.write_timeout().unwrap(), original.write_timeout);
+        assert_eq!(conn.max_response_bytes, original.max_response_bytes);
+        assert!(conn.stream.nodelay().unwrap());
+        // The reconnected follower times out on the stalled server instead
+        // of hanging.
+        assert!(matches!(follower.try_advance(), Err(ClientError::Timeout(_))));
+    }
 
     #[test]
     fn io_errors_classify_timeouts() {

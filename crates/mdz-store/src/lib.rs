@@ -7,12 +7,12 @@
 //!
 //! * **Indexed archives** ([`archive`]) — container version 2 re-anchors the
 //!   compressor every `epoch_interval` buffers and appends a checksummed
-//!   footer index of block offsets, so reading any frame costs one epoch of
-//!   decoding instead of the whole prefix. Version-1 archives still open
-//!   (as a single epoch).
+//!   footer index of block offsets, so reading any frame costs at most its
+//!   epoch's anchor block plus its own block instead of the whole prefix.
+//!   Version-1 archives still open (as a single epoch).
 //! * **Random-access reads** ([`reader`]) — [`StoreReader::read_frames`]
-//!   maps a frame range to its epochs, decodes through an LRU cache of
-//!   decoded epochs, and records into a shared metrics [`Registry`]
+//!   maps a frame range to the buffers it touches, decodes through an LRU
+//!   cache of decoded buffers, and records into a shared metrics [`Registry`]
 //!   (core counters also surface as a [`StatsSnapshot`]).
 //! * **Serving** ([`server`], [`client`], [`protocol`]) — `mdzd` answers
 //!   GET/STATS/INFO/METRICS requests over a length-prefixed binary
@@ -24,7 +24,7 @@
 //!   [`Follower`]) — a server started with an append sink also answers
 //!   APPEND: frames are compressed server-side under the footer-flip
 //!   protocol and acknowledged only once durable, the shared reader
-//!   refreshes in place (cached epochs stay valid), and clients tail the
+//!   refreshes in place (cached buffers stay valid), and clients tail the
 //!   growing archive with [`Client::follow`].
 //! * **Crash consistency** ([`io`], [`append_store`], [`recover_store`]) —
 //!   archives are appendable under a footer-flip protocol (new blocks, data

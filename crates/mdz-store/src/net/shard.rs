@@ -3,7 +3,7 @@
 //! # Shard ownership
 //!
 //! `cfg.threads` shards each run their own poller, connection map, and
-//! forked epoch cache ([`StoreReader::fork_cache`]) — no lock is shared on
+//! forked buffer cache ([`StoreReader::fork_cache`]) — no lock is shared on
 //! the read path. A connection is owned by exactly one shard for its whole
 //! life, with one exception: the first APPEND frame decoded on shard *i ≠ 0*
 //! migrates the entire connection to shard 0 through its inbox, so live

@@ -45,7 +45,7 @@
 //! enabled), clients cap response bodies at a configurable budget — a
 //! hostile peer cannot force either side into an unbounded allocation.
 
-use std::io::{self, Read, Write};
+use std::io::{self, IoSlice, Read, Write};
 
 use mdz_core::{Frame, MdzError};
 use mdz_obs::{HistogramSnapshot, MetricsSnapshot};
@@ -817,6 +817,12 @@ pub fn parse_metrics(body: &[u8]) -> std::result::Result<MetricsSnapshot, &'stat
 
 /// Writes one framed message.
 ///
+/// The length prefix and the body go to `w` in one vectored write, so a
+/// socket puts the whole frame on the wire in one call. Writing the
+/// 4-byte prefix on its own would leave the body waiting behind Nagle's
+/// algorithm for the peer's delayed ACK (~40 ms). A short write is
+/// finished with plain writes.
+///
 /// # Examples
 ///
 /// ```
@@ -827,8 +833,15 @@ pub fn parse_metrics(body: &[u8]) -> std::result::Result<MetricsSnapshot, &'stat
 /// assert_eq!(buf, vec![3, 0, 0, 0, 1, 2, 3]);
 /// ```
 pub fn write_message(w: &mut impl Write, body: &[u8]) -> io::Result<()> {
-    w.write_all(&(body.len() as u32).to_le_bytes())?;
-    w.write_all(body)?;
+    let len = (body.len() as u32).to_le_bytes();
+    let sent = loop {
+        match w.write_vectored(&[IoSlice::new(&len), IoSlice::new(body)]) {
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+            sent => break sent?,
+        }
+    };
+    w.write_all(&len[sent.min(len.len())..])?;
+    w.write_all(&body[sent.saturating_sub(len.len())..])?;
     w.flush()
 }
 
@@ -1132,6 +1145,69 @@ mod tests {
             n_blocks: 8,
         };
         assert_eq!(parse_info(&encode_info(&i)).unwrap(), i);
+    }
+
+    /// Records every `write` and `write_vectored` call it receives,
+    /// accepting at most `max_per_call` bytes per call.
+    struct CallRecorder {
+        calls: Vec<usize>,
+        bytes: Vec<u8>,
+        max_per_call: usize,
+    }
+
+    impl CallRecorder {
+        fn new(max_per_call: usize) -> Self {
+            Self { calls: Vec::new(), bytes: Vec::new(), max_per_call }
+        }
+    }
+
+    impl Write for CallRecorder {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.write_vectored(&[IoSlice::new(buf)])
+        }
+
+        fn write_vectored(&mut self, bufs: &[IoSlice<'_>]) -> io::Result<usize> {
+            let mut taken = 0;
+            for buf in bufs {
+                let n = buf.len().min(self.max_per_call - taken);
+                self.bytes.extend_from_slice(&buf[..n]);
+                taken += n;
+            }
+            self.calls.push(taken);
+            Ok(taken)
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn each_frame_is_one_write_call() {
+        let get = Request::Get { start: 2, end: 9 }.encode();
+        let info = Request::Info.encode();
+        let mut w = CallRecorder::new(usize::MAX);
+        write_message(&mut w, &get).unwrap();
+        write_message(&mut w, &info).unwrap();
+        assert_eq!(w.calls, vec![4 + get.len(), 4 + info.len()]);
+        let mut wire = Vec::new();
+        for body in [&get, &info] {
+            wire.extend_from_slice(&(body.len() as u32).to_le_bytes());
+            wire.extend_from_slice(body);
+        }
+        assert_eq!(w.bytes, wire);
+    }
+
+    #[test]
+    fn short_writes_still_frame_the_message() {
+        let body: Vec<u8> = (0..40).collect();
+        let mut expected = 40u32.to_le_bytes().to_vec();
+        expected.extend_from_slice(&body);
+        for max_per_call in [1, 3, 4, 5, 43] {
+            let mut w = CallRecorder::new(max_per_call);
+            write_message(&mut w, &body).unwrap();
+            assert_eq!(w.bytes, expected, "at most {max_per_call} bytes per call");
+        }
     }
 
     #[test]

@@ -1,6 +1,6 @@
-//! Random-access reads over an indexed archive: epoch decoding, the LRU
-//! cache of decoded epochs, live refresh of a growing archive, and the
-//! shared metrics registry.
+//! Random-access reads over an indexed archive: anchor-plus-touched-block
+//! decoding, the LRU cache of decoded buffers, live refresh of a growing
+//! archive, and the shared metrics registry.
 
 use std::collections::{BTreeMap, HashMap};
 use std::ops::Range;
@@ -15,9 +15,11 @@ use crate::archive::{record_at, recover_slice, ArchiveIndex, RecoverReport};
 /// Tuning knobs for [`StoreReader`].
 #[derive(Debug, Clone)]
 pub struct ReaderOptions {
-    /// Decoded epochs kept in the cache (LRU eviction). Each entry holds the
-    /// epoch's frames in full precision, so size this against
-    /// `epoch_interval × buffer_size × n_atoms × 24` bytes per entry.
+    /// Cache budget, in epochs. The cache holds decoded *buffers* (LRU
+    /// eviction); its capacity is `cache_epochs` × the index's longest
+    /// epoch, counted in buffers, so it never holds more than this many
+    /// whole epochs would. Each buffer holds `buffer_size × n_atoms × 24`
+    /// bytes of full-precision frames.
     pub cache_epochs: usize,
     /// Decode budget applied to every block this reader decodes.
     pub limits: DecodeLimits,
@@ -38,15 +40,18 @@ pub struct StatsSnapshot {
     pub requests: u64,
     /// Response payload bytes written by the serving layer.
     pub bytes_out: u64,
-    /// Epoch lookups satisfied from the cache.
+    /// Touched buffers found in the cache, counted once per request.
     pub cache_hits: u64,
-    /// Epoch lookups that had to decode.
+    /// Touched buffers not in the cache, counted once per request (whether
+    /// the request decoded them or shared another request's decode).
     pub cache_misses: u64,
     /// Decode attempts that failed (corrupt records, budget violations).
     pub decode_errors: u64,
-    /// Buffers decoded since the reader was opened. The random-access
-    /// guarantee is expressed against this counter: one `read_frames` call
-    /// touching a single buffer grows it by at most one epoch's worth.
+    /// Buffers decoded since the reader was opened, including epoch
+    /// anchors decoded only for their reference state. The random-access
+    /// guarantee is expressed against this counter: a cold `read_frames`
+    /// call touching one buffer grows it by 1 (the buffer is its epoch's
+    /// anchor) or 2 (the anchor plus the buffer), and a warm one by 0.
     pub buffers_decoded: u64,
 }
 
@@ -69,10 +74,10 @@ struct CacheEntry {
     frames: Arc<Vec<Frame>>,
 }
 
-/// One in-flight decode of a cold epoch, shared by every request that
+/// One in-flight decode of a cold buffer, shared by every request that
 /// arrives while the decode is running. The first requester (the leader)
 /// decodes; the rest block on `done` and take the leader's result, so
-/// concurrent readers of one cold epoch cost exactly one decode.
+/// concurrent readers of one cold buffer cost exactly one decode.
 struct PendingSlot {
     state: Mutex<PendingState>,
     done: Condvar,
@@ -93,47 +98,67 @@ impl Default for PendingSlot {
     }
 }
 
-/// Decoded-epoch LRU cache plus the table of in-flight decodes.
+impl PendingSlot {
+    /// Publishes the leader's result and wakes every waiter.
+    fn finish(&self, frames: Option<Arc<Vec<Frame>>>) {
+        *self.state.lock().unwrap() = PendingState::Done(frames);
+        self.done.notify_all();
+    }
+
+    /// Blocks until the leader finishes; `None` means it failed.
+    fn wait(&self) -> Option<Arc<Vec<Frame>>> {
+        let mut state = self.state.lock().unwrap();
+        loop {
+            match &*state {
+                PendingState::InFlight => state = self.done.wait(state).unwrap(),
+                PendingState::Done(frames) => return frames.clone(),
+            }
+        }
+    }
+}
+
+/// Decoded-buffer LRU cache plus the table of in-flight decodes, both
+/// keyed by block index.
 ///
 /// Recency lives in `by_tick`, keyed by the strictly increasing `tick`
 /// counter (so keys are unique and the smallest key is always the least
 /// recently used). A touch is one `BTreeMap` remove + insert and eviction
 /// pops the first entry — O(log n), never a scan over `map`.
 #[derive(Default)]
-struct EpochCache {
+struct BufferCache {
     map: HashMap<usize, CacheEntry>,
-    /// Recency index: `last_used` tick → epoch, mirroring `map` exactly.
+    /// Recency index: `last_used` tick → block, mirroring `map` exactly.
     by_tick: BTreeMap<u64, usize>,
-    /// Cold epochs currently being decoded by a leader request.
+    /// Cold buffers currently being decoded by a leader request.
     pending: HashMap<usize, Arc<PendingSlot>>,
     tick: u64,
 }
 
-impl EpochCache {
-    /// Marks `epoch` used now and returns its frames if cached.
-    fn touch(&mut self, epoch: usize) -> Option<Arc<Vec<Frame>>> {
+impl BufferCache {
+    /// Marks `block` used now and returns its frames if cached.
+    fn touch(&mut self, block: usize) -> Option<Arc<Vec<Frame>>> {
         self.tick += 1;
         let tick = self.tick;
-        let entry = self.map.get_mut(&epoch)?;
+        let entry = self.map.get_mut(&block)?;
         self.by_tick.remove(&entry.last_used);
         entry.last_used = tick;
-        self.by_tick.insert(tick, epoch);
+        self.by_tick.insert(tick, block);
         Some(Arc::clone(&entry.frames))
     }
 
-    /// Inserts `epoch`, first evicting least-recently-used entries until
+    /// Inserts `block`, first evicting least-recently-used entries until
     /// the cache is below `cap`.
-    fn insert(&mut self, epoch: usize, frames: Arc<Vec<Frame>>, cap: usize) {
+    fn insert(&mut self, block: usize, frames: Arc<Vec<Frame>>, cap: usize) {
         self.tick += 1;
         let tick = self.tick;
         while self.map.len() >= cap {
             let Some((_, oldest)) = self.by_tick.pop_first() else { break };
             self.map.remove(&oldest);
         }
-        if let Some(prev) = self.map.insert(epoch, CacheEntry { last_used: tick, frames }) {
+        if let Some(prev) = self.map.insert(block, CacheEntry { last_used: tick, frames }) {
             self.by_tick.remove(&prev.last_used);
         }
-        self.by_tick.insert(tick, epoch);
+        self.by_tick.insert(tick, block);
     }
 }
 
@@ -145,10 +170,20 @@ impl EpochCache {
 struct ArchiveState {
     data: Arc<Vec<u8>>,
     index: Arc<ArchiveIndex>,
+    /// Buffers in the index's longest epoch: the cache's unit of capacity.
+    longest_epoch: usize,
+}
+
+impl ArchiveState {
+    fn new(data: Vec<u8>, index: ArchiveIndex) -> Self {
+        let longest_epoch =
+            (0..index.n_epochs()).map(|e| index.epoch_blocks(e).len()).max().unwrap_or(0);
+        Self { data: Arc::new(data), index: Arc::new(index), longest_epoch }
+    }
 }
 
 /// State every handle onto one archive shares: the swappable bytes/index
-/// pair plus the metrics registry. The epoch cache deliberately lives
+/// pair plus the metrics registry. The buffer cache deliberately lives
 /// *outside* this struct so [`StoreReader::fork_cache`] can give an event
 /// shard a private cache while still observing refreshes instantly.
 struct Shared {
@@ -163,12 +198,12 @@ struct Shared {
 
 /// A cheaply cloneable handle for random-access reads over one archive.
 ///
-/// All clones share the archive bytes, the epoch cache, and the stats
+/// All clones share the archive bytes, the buffer cache, and the stats
 /// counters, so a server can hand one clone to each worker thread. A live
 /// archive (one still being appended to) is picked up via
 /// [`refresh`](Self::refresh) — existing clones all observe the new frames.
 /// A sharded server instead hands each shard a [`fork_cache`] handle: same
-/// archive and counters, but a private epoch cache with no lock shared
+/// archive and counters, but a private buffer cache with no lock shared
 /// across shards.
 ///
 /// [`fork_cache`]: Self::fork_cache
@@ -176,7 +211,7 @@ struct Shared {
 pub struct StoreReader {
     shared: Arc<Shared>,
     opts: ReaderOptions,
-    cache: Arc<Mutex<EpochCache>>,
+    cache: Arc<Mutex<BufferCache>>,
 }
 
 impl StoreReader {
@@ -203,20 +238,20 @@ impl StoreReader {
         let obs = Obs::new(Arc::clone(&registry) as Arc<dyn mdz_core::Recorder>);
         Ok(Self {
             shared: Arc::new(Shared {
-                state: RwLock::new(ArchiveState { data: Arc::new(data), index: Arc::new(index) }),
+                state: RwLock::new(ArchiveState::new(data, index)),
                 registry,
                 obs,
             }),
             opts,
-            cache: Arc::new(Mutex::new(EpochCache::default())),
+            cache: Arc::new(Mutex::new(BufferCache::default())),
         })
     }
 
-    /// A handle over the same archive with a *private* epoch cache.
+    /// A handle over the same archive with a *private* buffer cache.
     ///
     /// The forked handle shares the archive bytes, the refresh state, and
     /// the metrics registry with `self` (so `store.*` counters still
-    /// aggregate), but decoded epochs are cached per handle. The sharded
+    /// aggregate), but decoded buffers are cached per handle. The sharded
     /// event server forks one handle per shard, which removes the cache
     /// mutex from the cross-shard hot path; plain [`Clone`] keeps the
     /// shared-cache semantics the threaded server relies on.
@@ -224,7 +259,7 @@ impl StoreReader {
         StoreReader {
             shared: Arc::clone(&self.shared),
             opts: self.opts.clone(),
-            cache: Arc::new(Mutex::new(EpochCache::default())),
+            cache: Arc::new(Mutex::new(BufferCache::default())),
         }
     }
 
@@ -279,9 +314,10 @@ impl StoreReader {
     /// * every current epoch anchor is preserved.
     ///
     /// Those invariants are exactly what the footer-flip append protocol
-    /// guarantees, and they are what make the epoch cache refresh-safe: a
-    /// decoded epoch's block range never changes once a footer covering it
-    /// lands, so cached entries stay valid and only the tail grows. A
+    /// guarantees, and they are what make the buffer cache refresh-safe: a
+    /// published block and its epoch anchor never change once a footer
+    /// covering them lands, so cached entries stay valid and only the tail
+    /// grows. A
     /// violation (the file was replaced, truncated, or rewritten in place)
     /// is rejected with [`MdzError::Corrupt`] and counted under
     /// `reader.refresh.rejected`; the reader keeps serving its current
@@ -309,8 +345,7 @@ impl StoreReader {
         let frames_added = new_index.n_frames - old.n_frames;
         let blocks_added = new_index.blocks.len() - old.blocks.len();
         let n_frames = new_index.n_frames;
-        state.data = Arc::new(data);
-        state.index = Arc::new(new_index);
+        *state = ArchiveState::new(data, new_index);
         drop(state);
         obs.incr("reader.refresh.count", 1);
         obs.incr("reader.refresh.frames_added", frames_added as u64);
@@ -355,12 +390,16 @@ impl StoreReader {
     }
 
     /// Decodes the frames in `range` (end-exclusive), touching only the
-    /// epochs that overlap it.
+    /// buffers that overlap it.
     ///
-    /// Reads go through the shared epoch cache; a miss decodes the whole
-    /// containing epoch with this reader's [`DecodeLimits`] and caches it.
-    /// The result is byte-identical to slicing the same range out of a full
-    /// sequential decompression of the archive.
+    /// Reads go through the shared buffer cache. On a miss the reader
+    /// decodes, with this reader's [`DecodeLimits`], the epoch's anchor
+    /// plus the missing buffers the range touches; a buffer in between is
+    /// skipped when [`Decompressor::keeps_state`] says decoding it would
+    /// leave the decoder state unchanged, and decoded in order otherwise.
+    /// Every decoded buffer is cached. The result is byte-identical to
+    /// slicing the same range out of a full sequential decompression of the
+    /// archive, or an error.
     pub fn read_frames(&self, range: Range<usize>) -> Result<Vec<Frame>> {
         self.read_frames_limited(range, &self.opts.limits)
     }
@@ -383,18 +422,24 @@ impl StoreReader {
         if range.is_empty() {
             return Ok(Vec::new());
         }
+        let bs = idx.buffer_size.max(1);
+        let touched = range.start / bs..(range.end - 1) / bs + 1;
         // Epoch boundaries are irregular after appends (each appended
         // segment anchors its own epochs), so map frames through the
-        // index's epoch-start list rather than a fixed stride.
-        let first_epoch = idx.epoch_of_frame(range.start);
-        let last_epoch = idx.epoch_of_frame(range.end - 1);
-        let mut out = Vec::new();
-        for epoch in first_epoch..=last_epoch {
-            let frames = self.epoch_frames(&snap, epoch, limits)?;
-            let epoch_start = idx.epoch_frame_start(epoch);
-            let lo = range.start.max(epoch_start) - epoch_start;
-            let hi = (range.end - epoch_start).min(frames.len());
-            out.extend(frames[lo..hi].iter().cloned());
+        // index's epoch-start list rather than a fixed stride. Epochs are
+        // served one at a time so at most one epoch's decoded buffers are
+        // held outside the cache at once.
+        let mut out = Vec::with_capacity(range.len());
+        for epoch in idx.epoch_of_frame(range.start)..=idx.epoch_of_frame(range.end - 1) {
+            let in_epoch = idx.epoch_blocks(epoch);
+            let blocks = touched.start.max(in_epoch.start)..touched.end.min(in_epoch.end);
+            let buffers = self.epoch_buffers(&snap, epoch, blocks.clone(), limits)?;
+            for (block, frames) in blocks.zip(&buffers) {
+                let start = idx.blocks[block].frame_start;
+                let lo = range.start.max(start) - start;
+                let hi = (range.end - start).min(frames.len());
+                out.extend(frames[lo..hi].iter().cloned());
+            }
         }
         Ok(out)
     }
@@ -402,162 +447,216 @@ impl StoreReader {
     /// Clones the current `(data, index)` pair under the read lock.
     fn snapshot(&self) -> Snapshot {
         let state = self.shared.state.read().unwrap();
-        Snapshot { data: Arc::clone(&state.data), index: Arc::clone(&state.index) }
+        Snapshot {
+            data: Arc::clone(&state.data),
+            index: Arc::clone(&state.index),
+            cache_cap: (self.opts.cache_epochs * state.longest_epoch).max(1),
+        }
     }
 
-    /// Returns `epoch`'s decoded frames, from cache or by decoding.
+    /// Returns the decoded frames of `blocks` (all in `epoch`), from cache
+    /// or by decoding, in block order.
     ///
-    /// The cache is keyed by epoch number, which is stable across refreshes:
-    /// appends only ever add epochs past the current tail, so an entry
-    /// decoded from an older snapshot is still correct.
+    /// The cache is keyed by block index, which is stable across
+    /// refreshes: appends only ever add blocks and epochs past the current
+    /// tail, so an entry decoded from an older snapshot is still correct.
     ///
-    /// Concurrent requests for the same cold epoch are deduplicated: the
-    /// first one in installs a [`PendingSlot`] and becomes the decode
-    /// leader; later arrivals block on the slot and share the leader's
-    /// result. Each request counts exactly one of `store.cache.hits` /
-    /// `store.cache.misses`, while `store.buffers_decoded` counts only the
-    /// decode work actually performed.
-    fn epoch_frames(
+    /// Concurrent requests for the same cold buffer are deduplicated: the
+    /// first one in installs a [`PendingSlot`] and becomes that buffer's
+    /// decode leader; later arrivals block on the slot and share the
+    /// leader's result. A request decodes everything it leads before it
+    /// waits on anyone, so two requests leading each other's buffers
+    /// cannot deadlock. Each touched buffer counts exactly one of
+    /// `store.cache.hits` / `store.cache.misses` per request, while
+    /// `store.buffers_decoded` counts only the decode work actually
+    /// performed.
+    fn epoch_buffers(
         &self,
         snap: &Snapshot,
         epoch: usize,
+        blocks: Range<usize>,
         limits: &DecodeLimits,
-    ) -> Result<Arc<Vec<Frame>>> {
-        enum Role {
-            Leader(Arc<PendingSlot>),
-            Waiter(Arc<PendingSlot>),
-        }
+    ) -> Result<Vec<Arc<Vec<Frame>>>> {
         let obs = &self.shared.obs;
-        let mut counted_miss = false;
+        let mut got: Vec<Option<Arc<Vec<Frame>>>> = vec![None; blocks.len()];
+        let mut counted = false;
         loop {
-            // Probe the cache; on a miss, either join the in-flight decode
-            // or install a slot and become the leader.
-            let role = {
+            // Probe the cache; for each miss, either join the in-flight
+            // decode or install a slot and become its leader. Counting in
+            // the same critical section keeps "every miss is counted" and
+            // "every counted miss holds a slot" one atomic step.
+            let mut leads: Vec<(usize, Arc<PendingSlot>)> = Vec::new();
+            let mut waits: Vec<(usize, Arc<PendingSlot>)> = Vec::new();
+            {
                 let mut cache = self.cache.lock().unwrap();
-                if let Some(frames) = cache.touch(epoch) {
-                    if !counted_miss {
-                        obs.incr("store.cache.hits", 1);
+                let (mut hits, mut misses) = (0, 0);
+                for (slot, block) in got.iter_mut().zip(blocks.clone()) {
+                    if slot.is_some() {
+                        continue;
                     }
-                    return Ok(frames);
-                }
-                if !counted_miss {
-                    counted_miss = true;
-                    obs.incr("store.cache.misses", 1);
-                }
-                match cache.pending.get(&epoch) {
-                    Some(slot) => Role::Waiter(Arc::clone(slot)),
-                    None => {
-                        let slot = Arc::new(PendingSlot::default());
-                        cache.pending.insert(epoch, Arc::clone(&slot));
-                        Role::Leader(slot)
+                    if let Some(frames) = cache.touch(block) {
+                        hits += 1;
+                        *slot = Some(frames);
+                        continue;
+                    }
+                    misses += 1;
+                    match cache.pending.get(&block) {
+                        Some(pending) => waits.push((block, Arc::clone(pending))),
+                        None => {
+                            let pending = Arc::new(PendingSlot::default());
+                            cache.pending.insert(block, Arc::clone(&pending));
+                            leads.push((block, pending));
+                        }
                     }
                 }
-            };
-            match role {
-                Role::Leader(slot) => {
-                    // Decode outside the cache lock so other epochs stay
-                    // readable while this one is in flight.
-                    let result = self.decode_epoch(snap, epoch, limits).map(Arc::new);
-                    let mut cache = self.cache.lock().unwrap();
-                    cache.pending.remove(&epoch);
-                    if let Ok(frames) = &result {
-                        cache.insert(epoch, Arc::clone(frames), self.opts.cache_epochs.max(1));
-                    } else {
+                if !counted {
+                    counted = true;
+                    obs.incr("store.cache.hits", hits);
+                    obs.incr("store.cache.misses", misses);
+                }
+            }
+            if !leads.is_empty() {
+                let wanted: Vec<usize> = leads.iter().map(|(b, _)| *b).collect();
+                // Decode outside the cache lock so other buffers stay
+                // readable while these are in flight.
+                let result = self.decode_from_anchor(snap, epoch, &wanted, limits);
+                let mut cache = self.cache.lock().unwrap();
+                for block in &wanted {
+                    cache.pending.remove(block);
+                }
+                let decoded = match result {
+                    Ok(decoded) => decoded,
+                    Err(e) => {
                         obs.incr("store.decode_errors", 1);
+                        drop(cache);
+                        for (_, pending) in &leads {
+                            pending.finish(None);
+                        }
+                        return Err(e);
                     }
-                    drop(cache);
-                    *slot.state.lock().unwrap() =
-                        PendingState::Done(result.as_ref().ok().map(Arc::clone));
-                    slot.done.notify_all();
-                    return result;
+                };
+                for (block, frames) in &decoded {
+                    cache.insert(*block, Arc::clone(frames), snap.cache_cap);
                 }
-                Role::Waiter(slot) => {
-                    let mut state = slot.state.lock().unwrap();
-                    while matches!(*state, PendingState::InFlight) {
-                        state = slot.done.wait(state).unwrap();
+                drop(cache);
+                // `decoded` is ascending and includes every wanted block.
+                for (block, frames) in decoded {
+                    if let Ok(i) = wanted.binary_search(&block) {
+                        leads[i].1.finish(Some(Arc::clone(&frames)));
+                        got[block - blocks.start] = Some(frames);
                     }
-                    if let PendingState::Done(Some(frames)) = &*state {
-                        return Ok(Arc::clone(frames));
-                    }
-                    // The leader failed; loop to re-probe the cache and
-                    // possibly become the new leader. The miss was already
-                    // counted for this request.
                 }
+            }
+            for (block, pending) in waits {
+                // `None`: the leader failed. Loop to re-probe the cache and
+                // possibly become the new leader; the miss was already
+                // counted for this request.
+                got[block - blocks.start] = pending.wait();
+            }
+            if got.iter().all(Option::is_some) {
+                return Ok(got.into_iter().flatten().collect());
             }
         }
     }
 
-    /// Decodes every buffer of `epoch` with fresh per-axis decompressors.
+    /// Decodes the `wanted` blocks of `epoch` (ascending) with fresh
+    /// per-axis decompressors, returning every buffer decoded on the way,
+    /// in block order.
     ///
-    /// The writer re-anchored the compressor at the epoch's first buffer, so
-    /// starting from empty stream state here reproduces the sequential
-    /// decode exactly; within the epoch the axis decompressors carry their
-    /// state from buffer to buffer as usual.
-    fn decode_epoch(
+    /// The writer re-anchored the compressor at the epoch's first block,
+    /// so decoding from there with empty stream state reproduces the
+    /// sequential decode exactly. Each axis walks the epoch from its anchor
+    /// to the last wanted block and skips a block that is not wanted only
+    /// when [`Decompressor::keeps_state`] says decoding it would leave the
+    /// decoder state unchanged; any other block decodes in order. The
+    /// three axis streams are independent; a whole-epoch decode runs them
+    /// concurrently.
+    fn decode_from_anchor(
         &self,
         snap: &Snapshot,
         epoch: usize,
+        wanted: &[usize],
         limits: &DecodeLimits,
-    ) -> Result<Vec<Frame>> {
+    ) -> Result<Vec<(usize, Arc<Vec<Frame>>)>> {
         let idx = &snap.index;
-        let data = &snap.data;
-        let blocks = idx.epoch_blocks(epoch);
-        if blocks.is_empty() {
-            return Err(MdzError::BadInput("epoch index out of bounds"));
-        }
-        let containers = idx.blocks[blocks.clone()]
+        let anchor = idx.epoch_blocks(epoch).start;
+        let last = *wanted.last().expect("a leader decodes at least one block");
+        let containers = idx.blocks[anchor..=last]
             .iter()
-            .map(|b| record_at(data, b.offset))
+            .map(|b| record_at(&snap.data, b.offset))
             .collect::<Result<Vec<&[u8]>>>()?;
-        let expected_frames: usize = idx.blocks[blocks.clone()].iter().map(|b| b.n_frames).sum();
 
-        // The three axis streams are independent; decode them concurrently.
-        let decode_axis = |axis: usize| -> Result<Vec<Vec<f64>>> {
+        let decode_axis = |axis: usize| -> Result<Vec<(usize, Vec<Vec<f64>>)>> {
             let mut dec = Decompressor::with_limits(*limits);
             dec.set_obs(self.shared.obs.clone());
-            let mut snapshots = Vec::new();
-            for container in &containers {
-                let parts = split_container(container)?;
-                if idx.f32_source {
-                    let narrow = dec.decompress_block_f32(parts[axis])?;
-                    snapshots.extend(
-                        narrow
-                            .into_iter()
-                            .map(|s| s.into_iter().map(f64::from).collect::<Vec<f64>>()),
-                    );
-                } else {
-                    snapshots.extend(dec.decompress_block(parts[axis])?);
+            let mut decoded = Vec::new();
+            for (block, container) in (anchor..).zip(&containers) {
+                let part = split_container(container)?[axis];
+                if wanted.binary_search(&block).is_err() && dec.keeps_state(part) {
+                    continue;
                 }
+                let snapshots = if idx.f32_source {
+                    let narrow = dec.decompress_block_f32(part)?;
+                    narrow.into_iter().map(|s| s.into_iter().map(f64::from).collect()).collect()
+                } else {
+                    dec.decompress_block(part)?
+                };
+                if snapshots.len() != idx.blocks[block].n_frames {
+                    return Err(MdzError::Corrupt {
+                        what: "block frame count disagrees with index",
+                    });
+                }
+                if snapshots.iter().any(|s| s.len() != idx.n_atoms) {
+                    return Err(MdzError::Corrupt {
+                        what: "axis atom count disagrees with header",
+                    });
+                }
+                decoded.push((block, snapshots));
             }
-            Ok(snapshots)
+            Ok(decoded)
         };
-        let (x, y, z) = std::thread::scope(|s| {
-            let hy = s.spawn(|| decode_axis(1));
-            let hz = s.spawn(|| decode_axis(2));
-            let x = decode_axis(0);
-            (x, join_axis(hy.join()), join_axis(hz.join()))
-        });
+        // A decode of a whole epoch (a scan) fans the three axes out. A
+        // partial one (random access) stays on the caller's thread: a
+        // serving thread already shares the cores with other requests, and
+        // short-lived axis threads scatter the cached buffers across
+        // allocator arenas. Serving two closed-loop clients on a 2-vCPU
+        // host, per-request axis threads cost ~15% of the GET throughput
+        // and ~25 MB of peak RSS.
+        let (x, y, z) = if wanted.len() == idx.epoch_blocks(epoch).len() {
+            std::thread::scope(|s| {
+                let hy = s.spawn(|| decode_axis(1));
+                let hz = s.spawn(|| decode_axis(2));
+                let x = decode_axis(0);
+                (x, join_axis(hy.join()), join_axis(hz.join()))
+            })
+        } else {
+            (decode_axis(0), decode_axis(1), decode_axis(2))
+        };
         let (x, y, z) = (x?, y?, z?);
 
-        if x.len() != expected_frames || y.len() != expected_frames || z.len() != expected_frames {
-            return Err(MdzError::Corrupt { what: "epoch frame count disagrees with index" });
+        if x.len() != y.len() || x.len() != z.len() {
+            return Err(MdzError::Corrupt { what: "axes decoded different blocks" });
         }
-        let mut frames = Vec::with_capacity(expected_frames);
-        for ((sx, sy), sz) in x.into_iter().zip(y).zip(z) {
-            if sx.len() != idx.n_atoms || sy.len() != idx.n_atoms || sz.len() != idx.n_atoms {
-                return Err(MdzError::Corrupt { what: "axis atom count disagrees with header" });
+        let mut out = Vec::with_capacity(x.len());
+        for (((block, sx), (by, sy)), (bz, sz)) in x.into_iter().zip(y).zip(z) {
+            if by != block || bz != block {
+                return Err(MdzError::Corrupt { what: "axes decoded different blocks" });
             }
-            frames.push(Frame::new(sx, sy, sz));
+            let frames = sx.into_iter().zip(sy).zip(sz).map(|((x, y), z)| Frame::new(x, y, z));
+            out.push((block, Arc::new(frames.collect())));
         }
-        self.shared.obs.incr("store.buffers_decoded", containers.len() as u64);
-        Ok(frames)
+        self.shared.obs.incr("store.buffers_decoded", out.len() as u64);
+        Ok(out)
     }
 }
 
-/// A consistent `(data, index)` pair taken once per read.
+/// A consistent `(data, index)` pair taken once per read, with the cache
+/// capacity derived from that index.
 struct Snapshot {
     data: Arc<Vec<u8>>,
     index: Arc<ArchiveIndex>,
+    /// `cache_epochs` × the longest epoch, in buffers (at least 1).
+    cache_cap: usize,
 }
 
 /// Checks that `new` extends `old` without rewriting anything a reader may
@@ -667,19 +766,29 @@ mod tests {
     #[test]
     fn cache_hits_and_misses_are_counted() {
         let reader = small_store();
-        reader.read_frames(0..4).unwrap();
+        reader.read_frames(0..4).unwrap(); // buffer 0, the anchor: 1 decode
         let after_first = reader.stats();
         assert_eq!(after_first.cache_misses, 1);
         assert_eq!(after_first.cache_hits, 0);
-        reader.read_frames(4..8).unwrap(); // same epoch (K=2, bs=4)
+        assert_eq!(after_first.buffers_decoded, 1);
+        // Buffer 1 shares the epoch (K=2, bs=4) but is not cached: its
+        // decode needs the anchor's reference state, so the anchor decodes
+        // again.
+        reader.read_frames(4..8).unwrap();
         let after_second = reader.stats();
-        assert_eq!(after_second.cache_misses, 1);
-        assert_eq!(after_second.cache_hits, 1);
-        assert_eq!(after_second.buffers_decoded, 2);
+        assert_eq!(after_second.cache_misses, 2);
+        assert_eq!(after_second.cache_hits, 0);
+        assert_eq!(after_second.buffers_decoded, 3);
+        // A range over both buffers is now pure cache: one hit each.
+        reader.read_frames(2..6).unwrap();
+        let after_third = reader.stats();
+        assert_eq!(after_third.cache_misses, 2);
+        assert_eq!(after_third.cache_hits, 2);
+        assert_eq!(after_third.buffers_decoded, 3);
     }
 
     #[test]
-    fn lru_evicts_least_recently_used_epoch() {
+    fn lru_evicts_least_recently_used_buffer() {
         let mut opts = StoreOptions::new(MdzConfig::new(ErrorBound::Absolute(1e-3)));
         opts.buffer_size = 2;
         opts.epoch_interval = 1;
@@ -689,11 +798,12 @@ mod tests {
             ReaderOptions { cache_epochs: 2, ..Default::default() },
         )
         .unwrap();
-        reader.read_frames(0..2).unwrap(); // epoch 0: miss
-        reader.read_frames(2..4).unwrap(); // epoch 1: miss
-        reader.read_frames(0..2).unwrap(); // epoch 0: hit (now most recent)
-        reader.read_frames(4..6).unwrap(); // epoch 2: miss, evicts epoch 1
-        reader.read_frames(2..4).unwrap(); // epoch 1: miss again
+        // K=1: every buffer is its own epoch, so the capacity is 2 buffers.
+        reader.read_frames(0..2).unwrap(); // buffer 0: miss
+        reader.read_frames(2..4).unwrap(); // buffer 1: miss
+        reader.read_frames(0..2).unwrap(); // buffer 0: hit (now most recent)
+        reader.read_frames(4..6).unwrap(); // buffer 2: miss, evicts buffer 1
+        reader.read_frames(2..4).unwrap(); // buffer 1: miss again
         let s = reader.stats();
         assert_eq!(s.cache_hits, 1);
         assert_eq!(s.cache_misses, 4);
@@ -701,10 +811,10 @@ mod tests {
 
     #[test]
     fn eviction_pops_strictly_by_recency_order() {
-        let mut cache = EpochCache::default();
+        let mut cache = BufferCache::default();
         let f = Arc::new(Vec::new());
-        for epoch in 0..3 {
-            cache.insert(epoch, Arc::clone(&f), 3);
+        for block in 0..3 {
+            cache.insert(block, Arc::clone(&f), 3);
         }
         // Recency is now 0 < 1 < 2; touching 0 makes 1 the LRU.
         assert!(cache.touch(0).is_some());
@@ -722,8 +832,8 @@ mod tests {
         let mut live: Vec<usize> = cache.by_tick.values().copied().collect();
         live.sort_unstable();
         assert_eq!(live, vec![3, 4, 5]);
-        for (&tick, epoch) in &cache.by_tick {
-            assert_eq!(cache.map[epoch].last_used, tick);
+        for (&tick, block) in &cache.by_tick {
+            assert_eq!(cache.map[block].last_used, tick);
         }
     }
 
@@ -748,19 +858,19 @@ mod tests {
                 std::thread::yield_now();
             }
             reader.cache.lock().unwrap().pending.remove(&0);
-            *slot.state.lock().unwrap() = PendingState::Done(None);
-            slot.done.notify_all();
+            slot.finish(None);
             handles.into_iter().map(|h| h.join().unwrap()).collect::<Vec<_>>()
         });
         for part in &full {
             assert_eq!(part, &full[0]);
         }
         let s = reader.stats();
-        // Every request missed exactly once, and the epoch (2 buffers) was
-        // decoded exactly once, no matter how the threads interleaved.
+        // Every request missed exactly once, and the buffer (its epoch's
+        // anchor) was decoded exactly once, no matter how the threads
+        // interleaved.
         assert_eq!(s.cache_misses, THREADS as u64);
         assert_eq!(s.cache_hits, 0);
-        assert_eq!(s.buffers_decoded, 2);
+        assert_eq!(s.buffers_decoded, 1);
         assert_eq!(s.decode_errors, 0);
     }
 
@@ -799,7 +909,8 @@ mod tests {
             StoreReader::with_registry(data, ReaderOptions::default(), Arc::clone(&registry))
                 .unwrap();
         reader.read_frames(0..8).unwrap();
-        assert_eq!(registry.counter("store.cache.misses"), 1);
+        // Two touched buffers, both cold, decoded in one pass.
+        assert_eq!(registry.counter("store.cache.misses"), 2);
         assert_eq!(registry.counter("store.buffers_decoded"), 2);
         // The axis decompressors record pipeline metrics into the same
         // registry: 3 axes × 2 buffers.
@@ -876,11 +987,11 @@ mod tests {
     }
 
     #[test]
-    fn refresh_keeps_cached_epochs_valid() {
+    fn refresh_keeps_cached_buffers_valid() {
         let all = frames(16, 6);
         let base = write_store(&all[..8], &[], &[], &store_opts()).unwrap();
         let reader = StoreReader::open(base.clone()).unwrap();
-        let before = reader.read_frames(0..8).unwrap(); // warms epoch 0
+        let before = reader.read_frames(0..8).unwrap(); // warms buffers 0 and 1
         let misses_before = reader.stats().cache_misses;
 
         let mut io = MemIo::new(base);

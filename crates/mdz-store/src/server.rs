@@ -4,9 +4,9 @@
 //! The server is built only on `std::net` / `std::thread`. Each worker owns
 //! a per-connection [`DecodeLimits`] (from [`ServerConfig`]); a request that
 //! would decode past that budget is refused with [`Status::LimitExceeded`]
-//! rather than letting one client monopolize memory. The epoch cache inside
+//! rather than letting one client monopolize memory. The buffer cache inside
 //! the shared [`StoreReader`] makes concurrent overlapping reads cheap:
-//! whichever connection decodes an epoch first populates it for the rest.
+//! whichever connection decodes a buffer first populates it for the rest.
 //!
 //! # Degradation under hostile load
 //!

@@ -6,7 +6,9 @@
 //! (header scan, record walk, per-axis decompressors reset at epoch
 //! boundaries) so it shares none of the footer/index/cache code under test.
 
-use mdz_core::{Decompressor, ErrorBound, Frame, MdzConfig, Method};
+use std::ops::Range;
+
+use mdz_core::{Decompressor, ErrorBound, Frame, MdzConfig, MdzError, Method};
 use mdz_entropy::read_uvarint;
 use mdz_store::{write_store, Precision, StoreOptions, StoreReader};
 
@@ -40,6 +42,12 @@ fn make_frames(n_frames: usize, n_atoms: usize, seed: u64) -> Vec<Frame> {
 
 /// Sequential reference decode straight off the wire format.
 fn sequential_decode(data: &[u8]) -> Vec<Frame> {
+    sequential_prefix(data, usize::MAX).unwrap()
+}
+
+/// Sequential decode of the archive's first `max_blocks` blocks, or the
+/// first error a plain in-order decoder would hit on them.
+fn sequential_prefix(data: &[u8], max_blocks: usize) -> Result<Vec<Frame>, MdzError> {
     assert_eq!(&data[..4], b"MDZA");
     assert_eq!(data[4], 2, "reference decoder only speaks v2");
     let f32_source = data[5] & 1 != 0;
@@ -51,7 +59,7 @@ fn sequential_decode(data: &[u8]) -> Vec<Frame> {
     let meta_len = read_uvarint(data, &mut pos).unwrap() as usize;
     pos += meta_len;
 
-    let n_blocks = n_frames.div_ceil(bs);
+    let n_blocks = n_frames.div_ceil(bs).min(max_blocks);
     let mut axes = [Decompressor::new(), Decompressor::new(), Decompressor::new()];
     let mut frames: Vec<Frame> = Vec::with_capacity(n_frames);
     for block_idx in 0..n_blocks {
@@ -75,24 +83,25 @@ fn sequential_decode(data: &[u8]) -> Vec<Frame> {
             let block = &container[cpos..cpos + blen];
             cpos += blen;
             let snaps = if f32_source {
-                axis.decompress_block_f32(block)
-                    .unwrap()
+                axis.decompress_block_f32(block)?
                     .into_iter()
                     .map(|s| s.into_iter().map(f64::from).collect())
                     .collect()
             } else {
-                axis.decompress_block(block).unwrap()
+                axis.decompress_block(block)?
             };
             per_axis.push(snaps);
         }
         let [x, y, z]: [Vec<Vec<f64>>; 3] = per_axis.try_into().unwrap();
         for ((sx, sy), sz) in x.into_iter().zip(y).zip(z) {
-            assert_eq!(sx.len(), n_atoms);
+            if sx.len() != n_atoms || sy.len() != n_atoms || sz.len() != n_atoms {
+                return Err(MdzError::Corrupt { what: "snapshot length is not the atom count" });
+            }
             frames.push(Frame::new(sx, sy, sz));
         }
     }
-    assert_eq!(frames.len(), n_frames);
-    frames
+    assert_eq!(frames.len(), n_frames.min(n_blocks * bs));
+    Ok(frames)
 }
 
 #[test]
@@ -132,27 +141,105 @@ fn every_range_matches_sequential_decode_across_codecs() {
 fn one_buffer_read_decodes_at_most_one_epoch() {
     // 64 buffers of 2 frames, 4 buffers per epoch → 16 epochs.
     let frames = make_frames(128, 8, 0xabcd);
-    let mut opts = StoreOptions::new(MdzConfig::new(ErrorBound::Absolute(1e-4)));
-    opts.buffer_size = 2;
-    opts.epoch_interval = 4;
-    let data = write_store(&frames, &[], &[], &opts).unwrap();
-    let reader = StoreReader::open(data).unwrap();
-    assert_eq!(reader.index().blocks.len(), 64);
-    assert_eq!(reader.index().n_epochs(), 16);
+    for precision in [Precision::F64, Precision::F32] {
+        let mut opts = StoreOptions::new(MdzConfig::new(ErrorBound::Absolute(1e-4)));
+        opts.buffer_size = 2;
+        opts.epoch_interval = 4;
+        opts.precision = precision;
+        let data = write_store(&frames, &[], &[], &opts).unwrap();
+        let reference = sequential_decode(&data);
+        let reader = StoreReader::open(data).unwrap();
+        assert_eq!(reader.index().blocks.len(), 64);
+        assert_eq!(reader.index().n_epochs(), 16);
+        // Buffers decoded by one read; no axis decodes a skipped block.
+        let decodes = |range: Range<usize>| {
+            let blocks = || reader.recorder().counter("core.decode.blocks");
+            let (before, blocks_before) = (reader.stats().buffers_decoded, blocks());
+            assert_eq!(reader.read_frames(range.clone()).unwrap(), reference[range]);
+            let decoded = reader.stats().buffers_decoded - before;
+            assert_eq!(blocks() - blocks_before, 3 * decoded, "axis blocks of {decoded} buffers");
+            decoded
+        };
 
-    // Buffer 37 holds frames 74..76 and lives in epoch 9 (buffers 36..40).
-    let before = reader.stats().buffers_decoded;
-    let got = reader.read_frames(74..76).unwrap();
-    assert_eq!(got.len(), 2);
-    let decoded = reader.stats().buffers_decoded - before;
-    assert!(
-        decoded <= opts.epoch_interval as u64,
-        "single-buffer read decoded {decoded} buffers — more than one epoch"
-    );
-    // A re-read is pure cache: no further decoding at all.
-    let before = reader.stats().buffers_decoded;
-    reader.read_frames(74..76).unwrap();
-    assert_eq!(reader.stats().buffers_decoded, before);
+        // Buffer 39 (frames 78..80) is the last of epoch 9 (buffers
+        // 36..40): its anchor for the reference state, then itself;
+        // buffers 37 and 38 leave the state unchanged and are skipped.
+        assert_eq!(decodes(78..80), 2, "{precision:?}: cold non-anchor buffer");
+        // Buffer 37 needs the anchor's state again.
+        assert_eq!(decodes(74..76), 2, "{precision:?}: cold non-anchor buffer");
+        // Buffer 44 (frames 88..90) anchors epoch 11: itself alone.
+        assert_eq!(decodes(88..90), 1, "{precision:?}: cold anchor");
+        // Re-reads are pure cache, and so is the anchor decoded for state.
+        for range in [78..80, 74..76, 88..90, 72..74] {
+            assert_eq!(decodes(range.clone()), 0, "{precision:?}: re-read of {range:?}");
+        }
+    }
+}
+
+/// Rewrites the `n_values` of `axis` in the block record at `block_offset`
+/// and re-seals the record checksum, so the forgery reaches the decoder.
+fn forge_n_values(data: &mut [u8], block_offset: usize, axis: usize, n_values: u8) {
+    let mut pos = block_offset;
+    let len = read_uvarint(data, &mut pos).unwrap() as usize;
+    let sum_at = pos;
+    let container = sum_at + 8;
+    let mut cpos = container + 4; // "MDZT"
+    for _ in 0..axis {
+        let blen = read_uvarint(data, &mut cpos).unwrap() as usize;
+        cpos += blen;
+    }
+    read_uvarint(data, &mut cpos).unwrap();
+    // Block header: magic (4) · version · method · flags · n_snapshots ·
+    // n_values. Both counts are one-byte uvarints at this geometry.
+    assert!(data[cpos + 7] < 0x80 && data[cpos + 8] < 0x80);
+    data[cpos + 8] = n_values;
+    let sum = mdz_core::checksum::fnv1a64(&data[container..container + len]);
+    data[sum_at..sum_at + 8].copy_from_slice(&sum.to_le_bytes());
+}
+
+#[test]
+fn forged_block_between_anchor_and_read_is_decoded_or_rejected() {
+    // One epoch of 8 buffers × 2 frames × 8 atoms; read buffer 5 cold with
+    // buffer 3 forged, so the read must walk through the forgery. A forged
+    // count of 8 is the true one: the control case.
+    let frames = make_frames(16, 8, 0xf00d);
+    for precision in [Precision::F64, Precision::F32] {
+        for method in [Method::Adaptive, Method::Mt, Method::Vq] {
+            let mut opts =
+                StoreOptions::new(MdzConfig::new(ErrorBound::Absolute(1e-4)).with_method(method));
+            opts.buffer_size = 2;
+            opts.epoch_interval = 8;
+            opts.precision = precision;
+            let clean = write_store(&frames, &[], &[], &opts).unwrap();
+            let offset = StoreReader::open(clean.clone()).unwrap().index().blocks[3].offset;
+            for axis in 0..3 {
+                for forged in [1u8, 4, 7, 8, 9, 16, 100] {
+                    let mut data = clean.clone();
+                    forge_n_values(&mut data, offset, axis, forged);
+                    let label = format!("{precision:?}/{method:?} axis {axis} n_values {forged}");
+                    let read = StoreReader::open(data.clone()).unwrap().read_frames(10..12);
+                    // The read equals a sequential decode of the prefix up
+                    // to its last block, or fails exactly as that decode
+                    // does: `Corrupt` when the forged count is too large,
+                    // the entropy stage's `LimitExceeded` when too small.
+                    match (read, sequential_prefix(&data, 6)) {
+                        (Ok(got), Ok(reference)) => assert_eq!(got, reference[10..12], "{label}"),
+                        (Err(e), Err(seq)) => {
+                            assert_eq!(e, seq, "{label}");
+                            assert!(
+                                matches!(
+                                    e,
+                                    MdzError::Corrupt { .. } | MdzError::LimitExceeded { .. }
+                                ),
+                                "{label}: {e:?}"
+                            );
+                        }
+                        (read, seq) => panic!("{label}: read {read:?}, sequential {seq:?}"),
+                    }
+                }
+            }
+        }
+    }
 }
 
 #[test]

@@ -22,6 +22,13 @@ cargo build --release --workspace
 echo "==> cargo test --workspace"
 cargo test --workspace --quiet
 
+# The benchmark (benchmark/) is a workspace of its own, so the workspace
+# build and tests above never compile it. Build and test it here, so a
+# public-API change in mdz-store cannot break it without a check failing.
+echo "==> benchmark build + tests (benchmark/, its own workspace)"
+cargo build --release --offline --manifest-path benchmark/Cargo.toml
+cargo test --release --offline --quiet --manifest-path benchmark/Cargo.toml
+
 # Rustdoc examples are executable documentation: every `# Examples`
 # block in the workspace compiles and runs (the docs CI job runs the
 # same gate).
