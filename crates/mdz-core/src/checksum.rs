@@ -1,18 +1,12 @@
-//! Shared checksum primitives used across the MDZ container formats.
+//! Shared checksum primitives of the `.mdz` archive format.
 //!
-//! Two checksums, two jobs:
+//! Two checksums, two jobs, both fixed by the on-disk layout:
 //!
-//! * [`Crc32`] / [`crc32`] — CRC-32 (IEEE 802.3). Strong burst-error
-//!   detection; used by the frame layer ([`crate::format::write_frame`])
-//!   and by the `mdz-store` footer index.
-//! * [`fnv1a64`] — FNV-1a 64-bit. Cheap whole-record hash; used by the
-//!   `.mdz` archive block records (v1 and v2), where the 8-byte digest was
-//!   already part of the on-disk layout.
+//! * [`fnv1a64`] — FNV-1a 64-bit. Covers each block record of the archive
+//!   (versions 1 and 2).
+//! * [`crc32`] — CRC-32 (IEEE 802.3). Covers the `mdz-store` footer index.
 //!
-//! Both are dependency-free and deterministic across platforms; the archive
-//! and store layers import them from here so the repository has exactly one
-//! implementation of each (they were previously duplicated between
-//! `mdz_core::format` and the archive module).
+//! Both are dependency-free and deterministic across platforms.
 
 /// CRC-32 (IEEE 802.3, reflected polynomial `0xEDB88320`) lookup table,
 /// built at compile time so the coder stays dependency-free.
@@ -32,43 +26,13 @@ const CRC32_TABLE: [u32; 256] = {
     table
 };
 
-/// Incremental CRC-32 (IEEE) hasher.
-#[derive(Debug, Clone, Copy)]
-pub struct Crc32 {
-    state: u32,
-}
-
-impl Default for Crc32 {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl Crc32 {
-    /// Starts a fresh checksum.
-    pub fn new() -> Self {
-        Self { state: !0 }
-    }
-
-    /// Feeds `data` into the checksum.
-    pub fn update(&mut self, data: &[u8]) {
-        for &b in data {
-            self.state =
-                CRC32_TABLE[((self.state ^ u32::from(b)) & 0xFF) as usize] ^ (self.state >> 8);
-        }
-    }
-
-    /// Finalizes and returns the checksum value.
-    pub fn finish(self) -> u32 {
-        !self.state
-    }
-}
-
 /// One-shot CRC-32 of `data`.
 pub fn crc32(data: &[u8]) -> u32 {
-    let mut h = Crc32::new();
-    h.update(data);
-    h.finish()
+    let mut c = !0u32;
+    for &b in data {
+        c = CRC32_TABLE[((c ^ u32::from(b)) & 0xFF) as usize] ^ (c >> 8);
+    }
+    !c
 }
 
 /// One-shot FNV-1a 64-bit hash of `data`.
@@ -91,16 +55,6 @@ mod tests {
         assert_eq!(crc32(b""), 0);
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
         assert_eq!(crc32(b"The quick brown fox jumps over the lazy dog"), 0x414F_A339);
-    }
-
-    #[test]
-    fn crc32_incremental_matches_one_shot() {
-        let data = b"incremental hashing must match the one-shot helper";
-        let mut h = Crc32::new();
-        for chunk in data.chunks(7) {
-            h.update(chunk);
-        }
-        assert_eq!(h.finish(), crc32(data));
     }
 
     #[test]

@@ -221,86 +221,6 @@ impl BlockHeader {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Checksummed frame layer
-// ---------------------------------------------------------------------------
-
-/// Frame magic bytes (distinct from the block magic so a frame scanner never
-/// locks onto an inner block header).
-pub const FRAME_MAGIC: [u8; 4] = *b"MDZF";
-/// Current frame-layer version. Independent of the block [`VERSION`]: frames
-/// are an opt-in outer wrapper, and unframed version-1 blocks (the golden
-/// fixtures) remain decodable forever.
-pub const FRAME_VERSION: u8 = 1;
-/// Fixed size of a frame header: magic · version u8 · payload_len u32 LE ·
-/// crc32 u32 LE.
-pub const FRAME_HEADER_LEN: usize = FRAME_MAGIC.len() + 1 + 4 + 4;
-
-// The CRC-32 implementation lives in the shared checksum module; it stays
-// re-exported here because the frame layer is where it entered the format
-// contract.
-pub use crate::checksum::{crc32, Crc32};
-
-/// Wraps `payload` in a checksummed, self-delimiting frame appended to
-/// `out`.
-///
-/// Layout: `FRAME_MAGIC · version u8 · payload_len u32 LE · crc32 u32 LE ·
-/// payload`. The CRC covers the version byte, the length bytes, and the
-/// payload, so a corrupted length field is detected rather than trusted.
-pub fn write_frame(payload: &[u8], out: &mut Vec<u8>) -> Result<()> {
-    let len = u32::try_from(payload.len())
-        .map_err(|_| MdzError::BadInput("frame payload exceeds u32::MAX bytes"))?;
-    out.extend_from_slice(&FRAME_MAGIC);
-    out.push(FRAME_VERSION);
-    out.extend_from_slice(&len.to_le_bytes());
-    let mut h = Crc32::new();
-    h.update(&[FRAME_VERSION]);
-    h.update(&len.to_le_bytes());
-    h.update(payload);
-    out.extend_from_slice(&h.finish().to_le_bytes());
-    out.extend_from_slice(payload);
-    Ok(())
-}
-
-/// Parses one frame from `data` at `*pos`, advancing past it and returning
-/// the verified payload.
-///
-/// Structural problems (wrong magic, unknown version, truncation) surface as
-/// [`MdzError::BadHeader`]; a checksum mismatch — the frame is well-formed
-/// but its bytes are damaged — surfaces as [`MdzError::Corrupt`]. The
-/// declared length is checked against the remaining input *before* any use,
-/// so a forged length cannot drive reads or allocations past the buffer.
-pub fn read_frame<'a>(data: &'a [u8], pos: &mut usize) -> Result<&'a [u8]> {
-    let magic = data.get(*pos..*pos + 4).ok_or(MdzError::BadHeader("truncated frame magic"))?;
-    if magic != FRAME_MAGIC {
-        return Err(MdzError::BadHeader("not an MDZ frame"));
-    }
-    let version = *data.get(*pos + 4).ok_or(MdzError::BadHeader("truncated frame version"))?;
-    if version != FRAME_VERSION {
-        return Err(MdzError::BadHeader("unsupported frame version"));
-    }
-    let len_bytes =
-        data.get(*pos + 5..*pos + 9).ok_or(MdzError::BadHeader("truncated frame length"))?;
-    let payload_len = u32::from_le_bytes(len_bytes.try_into().unwrap()) as usize;
-    let crc_bytes =
-        data.get(*pos + 9..*pos + 13).ok_or(MdzError::BadHeader("truncated frame checksum"))?;
-    let stored_crc = u32::from_le_bytes(crc_bytes.try_into().unwrap());
-    let start = *pos + FRAME_HEADER_LEN;
-    let payload = start
-        .checked_add(payload_len)
-        .and_then(|end| data.get(start..end))
-        .ok_or(MdzError::BadHeader("truncated frame payload"))?;
-    let mut h = Crc32::new();
-    h.update(&[version]);
-    h.update(len_bytes);
-    h.update(payload);
-    if h.finish() != stored_crc {
-        return Err(MdzError::Corrupt { what: "frame checksum mismatch" });
-    }
-    *pos = start + payload_len;
-    Ok(payload)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -443,76 +363,5 @@ mod tests {
     #[should_panic(expected = "not a wire method")]
     fn adaptive_has_no_wire_form() {
         let _ = Method::Adaptive.to_wire();
-    }
-
-    #[test]
-    fn frame_round_trip() {
-        for payload in [&b""[..], b"x", b"hello frame", &[0u8; 1000]] {
-            let mut buf = Vec::new();
-            write_frame(payload, &mut buf).unwrap();
-            assert_eq!(buf.len(), FRAME_HEADER_LEN + payload.len());
-            let mut pos = 0;
-            assert_eq!(read_frame(&buf, &mut pos).unwrap(), payload);
-            assert_eq!(pos, buf.len());
-        }
-    }
-
-    #[test]
-    fn frames_concatenate() {
-        let mut buf = Vec::new();
-        write_frame(b"first", &mut buf).unwrap();
-        write_frame(b"second", &mut buf).unwrap();
-        let mut pos = 0;
-        assert_eq!(read_frame(&buf, &mut pos).unwrap(), b"first");
-        assert_eq!(read_frame(&buf, &mut pos).unwrap(), b"second");
-        assert_eq!(pos, buf.len());
-    }
-
-    #[test]
-    fn every_single_byte_flip_is_detected() {
-        // The CRC covers version, length, and payload: flipping any byte of
-        // the frame must surface as an error (magic/version/truncation as
-        // BadHeader, everything else as a checksum mismatch).
-        let mut buf = Vec::new();
-        write_frame(b"some block payload bytes", &mut buf).unwrap();
-        for i in 0..buf.len() {
-            buf[i] ^= 0xA5;
-            assert!(read_frame(&buf, &mut 0).is_err(), "flip at {i} undetected");
-            buf[i] ^= 0xA5;
-        }
-        assert!(read_frame(&buf, &mut 0).is_ok());
-    }
-
-    #[test]
-    fn frame_truncations_rejected() {
-        let mut buf = Vec::new();
-        write_frame(b"payload", &mut buf).unwrap();
-        for cut in 0..buf.len() {
-            assert!(
-                matches!(read_frame(&buf[..cut], &mut 0), Err(MdzError::BadHeader(_))),
-                "cut {cut}"
-            );
-        }
-    }
-
-    #[test]
-    fn forged_frame_length_rejected_before_read() {
-        let mut buf = Vec::new();
-        write_frame(b"payload", &mut buf).unwrap();
-        // Forge a giant length; must fail as truncation, not a huge slice.
-        buf[5..9].copy_from_slice(&u32::MAX.to_le_bytes());
-        assert!(matches!(read_frame(&buf, &mut 0), Err(MdzError::BadHeader(_))));
-    }
-
-    #[test]
-    fn checksum_mismatch_is_corrupt_not_bad_header() {
-        let mut buf = Vec::new();
-        write_frame(b"payload", &mut buf).unwrap();
-        let last = buf.len() - 1;
-        buf[last] ^= 1;
-        assert_eq!(
-            read_frame(&buf, &mut 0),
-            Err(MdzError::Corrupt { what: "frame checksum mismatch" })
-        );
     }
 }

@@ -71,8 +71,7 @@ pub use pipeline::parallel::ParallelOptions;
 pub use quant::{BitAdaptiveQuantizer, LinearQuantizer};
 pub use stage::{HuffmanStage, LosslessStage, Lz77Stage, Quantizer, RangeStage};
 pub use traj::{
-    compress_frames, decompress_frames, Frame, ParallelTrajectoryCompressor,
-    ParallelTrajectoryDecompressor, TrajReader, TrajWriter, TrajectoryCompressor,
+    Frame, ParallelTrajectoryCompressor, ParallelTrajectoryDecompressor, TrajectoryCompressor,
     TrajectoryDecompressor,
 };
 
@@ -102,11 +101,10 @@ pub enum MdzError {
         /// The budget that was in force.
         limit: usize,
     },
-    /// An underlying I/O sink or source failed (streaming writers such as
-    /// [`TrajWriter`], archive storage backends). Carries the
-    /// [`std::io::ErrorKind`] plus the rendered message so the error type
-    /// stays `Clone + PartialEq` while callers can still tell a timeout
-    /// (`TimedOut`/`WouldBlock`) from a hard failure.
+    /// An underlying I/O sink or source failed (the `mdz-store` storage
+    /// backends). Carries the [`std::io::ErrorKind`] plus the rendered
+    /// message so the error type stays `Clone + PartialEq` while callers can
+    /// still tell a timeout (`TimedOut`/`WouldBlock`) from a hard failure.
     Io {
         /// Kind of the underlying [`std::io::Error`].
         kind: std::io::ErrorKind,

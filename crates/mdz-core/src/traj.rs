@@ -9,7 +9,6 @@
 
 use crate::buffer::{Compressor, DecodeLimits, Decompressor};
 use crate::codec::{Codec, MdzCodec};
-use crate::format::{read_frame, write_frame, FRAME_MAGIC};
 use crate::pipeline::parallel::{compress_streams, decompress_streams, ParallelOptions};
 use crate::{ErrorBound, MdzConfig, MdzError, Result};
 use mdz_entropy::{read_uvarint, write_uvarint};
@@ -80,118 +79,6 @@ impl TrajectoryCompressor {
             self.axes[2].compress_buffer(&zs, self.bound)?,
         ];
         Ok(assemble(&blocks))
-    }
-
-    /// Like [`Self::compress_buffer`] but compresses the three axes on
-    /// scoped threads. The per-axis streams are independent by design
-    /// (§III: each axis is a separate SZ stream), so the output is
-    /// byte-identical to the sequential path. This is what `Codec: Send`
-    /// buys: each thread drives one axis codec (and its scratch workspace)
-    /// exclusively.
-    pub fn compress_buffer_parallel(&mut self, frames: &[Frame]) -> Result<Vec<u8>> {
-        if frames.is_empty() {
-            return Err(MdzError::BadInput("buffer has no frames"));
-        }
-        let series: [Vec<Vec<f64>>; 3] = [
-            frames.iter().map(|f| f.x.clone()).collect(),
-            frames.iter().map(|f| f.y.clone()).collect(),
-            frames.iter().map(|f| f.z.clone()).collect(),
-        ];
-        let bound = self.bound;
-        let mut results: [Result<Vec<u8>>; 3] = [Ok(Vec::new()), Ok(Vec::new()), Ok(Vec::new())];
-        std::thread::scope(|scope| {
-            for ((axis, buf), slot) in
-                self.axes.iter_mut().zip(series.iter()).zip(results.iter_mut())
-            {
-                scope.spawn(move || {
-                    *slot = axis.compress_buffer(buf, bound);
-                });
-            }
-        });
-        let [x, y, z] = results;
-        Ok(assemble(&[x?, y?, z?]))
-    }
-
-    /// Like [`Self::compress_buffer`] but wraps the container in a
-    /// checksummed [`crate::format::FRAME_MAGIC`] frame, so an archival
-    /// stream of buffers can be scanned with [`TrajReader`] and survives
-    /// localized corruption by dropping only the damaged buffer.
-    pub fn compress_buffer_framed(&mut self, frames: &[Frame]) -> Result<Vec<u8>> {
-        let container = self.compress_buffer(frames)?;
-        let mut out = Vec::with_capacity(container.len() + crate::format::FRAME_HEADER_LEN);
-        write_frame(&container, &mut out)?;
-        Ok(out)
-    }
-}
-
-/// Scanning reader over a stream of checksummed frames.
-///
-/// Yields each frame's verified payload in order. When a frame fails its
-/// checksum — or the stream contains garbage between frames — the reader
-/// *resynchronizes*: it scans forward for the next [`FRAME_MAGIC`] marker
-/// and continues from there, so one damaged buffer costs exactly that
-/// buffer, not the rest of the stream. [`TrajReader::skipped`] reports how
-/// many damaged regions were skipped.
-pub struct TrajReader<'a> {
-    data: &'a [u8],
-    pos: usize,
-    /// Contiguous damaged regions skipped so far (one region may span
-    /// several false magic hits).
-    skipped: usize,
-    /// Whether the scanner is currently inside a damaged region (so a chain
-    /// of failed resync candidates counts as one skip).
-    resyncing: bool,
-}
-
-impl<'a> TrajReader<'a> {
-    /// Starts scanning `data` from the beginning.
-    pub fn new(data: &'a [u8]) -> Self {
-        Self { data, pos: 0, skipped: 0, resyncing: false }
-    }
-
-    /// Number of damaged regions skipped so far.
-    pub fn skipped(&self) -> usize {
-        self.skipped
-    }
-
-    /// Byte offset the scanner will read next.
-    pub fn position(&self) -> usize {
-        self.pos
-    }
-}
-
-impl<'a> Iterator for TrajReader<'a> {
-    type Item = &'a [u8];
-
-    fn next(&mut self) -> Option<&'a [u8]> {
-        while self.pos < self.data.len() {
-            match read_frame(self.data, &mut self.pos) {
-                Ok(payload) => {
-                    self.resyncing = false;
-                    return Some(payload);
-                }
-                Err(_) => {
-                    if !self.resyncing {
-                        self.resyncing = true;
-                        self.skipped += 1;
-                    }
-                    // Scan forward for the next magic marker, starting one
-                    // byte past the failed position so a corrupt frame whose
-                    // magic is intact doesn't loop forever.
-                    match self.data[self.pos + 1..]
-                        .windows(FRAME_MAGIC.len())
-                        .position(|w| w == FRAME_MAGIC)
-                    {
-                        Some(off) => self.pos += 1 + off,
-                        None => {
-                            self.pos = self.data.len();
-                            return None;
-                        }
-                    }
-                }
-            }
-        }
-        None
     }
 }
 
@@ -288,9 +175,9 @@ impl TrajectoryDecompressor {
 
 /// Three-axis compressor that fans axis×buffer blocks across workers.
 ///
-/// Where [`TrajectoryCompressor`] parallelizes at most across the three
-/// axes (one thread each), this type feeds *every* axis×buffer block of a
-/// batch into the block engine
+/// Where [`TrajectoryCompressor`] compresses one buffer's three axes in
+/// turn, this type feeds *every* axis×buffer block of a batch into the
+/// block engine
 /// ([`Compressor::compress_buffers_parallel`]), so a batch of `B` buffers
 /// exposes up to `3·B` units of work. Output is **byte-identical** to the
 /// serial path for every worker count. The axes are always MDZ codecs
@@ -318,11 +205,6 @@ impl ParallelTrajectoryCompressor {
     pub fn with_parallelism(mut self, par: ParallelOptions) -> Self {
         self.par = par;
         self
-    }
-
-    /// Replaces the worker configuration applied to subsequent calls.
-    pub fn set_parallelism(&mut self, par: ParallelOptions) {
-        self.par = par;
     }
 
     /// Compresses an ordered batch of frame buffers into one container
@@ -363,21 +245,6 @@ impl ParallelTrajectoryCompressor {
             out.push(assemble(&[x?, y?, z?]));
         }
         Ok(out)
-    }
-
-    /// [`ParallelTrajectoryCompressor::compress_buffers`] with each
-    /// container wrapped in a checksummed frame, ready for a
-    /// [`TrajReader`]-scannable archival stream.
-    pub fn compress_buffers_framed(&mut self, buffers: &[&[Frame]]) -> Result<Vec<Vec<u8>>> {
-        let containers = self.compress_buffers(buffers)?;
-        containers
-            .into_iter()
-            .map(|c| {
-                let mut framed = Vec::with_capacity(c.len() + crate::format::FRAME_HEADER_LEN);
-                write_frame(&c, &mut framed)?;
-                Ok(framed)
-            })
-            .collect()
     }
 }
 
@@ -453,86 +320,6 @@ impl ParallelTrajectoryDecompressor {
     }
 }
 
-impl<'a> TrajReader<'a> {
-    /// Collects every intact frame payload remaining in the stream and
-    /// decodes them concurrently through `dec`.
-    ///
-    /// Corrupted regions are skipped exactly as in iteration (check
-    /// [`TrajReader::skipped`] afterwards); the surviving buffers decode
-    /// with the same results, in the same order, as a serial loop over
-    /// [`TrajectoryDecompressor::decompress_buffer`].
-    pub fn decode_all_parallel(
-        &mut self,
-        dec: &mut ParallelTrajectoryDecompressor,
-    ) -> Result<Vec<Vec<Frame>>> {
-        let payloads: Vec<&[u8]> = self.by_ref().collect();
-        dec.decompress_buffers(&payloads)
-    }
-}
-
-/// Streaming writer producing a [`TrajReader`]-compatible framed stream.
-///
-/// Wraps any [`std::io::Write`] sink and a [`ParallelTrajectoryCompressor`]:
-/// each buffer of frames is compressed (fanning blocks across the
-/// configured workers), wrapped in a checksummed frame, and appended to the
-/// sink. The byte stream is identical for every worker count.
-pub struct TrajWriter<W: std::io::Write> {
-    sink: W,
-    comp: ParallelTrajectoryCompressor,
-}
-
-impl<W: std::io::Write> TrajWriter<W> {
-    /// Creates a writer compressing with one MDZ codec per axis.
-    pub fn new(sink: W, cfg: MdzConfig) -> Self {
-        Self { sink, comp: ParallelTrajectoryCompressor::new(cfg) }
-    }
-
-    /// Installs a worker configuration for subsequent writes.
-    pub fn with_parallelism(mut self, par: ParallelOptions) -> Self {
-        self.comp.set_parallelism(par);
-        self
-    }
-
-    /// Compresses one buffer of frames and appends its frame to the sink.
-    /// Returns the number of bytes written.
-    pub fn write_buffer(&mut self, frames: &[Frame]) -> Result<usize> {
-        self.write_buffers(&[frames])
-    }
-
-    /// Compresses an ordered batch of buffers (fanning axis×buffer blocks
-    /// across workers) and appends their frames to the sink in order.
-    /// Returns the total number of bytes written.
-    pub fn write_buffers(&mut self, buffers: &[&[Frame]]) -> Result<usize> {
-        let framed = self.comp.compress_buffers_framed(buffers)?;
-        let mut written = 0;
-        for f in &framed {
-            self.sink.write_all(f)?;
-            written += f.len();
-        }
-        Ok(written)
-    }
-
-    /// Flushes the underlying sink.
-    pub fn flush(&mut self) -> Result<()> {
-        Ok(self.sink.flush()?)
-    }
-
-    /// Consumes the writer, returning the sink.
-    pub fn into_inner(self) -> W {
-        self.sink
-    }
-}
-
-/// One-shot frame-buffer compression with a fresh compressor.
-pub fn compress_frames(frames: &[Frame], cfg: MdzConfig) -> Result<Vec<u8>> {
-    TrajectoryCompressor::new(cfg).compress_buffer(frames)
-}
-
-/// One-shot frame-buffer decompression with a fresh decompressor.
-pub fn decompress_frames(data: &[u8]) -> Result<Vec<Frame>> {
-    TrajectoryDecompressor::new().decompress_buffer(data)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -553,8 +340,8 @@ mod tests {
     fn frame_round_trip() {
         let fs = frames(6, 120);
         let cfg = MdzConfig::new(ErrorBound::Absolute(1e-3));
-        let blob = compress_frames(&fs, cfg).unwrap();
-        let out = decompress_frames(&blob).unwrap();
+        let blob = TrajectoryCompressor::new(cfg).compress_buffer(&fs).unwrap();
+        let out = TrajectoryDecompressor::new().decompress_buffer(&blob).unwrap();
         assert_eq!(out.len(), fs.len());
         for (a, b) in fs.iter().zip(out.iter()) {
             for axis in [(&a.x, &b.x), (&a.y, &b.y), (&a.z, &b.z)] {
@@ -579,103 +366,26 @@ mod tests {
     }
 
     #[test]
-    fn parallel_output_is_byte_identical() {
-        let fs = frames(8, 150);
-        let cfg = MdzConfig::new(ErrorBound::Absolute(1e-3));
-        let mut seq = TrajectoryCompressor::new(cfg.clone());
-        let mut par = TrajectoryCompressor::new(cfg);
-        for chunk in fs.chunks(4) {
-            let a = seq.compress_buffer(chunk).unwrap();
-            let b = par.compress_buffer_parallel(chunk).unwrap();
-            assert_eq!(a, b);
-        }
-    }
-
-    #[test]
     fn empty_buffer_rejected() {
         let cfg = MdzConfig::new(ErrorBound::Absolute(1e-3));
-        assert!(compress_frames(&[], cfg).is_err());
+        assert!(TrajectoryCompressor::new(cfg).compress_buffer(&[]).is_err());
     }
 
     #[test]
     fn corrupted_container_errors() {
         let fs = frames(2, 40);
         let cfg = MdzConfig::new(ErrorBound::Absolute(1e-3));
-        let blob = compress_frames(&fs, cfg).unwrap();
-        assert!(decompress_frames(&blob[..3]).is_err());
+        let blob = TrajectoryCompressor::new(cfg).compress_buffer(&fs).unwrap();
+        assert!(TrajectoryDecompressor::new().decompress_buffer(&blob[..3]).is_err());
         let mut bad = blob.clone();
         bad[0] = b'X';
-        assert!(decompress_frames(&bad).is_err());
+        assert!(TrajectoryDecompressor::new().decompress_buffer(&bad).is_err());
     }
 
     #[test]
     #[should_panic(expected = "equally long")]
     fn ragged_frame_panics() {
         let _ = Frame::new(vec![1.0], vec![1.0, 2.0], vec![1.0]);
-    }
-
-    #[test]
-    fn framed_buffer_round_trip() {
-        let fs = frames(4, 60);
-        let cfg = MdzConfig::new(ErrorBound::Absolute(1e-3));
-        let mut c = TrajectoryCompressor::new(cfg);
-        let framed = c.compress_buffer_framed(&fs).unwrap();
-        let mut reader = TrajReader::new(&framed);
-        let payload = reader.next().unwrap();
-        assert!(reader.next().is_none());
-        assert_eq!(reader.skipped(), 0);
-        let out = TrajectoryDecompressor::new().decompress_buffer(payload).unwrap();
-        assert_eq!(out.len(), fs.len());
-    }
-
-    #[test]
-    fn reader_recovers_all_intact_frames_around_a_corrupted_buffer() {
-        // Acceptance scenario: a stream of five framed buffers with the
-        // middle one damaged must yield the other four intact.
-        let cfg = MdzConfig::new(ErrorBound::Absolute(1e-3)).with_method(Method::Vq);
-        let mut c = TrajectoryCompressor::new(cfg);
-        let mut stream = Vec::new();
-        let mut offsets = Vec::new();
-        for t in 0..5 {
-            let fs = frames(3, 50 + t); // distinct sizes per buffer
-            offsets.push(stream.len());
-            stream.extend(c.compress_buffer_framed(&fs).unwrap());
-        }
-        offsets.push(stream.len());
-        // Smash bytes in the middle of buffer 2's payload.
-        let mid = (offsets[2] + offsets[3]) / 2;
-        for b in &mut stream[mid..mid + 8] {
-            *b ^= 0x5A;
-        }
-        let mut d = TrajectoryDecompressor::new();
-        let mut reader = TrajReader::new(&stream);
-        let mut recovered = Vec::new();
-        for payload in reader.by_ref() {
-            recovered.push(d.decompress_buffer(payload).unwrap().len());
-        }
-        assert_eq!(reader.skipped(), 1, "one damaged region");
-        assert_eq!(recovered, vec![3, 3, 3, 3], "four intact buffers recovered");
-    }
-
-    #[test]
-    fn reader_skips_leading_garbage_and_resynchronizes() {
-        let cfg = MdzConfig::new(ErrorBound::Absolute(1e-3)).with_method(Method::Vq);
-        let mut c = TrajectoryCompressor::new(cfg);
-        let fs = frames(2, 40);
-        let mut stream = vec![0xDEu8; 37]; // garbage prefix
-        stream.extend(c.compress_buffer_framed(&fs).unwrap());
-        let mut reader = TrajReader::new(&stream);
-        assert!(reader.next().is_some());
-        assert!(reader.next().is_none());
-        assert_eq!(reader.skipped(), 1);
-    }
-
-    #[test]
-    fn reader_on_pure_garbage_yields_nothing() {
-        let garbage: Vec<u8> = (0..1000u32).map(|i| (i * 31 % 251) as u8).collect();
-        let mut reader = TrajReader::new(&garbage);
-        assert!(reader.next().is_none());
-        assert!(reader.skipped() <= 1);
     }
 
     #[test]
@@ -713,68 +423,5 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn traj_writer_stream_is_reader_compatible_and_worker_invariant() {
-        let buffers: Vec<Vec<Frame>> = (0..3).map(|_| frames(3, 60)).collect();
-        let refs: Vec<&[Frame]> = buffers.iter().map(Vec::as_slice).collect();
-        let cfg = MdzConfig::new(ErrorBound::Absolute(1e-3));
-        let stream_for = |workers: usize| -> Vec<u8> {
-            let mut w = TrajWriter::new(Vec::new(), cfg.clone())
-                .with_parallelism(ParallelOptions::with_workers(workers));
-            let n = w.write_buffers(&refs).unwrap();
-            w.flush().unwrap();
-            let out = w.into_inner();
-            assert_eq!(n, out.len());
-            out
-        };
-        let serial = stream_for(1);
-        assert_eq!(stream_for(4), serial);
-        let mut reader = TrajReader::new(&serial);
-        let mut dec = ParallelTrajectoryDecompressor::new()
-            .with_parallelism(ParallelOptions::with_workers(4));
-        let decoded = reader.decode_all_parallel(&mut dec).unwrap();
-        assert_eq!(reader.skipped(), 0);
-        assert_eq!(decoded.len(), 3);
-    }
-
-    #[test]
-    fn decode_all_parallel_skips_damaged_buffers() {
-        let cfg = MdzConfig::new(ErrorBound::Absolute(1e-3)).with_method(Method::Vq);
-        let mut w =
-            TrajWriter::new(Vec::new(), cfg).with_parallelism(ParallelOptions::with_workers(2));
-        let mut offsets = vec![0usize];
-        for t in 0..5 {
-            let n = w.write_buffer(&frames(3, 50 + t)).unwrap();
-            offsets.push(offsets.last().unwrap() + n);
-        }
-        let mut stream = w.into_inner();
-        let mid = (offsets[2] + offsets[3]) / 2;
-        for b in &mut stream[mid..mid + 8] {
-            *b ^= 0x5A;
-        }
-        let mut reader = TrajReader::new(&stream);
-        let mut dec = ParallelTrajectoryDecompressor::new()
-            .with_parallelism(ParallelOptions::with_workers(4));
-        let decoded = reader.decode_all_parallel(&mut dec).unwrap();
-        assert_eq!(reader.skipped(), 1);
-        assert_eq!(decoded.len(), 4, "four intact buffers recovered");
-    }
-
-    #[test]
-    fn writer_surfaces_io_errors() {
-        struct Failing;
-        impl std::io::Write for Failing {
-            fn write(&mut self, _: &[u8]) -> std::io::Result<usize> {
-                Err(std::io::Error::other("disk full"))
-            }
-            fn flush(&mut self) -> std::io::Result<()> {
-                Ok(())
-            }
-        }
-        let cfg = MdzConfig::new(ErrorBound::Absolute(1e-3));
-        let mut w = TrajWriter::new(Failing, cfg);
-        assert!(matches!(w.write_buffer(&frames(2, 30)), Err(MdzError::Io { .. })));
     }
 }

@@ -16,7 +16,7 @@ use std::fs;
 use std::path::{Path, PathBuf};
 
 use mdz_core::checksum::{crc32, fnv1a64};
-use mdz_core::format::{read_frame, write_frame, FLAGS_OFFSET, FLAG_BIT_ADAPTIVE, MAGIC};
+use mdz_core::format::{FLAGS_OFFSET, FLAG_BIT_ADAPTIVE, MAGIC};
 use mdz_core::traj::TrajectoryDecompressor;
 use mdz_core::{
     Codec, Compressor, DecodeLimits, Decompressor, ErrorBound, Frame, MdzCodec, MdzConfig, Method,
@@ -68,8 +68,6 @@ fn replay(name: &str, bytes: &[u8]) -> bool {
         rle::decompress_limited(bytes, &stream_limits).is_err()
     } else if name.starts_with("block_") {
         Decompressor::with_limits(tight_limits()).decompress_block(bytes).is_err()
-    } else if name.starts_with("frame_") {
-        read_frame(bytes, &mut 0).is_err()
     } else if name.starts_with("traj_") {
         let axes: [Box<dyn Codec>; 3] = std::array::from_fn(|_| {
             Box::new(MdzCodec::default().with_decode_limits(tight_limits())) as Box<dyn Codec>
@@ -287,13 +285,6 @@ fn bless(dir: &Path) {
 
     // Truncated mid-payload: the width table / packed codes run dry.
     put("block_ba_truncated.bin", ba[..ba.len() * 3 / 4].to_vec());
-
-    // A framed payload with its last byte flipped: checksum mismatch.
-    let mut fr = Vec::new();
-    write_frame(b"frame payload under test", &mut fr).unwrap();
-    let last = fr.len() - 1;
-    fr[last] ^= 0xFF;
-    put("frame_bad_crc.bin", fr);
 
     // A trajectory container whose first axis length points past the end.
     let mut b = b"MDZT".to_vec();

@@ -576,7 +576,8 @@ impl std::fmt::Display for VerifyFault {
 /// Walks every integrity check in the archive — header, footer CRC, and
 /// each block record's FNV checksum — and reports the first corrupt offset.
 /// Dead bytes *between* append generations (superseded footers) are legal
-/// and not a fault; trailing bytes after the last valid footer are.
+/// and not a fault; trailing bytes after the last valid footer are, and so
+/// are bytes after a version-1 archive's last block record.
 pub fn verify_archive(data: &[u8]) -> std::result::Result<VerifyReport, VerifyFault> {
     let idx = match ArchiveIndex::parse(data) {
         Ok(idx) => idx,
@@ -590,10 +591,22 @@ pub fn verify_archive(data: &[u8]) -> std::result::Result<VerifyReport, VerifyFa
             })
         }
     };
+    let mut records_end = 0;
     for b in &idx.blocks {
-        if let Err(err) = record_at(data, b.offset) {
-            return Err(VerifyFault { offset: b.offset, what: err.to_string() });
+        match record_at(data, b.offset) {
+            // The container is the record's tail, so its end is the record's.
+            Ok(container) => {
+                records_end = container.as_ptr_range().end as usize - data.as_ptr() as usize
+            }
+            Err(err) => return Err(VerifyFault { offset: b.offset, what: err.to_string() }),
         }
+    }
+    // Version 1 has no footer: its last block record must end the file.
+    if idx.version != VERSION_V2 && records_end < data.len() {
+        return Err(VerifyFault {
+            offset: records_end,
+            what: "trailing bytes after the last block record".into(),
+        });
     }
     Ok(VerifyReport {
         n_frames: idx.n_frames,
@@ -1005,5 +1018,17 @@ mod tests {
         dirty.extend_from_slice(&[0xAB; 9]);
         let fault = verify_archive(&dirty).unwrap_err();
         assert_eq!(fault.offset, data.len());
+    }
+
+    #[test]
+    fn verify_reports_bytes_after_a_v1_archive() {
+        let v1 = include_bytes!("../tests/golden/adk_v1_mt.mdz");
+        assert_eq!(verify_archive(v1).unwrap().n_blocks, 4);
+        let mut dirty = v1.to_vec();
+        dirty.extend_from_slice(b"junk");
+        let fault = verify_archive(&dirty).unwrap_err();
+        assert_eq!(fault.offset, v1.len());
+        // Reads stay tolerant of the tail.
+        assert_eq!(ArchiveIndex::parse(&dirty).unwrap().n_frames, 8);
     }
 }

@@ -242,14 +242,40 @@ fn forged_block_between_anchor_and_read_is_decoded_or_rejected() {
     }
 }
 
+/// Sequential decode of a version-1 archive's block records through the
+/// stock trajectory decompressor, with no index or epoch logic.
+fn v1_sequential_decode(data: &[u8]) -> Vec<Frame> {
+    assert_eq!(&data[..5], b"MDZA\x01");
+    let mut pos = 5;
+    for _ in 0..3 {
+        read_uvarint(data, &mut pos).unwrap(); // n_atoms, n_frames, buffer_size
+    }
+    let meta_len = read_uvarint(data, &mut pos).unwrap() as usize;
+    pos += meta_len;
+    let mut dec = mdz_core::traj::TrajectoryDecompressor::new();
+    let mut frames = Vec::new();
+    while pos < data.len() {
+        let len = read_uvarint(data, &mut pos).unwrap() as usize;
+        pos += 8; // fnv1a checksum
+        frames.extend(dec.decompress_buffer(&data[pos..pos + len]).unwrap());
+        pos += len;
+    }
+    frames
+}
+
+/// Two version-1 inputs: one hand-rolled here, and
+/// `golden/adk_v1_mt.mdz`, which the retired version-1 writer produced with
+/// `mdz gen adk g.xyz --scale test --seed 7` and then
+/// `mdz compress g.xyz adk_v1_mt.mdz --bs 2 --method mt` (8 frames of 300
+/// atoms in 4 MT-chained blocks).
 #[test]
 fn v1_archives_open_as_a_single_epoch() {
     use mdz_core::checksum::fnv1a64;
-    use mdz_core::traj::{TrajectoryCompressor, TrajectoryDecompressor};
+    use mdz_core::traj::TrajectoryCompressor;
     use mdz_entropy::write_uvarint;
     use mdz_lossless::lz77;
 
-    // Hand-rolled v1 archive, matching the `mdz` crate's writer layout.
+    // Hand-rolled v1 archive, matching the retired writer's layout.
     let frames = make_frames(20, 6, 0x11);
     let bs = 4usize;
     let mut data = Vec::new();
@@ -270,21 +296,7 @@ fn v1_archives_open_as_a_single_epoch() {
         data.extend_from_slice(&block);
     }
 
-    // Sequential reference via the stock trajectory decompressor.
-    let mut reference = Vec::new();
-    {
-        let mut pos = 8; // magic (4) + version (1) + 3 single-byte uvarints
-        let meta_len = read_uvarint(&data, &mut pos).unwrap() as usize;
-        pos += meta_len;
-        let mut dec = TrajectoryDecompressor::new();
-        while pos < data.len() {
-            let len = read_uvarint(&data, &mut pos).unwrap() as usize;
-            pos += 8;
-            reference.extend(dec.decompress_buffer(&data[pos..pos + len]).unwrap());
-            pos += len;
-        }
-    }
-
+    let reference = v1_sequential_decode(&data);
     let reader = StoreReader::open(data).unwrap();
     let idx = reader.index();
     assert_eq!(idx.version, 1);
@@ -292,6 +304,20 @@ fn v1_archives_open_as_a_single_epoch() {
     assert_eq!(idx.n_epochs(), 1);
     assert_eq!(idx.elements, vec!["H".to_string(), "O".to_string()]);
     for (start, end) in [(0, 20), (7, 13), (16, 20), (0, 4)] {
+        assert_eq!(reader.read_frames(start..end).unwrap(), reference[start..end]);
+    }
+
+    let golden = std::fs::read(
+        std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden/adk_v1_mt.mdz"),
+    )
+    .unwrap();
+    let reference = v1_sequential_decode(&golden);
+    let reader = StoreReader::open(golden).unwrap();
+    let idx = reader.index();
+    assert_eq!((idx.version, idx.n_frames, idx.blocks.len(), idx.n_epochs()), (1, 8, 4, 1));
+    assert_eq!(idx.elements, vec!["X".to_string(); 300]);
+    assert_eq!(idx.comments, (0..8).map(|t| format!("ADK frame {t}")).collect::<Vec<_>>());
+    for (start, end) in [(0, 8), (6, 7), (3, 6), (7, 8), (0, 1)] {
         assert_eq!(reader.read_frames(start..end).unwrap(), reference[start..end]);
     }
 }

@@ -1,258 +1,45 @@
-//! The `.mdz` archive format: a whole trajectory in one file.
+//! XYZ trajectories in and out of `.mdz` archives.
 //!
-//! Layout:
-//!
-//! ```text
-//! magic "MDZA" · version u8
-//! uvarint n_atoms · uvarint n_frames · uvarint buffer_size
-//! uvarint meta_len · meta             — LZ-compressed element + comment text
-//! repeated: uvarint block_len · u64 fnv1a checksum (LE) · block
-//! ```
-//!
-//! Each block carries an FNV-1a-64 checksum so storage corruption is caught
-//! before the decoder sees the bytes.
-//!
-//! Frames are compressed in buffers of `buffer_size`; blocks must be read
-//! in order (MT state). Element symbols and per-frame comments are stored
-//! losslessly so `compress → decompress` reproduces a valid XYZ file.
+//! mdz-store writes and parses every archive byte; this module carries an
+//! [`XyzTrajectory`]'s frames, elements and comments across it, and tallies
+//! the per-axis methods an archive's blocks were coded with.
 
 use crate::xyz::XyzTrajectory;
-use mdz_core::checksum::fnv1a64 as fnv1a;
-use mdz_core::traj::TrajectoryDecompressor;
-use mdz_core::{Frame, MdzConfig, MdzError, TrajectoryCompressor};
-use mdz_entropy::{read_uvarint, write_uvarint};
-use mdz_lossless::lz77;
+use mdz_core::traj::split_container;
+use mdz_core::{Decompressor, Result};
+use mdz_store::archive::record_at;
+use mdz_store::{write_store, ArchiveIndex, StoreOptions, StoreReader};
 
-const MAGIC: [u8; 4] = *b"MDZA";
-const VERSION: u8 = 1;
-
-/// Archive-level statistics returned by [`info`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ArchiveInfo {
-    pub n_atoms: usize,
-    pub n_frames: usize,
-    pub buffer_size: usize,
-    pub n_blocks: usize,
-    pub total_bytes: usize,
-    /// `(method name, axis-block count)` across all buffers, e.g.
-    /// `[("VQ", 4), ("MT", 2)]` — shows what the adaptive selector chose.
-    pub method_counts: Vec<(String, usize)>,
+/// Compresses a trajectory into a version-2 archive.
+pub fn compress(traj: &XyzTrajectory, opts: &StoreOptions) -> Result<Vec<u8>> {
+    write_store(&traj.frames, &traj.elements, &traj.comments, opts)
 }
 
-/// Compresses a trajectory into an `.mdz` archive.
-pub fn compress(
-    traj: &XyzTrajectory,
-    cfg: MdzConfig,
-    buffer_size: usize,
-) -> Result<Vec<u8>, MdzError> {
-    if traj.frames.is_empty() {
-        return Err(MdzError::BadInput("trajectory has no frames"));
-    }
-    let bs = buffer_size.max(1);
-    let n_atoms = traj.frames[0].len();
-    let mut out = Vec::new();
-    out.extend_from_slice(&MAGIC);
-    out.push(VERSION);
-    write_uvarint(&mut out, n_atoms as u64);
-    write_uvarint(&mut out, traj.frames.len() as u64);
-    write_uvarint(&mut out, bs as u64);
-    // Metadata: element list + comments, newline-framed, LZ-compressed.
-    let mut meta = String::new();
-    meta.push_str(&traj.elements.join(" "));
-    meta.push('\n');
-    for c in &traj.comments {
-        meta.push_str(c);
-        meta.push('\n');
-    }
-    let meta_c = lz77::compress(meta.as_bytes(), lz77::Level::Default);
-    write_uvarint(&mut out, meta_c.len() as u64);
-    out.extend_from_slice(&meta_c);
-
-    let mut compressor = TrajectoryCompressor::new(cfg);
-    for chunk in traj.frames.chunks(bs) {
-        let block = compressor.compress_buffer(chunk)?;
-        write_uvarint(&mut out, block.len() as u64);
-        out.extend_from_slice(&fnv1a(&block).to_le_bytes());
-        out.extend_from_slice(&block);
-    }
-    Ok(out)
+/// Decodes every frame of an archive of either container version, with its
+/// elements and comments.
+pub fn decompress(blob: Vec<u8>) -> Result<XyzTrajectory> {
+    let reader = StoreReader::open(blob)?;
+    let idx = reader.index();
+    let frames = reader.read_frames(0..idx.n_frames)?;
+    Ok(XyzTrajectory { elements: idx.elements.clone(), comments: idx.comments.clone(), frames })
 }
 
-/// Decompresses an `.mdz` archive back into a trajectory.
-pub fn decompress(data: &[u8]) -> Result<XyzTrajectory, MdzError> {
-    let (n_atoms, n_frames, _bs, mut pos, meta) = parse_header(data)?;
-    let meta_text =
-        String::from_utf8(meta).map_err(|_| MdzError::BadHeader("metadata is not UTF-8"))?;
-    let mut meta_lines = meta_text.lines();
-    let elements: Vec<String> =
-        meta_lines.next().unwrap_or("").split_whitespace().map(str::to_string).collect();
-    let comments: Vec<String> = meta_lines.map(str::to_string).collect();
-
-    let mut decompressor = TrajectoryDecompressor::new();
-    let mut frames: Vec<Frame> = Vec::with_capacity(n_frames);
-    while pos < data.len() && frames.len() < n_frames {
-        let block = next_block(data, &mut pos)?;
-        frames.extend(decompressor.decompress_buffer(block)?);
-    }
-    if frames.len() != n_frames {
-        return Err(MdzError::BadHeader("frame count mismatch"));
-    }
-    if frames.iter().any(|f| f.len() != n_atoms) {
-        return Err(MdzError::BadHeader("atom count mismatch"));
-    }
-    Ok(XyzTrajectory { elements, comments, frames })
-}
-
-/// Reads archive statistics without decompressing frame data.
-pub fn info(data: &[u8]) -> Result<ArchiveInfo, MdzError> {
-    let (n_atoms, n_frames, buffer_size, mut pos, _meta) = parse_header(data)?;
-    let mut n_blocks = 0;
-    let mut counts: std::collections::BTreeMap<&'static str, usize> = Default::default();
-    while pos < data.len() {
-        let container = next_block(data, &mut pos)?;
-        n_blocks += 1;
-        // Tally per-axis methods (best effort; count parse failures as-is).
-        if container.get(..4) == Some(b"MDZT") {
-            let mut cpos = 4;
-            for _ in 0..3 {
-                let Ok(len) = read_uvarint(container, &mut cpos) else { break };
-                let Some(end) = cpos.checked_add(len as usize).filter(|&e| e <= container.len())
-                else {
-                    break;
-                };
-                if let Ok(bi) = mdz_core::Decompressor::inspect(&container[cpos..end]) {
-                    *counts
-                        .entry(match bi.method {
-                            mdz_core::Method::Vq => "VQ",
-                            mdz_core::Method::Vqt => "VQT",
-                            mdz_core::Method::Mt => "MT",
-                            mdz_core::Method::Mt2 => "MT2",
-                            mdz_core::Method::Adaptive => "ADP",
-                        })
-                        .or_insert(0) += 1;
-                }
-                cpos = end;
-            }
+/// Per-axis method tally over every block, e.g. `MT ×9, VQ ×3`: what the
+/// adaptive selector chose.
+pub fn method_tally(blob: &[u8], idx: &ArchiveIndex) -> Result<String> {
+    let mut counts = std::collections::BTreeMap::<String, usize>::new();
+    for block in &idx.blocks {
+        for axis in split_container(record_at(blob, block.offset)?)? {
+            *counts.entry(Decompressor::inspect(axis)?.method.to_string()).or_default() += 1;
         }
     }
-    Ok(ArchiveInfo {
-        n_atoms,
-        n_frames,
-        buffer_size,
-        n_blocks,
-        total_bytes: data.len(),
-        method_counts: counts.into_iter().map(|(k, v)| (k.to_string(), v)).collect(),
-    })
-}
-
-/// Reads the next `(len, checksum, block)` record, verifying the checksum,
-/// and advances `*pos` past it.
-fn next_block<'a>(data: &'a [u8], pos: &mut usize) -> Result<&'a [u8], MdzError> {
-    let len = read_uvarint(data, pos)? as usize;
-    let sum_bytes = data.get(*pos..*pos + 8).ok_or(MdzError::BadHeader("truncated checksum"))?;
-    *pos += 8;
-    let expected = u64::from_le_bytes(sum_bytes.try_into().unwrap());
-    let end = pos
-        .checked_add(len)
-        .filter(|&e| e <= data.len())
-        .ok_or(MdzError::BadHeader("truncated block"))?;
-    let block = &data[*pos..end];
-    if fnv1a(block) != expected {
-        return Err(MdzError::BadHeader("block checksum mismatch"));
-    }
-    *pos = end;
-    Ok(block)
-}
-
-/// Extracts a single frame.
-///
-/// Pure-VQ archives support true random access (only the containing block's
-/// entropy streams are decoded); other methods fall back to streaming
-/// decompression up to the containing buffer.
-pub fn decompress_frame(data: &[u8], frame: usize) -> Result<Frame, MdzError> {
-    let (_n_atoms, n_frames, bs, mut pos, _meta) = parse_header(data)?;
-    if frame >= n_frames {
-        return Err(MdzError::BadInput("frame index out of range"));
-    }
-    let target_block = frame / bs;
-    let within = frame % bs;
-    // Collect block slices (checksums verified on the way).
-    let mut blocks = Vec::new();
-    while pos < data.len() && blocks.len() <= target_block {
-        blocks.push(next_block(data, &mut pos)?);
-    }
-    let target = *blocks.get(target_block).ok_or(MdzError::BadHeader("frame count mismatch"))?;
-    // Fast path: VQ blocks need no stream state at all.
-    if let Ok(f) = random_access_frame(target, within) {
-        return Ok(f);
-    }
-    // Chain-dependent target (VQT/MT/MT2 axes): replay the stream so the
-    // decompressor's reference state is correct.
-    let mut decompressor = TrajectoryDecompressor::new();
-    for block in &blocks[..target_block] {
-        decompressor.decompress_buffer(block)?;
-    }
-    let frames = decompressor.decompress_buffer(target)?;
-    frames.into_iter().nth(within).ok_or(MdzError::BadHeader("frame missing from block"))
-}
-
-/// Random-access one frame out of a trajectory container (VQ blocks only).
-fn random_access_frame(container: &[u8], index: usize) -> Result<Frame, MdzError> {
-    let magic = container.get(..4).ok_or(MdzError::BadHeader("truncated container"))?;
-    if magic != *b"MDZT" {
-        return Err(MdzError::BadHeader("not a trajectory container"));
-    }
-    let mut pos = 4;
-    let mut axes: Vec<Vec<f64>> = Vec::with_capacity(3);
-    for _ in 0..3 {
-        let len = read_uvarint(container, &mut pos)? as usize;
-        let end = pos
-            .checked_add(len)
-            .filter(|&e| e <= container.len())
-            .ok_or(MdzError::BadHeader("truncated axis block"))?;
-        axes.push(mdz_core::Decompressor::decompress_snapshot(&container[pos..end], index)?);
-        pos = end;
-    }
-    let z = axes.pop().expect("three axes");
-    let y = axes.pop().expect("three axes");
-    let x = axes.pop().expect("three axes");
-    if x.len() != y.len() || y.len() != z.len() {
-        return Err(MdzError::BadHeader("axis particle counts disagree"));
-    }
-    Ok(Frame { x, y, z })
-}
-
-type Header = (usize, usize, usize, usize, Vec<u8>);
-
-fn parse_header(data: &[u8]) -> Result<Header, MdzError> {
-    let magic = data.get(..4).ok_or(MdzError::BadHeader("truncated magic"))?;
-    if magic != MAGIC {
-        return Err(MdzError::BadHeader("not an MDZ archive"));
-    }
-    let version = *data.get(4).ok_or(MdzError::BadHeader("truncated version"))?;
-    if version != VERSION {
-        return Err(MdzError::BadHeader("unsupported archive version"));
-    }
-    let mut pos = 5;
-    let n_atoms = read_uvarint(data, &mut pos)? as usize;
-    let n_frames = read_uvarint(data, &mut pos)? as usize;
-    let bs = read_uvarint(data, &mut pos)? as usize;
-    if n_atoms == 0 || n_frames == 0 || bs == 0 {
-        return Err(MdzError::BadHeader("empty archive dimensions"));
-    }
-    let meta_len = read_uvarint(data, &mut pos)? as usize;
-    let meta_end = pos
-        .checked_add(meta_len)
-        .filter(|&e| e <= data.len())
-        .ok_or(MdzError::BadHeader("truncated metadata"))?;
-    let meta = lz77::decompress(&data[pos..meta_end])?;
-    Ok((n_atoms, n_frames, bs, meta_end, meta))
+    Ok(counts.iter().map(|(m, c)| format!("{m} ×{c}")).collect::<Vec<_>>().join(", "))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mdz_core::ErrorBound;
+    use mdz_core::{ErrorBound, Frame, MdzConfig, MdzError};
 
     fn sample_traj(m: usize, n: usize) -> XyzTrajectory {
         let frames = (0..m)
@@ -270,12 +57,21 @@ mod tests {
         }
     }
 
+    fn opts(buffer_size: usize) -> StoreOptions {
+        opts_with(MdzConfig::new(ErrorBound::Absolute(1e-3)), buffer_size)
+    }
+
+    fn opts_with(cfg: MdzConfig, buffer_size: usize) -> StoreOptions {
+        let mut opts = StoreOptions::new(cfg);
+        opts.buffer_size = buffer_size;
+        opts
+    }
+
     #[test]
     fn archive_round_trip() {
         let traj = sample_traj(25, 80);
-        let cfg = MdzConfig::new(ErrorBound::Absolute(1e-3));
-        let archive = compress(&traj, cfg, 10).unwrap();
-        let out = decompress(&archive).unwrap();
+        let archive = compress(&traj, &opts(10)).unwrap();
+        let out = decompress(archive).unwrap();
         assert_eq!(out.elements, traj.elements);
         assert_eq!(out.comments, traj.comments);
         assert_eq!(out.frames.len(), traj.frames.len());
@@ -291,25 +87,27 @@ mod tests {
     #[test]
     fn info_reports_structure() {
         let traj = sample_traj(25, 40);
-        let cfg = MdzConfig::new(ErrorBound::Absolute(1e-3));
-        let archive = compress(&traj, cfg, 10).unwrap();
-        let i = info(&archive).unwrap();
-        assert_eq!(i.n_atoms, 40);
-        assert_eq!(i.n_frames, 25);
-        assert_eq!(i.buffer_size, 10);
-        assert_eq!(i.n_blocks, 3); // 10 + 10 + 5
-        assert_eq!(i.total_bytes, archive.len());
+        let archive = compress(&traj, &opts(10)).unwrap();
+        let idx = ArchiveIndex::parse(&archive).unwrap();
+        assert_eq!(idx.n_atoms, 40);
+        assert_eq!(idx.n_frames, 25);
+        assert_eq!(idx.buffer_size, 10);
+        // 10 + 10 + 5 frames.
+        assert_eq!(idx.blocks.len(), 3);
         // 3 buffers × 3 axes = 9 axis blocks, all concrete methods.
-        let total: usize = i.method_counts.iter().map(|&(_, c)| c).sum();
-        assert_eq!(total, 9, "{:?}", i.method_counts);
+        let tally = method_tally(&archive, &idx).unwrap();
+        let total: usize = tally
+            .split(", ")
+            .map(|m| m.split_once(" ×").unwrap().1.parse::<usize>().unwrap())
+            .sum();
+        assert_eq!(total, 9, "{tally}");
     }
 
     #[test]
     fn archive_compresses() {
         let traj = sample_traj(50, 200);
         let raw = 50 * 200 * 24;
-        let cfg = MdzConfig::new(ErrorBound::Absolute(1e-3));
-        let archive = compress(&traj, cfg, 10).unwrap();
+        let archive = compress(&traj, &opts(10)).unwrap();
         assert!(archive.len() * 5 < raw, "{} vs {raw}", archive.len());
     }
 
@@ -317,57 +115,60 @@ mod tests {
     fn frame_extraction_vq_random_access() {
         let traj = sample_traj(25, 60);
         let cfg = MdzConfig::new(ErrorBound::Absolute(1e-3)).with_method(mdz_core::Method::Vq);
-        let archive = compress(&traj, cfg, 10).unwrap();
-        let full = decompress(&archive).unwrap();
+        let archive = compress(&traj, &opts_with(cfg, 10)).unwrap();
+        let full = decompress(archive.clone()).unwrap();
+        let reader = StoreReader::open(archive).unwrap();
         for k in [0usize, 7, 10, 24] {
-            let f = decompress_frame(&archive, k).unwrap();
-            assert_eq!(f, full.frames[k], "frame {k}");
+            let f = reader.read_frames(k..k + 1).unwrap();
+            assert_eq!(f, [full.frames[k].clone()], "frame {k}");
         }
-        assert!(decompress_frame(&archive, 25).is_err());
+        assert!(reader.read_frames(25..26).is_err());
     }
 
     #[test]
     fn frame_extraction_streaming_fallback() {
         let traj = sample_traj(25, 60);
         let cfg = MdzConfig::new(ErrorBound::Absolute(1e-3)).with_method(mdz_core::Method::Mt);
-        let archive = compress(&traj, cfg, 10).unwrap();
-        let full = decompress(&archive).unwrap();
+        let archive = compress(&traj, &opts_with(cfg, 10)).unwrap();
+        let full = decompress(archive.clone()).unwrap();
+        let reader = StoreReader::open(archive).unwrap();
+        // MT chains each buffer to the one before it: frames 13 and 24
+        // decode through the epoch's earlier blocks.
         for k in [0usize, 13, 24] {
-            let f = decompress_frame(&archive, k).unwrap();
-            assert_eq!(f, full.frames[k], "frame {k}");
+            let f = reader.read_frames(k..k + 1).unwrap();
+            assert_eq!(f, [full.frames[k].clone()], "frame {k}");
         }
     }
 
     #[test]
     fn checksum_catches_corruption() {
         let traj = sample_traj(10, 40);
-        let cfg = MdzConfig::new(ErrorBound::Absolute(1e-3));
-        let mut archive = compress(&traj, cfg, 5).unwrap();
-        // Flip a byte deep in the block payload (past the header/meta).
-        let idx = archive.len() - 3;
-        archive[idx] ^= 0xFF;
+        let mut archive = compress(&traj, &opts(5)).unwrap();
+        // Flip a byte deep in the last block's payload, past its length
+        // prefix and checksum.
+        let idx = ArchiveIndex::parse(&archive).unwrap();
+        let last = idx.blocks.last().unwrap().offset;
+        archive[last + 20] ^= 0xFF;
         assert!(matches!(
-            decompress(&archive),
-            Err(MdzError::BadHeader("block checksum mismatch"))
+            decompress(archive),
+            Err(MdzError::Corrupt { what: "block checksum mismatch" })
         ));
     }
 
     #[test]
     fn corrupt_archives_error() {
         let traj = sample_traj(5, 20);
-        let cfg = MdzConfig::new(ErrorBound::Absolute(1e-3));
-        let archive = compress(&traj, cfg, 2).unwrap();
-        assert!(decompress(&archive[..3]).is_err());
+        let archive = compress(&traj, &opts(2)).unwrap();
+        assert!(decompress(archive[..3].to_vec()).is_err());
         let mut bad = archive.clone();
         bad[0] = b'X';
-        assert!(decompress(&bad).is_err());
-        assert!(info(&archive[..archive.len() - 1]).is_err());
+        assert!(decompress(bad).is_err());
+        assert!(ArchiveIndex::parse(&archive[..archive.len() - 1]).is_err());
     }
 
     #[test]
     fn empty_trajectory_rejected() {
         let traj = XyzTrajectory { elements: vec![], comments: vec![], frames: vec![] };
-        let cfg = MdzConfig::new(ErrorBound::Absolute(1e-3));
-        assert!(compress(&traj, cfg, 10).is_err());
+        assert!(compress(&traj, &opts(10)).is_err());
     }
 }

@@ -1,14 +1,14 @@
 //! `mdz` — command-line trajectory compressor.
 //!
 //! ```text
-//! mdz compress   <in.xyz> <out.mdz> [--eps REL | --abs ABS] [--bs N] [--method M]
+//! mdz store      <in.xyz> <out.mdz> [--bs N] [--epoch K] [--f32] [bound/method flags]
+//! mdz compress   <in.xyz> <out.mdz> …          # same as store
 //! mdz decompress <in.mdz> <out.xyz>
 //! mdz info       <in.mdz>
 //! mdz extract    <in.mdz> <frame-index>
-//! mdz verify     <archive.mdz>                 # integrity walk (CRC every frame)
+//! mdz verify     <archive.mdz>                 # integrity walk (every checksum)
 //! mdz verify     <original.xyz> <compressed.mdz>  # error-bound check
 //! mdz gen        <dataset> <out.xyz> [--scale test|small|full] [--seed N]
-//! mdz store      <in.xyz> <out.mdz> [--bs N] [--epoch K] [--f32] [bound/method flags]
 //! mdz append     <archive.mdz> <in.xyz> [--f32] [bound/method flags]
 //! mdz append     --remote <addr> <in.xyz> [--f32] [--retries N]
 //! mdz recover    <archive.mdz>
@@ -21,10 +21,11 @@
 //! mdz bench-serve  [--scale test|small|full] [--seed N] [--out DIR]
 //! ```
 //!
-//! `store` writes the indexed container version 2 (epoch re-anchors +
-//! footer index); `get` random-access-reads it locally; `serve`/`query`/
-//! `stats` speak the `mdzd` TCP protocol. `decompress` and `info` accept
-//! both container versions. `stats --metrics` fetches the server's full
+//! `store` (or `compress`) writes the indexed container version 2 (epoch
+//! re-anchors + footer index); `get` and `extract` random-access-read it
+//! locally; `serve`/`query`/`stats` speak the `mdzd` TCP protocol. Every
+//! subcommand that reads an archive also opens version 1, as a single
+//! epoch. `stats --metrics` fetches the server's full
 //! metrics snapshot (counters, gauges, latency histograms) via the
 //! METRICS verb; `--json` emits it as schema-tagged JSON instead of the
 //! aligned text table.
@@ -49,14 +50,13 @@
 //! `BENCH_server.json`; `serve --engine epoll` picks the sharded
 //! event-loop backend over the default worker pool.
 
-use mdz::archive;
 use mdz::core::{EntropyStage, ErrorBound, Frame, MdzConfig, Method};
 use mdz::sim::{datasets, DatasetKind, Scale};
 use mdz::store::{
-    append_store, get_with_retry, recover_store, verify_archive, write_store, Client, Engine,
+    append_store, get_with_retry, recover_store, verify_archive, ArchiveIndex, Client, Engine,
     FileIo, Precision, RetryPolicy, Server, ServerConfig, StoreOptions, StoreReader,
 };
-use mdz::xyz;
+use mdz::{archive, xyz};
 use std::process::exit;
 
 fn fail(msg: &str) -> ! {
@@ -199,7 +199,7 @@ fn parse_range(s: &str) -> std::ops::Range<usize> {
 }
 
 /// Chooses the error bound from `--abs` / `--eps` (value-range-relative
-/// 1e-3 by default, matching `compress`).
+/// 1e-3 by default).
 fn bound_from(o: &Opts) -> ErrorBound {
     match (o.abs, o.eps) {
         (Some(a), _) => ErrorBound::Absolute(a),
@@ -218,9 +218,21 @@ fn print_frames(start: usize, frames: &[Frame]) {
     }
 }
 
-/// True when the blob is an indexed (container version 2) archive.
-fn is_v2_archive(blob: &[u8]) -> bool {
-    blob.get(..4) == Some(b"MDZA") && blob.get(4) == Some(&2)
+/// Reads and parses an XYZ trajectory file.
+fn read_xyz(path: &str) -> xyz::XyzTrajectory {
+    let text =
+        std::fs::read_to_string(path).unwrap_or_else(|e| fail(&format!("reading {path}: {e}")));
+    xyz::parse(&text).unwrap_or_else(|e| fail(&format!("parsing {path}: {e}")))
+}
+
+/// Reads a whole file.
+fn read_file(path: &str) -> Vec<u8> {
+    std::fs::read(path).unwrap_or_else(|e| fail(&format!("reading {path}: {e}")))
+}
+
+/// Opens an archive of either container version.
+fn open_archive(path: &str) -> StoreReader {
+    StoreReader::open(read_file(path)).unwrap_or_else(|e| fail(&format!("opening {path}: {e}")))
 }
 
 fn main() {
@@ -231,54 +243,12 @@ fn main() {
     };
     let o = parse_opts(rest);
     match cmd.as_str() {
-        "compress" => {
-            let [input, output] = &o.positional[..] else {
-                fail("compress needs <in.xyz> <out.mdz>");
-            };
-            let text = std::fs::read_to_string(input)
-                .unwrap_or_else(|e| fail(&format!("reading {input}: {e}")));
-            let traj = xyz::parse(&text).unwrap_or_else(|e| fail(&format!("parsing {input}: {e}")));
-            let mut cfg = MdzConfig::new(bound_from(&o)).with_method(o.method);
-            if o.range_coded {
-                cfg = cfg.with_entropy(EntropyStage::Range);
-            }
-            let blob = archive::compress(&traj, cfg, o.bs)
-                .unwrap_or_else(|e| fail(&format!("compressing: {e}")));
-            std::fs::write(output, &blob)
-                .unwrap_or_else(|e| fail(&format!("writing {output}: {e}")));
-            let raw = traj.frames.len() * traj.frames[0].len() * 24;
-            println!(
-                "{} frames × {} atoms: {} → {} bytes ({:.1}x)",
-                traj.frames.len(),
-                traj.frames[0].len(),
-                raw,
-                blob.len(),
-                raw as f64 / blob.len() as f64
-            );
-        }
         "decompress" => {
             let [input, output] = &o.positional[..] else {
                 fail("decompress needs <in.mdz> <out.xyz>");
             };
-            let blob =
-                std::fs::read(input).unwrap_or_else(|e| fail(&format!("reading {input}: {e}")));
-            // Indexed (v2) archives go through the store reader; v1 through
-            // the streaming decompressor.
-            let traj = if is_v2_archive(&blob) {
-                let reader = StoreReader::open(blob)
-                    .unwrap_or_else(|e| fail(&format!("opening store: {e}")));
-                let n = reader.index().n_frames;
-                let frames = reader
-                    .read_frames(0..n)
-                    .unwrap_or_else(|e| fail(&format!("decompressing: {e}")));
-                xyz::XyzTrajectory {
-                    elements: reader.index().elements.clone(),
-                    comments: reader.index().comments.clone(),
-                    frames,
-                }
-            } else {
-                archive::decompress(&blob).unwrap_or_else(|e| fail(&format!("decompressing: {e}")))
-            };
+            let traj = archive::decompress(read_file(input))
+                .unwrap_or_else(|e| fail(&format!("decompressing {input}: {e}")));
             std::fs::write(output, xyz::write(&traj))
                 .unwrap_or_else(|e| fail(&format!("writing {output}: {e}")));
             println!("restored {} frames × {} atoms", traj.frames.len(), traj.frames[0].len());
@@ -287,51 +257,33 @@ fn main() {
             let [input] = &o.positional[..] else {
                 fail("info needs <in.mdz>");
             };
-            let blob =
-                std::fs::read(input).unwrap_or_else(|e| fail(&format!("reading {input}: {e}")));
-            if is_v2_archive(&blob) {
-                let total_bytes = blob.len();
-                let reader = StoreReader::open(blob)
-                    .unwrap_or_else(|e| fail(&format!("opening store: {e}")));
-                let idx = reader.index();
-                let raw = idx.n_frames * idx.n_atoms * 24;
-                println!("atoms:          {}", idx.n_atoms);
-                println!("frames:         {}", idx.n_frames);
-                println!("buffer size:    {}", idx.buffer_size);
-                println!("blocks:         {}", idx.blocks.len());
-                println!("epoch interval: {}", idx.epoch_interval);
-                println!("epochs:         {}", idx.n_epochs());
-                println!("precision:      {}", if idx.f32_source { "f32" } else { "f64" });
-                println!(
-                    "size:           {} bytes ({:.1}x vs raw f64)",
-                    total_bytes,
-                    raw as f64 / total_bytes as f64
-                );
-                return;
-            }
-            let i = archive::info(&blob).unwrap_or_else(|e| fail(&format!("parsing: {e}")));
-            let raw = i.n_frames * i.n_atoms * 24;
-            println!("atoms:       {}", i.n_atoms);
-            println!("frames:      {}", i.n_frames);
-            println!("buffer size: {}", i.buffer_size);
-            println!("blocks:      {}", i.n_blocks);
-            let methods: Vec<String> =
-                i.method_counts.iter().map(|(m, c)| format!("{m} ×{c}")).collect();
-            println!("methods:     {}", methods.join(", "));
+            let blob = read_file(input);
+            let idx = ArchiveIndex::parse(&blob)
+                .unwrap_or_else(|e| fail(&format!("opening {input}: {e}")));
+            let methods = archive::method_tally(&blob, &idx)
+                .unwrap_or_else(|e| fail(&format!("reading blocks: {e}")));
+            let raw = idx.n_frames * idx.n_atoms * 24;
+            println!("version:        {}", idx.version);
+            println!("atoms:          {}", idx.n_atoms);
+            println!("frames:         {}", idx.n_frames);
+            println!("buffer size:    {}", idx.buffer_size);
+            println!("blocks:         {}", idx.blocks.len());
+            println!("epoch interval: {}", idx.epoch_interval);
+            println!("epochs:         {}", idx.n_epochs());
+            println!("precision:      {}", if idx.f32_source { "f32" } else { "f64" });
+            println!("methods:        {methods}");
             println!(
-                "size:        {} bytes ({:.1}x vs raw f64)",
-                i.total_bytes,
-                raw as f64 / i.total_bytes as f64
+                "size:           {} bytes ({:.1}x vs raw f64)",
+                blob.len(),
+                raw as f64 / blob.len() as f64
             );
         }
         "verify" => {
-            // One-argument form: full integrity walk of an indexed archive —
-            // header, every block CRC, and the footer — reporting the first
+            // One-argument form: full integrity walk of an archive — header,
+            // every block checksum, and the footer — reporting the first
             // corrupt byte offset and exiting non-zero.
             if let [archive_path] = &o.positional[..] {
-                let blob = std::fs::read(archive_path)
-                    .unwrap_or_else(|e| fail(&format!("reading {archive_path}: {e}")));
-                match verify_archive(&blob) {
+                match verify_archive(&read_file(archive_path)) {
                     Ok(r) => {
                         println!(
                             "{archive_path}: ok — {} frames in {} blocks / {} epochs, {} bytes",
@@ -345,13 +297,11 @@ fn main() {
             let [orig_path, mdz_path] = &o.positional[..] else {
                 fail("verify needs <archive.mdz> or <original.xyz> <compressed.mdz>");
             };
-            let text = std::fs::read_to_string(orig_path)
-                .unwrap_or_else(|e| fail(&format!("reading {orig_path}: {e}")));
-            let orig = xyz::parse(&text).unwrap_or_else(|e| fail(&format!("parsing: {e}")));
-            let blob = std::fs::read(mdz_path)
-                .unwrap_or_else(|e| fail(&format!("reading {mdz_path}: {e}")));
-            let dec =
-                archive::decompress(&blob).unwrap_or_else(|e| fail(&format!("decompressing: {e}")));
+            let orig = read_xyz(orig_path);
+            let blob = read_file(mdz_path);
+            let archive_len = blob.len();
+            let dec = archive::decompress(blob)
+                .unwrap_or_else(|e| fail(&format!("decompressing {mdz_path}: {e}")));
             if dec.frames.len() != orig.frames.len()
                 || dec.frames.first().map(|f| f.len()) != orig.frames.first().map(|f| f.len())
             {
@@ -375,9 +325,9 @@ fn main() {
             println!("frames:     {} × {} atoms", orig.frames.len(), orig.frames[0].len());
             println!(
                 "ratio:      {:.1}x ({} → {} bytes)",
-                raw as f64 / blob.len() as f64,
+                raw as f64 / archive_len as f64,
                 raw,
-                blob.len()
+                archive_len
             );
             println!("max error:  {:.3e}", stats.max_error);
             println!("NRMSE:      {:.3e}", stats.nrmse);
@@ -388,10 +338,11 @@ fn main() {
                 fail("extract needs <in.mdz> <frame-index>");
             };
             let frame: usize = frame_str.parse().unwrap_or_else(|_| fail("bad frame index"));
-            let blob =
-                std::fs::read(input).unwrap_or_else(|e| fail(&format!("reading {input}: {e}")));
-            let f = archive::decompress_frame(&blob, frame)
+            let frames = open_archive(input)
+                .read_frames(frame..frame.saturating_add(1))
                 .unwrap_or_else(|e| fail(&format!("extracting: {e}")));
+            // A one-frame range reads exactly one frame.
+            let f = &frames[0];
             println!("{}", f.len());
             println!("frame {frame} extracted from {input}");
             for i in 0..f.len() {
@@ -417,13 +368,11 @@ fn main() {
                 .unwrap_or_else(|e| fail(&format!("writing {output}: {e}")));
             println!("wrote {} — {} frames × {} atoms", output, d.len(), d.atoms());
         }
-        "store" => {
+        "compress" | "store" => {
             let [input, output] = &o.positional[..] else {
-                fail("store needs <in.xyz> <out.mdz>");
+                fail(&format!("{cmd} needs <in.xyz> <out.mdz>"));
             };
-            let text = std::fs::read_to_string(input)
-                .unwrap_or_else(|e| fail(&format!("reading {input}: {e}")));
-            let traj = xyz::parse(&text).unwrap_or_else(|e| fail(&format!("parsing {input}: {e}")));
+            let traj = read_xyz(input);
             let mut cfg = MdzConfig::new(bound_from(&o)).with_method(o.method);
             if o.range_coded {
                 cfg = cfg.with_entropy(EntropyStage::Range);
@@ -432,7 +381,7 @@ fn main() {
             opts.buffer_size = o.bs;
             opts.epoch_interval = o.epoch;
             opts.precision = if o.f32 { Precision::F32 } else { Precision::F64 };
-            let blob = write_store(&traj.frames, &traj.elements, &traj.comments, &opts)
+            let blob = archive::compress(&traj, &opts)
                 .unwrap_or_else(|e| fail(&format!("compressing: {e}")));
             std::fs::write(output, &blob)
                 .unwrap_or_else(|e| fail(&format!("writing {output}: {e}")));
@@ -456,10 +405,7 @@ fn main() {
                 let [input] = &o.positional[..] else {
                     fail("append --remote <addr> needs <in.xyz>");
                 };
-                let text = std::fs::read_to_string(input)
-                    .unwrap_or_else(|e| fail(&format!("reading {input}: {e}")));
-                let traj =
-                    xyz::parse(&text).unwrap_or_else(|e| fail(&format!("parsing {input}: {e}")));
+                let traj = read_xyz(input);
                 let precision = if o.f32 { Precision::F32 } else { Precision::F64 };
                 let policy =
                     RetryPolicy { max_retries: o.retries.unwrap_or(0), ..RetryPolicy::default() };
@@ -484,9 +430,7 @@ fn main() {
             let [archive_path, input] = &o.positional[..] else {
                 fail("append needs <archive.mdz> <in.xyz> (or --remote <addr> <in.xyz>)");
             };
-            let text = std::fs::read_to_string(input)
-                .unwrap_or_else(|e| fail(&format!("reading {input}: {e}")));
-            let traj = xyz::parse(&text).unwrap_or_else(|e| fail(&format!("parsing {input}: {e}")));
+            let traj = read_xyz(input);
             let mut cfg = MdzConfig::new(bound_from(&o)).with_method(o.method);
             if o.range_coded {
                 cfg = cfg.with_entropy(EntropyStage::Range);
@@ -530,10 +474,7 @@ fn main() {
                 fail("get needs <in.mdz> <start..end>");
             };
             let range = parse_range(range_str);
-            let blob =
-                std::fs::read(input).unwrap_or_else(|e| fail(&format!("reading {input}: {e}")));
-            let reader =
-                StoreReader::open(blob).unwrap_or_else(|e| fail(&format!("opening store: {e}")));
+            let reader = open_archive(input);
             let frames = reader
                 .read_frames(range.clone())
                 .unwrap_or_else(|e| fail(&format!("reading frames: {e}")));
@@ -550,8 +491,7 @@ fn main() {
             let [input, addr] = &o.positional[..] else {
                 fail("serve needs <in.mdz> <addr>");
             };
-            let blob =
-                std::fs::read(input).unwrap_or_else(|e| fail(&format!("reading {input}: {e}")));
+            let blob = read_file(input);
             // --live opens through the recovery scan (a torn tail must not
             // block serving) and attaches an append sink on the same file.
             let reader = if o.live {
