@@ -1,7 +1,6 @@
-//! Server-throughput benchmark: a load generator drives both serving
-//! engines (`threads` and `epoll`) with C concurrent loopback connections
-//! × a fixed pipelining depth, and reports sustained requests/second plus
-//! p50/p99 request latency per cell.
+//! Server-throughput benchmark: a load generator drives the server with C
+//! concurrent loopback connections × a fixed pipelining depth, and reports
+//! sustained requests/second plus p50/p99 request latency per cell.
 //!
 //! Not a paper artifact: the paper's pipeline compresses offline. This
 //! experiment sizes the serving layer the store grew into. Each cell boots
@@ -24,7 +23,7 @@ use crate::table::{fmt, Table};
 use mdz_core::{ErrorBound, Frame, MdzConfig};
 use mdz_sim::Scale;
 use mdz_store::protocol::{read_message, write_message, Request, Status};
-use mdz_store::{write_store, Engine, Server, ServerConfig, StoreOptions, StoreReader};
+use mdz_store::{write_store, Server, ServerConfig, StoreOptions, StoreReader};
 use std::collections::VecDeque;
 use std::io;
 use std::net::{SocketAddr, TcpStream};
@@ -41,9 +40,8 @@ const SPAN: usize = 4;
 /// Requests kept in flight per connection in closed-loop cells.
 const DEPTH: usize = 4;
 
-/// One measured (engine × mode × concurrency) cell.
+/// One measured (mode × concurrency) cell.
 struct Cell {
-    engine: Engine,
     mode: &'static str,
     connections: usize,
     depth: usize,
@@ -54,38 +52,31 @@ struct Cell {
     accounting_exact: bool,
 }
 
-/// Load-generator sweep over both engines; writes `BENCH_server.json`
-/// alongside the usual CSV.
+/// Load-generator sweep; writes `BENCH_server.json` alongside the usual
+/// CSV.
 pub fn serve(ctx: &mut Ctx) -> Vec<Table> {
     let image = archive_image();
     let concurrencies: Vec<usize> =
         if matches!(ctx.scale, Scale::Test) { vec![1, 4] } else { vec![1, 64, 1024] };
-    let mut engines = vec![Engine::Threads];
-    if cfg!(any(target_os = "linux", target_os = "macos")) {
-        engines.push(Engine::Epoll);
-    }
 
     let mut cells = Vec::new();
-    for &engine in &engines {
-        for &c in &concurrencies {
-            let per_client = requests_per_client(ctx.scale, c);
-            cells.push(run_cell(engine, &image, c, per_client, DEPTH));
-        }
-        // One open-burst cell per engine at a mid concurrency: every
-        // request written before any response is read.
-        let c_open = *concurrencies.iter().filter(|&&c| c <= 64).max().unwrap_or(&1);
-        cells.push(run_cell(engine, &image, c_open, requests_per_client(ctx.scale, c_open), 0));
+    for &c in &concurrencies {
+        let per_client = requests_per_client(ctx.scale, c);
+        cells.push(run_cell(&image, c, per_client, DEPTH));
     }
+    // One open-burst cell at a mid concurrency: every request written
+    // before any response is read.
+    let c_open = *concurrencies.iter().filter(|&&c| c <= 64).max().unwrap_or(&1);
+    cells.push(run_cell(&image, c_open, requests_per_client(ctx.scale, c_open), 0));
 
     write_json(ctx, &cells);
 
     let mut table = Table::new(
         &format!("Server throughput ({N_FRAMES} frames × {N_ATOMS} atoms, GETs of {SPAN})"),
-        &["engine", "mode", "conns", "depth", "requests", "req/s", "p50 ms", "p99 ms", "exact"],
+        &["mode", "conns", "depth", "requests", "req/s", "p50 ms", "p99 ms", "exact"],
     );
     for cell in &cells {
         table.row(vec![
-            engine_name(cell.engine).to_string(),
             cell.mode.to_string(),
             cell.connections.to_string(),
             cell.depth.to_string(),
@@ -135,19 +126,12 @@ fn archive_image() -> Vec<u8> {
     write_store(&frames, &[], &[], &opts).expect("write archive")
 }
 
-/// Boots a fresh server on `engine`, runs `connections` generator threads
-/// against it (`depth` == 0 means open-burst), and measures the cell.
-fn run_cell(
-    engine: Engine,
-    image: &[u8],
-    connections: usize,
-    per_client: usize,
-    depth: usize,
-) -> Cell {
+/// Boots a fresh server, runs `connections` generator threads against it
+/// (`depth` == 0 means open-burst), and measures the cell.
+fn run_cell(image: &[u8], connections: usize, per_client: usize, depth: usize) -> Cell {
     let reader = StoreReader::open(image.to_vec()).expect("open archive");
     let registry = reader.recorder();
     let cfg = ServerConfig {
-        engine,
         threads: 2,
         max_connections: connections * 2 + 16,
         idle_timeout: Duration::from_secs(600),
@@ -196,7 +180,6 @@ fn run_cell(
     debug_assert!(registry.counter("server.requests.get") >= completed as u64);
 
     Cell {
-        engine,
         mode: if depth == 0 { "open-burst" } else { "closed" },
         connections,
         depth: if depth == 0 { per_client } else { depth },
@@ -252,13 +235,6 @@ fn fetch_request_count(addr: SocketAddr) -> io::Result<u64> {
     Ok(snapshot.histogram("server.request_seconds").map(|h| h.count).unwrap_or(0))
 }
 
-fn engine_name(engine: Engine) -> &'static str {
-    match engine {
-        Engine::Threads => "threads",
-        Engine::Epoll => "epoll",
-    }
-}
-
 fn write_json(ctx: &Ctx, cells: &[Cell]) {
     let timing = |t: &TimingSummary| {
         Json::obj(vec![
@@ -274,7 +250,6 @@ fn write_json(ctx: &Ctx, cells: &[Cell]) {
         .iter()
         .map(|c| {
             Json::obj(vec![
-                ("engine", Json::Str(engine_name(c.engine).into())),
                 ("mode", Json::Str(c.mode.into())),
                 ("connections", Json::Num(c.connections as f64)),
                 ("pipeline_depth", Json::Num(c.depth as f64)),
@@ -303,7 +278,7 @@ fn write_json(ctx: &Ctx, cells: &[Cell]) {
                     Json::Str(
                         "loopback TCP on a shared host; generator threads and server shards \
                          contend for the same cores, so absolute req/s undercounts what the \
-                         engine sustains on dedicated hardware"
+                         server sustains on dedicated hardware"
                             .into(),
                     ),
                 ),

@@ -1,7 +1,7 @@
 //! Schema validation for `BENCH_server.json`.
 //!
 //! By default this test runs the serve experiment at Test scale — real
-//! sockets, real generator threads, both engines — and validates the JSON
+//! sockets, real generator threads — and validates the JSON
 //! it writes. When `MDZ_BENCH_JSON` points at an existing file —
 //! `scripts/verify.sh` sets it to the artifact the load generator just
 //! produced, and the committed `results/BENCH_server.json` is validated
@@ -19,19 +19,15 @@ fn validate(doc: &Json) {
         assert!(v > 0.0, "{key} must be positive");
     }
     // Host caveats must be recorded: absolute numbers from a shared small
-    // host are not engine limits, and the artifact has to say so.
+    // host are not server limits, and the artifact has to say so.
     let host = doc.get("host").expect("host");
     assert!(host.get("hw_threads").and_then(Json::as_f64).unwrap_or(0.0) >= 1.0);
     assert!(!host.get("caveats").and_then(Json::as_str).unwrap_or("").is_empty());
 
     let cells = doc.get("cells").and_then(Json::as_array).expect("cells");
     assert!(!cells.is_empty(), "no cells measured");
-    let mut engines = std::collections::BTreeSet::new();
-    let mut max_epoll_conns = 0usize;
+    let mut max_conns = 0usize;
     for cell in cells {
-        let engine = cell.get("engine").and_then(Json::as_str).expect("engine");
-        assert!(matches!(engine, "threads" | "epoll"), "unknown engine {engine}");
-        engines.insert(engine.to_string());
         let mode = cell.get("mode").and_then(Json::as_str).expect("mode");
         assert!(matches!(mode, "closed" | "open-burst"), "unknown mode {mode}");
         let conns = cell.get("connections").and_then(Json::as_f64).expect("connections");
@@ -42,9 +38,7 @@ fn validate(doc: &Json) {
             "cell too small: {conns} conns, {requests} reqs"
         );
         assert!(rps.is_finite() && rps > 0.0, "requests_per_second must be positive");
-        if engine == "epoll" {
-            max_epoll_conns = max_epoll_conns.max(conns as usize);
-        }
+        max_conns = max_conns.max(conns as usize);
         let lat = cell.get("latency").expect("latency");
         let p50 = lat.get("p50_seconds").and_then(Json::as_f64).expect("p50");
         let p99 = lat.get("p99_seconds").and_then(Json::as_f64).expect("p99");
@@ -55,17 +49,13 @@ fn validate(doc: &Json) {
         // request_seconds count matched the generator's completion count.
         assert!(
             matches!(cell.get("accounting_exact"), Some(Json::Bool(true))),
-            "server/request accounting diverged in a {engine}/{mode} cell"
+            "server/request accounting diverged in a {mode} cell of {conns} connections"
         );
     }
-    if cfg!(any(target_os = "linux", target_os = "macos")) {
-        assert!(engines.contains("epoll"), "the event engine was not measured");
-    }
-    assert!(engines.contains("threads"), "the threaded oracle was not measured");
     // Past Test scale the sweep must include the 1024-connection cell —
-    // the concurrency claim the event engine exists for.
+    // the concurrency claim the event loop exists for.
     if scale != "test" {
-        assert!(max_epoll_conns >= 1024, "epoll sweep topped out at {max_epoll_conns} connections");
+        assert!(max_conns >= 1024, "sweep topped out at {max_conns} connections");
     }
 }
 

@@ -1,9 +1,8 @@
 //! `mdzd` — serve an MDZ archive over TCP.
 //!
 //! ```text
-//! mdzd <archive.mdz> [addr] [--engine threads|epoll] [--threads N]
-//!      [--shards N] [--cache-epochs N] [--max-conns N]
-//!      [--read-timeout-ms N] [--write-timeout-ms N] [--idle-timeout-ms N]
+//! mdzd <archive.mdz> [addr] [--threads N | --shards N] [--cache-epochs N]
+//!      [--max-conns N] [--read-timeout-ms N] [--write-timeout-ms N] [--idle-timeout-ms N]
 //!      [--drain-poll-ms N] [--live [--eps REL | --abs ABS] [--f32]]
 //! ```
 //!
@@ -20,11 +19,10 @@
 //! footer is synced. Followers (`mdz follow`) see appended frames as soon
 //! as they are durable.
 //!
-//! `--engine epoll` swaps the blocking worker pool for the sharded
-//! non-blocking event loop (epoll/kqueue): `--shards` (an alias for
-//! `--threads`) sets the shard count, and each shard multiplexes
-//! thousands of pipelined connections. The wire protocol and every
-//! overload budget behave identically under both engines.
+//! Connections are served by a sharded non-blocking event loop (epoll on
+//! Linux, kqueue on macOS; other targets cannot serve): `--threads` (alias
+//! `--shards`) sets the shard count, and each shard multiplexes
+//! thousands of pipelined connections.
 
 use std::process::ExitCode;
 use std::sync::Arc;
@@ -32,8 +30,8 @@ use std::time::Duration;
 
 use mdz_core::{ErrorBound, MdzConfig};
 use mdz_store::{
-    AppendSink, Engine, FileIo, Precision, ReaderOptions, Registry, Server, ServerConfig,
-    StoreOptions, StoreReader,
+    AppendSink, FileIo, Precision, ReaderOptions, Registry, Server, ServerConfig, StoreOptions,
+    StoreReader,
 };
 
 fn main() -> ExitCode {
@@ -42,9 +40,9 @@ fn main() -> ExitCode {
         Err(msg) => {
             eprintln!("mdzd: {msg}");
             eprintln!(
-                "usage: mdzd <archive.mdz> [addr] [--engine threads|epoll] [--threads N] \
-                 [--shards N] [--cache-epochs N] [--max-conns N] [--read-timeout-ms N] \
-                 [--write-timeout-ms N] [--idle-timeout-ms N] [--drain-poll-ms N] \
+                "usage: mdzd <archive.mdz> [addr] [--threads N | --shards N] [--cache-epochs N] \
+                 [--max-conns N] [--read-timeout-ms N] [--write-timeout-ms N] \
+                 [--idle-timeout-ms N] [--drain-poll-ms N] \
                  [--live [--eps REL | --abs ABS] [--f32]]"
             );
             ExitCode::FAILURE
@@ -72,12 +70,7 @@ fn run() -> Result<(), String> {
     }
     while let Some(arg) = args.next() {
         match arg.as_str() {
-            "--engine" => {
-                let name = args.next().ok_or("--engine needs a name")?;
-                cfg.engine = Engine::parse(&name)
-                    .ok_or(format!("unknown engine {name:?} (use threads or epoll)"))?;
-            }
-            // --shards is the event engine's natural spelling for the same knob.
+            // --shards names the same knob: one event loop per thread.
             "--threads" | "--shards" => cfg.threads = take_usize(&mut args, &arg)?,
             "--cache-epochs" => reader_opts.cache_epochs = take_usize(&mut args, "--cache-epochs")?,
             "--max-conns" => cfg.max_connections = take_usize(&mut args, "--max-conns")?,

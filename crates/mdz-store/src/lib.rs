@@ -16,8 +16,9 @@
 //!   (core counters also surface as a [`StatsSnapshot`]).
 //! * **Serving** ([`server`], [`client`], [`protocol`]) — `mdzd` answers
 //!   GET/STATS/INFO/METRICS requests over a length-prefixed binary
-//!   protocol on TCP, with per-connection decode budgets; built entirely
-//!   on `std`. METRICS returns the full registry snapshot
+//!   protocol on TCP from a sharded epoll/kqueue event loop, with
+//!   per-request decode budgets; no dependency beyond `std` and the
+//!   platform C library. METRICS returns the full registry snapshot
 //!   ([`MetricsSnapshot`]): request/cache/error counters plus per-request
 //!   latency histograms.
 //! * **Live ingest** ([`AppendSink`], [`StoreReader::refresh`],
@@ -79,4 +80,4 @@ pub use io::{FaultIo, FaultMode, FaultPlan, FileIo, MemIo, StoreIo};
 pub use mdz_obs::{HistogramSnapshot, MetricsSnapshot, Obs, Registry};
 pub use protocol::{AppendAck, FrameDecoder, FrameError, Request, Status, StoreInfo};
 pub use reader::{ReaderOptions, RefreshReport, StatsSnapshot, StoreReader};
-pub use server::{AppendSink, Engine, Server, ServerConfig, ServerHandle};
+pub use server::{AppendSink, Server, ServerConfig, ServerHandle};

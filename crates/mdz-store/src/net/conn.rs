@@ -1,4 +1,4 @@
-//! Per-connection state for the event engine: a non-blocking socket, the
+//! Per-connection state for the reactor: a non-blocking socket, the
 //! incremental [`FrameDecoder`], a bounded write queue, and the timestamps
 //! the deadline sweep runs against.
 //!
@@ -8,7 +8,7 @@
 //! ownership stays single-threaded by construction.
 
 use std::collections::VecDeque;
-use std::io::{Read, Write};
+use std::io::{IoSlice, Read, Write};
 use std::net::TcpStream;
 use std::os::fd::{AsRawFd, RawFd};
 use std::time::Instant;
@@ -20,6 +20,9 @@ use super::sys::Poller;
 /// Per-read scratch cap: one `read` call per slot, bounded so a firehose
 /// peer cannot monopolize a shard tick (level-triggered polling re-arms).
 const MAX_READS_PER_TICK: usize = 16;
+
+/// Chunks gathered into one `write_vectored` call (well under `IOV_MAX`).
+const MAX_IOVECS: usize = 64;
 
 /// What a read pass against the socket produced.
 pub(crate) enum ReadOutcome {
@@ -36,13 +39,8 @@ pub(crate) struct Conn {
     stream: TcpStream,
     /// Reassembles length-prefixed requests from arbitrary read chunks.
     pub(crate) decoder: FrameDecoder,
-    /// Pending output chunks (length prefixes and response bodies
-    /// interleaved), written front-first.
-    queue: VecDeque<Vec<u8>>,
-    /// Bytes of the front chunk already written.
-    front_written: usize,
-    /// Total unsent bytes across `queue` (the backpressure quantity).
-    pub(crate) queued_bytes: usize,
+    /// Responses waiting for the socket.
+    out: OutQueue,
     /// Whether this connection holds an admission slot (shed connections
     /// do not; they only exist to deliver a BUSY response).
     pub(crate) admitted: bool,
@@ -82,16 +80,14 @@ impl Conn {
     pub(crate) fn new(stream: TcpStream, max_body: usize, admitted: bool) -> std::io::Result<Conn> {
         stream.set_nonblocking(true)?;
         // Responses are written whole; Nagle + delayed ACK would park small
-        // replies for ~40 ms under pipelining. Best-effort like the
-        // threaded engine's socket tuning.
+        // replies for ~40 ms under pipelining. Best-effort: a socket that
+        // refuses the option still serves correctly.
         let _ = stream.set_nodelay(true);
         let now = Instant::now();
         Ok(Conn {
             stream,
             decoder: FrameDecoder::new(max_body),
-            queue: VecDeque::new(),
-            front_written: 0,
-            queued_bytes: 0,
+            out: OutQueue::default(),
             admitted,
             shed: !admitted,
             close_after_flush: false,
@@ -116,18 +112,18 @@ impl Conn {
 
     /// True when nothing is waiting to be written.
     pub(crate) fn queue_empty(&self) -> bool {
-        self.queue.is_empty()
+        self.out.chunks.is_empty()
+    }
+
+    /// Unsent response bytes (the backpressure quantity).
+    pub(crate) fn queued_bytes(&self) -> usize {
+        self.out.bytes
     }
 
     /// Queues one framed response (4-byte little-endian length prefix, then
     /// the body) without copying the body.
     pub(crate) fn enqueue(&mut self, body: Vec<u8>) {
-        let prefix = (body.len() as u32).to_le_bytes().to_vec();
-        self.queued_bytes += prefix.len() + body.len();
-        self.queue.push_back(prefix);
-        if !body.is_empty() {
-            self.queue.push_back(body);
-        }
+        self.out.push(body);
     }
 
     /// Half-closes the write side and starts the bounded EOF linger.
@@ -138,49 +134,25 @@ impl Conn {
         }
     }
 
-    /// Writes queued chunks until the socket blocks or the queue empties.
-    /// Progress clears the write-blocked clock; a block with bytes still
-    /// queued starts it (the shard's sweep kills stalled readers from it).
-    /// `Err` means the socket is dead.
+    /// Writes queued responses until the socket blocks or the queue
+    /// empties. Progress clears the write-blocked clock; a block with bytes
+    /// still queued starts it (the shard's sweep kills stalled readers from
+    /// it). `Err` means the socket is dead.
     pub(crate) fn flush(&mut self) -> std::io::Result<()> {
-        loop {
-            let remaining = match self.queue.front() {
-                None => {
-                    self.write_blocked_since = None;
-                    return Ok(());
-                }
-                Some(front) => front.len() - self.front_written,
-            };
-            if remaining == 0 {
-                self.queue.pop_front();
-                self.front_written = 0;
-                continue;
-            }
-            let res = {
-                let front = self.queue.front().expect("checked above");
-                self.stream.write(&front[self.front_written..])
-            };
-            match res {
+        while !self.out.chunks.is_empty() {
+            match self.out.write_to(&mut self.stream) {
                 Ok(0) => return Err(std::io::ErrorKind::WriteZero.into()),
-                Ok(n) => {
-                    self.front_written += n;
-                    self.queued_bytes -= n;
-                    self.write_blocked_since = None;
-                    if n == remaining {
-                        self.queue.pop_front();
-                        self.front_written = 0;
-                    }
-                }
+                Ok(_) => self.write_blocked_since = None,
                 Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                    if self.write_blocked_since.is_none() {
-                        self.write_blocked_since = Some(Instant::now());
-                    }
+                    self.write_blocked_since.get_or_insert_with(Instant::now);
                     return Ok(());
                 }
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
+                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
                 Err(e) => return Err(e),
             }
         }
+        self.write_blocked_since = None;
+        Ok(())
     }
 
     /// Pulls available bytes off the socket into the decoder (or the void,
@@ -211,7 +183,7 @@ impl Conn {
 
     /// The interest set this connection currently needs.
     pub(crate) fn wanted_interest(&self) -> (bool, bool) {
-        (!self.reading_paused, !self.queue.is_empty())
+        (!self.reading_paused, !self.queue_empty())
     }
 
     /// Reconciles the poller registration with the wanted interest set
@@ -234,9 +206,61 @@ impl Conn {
     }
 }
 
+/// Framed responses waiting for the socket. Each response is queued as two
+/// chunks, its 4-byte length prefix and its body, so bodies are never
+/// copied; chunks are never empty.
+#[derive(Default)]
+struct OutQueue {
+    chunks: VecDeque<Vec<u8>>,
+    /// Bytes of the front chunk already written.
+    front_written: usize,
+    /// Unsent bytes across `chunks`.
+    bytes: usize,
+}
+
+impl OutQueue {
+    fn push(&mut self, body: Vec<u8>) {
+        let prefix = (body.len() as u32).to_le_bytes().to_vec();
+        self.bytes += prefix.len() + body.len();
+        self.chunks.push_back(prefix);
+        if !body.is_empty() {
+            self.chunks.push_back(body);
+        }
+    }
+
+    /// Offers the queued chunks to `sink` in one `write_vectored` call, so
+    /// a response's prefix and body leave together (DESIGN.md §10), then
+    /// drops whatever `sink` took, across chunk boundaries. Returns the
+    /// bytes written.
+    fn write_to(&mut self, sink: &mut impl Write) -> std::io::Result<usize> {
+        let mut slices = [IoSlice::new(&[]); MAX_IOVECS];
+        let mut n_slices = 0;
+        for (slot, chunk) in slices.iter_mut().zip(&self.chunks) {
+            let skip = if n_slices == 0 { self.front_written } else { 0 };
+            *slot = IoSlice::new(&chunk[skip..]);
+            n_slices += 1;
+        }
+        let written = sink.write_vectored(&slices[..n_slices])?;
+        self.bytes -= written;
+        let mut left = written;
+        while left > 0 {
+            let front = self.chunks[0].len() - self.front_written;
+            if left < front {
+                self.front_written += left;
+                break;
+            }
+            left -= front;
+            self.chunks.pop_front();
+            self.front_written = 0;
+        }
+        Ok(written)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::protocol::tests::CallRecorder;
     use std::net::TcpListener;
 
     fn pair() -> (TcpStream, TcpStream) {
@@ -251,14 +275,52 @@ mod tests {
         let (mut client, server) = pair();
         let mut conn = Conn::new(server, 1 << 20, true).unwrap();
         conn.enqueue(vec![7u8; 10]);
-        assert_eq!(conn.queued_bytes, 14);
+        assert_eq!(conn.queued_bytes(), 14);
         conn.flush().unwrap();
         assert!(conn.queue_empty());
-        assert_eq!(conn.queued_bytes, 0);
+        assert_eq!(conn.queued_bytes(), 0);
         let mut got = [0u8; 14];
         client.read_exact(&mut got).unwrap();
         assert_eq!(&got[..4], &10u32.to_le_bytes());
         assert_eq!(&got[4..], &[7u8; 10]);
+    }
+
+    #[test]
+    fn a_queued_frame_leaves_in_one_write_call() {
+        let body: Vec<u8> = (0..10).collect();
+        let mut out = OutQueue::default();
+        out.push(body.clone());
+        let mut sink = CallRecorder::new(usize::MAX);
+        assert_eq!(out.write_to(&mut sink).unwrap(), 14);
+        assert_eq!(sink.calls, vec![14], "prefix and body in one call");
+        assert_eq!(&sink.bytes[..4], &10u32.to_le_bytes());
+        assert_eq!(&sink.bytes[4..], &body[..]);
+        assert!(out.chunks.is_empty() && out.bytes == 0);
+    }
+
+    #[test]
+    fn a_short_write_resumes_in_order_across_chunk_boundaries() {
+        let (first, second): (Vec<u8>, Vec<u8>) = ((0..10).collect(), (10..16).collect());
+        let mut wire = Vec::new();
+        for body in [&first, &second] {
+            wire.extend_from_slice(&(body.len() as u32).to_le_bytes());
+            wire.extend_from_slice(body);
+        }
+        let mut out = OutQueue::default();
+        out.push(first);
+        out.push(second);
+        // 6 bytes end inside the first body, 10 more inside the second
+        // prefix; the rest then goes out in one call.
+        let mut sink = CallRecorder::new(6);
+        assert_eq!(out.write_to(&mut sink).unwrap(), 6);
+        assert_eq!(out.bytes, wire.len() - 6);
+        sink.max_per_call = 10;
+        assert_eq!(out.write_to(&mut sink).unwrap(), 10);
+        sink.max_per_call = usize::MAX;
+        assert_eq!(out.write_to(&mut sink).unwrap(), wire.len() - 16);
+        assert_eq!(sink.calls, vec![6, 10, wire.len() - 16]);
+        assert_eq!(sink.bytes, wire);
+        assert!(out.chunks.is_empty() && out.bytes == 0);
     }
 
     #[test]

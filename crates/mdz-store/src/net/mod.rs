@@ -1,13 +1,12 @@
-//! The event-loop serving engine (`--engine epoll`): a raw-syscall
-//! epoll/kqueue reactor sharded across `cfg.threads` threads, speaking the
-//! exact wire protocol of the threaded engine through the shared
-//! [`serve_request`](crate::server) response path.
+//! The serving engine: a raw-syscall epoll/kqueue reactor sharded across
+//! `cfg.threads` threads, answering every request through the server's one
+//! response path (`serve_request`).
 //!
 //! Layout: [`sys`] holds the zero-dependency syscall bindings (poller,
-//! wake pipe, `SO_REUSEPORT` groups), [`conn`] the per-connection state
-//! machine, and [`shard`] the event loop, accept/dispatch, APPEND
-//! migration, and shutdown choreography. See `DESIGN.md` §15 for the
-//! architecture rationale.
+//! wake pipe, accept backlog), [`conn`] the per-connection state machine,
+//! and [`shard`] the event loop, accept/dispatch, APPEND migration, and
+//! shutdown choreography. See `DESIGN.md` §15 for the architecture
+//! rationale.
 
 mod conn;
 mod shard;

@@ -1,24 +1,25 @@
-//! The sharded event loop behind [`Engine::Epoll`](crate::server::Engine).
+//! The sharded event loop that serves every connection.
 //!
 //! # Shard ownership
 //!
-//! `cfg.threads` shards each run their own poller, connection map, and
-//! forked buffer cache ([`StoreReader::fork_cache`]) — no lock is shared on
-//! the read path. A connection is owned by exactly one shard for its whole
-//! life, with one exception: the first APPEND frame decoded on shard *i ≠ 0*
-//! migrates the entire connection to shard 0 through its inbox, so live
-//! writes always execute on a single owning shard (and the sink's write
-//! lock is only ever contended by migration races, never steady state).
+//! `cfg.threads` shards each run their own poller and connection map. All
+//! of them share one [`StoreReader`] clone, so one buffer cache and one
+//! table of in-flight decodes: a shard that finds a buffer being decoded by
+//! another shard waits for that decode instead of repeating it. A
+//! connection is owned by exactly one shard for its whole life, with one
+//! exception: the first APPEND frame decoded on shard *i ≠ 0* migrates the
+//! entire connection to shard 0 through its inbox, so live writes always
+//! execute on a single owning shard (and the sink's write lock is only ever
+//! contended by migration races, never steady state).
 //!
-//! # Accept modes
+//! # Accept and dispatch
 //!
-//! With an `SO_REUSEPORT` listener group (Linux), shard *i* owns listener
-//! *i* and the kernel spreads connections. Otherwise shard 0 owns the only
-//! listener and dispatches accepted streams round-robin over everyone's
-//! inboxes (including its own share). Admission control is global either
-//! way: `admitted` is a process-wide counter, and connections over
-//! `max_connections` are shed with a framed BUSY answer by the accepting
-//! shard, exactly like the threaded engine.
+//! Shard 0 owns the only listener and hands accepted streams round-robin
+//! over everyone's inboxes, its own share included (with one shard the
+//! hand-off is a no-op). Admission control is global: `admitted` is a
+//! process-wide counter, reported as the `server.net.connections` gauge,
+//! and connections over `max_connections` are shed by shard 0 with a framed
+//! BUSY answer.
 //!
 //! # Backpressure invariant
 //!
@@ -31,12 +32,13 @@
 //!
 //! # Shutdown
 //!
-//! On the stop flag each shard closes its listener (decrementing the global
-//! `accepting` count), stops decoding new work, closes idle connections
-//! (`server.drain.closed`), and lets in-flight requests finish under the
-//! read/write deadlines. Shards exit when `accepting == 0` and they have no
-//! connections or queued handoffs; shard 0 — the migration target — exits
-//! last, after every other shard has, so a handoff can never be stranded.
+//! On the stop flag shard 0 closes the listener (dropping the global
+//! `accepting` count to zero), every shard stops decoding new work, closes
+//! idle connections (`server.drain.closed`), and lets in-flight requests
+//! finish under the read/write deadlines. Shards exit when `accepting == 0`
+//! and they have no connections or queued handoffs; shard 0 — the migration
+//! target — exits last, after every other shard has, so a handoff can never
+//! be stranded.
 
 use std::collections::{HashMap, VecDeque};
 use std::net::{TcpListener, TcpStream};
@@ -54,26 +56,9 @@ use crate::server::{serve_request, status_counter, AppendSink, Server, ServerCon
 use super::conn::{Conn, ReadOutcome};
 use super::sys::{Event, Poller, WakePipe};
 
-/// Per-shard connection gauges are static names (mdz-obs requires
-/// `&'static str`); shards beyond the table share the last entry.
-const SHARD_CONN_GAUGES: [&str; 8] = [
-    "server.net.shard0.connections",
-    "server.net.shard1.connections",
-    "server.net.shard2.connections",
-    "server.net.shard3.connections",
-    "server.net.shard4.connections",
-    "server.net.shard5.connections",
-    "server.net.shard6.connections",
-    "server.net.shard7.connections",
-];
-
-fn conn_gauge(id: usize) -> &'static str {
-    SHARD_CONN_GAUGES[id.min(SHARD_CONN_GAUGES.len() - 1)]
-}
-
 /// Work pushed into a shard's inbox by another shard.
 enum Handoff {
-    /// A freshly accepted, already-admitted connection (dispatcher mode).
+    /// A freshly accepted, already-admitted connection.
     New(TcpStream),
     /// A connection mid-APPEND moving to shard 0 with its whole state.
     Migrated(Box<Conn>),
@@ -84,7 +69,7 @@ struct SharedState {
     stop: Arc<AtomicBool>,
     /// Admitted connections across all shards (the `max_connections` cap).
     admitted: AtomicUsize,
-    /// Round-robin cursor for dispatcher handoffs.
+    /// Round-robin cursor for shard 0's accept handoffs.
     next_shard: AtomicUsize,
     /// Shards still owning an open listener; 0 means no new connection can
     /// ever be admitted or handed off, which gates shard exit.
@@ -96,23 +81,10 @@ struct SharedState {
     wakes: Vec<WakePipe>,
 }
 
-/// Runs a [`Server`] on the event engine until shutdown. Entry point for
-/// [`Server::run`] under [`Engine::Epoll`](crate::server::Engine::Epoll).
+/// Runs a [`Server`] until shutdown. Entry point for [`Server::run`].
 pub(crate) fn run(server: Server) -> std::io::Result<()> {
-    let Server { listener, shard_listeners, reader, cfg, stop, sink } = server;
+    let Server { listener, reader, cfg, stop, sink } = server;
     let shards = cfg.threads.max(1);
-    // A full reuseport group means shard i owns listener i; anything else
-    // (including a partial group, which bind() never produces) degrades to
-    // the dispatcher.
-    let reuseport = shards > 1 && shard_listeners.len() == shards - 1;
-    let mut listeners: Vec<Option<TcpListener>> = Vec::with_capacity(shards);
-    listeners.push(Some(listener));
-    if reuseport {
-        listeners.extend(shard_listeners.into_iter().map(Some));
-    } else {
-        listeners.extend((1..shards).map(|_| None));
-    }
-    let accepting = listeners.iter().filter(|l| l.is_some()).count();
     let mut wakes = Vec::with_capacity(shards);
     let mut inboxes = Vec::with_capacity(shards);
     for _ in 0..shards {
@@ -123,38 +95,39 @@ pub(crate) fn run(server: Server) -> std::io::Result<()> {
         stop,
         admitted: AtomicUsize::new(0),
         next_shard: AtomicUsize::new(0),
-        accepting: AtomicUsize::new(accepting),
+        accepting: AtomicUsize::new(1),
         exited: AtomicUsize::new(0),
         inboxes,
         wakes,
     };
     let shared = &shared;
     let cfg = &cfg;
-    let sink = sink.as_deref();
-    let dispatcher = !reuseport && shards > 1;
+    let sink = sink.as_ref();
+    // Shard 0 takes the listener; the rest are fed through their inboxes.
+    let mut listener = Some(listener);
     std::thread::scope(|scope| {
         let mut handles = Vec::with_capacity(shards);
-        for (id, listener) in listeners.into_iter().enumerate() {
-            let reader = reader.fork_cache();
+        for id in 0..shards {
+            let listener = listener.take();
+            let reader = reader.clone();
             let handle = scope.spawn(move || {
                 let had_listener = listener.is_some();
-                let result =
-                    match Shard::new(id, shards, dispatcher, listener, reader, cfg, sink, shared) {
-                        Ok(mut shard) => {
-                            let r = shard.run();
-                            if shard.listener.is_some() {
-                                // Error exit before the drain path closed it.
-                                shared.accepting.fetch_sub(1, Ordering::SeqCst);
-                            }
-                            r
+                let result = match Shard::new(id, shards, listener, reader, cfg, sink, shared) {
+                    Ok(mut shard) => {
+                        let r = shard.run();
+                        if shard.listener.is_some() {
+                            // Error exit before the drain path closed it.
+                            shared.accepting.fetch_sub(1, Ordering::SeqCst);
                         }
-                        Err(e) => {
-                            if had_listener {
-                                shared.accepting.fetch_sub(1, Ordering::SeqCst);
-                            }
-                            Err(e)
+                        r
+                    }
+                    Err(e) => {
+                        if had_listener {
+                            shared.accepting.fetch_sub(1, Ordering::SeqCst);
                         }
-                    };
+                        Err(e)
+                    }
+                };
                 if result.is_err() {
                     // One shard dying takes the server down gracefully:
                     // everyone else sees the stop flag and drains.
@@ -192,15 +165,14 @@ pub(crate) fn run(server: Server) -> std::io::Result<()> {
 enum SweepAction {
     /// Close now, bumping the given counter (None = silent).
     Close(RawFd, Option<&'static str>),
-    /// A shed connection never sent its request: answer BUSY anyway (the
-    /// threaded engine's shed handshake also replies after `read_timeout`).
+    /// A shed connection never sent its request within `read_timeout`:
+    /// answer BUSY anyway.
     ShedReply(RawFd),
 }
 
 struct Shard<'a> {
     id: usize,
     shards: usize,
-    dispatcher: bool,
     listener: Option<TcpListener>,
     reader: StoreReader,
     cfg: &'a ServerConfig,
@@ -212,14 +184,15 @@ struct Shard<'a> {
     scratch: Vec<u8>,
     body_budget: usize,
     draining: bool,
+    /// The `server.net.connections` value this shard last wrote; the gauge
+    /// is rewritten only when `admitted` has moved since.
+    reported_connections: Option<usize>,
 }
 
-#[allow(clippy::too_many_arguments)]
 impl<'a> Shard<'a> {
     fn new(
         id: usize,
         shards: usize,
-        dispatcher: bool,
         listener: Option<TcpListener>,
         reader: StoreReader,
         cfg: &'a ServerConfig,
@@ -237,7 +210,6 @@ impl<'a> Shard<'a> {
         Ok(Shard {
             id,
             shards,
-            dispatcher,
             listener,
             reader,
             cfg,
@@ -249,6 +221,7 @@ impl<'a> Shard<'a> {
             scratch: vec![0u8; 64 << 10],
             body_budget,
             draining: false,
+            reported_connections: None,
         })
     }
 
@@ -257,9 +230,6 @@ impl<'a> Shard<'a> {
         let wake_fd = self.shared.wakes[self.id].read_fd();
         loop {
             self.poller.wait(&mut events, self.cfg.drain_poll_clamped())?;
-            if !events.is_empty() {
-                self.obs.observe("server.net.ready_events", events.len() as f64);
-            }
             if !self.draining && self.shared.stop.load(Ordering::SeqCst) {
                 self.start_drain();
             }
@@ -278,7 +248,11 @@ impl<'a> Shard<'a> {
             for conn in self.conns.values_mut() {
                 conn.sync_interest(&self.poller);
             }
-            self.obs.gauge(conn_gauge(self.id), self.conns.len() as u64);
+            let admitted = self.shared.admitted.load(Ordering::SeqCst);
+            if self.reported_connections != Some(admitted) {
+                self.obs.gauge("server.net.connections", admitted as u64);
+                self.reported_connections = Some(admitted);
+            }
             if self.draining && self.ready_to_exit() {
                 return Ok(());
             }
@@ -351,15 +325,13 @@ impl<'a> Shard<'a> {
         }
         self.shared.admitted.fetch_add(1, Ordering::SeqCst);
         self.obs.incr("server.conn.accepted", 1);
-        if self.dispatcher {
-            let target = self.shared.next_shard.fetch_add(1, Ordering::SeqCst) % self.shards;
-            if target != self.id {
-                self.shared.inboxes[target].lock().unwrap().push_back(Handoff::New(stream));
-                self.shared.wakes[target].wake();
-                return;
-            }
+        let target = self.shared.next_shard.fetch_add(1, Ordering::SeqCst) % self.shards;
+        if target == self.id {
+            self.install(stream, true);
+        } else {
+            self.shared.inboxes[target].lock().unwrap().push_back(Handoff::New(stream));
+            self.shared.wakes[target].wake();
         }
-        self.install(stream, true);
     }
 
     fn install(&mut self, stream: TcpStream, admitted: bool) {
@@ -441,7 +413,7 @@ impl<'a> Shard<'a> {
                     return;
                 }
             }
-            if conn.reading_paused && conn.queued_bytes <= self.cfg.max_write_buffer / 2 {
+            if conn.reading_paused && conn.queued_bytes() <= self.cfg.max_write_buffer / 2 {
                 conn.reading_paused = false;
                 // Frames decoded before the pause may still be buffered; the
                 // socket won't re-signal for them, so pump — and loop to
@@ -543,7 +515,8 @@ impl<'a> Shard<'a> {
                     served += 1;
                     let conn = self.conns.get_mut(&fd).expect("checked above");
                     conn.enqueue(response);
-                    if conn.queued_bytes >= self.cfg.max_write_buffer.max(1) && !conn.reading_paused
+                    if conn.queued_bytes() >= self.cfg.max_write_buffer.max(1)
+                        && !conn.reading_paused
                     {
                         conn.reading_paused = true;
                         self.obs.incr("server.net.backpressure_stalls", 1);
@@ -573,8 +546,8 @@ impl<'a> Shard<'a> {
     }
 
     /// Answers BUSY on a shed connection and schedules its close. The BUSY
-    /// status counters were already bumped at accept time (threaded
-    /// parity), so this only delivers the response.
+    /// status counters were already bumped at accept time, so this only
+    /// delivers the response.
     fn shed_reply(&mut self, fd: RawFd) {
         if let Some(conn) = self.conns.get_mut(&fd) {
             conn.enqueue(encode_error(Status::Busy, "server at connection capacity"));
@@ -585,8 +558,8 @@ impl<'a> Shard<'a> {
 
     /// Handles broken framing (oversized prefix or truncation): count it,
     /// answer BadRequest if the socket still writes, then close — resync
-    /// is impossible. Mirrors the threaded engine's Malformed arm,
-    /// including the bounded post-error input drain.
+    /// is impossible. The input is drained (bounded by `read_timeout`)
+    /// meanwhile, so the kernel does not reset the answer off the wire.
     fn malformed(&mut self, fd: RawFd) {
         self.reader.record_failed_request();
         self.obs.incr("server.requests.bad", 1);
@@ -630,8 +603,7 @@ impl<'a> Shard<'a> {
             }
             if conn.shed {
                 // A shed connection that never completed a request still
-                // gets its BUSY answer after the read deadline, exactly
-                // like the threaded shed handshake.
+                // gets its BUSY answer after the read deadline.
                 if !conn.close_after_flush
                     && now.duration_since(conn.opened_at) >= self.cfg.read_timeout
                 {

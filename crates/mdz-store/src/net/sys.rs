@@ -1,6 +1,5 @@
-//! Minimal raw-syscall bindings for the event engine: an epoll (Linux) /
-//! kqueue (macOS) poller, a self-pipe wakeup, and `SO_REUSEPORT` listener
-//! groups.
+//! Minimal raw-syscall bindings for the reactor: an epoll (Linux) / kqueue
+//! (macOS) poller, a self-pipe wakeup, and the listener's accept backlog.
 //!
 //! `std` already links the platform C library, so plain `extern "C"`
 //! declarations are enough — the crate stays zero-dependency. Everything
@@ -287,10 +286,24 @@ pub(crate) use imp::Poller;
 extern "C" {
     fn read(fd: i32, buf: *mut u8, count: usize) -> isize;
     fn write(fd: i32, buf: *const u8, count: usize) -> isize;
+    fn listen(fd: i32, backlog: i32) -> i32;
+}
+
+/// Raises `listener`'s accept backlog to the kernel cap. `std` listens with
+/// a backlog of 128, so a burst of more simultaneous connects than that
+/// overflows the queue before shard 0 accepts them and the excess peers
+/// see resets or SYN retries. A negative backlog asks for the cap
+/// (`somaxconn`), and calling `listen` again on a listening socket only
+/// updates its backlog.
+pub(crate) fn listen_max_backlog(listener: &std::net::TcpListener) -> io::Result<()> {
+    use std::os::fd::AsRawFd;
+    // SAFETY: `listen` takes no pointers; the fd belongs to `listener`,
+    // which the borrow keeps open for the whole call.
+    cvt(unsafe { listen(listener.as_raw_fd(), -1) }).map(|_| ())
 }
 
 /// A non-blocking self-pipe: other shards write a byte to interrupt this
-/// shard's [`Poller::wait`] (inbox handoffs, shutdown nudges).
+/// shard's [`Poller::wait`] (inbox handoffs, shard exits).
 pub(crate) struct WakePipe {
     rx: std::os::fd::OwnedFd,
     tx: std::os::fd::OwnedFd,
@@ -351,81 +364,6 @@ impl WakePipe {
     }
 }
 
-/// Binds `n` `SO_REUSEPORT` listeners on `addr` so the kernel spreads
-/// incoming connections across per-shard accept queues. The first bind
-/// resolves an ephemeral port; the rest join the same group.
-#[cfg(target_os = "linux")]
-pub(crate) fn reuseport_group(
-    addr: std::net::SocketAddr,
-    n: usize,
-) -> io::Result<Vec<std::net::TcpListener>> {
-    let mut out = Vec::with_capacity(n);
-    let mut bound = addr;
-    for i in 0..n.max(1) {
-        let listener = bind_reuseport(bound)?;
-        if i == 0 {
-            bound.set_port(listener.local_addr()?.port());
-        }
-        out.push(listener);
-    }
-    Ok(out)
-}
-
-/// One `SO_REUSEPORT` listener: the flag must be set between `socket` and
-/// `bind`, which `std` offers no hook for — hence the raw construction.
-#[cfg(target_os = "linux")]
-fn bind_reuseport(addr: std::net::SocketAddr) -> io::Result<std::net::TcpListener> {
-    use std::net::SocketAddr;
-    use std::os::fd::{AsRawFd, FromRawFd, OwnedFd};
-
-    const AF_INET: i32 = 2;
-    const AF_INET6: i32 = 10;
-    const SOCK_STREAM: i32 = 1;
-    const SOCK_CLOEXEC: i32 = 0o2000000;
-    const SOL_SOCKET: i32 = 1;
-    const SO_REUSEADDR: i32 = 2;
-    const SO_REUSEPORT: i32 = 15;
-
-    extern "C" {
-        fn socket(domain: i32, ty: i32, protocol: i32) -> i32;
-        fn setsockopt(fd: i32, level: i32, optname: i32, optval: *const u8, optlen: u32) -> i32;
-        fn bind(fd: i32, addr: *const u8, len: u32) -> i32;
-        fn listen(fd: i32, backlog: i32) -> i32;
-    }
-
-    // Marshal the kernel sockaddr by hand: sa_family is host-endian,
-    // port and address are network-endian.
-    let (domain, sa, sa_len) = match addr {
-        SocketAddr::V4(v4) => {
-            let mut sa = [0u8; 16];
-            sa[0..2].copy_from_slice(&(AF_INET as u16).to_ne_bytes());
-            sa[2..4].copy_from_slice(&v4.port().to_be_bytes());
-            sa[4..8].copy_from_slice(&v4.ip().octets());
-            (AF_INET, sa.to_vec(), 16u32)
-        }
-        SocketAddr::V6(v6) => {
-            let mut sa = [0u8; 28];
-            sa[0..2].copy_from_slice(&(AF_INET6 as u16).to_ne_bytes());
-            sa[2..4].copy_from_slice(&v6.port().to_be_bytes());
-            sa[4..8].copy_from_slice(&v6.flowinfo().to_ne_bytes());
-            sa[8..24].copy_from_slice(&v6.ip().octets());
-            sa[24..28].copy_from_slice(&v6.scope_id().to_ne_bytes());
-            (AF_INET6, sa.to_vec(), 28u32)
-        }
-    };
-    let fd = cvt(unsafe { socket(domain, SOCK_STREAM | SOCK_CLOEXEC, 0) })?;
-    let fd = unsafe { OwnedFd::from_raw_fd(fd) };
-    let one: i32 = 1;
-    for opt in [SO_REUSEADDR, SO_REUSEPORT] {
-        cvt(unsafe {
-            setsockopt(fd.as_raw_fd(), SOL_SOCKET, opt, (&one as *const i32).cast(), 4)
-        })?;
-    }
-    cvt(unsafe { bind(fd.as_raw_fd(), sa.as_ptr(), sa_len) })?;
-    cvt(unsafe { listen(fd.as_raw_fd(), 1024) })?;
-    Ok(std::net::TcpListener::from(fd))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -481,24 +419,5 @@ mod tests {
         pipe.drain();
         poller.wait(&mut events, Duration::from_millis(20)).unwrap();
         assert!(events.is_empty(), "drained pipe goes quiet");
-    }
-
-    #[cfg(target_os = "linux")]
-    #[test]
-    fn reuseport_group_shares_one_port() {
-        let group = reuseport_group("127.0.0.1:0".parse().unwrap(), 3).unwrap();
-        assert_eq!(group.len(), 3);
-        let port = group[0].local_addr().unwrap().port();
-        for l in &group {
-            assert_eq!(l.local_addr().unwrap().port(), port);
-        }
-        // A connection lands on exactly one member's accept queue.
-        let _client = std::net::TcpStream::connect(("127.0.0.1", port)).unwrap();
-        for l in &group {
-            l.set_nonblocking(true).unwrap();
-        }
-        std::thread::sleep(Duration::from_millis(50));
-        let accepted: usize = group.iter().map(|l| usize::from(l.accept().is_ok())).sum();
-        assert_eq!(accepted, 1);
     }
 }

@@ -1007,7 +1007,7 @@ impl FrameDecoder {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
 
     #[test]
@@ -1149,14 +1149,14 @@ mod tests {
 
     /// Records every `write` and `write_vectored` call it receives,
     /// accepting at most `max_per_call` bytes per call.
-    struct CallRecorder {
-        calls: Vec<usize>,
-        bytes: Vec<u8>,
-        max_per_call: usize,
+    pub(crate) struct CallRecorder {
+        pub(crate) calls: Vec<usize>,
+        pub(crate) bytes: Vec<u8>,
+        pub(crate) max_per_call: usize,
     }
 
     impl CallRecorder {
-        fn new(max_per_call: usize) -> Self {
+        pub(crate) fn new(max_per_call: usize) -> Self {
             Self { calls: Vec::new(), bytes: Vec::new(), max_per_call }
         }
     }

@@ -183,11 +183,10 @@ impl ArchiveState {
 }
 
 /// State every handle onto one archive shares: the swappable bytes/index
-/// pair plus the metrics registry. The buffer cache deliberately lives
-/// *outside* this struct so [`StoreReader::fork_cache`] can give an event
-/// shard a private cache while still observing refreshes instantly.
+/// pair, the buffer cache, and the metrics registry.
 struct Shared {
     state: RwLock<ArchiveState>,
+    cache: Mutex<BufferCache>,
     /// Shared metrics registry: the reader's `store.*` counters land here
     /// alongside whatever the serving layer and the core pipeline record.
     registry: Arc<Registry>,
@@ -198,20 +197,15 @@ struct Shared {
 
 /// A cheaply cloneable handle for random-access reads over one archive.
 ///
-/// All clones share the archive bytes, the buffer cache, and the stats
-/// counters, so a server can hand one clone to each worker thread. A live
-/// archive (one still being appended to) is picked up via
-/// [`refresh`](Self::refresh) — existing clones all observe the new frames.
-/// A sharded server instead hands each shard a [`fork_cache`] handle: same
-/// archive and counters, but a private buffer cache with no lock shared
-/// across shards.
-///
-/// [`fork_cache`]: Self::fork_cache
+/// All clones share the archive bytes, the buffer cache (with its table of
+/// in-flight decodes), and the stats counters, so a server hands one clone
+/// to each event shard. A live archive (one still being appended to) is
+/// picked up via [`refresh`](Self::refresh) — existing clones all observe
+/// the new frames.
 #[derive(Clone)]
 pub struct StoreReader {
     shared: Arc<Shared>,
     opts: ReaderOptions,
-    cache: Arc<Mutex<BufferCache>>,
 }
 
 impl StoreReader {
@@ -239,28 +233,12 @@ impl StoreReader {
         Ok(Self {
             shared: Arc::new(Shared {
                 state: RwLock::new(ArchiveState::new(data, index)),
+                cache: Mutex::new(BufferCache::default()),
                 registry,
                 obs,
             }),
             opts,
-            cache: Arc::new(Mutex::new(BufferCache::default())),
         })
-    }
-
-    /// A handle over the same archive with a *private* buffer cache.
-    ///
-    /// The forked handle shares the archive bytes, the refresh state, and
-    /// the metrics registry with `self` (so `store.*` counters still
-    /// aggregate), but decoded buffers are cached per handle. The sharded
-    /// event server forks one handle per shard, which removes the cache
-    /// mutex from the cross-shard hot path; plain [`Clone`] keeps the
-    /// shared-cache semantics the threaded server relies on.
-    pub fn fork_cache(&self) -> StoreReader {
-        StoreReader {
-            shared: Arc::clone(&self.shared),
-            opts: self.opts.clone(),
-            cache: Arc::new(Mutex::new(BufferCache::default())),
-        }
     }
 
     /// Opens `data` after a crash: scans back to the last valid footer,
@@ -488,7 +466,7 @@ impl StoreReader {
             let mut leads: Vec<(usize, Arc<PendingSlot>)> = Vec::new();
             let mut waits: Vec<(usize, Arc<PendingSlot>)> = Vec::new();
             {
-                let mut cache = self.cache.lock().unwrap();
+                let mut cache = self.shared.cache.lock().unwrap();
                 let (mut hits, mut misses) = (0, 0);
                 for (slot, block) in got.iter_mut().zip(blocks.clone()) {
                     if slot.is_some() {
@@ -520,7 +498,7 @@ impl StoreReader {
                 // Decode outside the cache lock so other buffers stay
                 // readable while these are in flight.
                 let result = self.decode_from_anchor(snap, epoch, &wanted, limits);
-                let mut cache = self.cache.lock().unwrap();
+                let mut cache = self.shared.cache.lock().unwrap();
                 for block in &wanted {
                     cache.pending.remove(block);
                 }
@@ -845,7 +823,7 @@ mod tests {
         // becomes the real leader while the rest share its result.
         let reader = small_store();
         let slot = Arc::new(PendingSlot::default());
-        reader.cache.lock().unwrap().pending.insert(0, Arc::clone(&slot));
+        reader.shared.cache.lock().unwrap().pending.insert(0, Arc::clone(&slot));
 
         const THREADS: usize = 4;
         let full = std::thread::scope(|s| {
@@ -857,7 +835,7 @@ mod tests {
             while reader.stats().cache_misses < THREADS as u64 {
                 std::thread::yield_now();
             }
-            reader.cache.lock().unwrap().pending.remove(&0);
+            reader.shared.cache.lock().unwrap().pending.remove(&0);
             slot.finish(None);
             handles.into_iter().map(|h| h.join().unwrap()).collect::<Vec<_>>()
         });

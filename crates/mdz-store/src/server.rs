@@ -1,34 +1,43 @@
-//! The `mdzd` serving layer: a TCP accept loop feeding a fixed worker pool,
-//! one [`StoreReader`] clone per connection handler.
+//! The `mdzd` serving layer: a sharded epoll (Linux) / kqueue (macOS)
+//! reactor — the `net` module — in front of one request-to-response path,
+//! `serve_request`.
 //!
-//! The server is built only on `std::net` / `std::thread`. Each worker owns
-//! a per-connection [`DecodeLimits`] (from [`ServerConfig`]); a request that
-//! would decode past that budget is refused with [`Status::LimitExceeded`]
-//! rather than letting one client monopolize memory. The buffer cache inside
-//! the shared [`StoreReader`] makes concurrent overlapping reads cheap:
-//! whichever connection decodes a buffer first populates it for the rest.
+//! [`ServerConfig::threads`] event shards each run a non-blocking poll
+//! loop. Shard 0 owns the one listener and hands accepted connections
+//! round-robin to every shard, its own share included. All shards share one
+//! [`StoreReader`] clone, so one buffer cache and one table of in-flight
+//! decodes: whichever connection decodes a buffer first populates it for
+//! the rest. Each request decodes under [`ServerConfig::limits`]; a request
+//! that would decode past that budget is refused with
+//! [`Status::LimitExceeded`] rather than letting one client monopolize
+//! memory.
+//!
+//! Serving needs epoll or kqueue: on any other target [`Server::run`]
+//! returns [`std::io::ErrorKind::Unsupported`].
 //!
 //! # Degradation under hostile load
 //!
 //! Every per-connection budget is explicit in [`ServerConfig`]:
 //!
-//! * **Connection cap** — when `max_connections` handlers are already
+//! * **Connection cap** — when `max_connections` connections are already
 //!   admitted, new connections get a framed [`Status::Busy`] response and
 //!   are closed instead of piling up in the accept queue.
 //! * **Idle deadline** — a connection that sends no request within
 //!   `idle_timeout` is closed (`server.conn.idle_closed`).
 //! * **Read deadline** — a request that starts arriving but stalls is cut
 //!   off after `read_timeout` (`server.conn.read_timeouts`).
-//! * **Write deadline** — a stalled reader (a peer that requests data and
-//!   never drains its socket) is disconnected once a response write blocks
-//!   for `write_timeout` (`server.conn.write_timeouts`), freeing the worker.
+//! * **Write deadline and backpressure** — a connection stops being read
+//!   once `max_write_buffer` response bytes wait for it, and a stalled
+//!   reader (a peer that requests data and never drains its socket) is
+//!   disconnected once its writes make no progress for `write_timeout`
+//!   (`server.conn.write_timeouts`).
 //! * **Bounded request bodies** — frame lengths are validated against
 //!   `max_request_body` before any allocation (`max_append_body` when live
 //!   appends are enabled, since APPEND carries raw coordinate payloads).
 //!
-//! Shutdown drains gracefully: the accept loop stops admitting, in-flight
-//! requests finish (bounded by the read/write deadlines), and idle or queued
-//! connections are closed at the next poll tick (`server.drain.closed`).
+//! Shutdown drains gracefully: within one `drain_poll` tick the listener
+//! closes, in-flight requests finish (bounded by the read/write deadlines),
+//! and idle connections are closed (`server.drain.closed`).
 //!
 //! # Live ingest
 //!
@@ -41,12 +50,10 @@
 //! same lock so followers observe the new frames immediately. Without a
 //! sink, APPEND is answered with [`Status::BadRequest`] (read-only server).
 
-use std::io::Write;
-use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::mpsc;
+use std::net::{SocketAddr, TcpListener, ToSocketAddrs};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use mdz_core::{DecodeLimits, Frame, MdzError};
 use mdz_obs::Obs;
@@ -55,52 +62,19 @@ use crate::archive::{append_store, Precision, StoreOptions};
 use crate::io::StoreIo;
 use crate::protocol::{
     encode_append_ack, encode_error, encode_frames, encode_info, encode_metrics, encode_stats,
-    read_message, write_message, AppendAck, Request, Status, StoreInfo, MAX_APPEND_BODY,
-    MAX_REQUEST_BODY,
+    AppendAck, Request, Status, StoreInfo, MAX_APPEND_BODY, MAX_REQUEST_BODY,
 };
 use crate::reader::StoreReader;
-
-/// Which serving backend a [`Server`] runs.
-///
-/// Both engines speak the identical wire protocol and share the response
-/// path (`respond`), so for the same request trace their responses are
-/// byte-identical — the threaded engine doubles as the differential oracle
-/// for the event-loop engine.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Engine {
-    /// The blocking accept loop + fixed worker pool (one connection per
-    /// worker at a time). Simple, portable, and the reference behavior.
-    #[default]
-    Threads,
-    /// The sharded non-blocking event loop (the `net` module): epoll on
-    /// Linux, kqueue on macOS. Thousands of concurrent connections with
-    /// request pipelining; `threads` becomes the shard count.
-    Epoll,
-}
-
-impl Engine {
-    /// Parses a CLI engine name (`threads` or `epoll`).
-    pub fn parse(name: &str) -> Option<Engine> {
-        match name {
-            "threads" => Some(Engine::Threads),
-            "epoll" => Some(Engine::Epoll),
-            _ => None,
-        }
-    }
-}
 
 /// Serving-side budgets and sizing.
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
-    /// Which backend serves connections (default [`Engine::Threads`]).
-    pub engine: Engine,
-    /// Worker threads handling connections ([`Engine::Threads`]), or event
-    /// shards ([`Engine::Epoll`]). `mdzd` spells this `--threads` with
-    /// `--shards` as an alias.
+    /// Event shards: threads each running one poll loop. `mdzd` spells this
+    /// `--threads` with `--shards` as an alias.
     pub threads: usize,
     /// Largest frame count a single GET may request.
     pub max_frames_per_request: usize,
-    /// Decode budget each connection's reads run under.
+    /// Decode budget each request's reads run under.
     pub limits: DecodeLimits,
     /// Connections admitted concurrently; beyond this, new connections are
     /// shed with a framed [`Status::Busy`] response.
@@ -118,28 +92,21 @@ pub struct ServerConfig {
     pub write_timeout: Duration,
     /// How long a connection may sit between requests before it is closed.
     pub idle_timeout: Duration,
-    /// How often blocked waits wake up to check the stop flag and soft
-    /// deadlines: the threaded engine's poll-read cadence and the event
-    /// loop's wait timeout. Bounds how stale a shutdown request can go
-    /// unnoticed (CLI `--drain-poll-ms`, default 50 ms).
+    /// The poll loop's wait timeout: how often shards wake to check the
+    /// stop flag and the deadlines when no socket is ready. Bounds how
+    /// stale a shutdown request can go unnoticed (CLI `--drain-poll-ms`,
+    /// default 50 ms).
     pub drain_poll: Duration,
-    /// Cap on a connection's queued-but-unsent response bytes on the event
-    /// engine. Past the cap the server stops *reading* that connection
-    /// (backpressure) until the peer drains its socket; a peer that never
-    /// drains is killed by `write_timeout`. Ignored by the threaded
-    /// engine, whose single in-flight response is bounded by construction.
+    /// Cap on a connection's queued-but-unsent response bytes. Past the
+    /// cap the server stops *reading* that connection (backpressure) until
+    /// the peer drains its socket; a peer that never drains is killed by
+    /// `write_timeout`.
     pub max_write_buffer: usize,
-    /// Whether the event engine may build an `SO_REUSEPORT` listener group
-    /// (one accept queue per shard, Linux only). When unavailable or
-    /// disabled it falls back to a dispatcher: shard 0 accepts and hands
-    /// connections round-robin to the other shards.
-    pub reuseport: bool,
 }
 
 impl Default for ServerConfig {
     fn default() -> Self {
         Self {
-            engine: Engine::Threads,
             threads: 4,
             max_frames_per_request: 1 << 20,
             limits: DecodeLimits::default(),
@@ -151,7 +118,6 @@ impl Default for ServerConfig {
             idle_timeout: Duration::from_secs(60),
             drain_poll: Duration::from_millis(50),
             max_write_buffer: 4 << 20,
-            reuseport: true,
         }
     }
 }
@@ -230,83 +196,47 @@ impl std::fmt::Debug for AppendSink {
 /// A bound (but not yet running) store server.
 pub struct Server {
     pub(crate) listener: TcpListener,
-    /// Extra per-shard listeners when the event engine got an
-    /// `SO_REUSEPORT` group at bind time (empty = dispatcher mode; always
-    /// empty for the threaded engine).
-    pub(crate) shard_listeners: Vec<TcpListener>,
     pub(crate) reader: StoreReader,
     pub(crate) cfg: ServerConfig,
     pub(crate) stop: Arc<AtomicBool>,
-    pub(crate) sink: Option<Arc<AppendSink>>,
+    pub(crate) sink: Option<AppendSink>,
 }
 
 /// Shutdown handle for a running [`Server`]; cheap to clone across threads.
 #[derive(Clone)]
 pub struct ServerHandle {
     stop: Arc<AtomicBool>,
-    addr: SocketAddr,
 }
 
 impl ServerHandle {
-    /// Asks the accept loop to exit. Idempotent; safe from any thread.
+    /// Asks the server to stop. Idempotent; safe from any thread. Every
+    /// shard observes the flag within one `drain_poll` tick.
     pub fn shutdown(&self) {
         self.stop.store(true, Ordering::SeqCst);
-        // The accept loop blocks in `accept`; poke it awake with a throwaway
-        // connection so it observes the flag without waiting for a client.
-        // A wildcard bind (0.0.0.0 / ::) reports the wildcard as its local
-        // address, which is not connectable — substitute loopback.
-        let mut target = self.addr;
-        if target.ip().is_unspecified() {
-            target.set_ip(match target.ip() {
-                IpAddr::V4(_) => IpAddr::V4(Ipv4Addr::LOCALHOST),
-                IpAddr::V6(_) => IpAddr::V6(Ipv6Addr::LOCALHOST),
-            });
-        }
-        let _ = TcpStream::connect(target);
     }
 }
 
 impl Server {
-    /// Binds `addr` (e.g. `"127.0.0.1:0"` for an ephemeral port).
-    ///
-    /// Under [`Engine::Epoll`] with `reuseport` enabled this tries to bind
-    /// one `SO_REUSEPORT` listener per shard so the kernel spreads accepts
-    /// across shards; if the platform refuses, it falls back to a single
-    /// listener and the dispatcher accept mode. The choice is invisible on
-    /// the wire.
+    /// Binds `addr` (e.g. `"127.0.0.1:0"` for an ephemeral port). The
+    /// listener's accept backlog is raised to the kernel cap
+    /// (`somaxconn`), so a burst of connects queues until shard 0 accepts
+    /// it instead of being reset.
     pub fn bind(
         reader: StoreReader,
         addr: impl ToSocketAddrs,
         cfg: ServerConfig,
     ) -> std::io::Result<Server> {
-        let mut shard_listeners = Vec::new();
-        let listener = if cfg.engine == Engine::Epoll && cfg.reuseport {
-            match bind_reuseport_group(&addr, cfg.threads.max(1)) {
-                Ok(mut group) => {
-                    let primary = group.remove(0);
-                    shard_listeners = group;
-                    primary
-                }
-                Err(_) => TcpListener::bind(&addr)?,
-            }
-        } else {
-            TcpListener::bind(&addr)?
-        };
-        Ok(Server {
-            listener,
-            shard_listeners,
-            reader,
-            cfg,
-            stop: Arc::new(AtomicBool::new(false)),
-            sink: None,
-        })
+        let listener = TcpListener::bind(addr)?;
+        #[cfg(any(target_os = "linux", target_os = "macos"))]
+        crate::net::sys::listen_max_backlog(&listener)?;
+        Ok(Server { listener, reader, cfg, stop: Arc::new(AtomicBool::new(false)), sink: None })
     }
 
     /// Enables live ingest: the server will answer APPEND requests by
     /// compressing into `sink` and refreshing its reader. See the module
     /// docs for the locking and durability discipline.
     pub fn with_append_sink(mut self, sink: AppendSink) -> Server {
-        self.sink = Some(Arc::new(sink));
+        self.sink = Some(sink);
         self
     }
 
@@ -317,299 +247,25 @@ impl Server {
 
     /// A handle that can stop [`run`](Self::run) from another thread.
     pub fn handle(&self) -> std::io::Result<ServerHandle> {
-        Ok(ServerHandle { stop: Arc::clone(&self.stop), addr: self.local_addr()? })
+        Ok(ServerHandle { stop: Arc::clone(&self.stop) })
     }
 
-    /// Serves connections until [`ServerHandle::shutdown`] is called, on
-    /// whichever [`Engine`] the config selects. Returns once in-flight
-    /// requests have finished (deadline-bounded) and the workers or shards
-    /// have joined.
+    /// Serves connections until [`ServerHandle::shutdown`] is called.
+    /// Returns once in-flight requests have finished (deadline-bounded) and
+    /// the shards have joined. Fails with
+    /// [`Unsupported`](std::io::ErrorKind::Unsupported) on targets without
+    /// epoll or kqueue.
     pub fn run(self) -> std::io::Result<()> {
-        match self.cfg.engine {
-            Engine::Threads => self.run_threaded(),
-            #[cfg(any(target_os = "linux", target_os = "macos"))]
-            Engine::Epoll => crate::net::run(self),
-            #[cfg(not(any(target_os = "linux", target_os = "macos")))]
-            Engine::Epoll => Err(std::io::Error::new(
-                std::io::ErrorKind::Unsupported,
-                "the event-loop engine needs epoll (Linux) or kqueue (macOS); use --engine threads",
-            )),
-        }
-    }
-
-    /// The blocking accept loop + worker pool backend.
-    fn run_threaded(self) -> std::io::Result<()> {
-        let Server { listener, shard_listeners: _, reader, cfg, stop, sink } = self;
-        let obs = Obs::new(reader.recorder());
-        let body_budget = cfg.body_budget(sink.is_some());
-        let (tx, rx) = mpsc::channel::<TcpStream>();
-        let rx = Arc::new(Mutex::new(rx));
-        let workers = cfg.threads.max(1);
-        // Admitted-but-unfinished connections (queued + being served).
-        let active = Arc::new(AtomicUsize::new(0));
-        std::thread::scope(|s| {
-            for _ in 0..workers {
-                let rx = Arc::clone(&rx);
-                let reader = reader.clone();
-                let cfg = cfg.clone();
-                let stop = Arc::clone(&stop);
-                let active = Arc::clone(&active);
-                let sink = sink.clone();
-                s.spawn(move || loop {
-                    let conn = rx.lock().unwrap().recv();
-                    match conn {
-                        Ok(stream) => {
-                            handle_connection(
-                                stream,
-                                &reader,
-                                &cfg,
-                                &stop,
-                                sink.as_deref(),
-                                body_budget,
-                            );
-                            active.fetch_sub(1, Ordering::AcqRel);
-                        }
-                        Err(_) => break, // accept loop gone, queue drained
-                    }
-                });
-            }
-            for conn in listener.incoming() {
-                if stop.load(Ordering::SeqCst) {
-                    break;
-                }
-                match conn {
-                    Ok(mut stream) => {
-                        if active.load(Ordering::Acquire) >= cfg.max_connections.max(1) {
-                            // Shed load with a typed response instead of
-                            // letting connections pile up unanswered. The
-                            // handshake (read one request, answer BUSY) runs
-                            // on a throwaway thread so a slow peer cannot
-                            // stall the accept loop; reading the request
-                            // first means the close is a clean FIN — closing
-                            // with unread bytes would RST the connection and
-                            // the client could lose the BUSY response.
-                            obs.incr("server.conn.rejected_busy", 1);
-                            obs.incr(status_counter(Status::Busy as u8), 1);
-                            let obs = obs.clone();
-                            let read_timeout = cfg.read_timeout;
-                            let write_timeout = cfg.write_timeout;
-                            let max_body = body_budget;
-                            std::thread::spawn(move || {
-                                set_read_timeout(&stream, read_timeout, &obs);
-                                set_write_timeout(&stream, write_timeout, &obs);
-                                let _ = read_message(&mut stream, max_body);
-                                let resp =
-                                    encode_error(Status::Busy, "server at connection capacity");
-                                let _ = write_message(&mut stream, &resp);
-                            });
-                            continue;
-                        }
-                        active.fetch_add(1, Ordering::AcqRel);
-                        obs.incr("server.conn.accepted", 1);
-                        if tx.send(stream).is_err() {
-                            break;
-                        }
-                    }
-                    // Transient accept errors (peer reset mid-handshake, fd
-                    // pressure) should not take the server down.
-                    Err(_) => continue,
-                }
-            }
-            drop(tx);
-        });
-        Ok(())
-    }
-}
-
-/// Binds `shards` listeners sharing one port via `SO_REUSEPORT` (Linux).
-/// The first listener resolves an ephemeral port; the rest join its group.
-/// Callers fall back to a single listener + dispatcher on any error.
-fn bind_reuseport_group(
-    addr: &impl ToSocketAddrs,
-    shards: usize,
-) -> std::io::Result<Vec<TcpListener>> {
-    #[cfg(target_os = "linux")]
-    {
-        let addr = addr.to_socket_addrs()?.next().ok_or_else(|| {
-            std::io::Error::new(std::io::ErrorKind::InvalidInput, "address resolved to nothing")
-        })?;
-        crate::net::sys::reuseport_group(addr, shards)
-    }
-    #[cfg(not(target_os = "linux"))]
-    {
-        let _ = (addr, shards);
-        // macOS SO_REUSEPORT does not load-balance accepts, so the
-        // dispatcher is the honest mode everywhere but Linux.
-        Err(std::io::Error::new(std::io::ErrorKind::Unsupported, "SO_REUSEPORT group unsupported"))
-    }
-}
-
-/// Applies a read timeout, counting (rather than ignoring) sockopt failures.
-fn set_read_timeout(stream: &TcpStream, timeout: Duration, obs: &Obs) {
-    let timeout = timeout.max(Duration::from_millis(1));
-    if stream.set_read_timeout(Some(timeout)).is_err() {
-        obs.incr("server.sockopt_errors", 1);
-    }
-}
-
-/// Applies a write timeout, counting (rather than ignoring) sockopt failures.
-fn set_write_timeout(stream: &TcpStream, timeout: Duration, obs: &Obs) {
-    let timeout = timeout.max(Duration::from_millis(1));
-    if stream.set_write_timeout(Some(timeout)).is_err() {
-        obs.incr("server.sockopt_errors", 1);
-    }
-}
-
-/// Outcome of waiting for the next framed request on a connection.
-enum NextRequest {
-    /// A complete request body arrived.
-    Body(Vec<u8>),
-    /// The peer closed cleanly at a frame boundary.
-    CleanClose,
-    /// No request arrived within the idle deadline.
-    IdleTimeout,
-    /// The server is shutting down and no request was in flight.
-    Draining,
-    /// A request started arriving but stalled past the read deadline.
-    SlowBody,
-    /// Oversized frame length or a prefix truncated mid-frame.
-    Malformed,
-    /// Hard socket error; nothing more can be read or written.
-    Gone,
-}
-
-/// Reads one framed request, polling so the idle deadline and the stop flag
-/// are observed even while the peer is silent. The 4-byte length prefix is
-/// accumulated across poll ticks; the body is then read under the full
-/// `read_timeout`.
-fn next_request(
-    stream: &mut TcpStream,
-    cfg: &ServerConfig,
-    stop: &AtomicBool,
-    obs: &Obs,
-    body_budget: usize,
-) -> NextRequest {
-    use std::io::Read;
-    let mut len_bytes = [0u8; 4];
-    let mut filled = 0usize;
-    set_read_timeout(stream, cfg.drain_poll_clamped().min(cfg.idle_timeout), obs);
-    let idle_deadline = Instant::now() + cfg.idle_timeout;
-    let mut started_at: Option<Instant> = None;
-    while filled < 4 {
-        if stop.load(Ordering::SeqCst) && filled == 0 {
-            return NextRequest::Draining;
-        }
-        match stream.read(&mut len_bytes[filled..]) {
-            Ok(0) if filled == 0 => return NextRequest::CleanClose,
-            Ok(0) => return NextRequest::Malformed,
-            Ok(n) => {
-                filled += n;
-                started_at.get_or_insert_with(Instant::now);
-            }
-            Err(e)
-                if matches!(
-                    e.kind(),
-                    std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
-                ) =>
-            {
-                match started_at {
-                    // Mid-prefix stalls run against the read deadline.
-                    Some(t) if t.elapsed() >= cfg.read_timeout => return NextRequest::SlowBody,
-                    None if Instant::now() >= idle_deadline => return NextRequest::IdleTimeout,
-                    _ => {}
-                }
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-            Err(_) => return NextRequest::Gone,
-        }
-    }
-    let len = u32::from_le_bytes(len_bytes) as usize;
-    if len > body_budget {
-        return NextRequest::Malformed;
-    }
-    set_read_timeout(stream, cfg.read_timeout, obs);
-    let mut body = vec![0u8; len];
-    match stream.read_exact(&mut body) {
-        Ok(()) => NextRequest::Body(body),
-        Err(e)
-            if matches!(
-                e.kind(),
-                std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
-            ) =>
+        #[cfg(any(target_os = "linux", target_os = "macos"))]
+        return crate::net::run(self);
+        #[cfg(not(any(target_os = "linux", target_os = "macos")))]
         {
-            NextRequest::SlowBody
+            drop(self);
+            Err(std::io::Error::new(
+                std::io::ErrorKind::Unsupported,
+                "serving needs epoll (Linux) or kqueue (macOS)",
+            ))
         }
-        Err(_) => NextRequest::Gone,
-    }
-}
-
-/// Serves one connection until the peer closes it, a deadline fires, or
-/// framing breaks.
-///
-/// All per-request metrics (opcode and status counters, latency
-/// histograms, `store.requests`) are recorded *after* [`respond`] returns,
-/// so a METRICS response reflects every request except the in-flight one
-/// that produced it.
-fn handle_connection(
-    mut stream: TcpStream,
-    reader: &StoreReader,
-    cfg: &ServerConfig,
-    stop: &AtomicBool,
-    sink: Option<&AppendSink>,
-    body_budget: usize,
-) {
-    let obs = Obs::new(reader.recorder());
-    set_write_timeout(&stream, cfg.write_timeout, &obs);
-    // Responses are written whole; Nagle + delayed ACK would park small
-    // replies for ~40 ms under client-side pipelining.
-    let _ = stream.set_nodelay(true);
-    loop {
-        let body = match next_request(&mut stream, cfg, stop, &obs, body_budget) {
-            NextRequest::Body(body) => body,
-            NextRequest::CleanClose | NextRequest::Gone => return,
-            NextRequest::Draining => {
-                obs.incr("server.drain.closed", 1);
-                return;
-            }
-            NextRequest::IdleTimeout => {
-                obs.incr("server.conn.idle_closed", 1);
-                return;
-            }
-            NextRequest::SlowBody => {
-                // The request never finished arriving; no response can be
-                // framed reliably, so just cut the connection.
-                obs.incr("server.conn.read_timeouts", 1);
-                return;
-            }
-            NextRequest::Malformed => {
-                // Oversized or truncated frame: answer if the socket still
-                // writes, then drop the connection — resync is impossible.
-                reader.record_failed_request();
-                obs.incr("server.requests.bad", 1);
-                obs.incr(status_counter(Status::BadRequest as u8), 1);
-                let resp = encode_error(Status::BadRequest, "malformed frame");
-                let _ = write_message(&mut stream, &resp);
-                // Drain (bounded) what the peer already sent before closing,
-                // otherwise the kernel RSTs the error response off the wire.
-                let _ = stream.shutdown(std::net::Shutdown::Write);
-                set_read_timeout(&stream, cfg.read_timeout, &obs);
-                let _ = std::io::copy(
-                    &mut std::io::Read::take(&mut stream, 1 << 20),
-                    &mut std::io::sink(),
-                );
-                return;
-            }
-        };
-        let response = serve_request(&body, reader, cfg, sink, &obs);
-        if let Err(e) = write_message(&mut stream, &response) {
-            // A stalled reader shows up as a blocked write hitting the
-            // write deadline; count it so operators can see shed peers.
-            if matches!(e.kind(), std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut) {
-                obs.incr("server.conn.write_timeouts", 1);
-            }
-            return;
-        }
-        let _ = stream.flush();
     }
 }
 
@@ -618,9 +274,9 @@ fn handle_connection(
 /// status counters, latency histograms, `store.bytes_in`,
 /// `store.requests`) in a fixed order.
 ///
-/// Both engines call this for every well-framed request — it is the single
-/// request-to-response path, which is what makes the threaded engine a
-/// byte-exact (and counter-exact) differential oracle for the event loop.
+/// The shards call this for every well-framed request — it is the single
+/// request-to-response path, whose bytes and counters
+/// `tests/serve_trace.rs` pins against a golden trace.
 pub(crate) fn serve_request(
     body: &[u8],
     reader: &StoreReader,
@@ -659,7 +315,7 @@ pub(crate) fn serve_request(
 }
 
 /// The per-opcode request counter a parsed (or unparseable) request bumps.
-pub(crate) fn opcode_counter(parsed: &std::result::Result<Request, &'static str>) -> &'static str {
+fn opcode_counter(parsed: &std::result::Result<Request, &'static str>) -> &'static str {
     match parsed {
         Ok(Request::Get { .. }) => "server.requests.get",
         Ok(Request::Stats) => "server.requests.stats",
@@ -683,11 +339,8 @@ pub(crate) fn status_counter(byte: u8) -> &'static str {
     }
 }
 
-/// Computes the response body for one parsed request. Shared by both
-/// engines — this function being the single response path is what makes
-/// the threaded engine a byte-exact differential oracle for the event
-/// loop.
-pub(crate) fn respond(
+/// Computes the response body for one parsed request.
+fn respond(
     req: Request,
     reader: &StoreReader,
     cfg: &ServerConfig,

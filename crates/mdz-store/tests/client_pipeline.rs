@@ -2,12 +2,14 @@
 //! replies returned in order with *typed per-response* outcomes — one
 //! request's application error must not disturb its neighbours.
 
+#![cfg(any(target_os = "linux", target_os = "macos"))]
+
 use std::time::Duration;
 
 use mdz_core::{ErrorBound, Frame, MdzConfig};
 use mdz_store::{
-    create_store, AppendSink, Client, ClientError, Engine, MemIo, Precision, Reply, Request,
-    Server, ServerConfig, Status, StoreIo, StoreOptions, StoreReader,
+    create_store, AppendSink, Client, ClientError, MemIo, Precision, Reply, Request, Server,
+    ServerConfig, Status, StoreIo, StoreOptions, StoreReader,
 };
 
 const N_FRAMES: usize = 12;
@@ -34,10 +36,11 @@ fn image() -> Vec<u8> {
     io.read_all().unwrap()
 }
 
-fn run_pipeline_contract(engine: Engine) {
+#[test]
+fn pipeline_returns_in_order_typed_replies() {
     let image = image();
     let reader = StoreReader::open(image.clone()).unwrap();
-    let cfg = ServerConfig { engine, threads: 2, ..ServerConfig::default() };
+    let cfg = ServerConfig { threads: 2, ..ServerConfig::default() };
     let server = Server::bind(reader, "127.0.0.1:0", cfg)
         .unwrap()
         .with_append_sink(AppendSink::new(Box::new(MemIo::new(image)), store_opts()));
@@ -100,15 +103,4 @@ fn run_pipeline_contract(engine: Engine) {
     drop(client);
     handle.shutdown();
     join.join().unwrap();
-}
-
-#[test]
-fn pipeline_returns_in_order_typed_replies_on_the_threaded_engine() {
-    run_pipeline_contract(Engine::Threads);
-}
-
-#[test]
-#[cfg(any(target_os = "linux", target_os = "macos"))]
-fn pipeline_returns_in_order_typed_replies_on_the_epoll_engine() {
-    run_pipeline_contract(Engine::Epoll);
 }

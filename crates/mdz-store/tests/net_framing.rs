@@ -11,7 +11,7 @@ use std::time::Duration;
 
 use mdz_core::{ErrorBound, Frame, MdzConfig};
 use mdz_store::protocol::{read_message, write_message, Request, Status};
-use mdz_store::{write_store, Engine, Server, ServerConfig, StoreOptions, StoreReader};
+use mdz_store::{write_store, Server, ServerConfig, StoreOptions, StoreReader};
 
 fn make_archive() -> Vec<u8> {
     let frames: Vec<Frame> = (0..16)
@@ -38,7 +38,7 @@ fn spawn(
 }
 
 fn epoll_cfg() -> ServerConfig {
-    ServerConfig { engine: Engine::Epoll, threads: 2, ..ServerConfig::default() }
+    ServerConfig { threads: 2, ..ServerConfig::default() }
 }
 
 #[test]

@@ -1,10 +1,15 @@
-//! Overload-hardening regression tests for `mdzd`: the connection cap sheds
-//! load with a typed BUSY instead of stalling, a reader that stops draining
-//! its socket is disconnected by the write deadline while other connections
-//! keep serving, silent connections are reaped by the idle deadline, and
+//! Overload-hardening and admission tests for `mdzd`: the accept backlog
+//! absorbs a connection burst, the connection cap sheds load with a typed
+//! BUSY instead of stalling, `server.net.connections` reports the admitted
+//! count, a reader that stops draining its socket trips write backpressure
+//! and is disconnected by the write deadline while other connections keep
+//! serving, silent connections are reaped by the idle deadline, and
 //! shutdown drains connected-but-idle clients promptly.
 
+#![cfg(any(target_os = "linux", target_os = "macos"))]
+
 use std::io::Write;
+use std::net::TcpStream;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -55,6 +60,53 @@ fn wait_counter(registry: &Registry, counter: &str, want: u64, deadline: Duratio
     }
 }
 
+/// Under `std`'s listen backlog of 128, connect 130 of a burst times out
+/// against a listener that has not accepted yet. The server raises the
+/// backlog to the kernel cap; this test assumes that cap
+/// (`net.core.somaxconn`, 4096 by default on Linux since 5.4) is ≥ 300.
+#[test]
+#[cfg(target_os = "linux")]
+fn accept_backlog_absorbs_a_connection_burst() {
+    let reader = StoreReader::open(make_archive(16, 6)).unwrap();
+    // Bound but never run: nothing accepts, so every connect must queue.
+    let server = Server::bind(reader, "127.0.0.1:0", ServerConfig::default()).unwrap();
+    let addr = server.local_addr().unwrap();
+    let burst: Vec<TcpStream> = (1..=300)
+        .map(|i| {
+            TcpStream::connect_timeout(&addr, Duration::from_secs(1))
+                .unwrap_or_else(|e| panic!("connect {i} of 300 failed: {e}"))
+        })
+        .collect();
+    assert_eq!(burst.len(), 300);
+}
+
+#[test]
+fn connection_gauge_reports_admitted_connections_across_ten_shards() {
+    let cfg = ServerConfig { threads: 10, ..ServerConfig::default() };
+    let (addr, handle, _registry, join) = spawn(cfg, 16, 6);
+    let mut clients: Vec<Client> = (0..9).map(|_| Client::connect(addr).unwrap()).collect();
+    for client in &mut clients {
+        assert_eq!(client.get(0..2).unwrap().len(), 2);
+    }
+    // The 9 clients plus the connection asking. Shards refresh the gauge
+    // on their next tick, so poll.
+    let mut asking = Client::connect(addr).unwrap();
+    let start = Instant::now();
+    let gauge = loop {
+        let gauge = asking.metrics().unwrap().gauge("server.net.connections");
+        if gauge == Some(10) || start.elapsed() > Duration::from_secs(2) {
+            break gauge;
+        }
+        std::thread::sleep(Duration::from_millis(20));
+    };
+    assert_eq!(gauge, Some(10));
+
+    drop(clients);
+    drop(asking);
+    handle.shutdown();
+    join.join().unwrap();
+}
+
 #[test]
 fn connection_cap_sheds_busy_then_recovers_when_a_slot_frees() {
     let cfg = ServerConfig { threads: 2, max_connections: 1, ..ServerConfig::default() };
@@ -96,13 +148,16 @@ fn stalled_reader_is_disconnected_while_others_keep_serving() {
     let cfg = ServerConfig {
         threads: 2,
         write_timeout: Duration::from_millis(300),
+        // A small queue cap so the flood demonstrably trips backpressure
+        // before the write deadline kills the stalled peer.
+        max_write_buffer: 1 << 20,
         ..ServerConfig::default()
     };
     let (addr, handle, registry, join) = spawn(cfg, 64, 48);
 
-    // A client that floods GET requests and never drains its receive side:
-    // the server's response writes eventually fill the socket buffers and
-    // block until the write deadline fires.
+    // A client that floods pipelined GETs and never drains its receive
+    // side: the write queue hits the backpressure cap (the server stops
+    // reading), the socket stays blocked, and the write deadline fires.
     let mut stalled = std::net::TcpStream::connect(addr).unwrap();
     let body = mdz_store::Request::Get { start: 0, end: 64 }.encode();
     let mut msg = Vec::new();
@@ -118,6 +173,10 @@ fn stalled_reader_is_disconnected_while_others_keep_serving() {
 
     let got = wait_counter(&registry, "server.conn.write_timeouts", 1, Duration::from_secs(20));
     assert!(got >= 1, "write deadline never fired for the stalled reader");
+    assert!(
+        registry.counter("server.net.backpressure_stalls") >= 1,
+        "the flood must trip the write-buffer backpressure cap first"
+    );
 
     // Other connections keep serving during and after the stall.
     let mut healthy = Client::connect(addr).unwrap();
@@ -168,7 +227,7 @@ fn shutdown_drains_connected_idle_clients_promptly() {
     join.join().unwrap();
     assert!(
         start.elapsed() < Duration::from_secs(5),
-        "drain took {:?}; must be bounded by the poll interval, not the idle deadline",
+        "drain took {:?}; must be bounded by the drain poll, not the idle deadline",
         start.elapsed()
     );
     assert!(registry.counter("server.drain.closed") >= 1);

@@ -85,7 +85,8 @@ MDZ_BENCH_JSON="$tmp_out/BENCH_ingest.json" \
 
 # Store smoke: compress simulated frames into a version-2 archive, serve
 # it on an ephemeral loopback port, and require the served range to
-# byte-match a local random-access read before shutting the server down.
+# byte-match a local random-access read (FORMAT.md §1.4) before shutting
+# the server down.
 echo "==> store smoke (archive -> serve -> query -> stats -> shutdown)"
 mdz=target/release/mdz
 "$mdz" gen lj "$tmp_out/traj.xyz" --scale test --seed 7 > /dev/null
@@ -132,38 +133,16 @@ MDZ_METRICS_EXPECT_CACHE_HITS=0 \
 MDZ_METRICS_EXPECT_ERRORS=0 \
     cargo test -p mdz-bench --release --quiet --test metrics_json
 "$mdz" stats "$addr" --metrics | grep "store.requests" >/dev/null
+# The event loop's own instruments reach METRICS too.
+"$mdz" stats "$addr" --metrics | grep "server\.net\.connections" >/dev/null
 kill "$server_pid"
 wait "$server_pid" 2> /dev/null || true
 trap 'rm -rf "$tmp_out"' EXIT
 
-# Event-engine smoke: the same archive served by the epoll engine must
-# answer the same query with the same bytes (FORMAT.md §1.4), and the
-# engine's own instrument families must show up in METRICS.
-echo "==> epoll engine smoke (serve --engine epoll, byte-identical query)"
-"$mdz" serve "$tmp_out/traj.mdz" 127.0.0.1:0 --engine epoll --shards 2 \
-    2> "$tmp_out/epoll.log" &
-epoll_pid=$!
-trap 'kill "$epoll_pid" 2> /dev/null; rm -rf "$tmp_out"' EXIT
-eaddr=""
-for _ in $(seq 1 100); do
-    eaddr="$(sed -n 's/.* on //p' "$tmp_out/epoll.log" | head -n 1)"
-    [ -n "$eaddr" ] && break
-    sleep 0.1
-done
-[ -n "$eaddr" ] || { echo "epoll smoke: server did not start"; exit 1; }
-"$mdz" query "$eaddr" 1..3 > "$tmp_out/epoll.txt" 2> /dev/null
-cmp "$tmp_out/local.txt" "$tmp_out/epoll.txt"
-# The kernel may hash both smoke connections to one shard, so any shard's
-# connection gauge proves the engine's instruments reach METRICS.
-"$mdz" stats "$eaddr" --metrics | grep -E "server\.net\.shard[0-9]+\.connections" >/dev/null
-kill "$epoll_pid"
-wait "$epoll_pid" 2> /dev/null || true
-trap 'rm -rf "$tmp_out"' EXIT
-
-# Server load smoke: bench-serve drives both engines (closed-loop and
+# Server load smoke: bench-serve drives the server (closed-loop and
 # open-burst) at test scale; the JSON artifact is schema-checked,
 # including the exact request-accounting cross-check in every cell.
-echo "==> bench-serve smoke (both engines, JSON schema check)"
+echo "==> bench-serve smoke (JSON schema check)"
 "$mdz" bench-serve --scale test --out "$tmp_out" > /dev/null 2>&1
 MDZ_BENCH_JSON="$tmp_out/BENCH_server.json" \
     cargo test -p mdz-bench --release --quiet --test server_json

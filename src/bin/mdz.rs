@@ -13,7 +13,7 @@
 //! mdz append     --remote <addr> <in.xyz> [--f32] [--retries N]
 //! mdz recover    <archive.mdz>
 //! mdz get        <in.mdz> <start..end>
-//! mdz serve      <in.mdz> <addr> [--engine threads|epoll] [--threads N] [--live]
+//! mdz serve      <in.mdz> <addr> [--threads N | --shards N] [--live]
 //! mdz query      <addr> <start..end> [--retries N]
 //! mdz follow     <addr> [from] [--until N] [--poll-ms N]
 //! mdz stats      <addr> [--metrics [--json]]
@@ -46,15 +46,15 @@
 //! appending over TCP while followers tail) and writes
 //! `BENCH_ingest.json` under `--out` (default `results/`).
 //! `bench-serve` runs the server-throughput load generator (C concurrent
-//! connections × pipelining depth against both engines) and writes
-//! `BENCH_server.json`; `serve --engine epoll` picks the sharded
-//! event-loop backend over the default worker pool.
+//! connections × pipelining depth) and writes `BENCH_server.json`. `serve`
+//! runs the sharded epoll/kqueue event loop, `--threads` (alias
+//! `--shards`) shards; other targets cannot serve.
 
 use mdz::core::{EntropyStage, ErrorBound, Frame, MdzConfig, Method};
 use mdz::sim::{datasets, DatasetKind, Scale};
 use mdz::store::{
-    append_store, get_with_retry, recover_store, verify_archive, ArchiveIndex, Client, Engine,
-    FileIo, Precision, RetryPolicy, Server, ServerConfig, StoreOptions, StoreReader,
+    append_store, get_with_retry, recover_store, verify_archive, ArchiveIndex, Client, FileIo,
+    Precision, RetryPolicy, Server, ServerConfig, StoreOptions, StoreReader,
 };
 use mdz::{archive, xyz};
 use std::process::exit;
@@ -103,7 +103,6 @@ struct Opts {
     epoch: usize,
     f32: bool,
     threads: usize,
-    engine: Engine,
     metrics: bool,
     json: bool,
     retries: Option<u32>,
@@ -127,7 +126,6 @@ fn parse_opts(args: &[String]) -> Opts {
         epoch: 8,
         f32: false,
         threads: 4,
-        engine: Engine::default(),
         metrics: false,
         json: false,
         retries: None,
@@ -167,10 +165,6 @@ fn parse_opts(args: &[String]) -> Opts {
             "--out" => o.out = Some(value("--out")),
             "--threads" | "--shards" => {
                 o.threads = value(a).parse().unwrap_or_else(|_| fail(&format!("bad {a}")))
-            }
-            "--engine" => {
-                o.engine = Engine::parse(&value("--engine"))
-                    .unwrap_or_else(|| fail("bad --engine (threads|epoll)"))
             }
             "--seed" => o.seed = value("--seed").parse().unwrap_or_else(|_| fail("bad --seed")),
             "--scale" => {
@@ -501,7 +495,7 @@ fn main() {
             } else {
                 StoreReader::open(blob).unwrap_or_else(|e| fail(&format!("opening store: {e}")))
             };
-            let cfg = ServerConfig { threads: o.threads, engine: o.engine, ..Default::default() };
+            let cfg = ServerConfig { threads: o.threads, ..Default::default() };
             let mut server = Server::bind(reader, addr.as_str(), cfg)
                 .unwrap_or_else(|e| fail(&format!("binding {addr}: {e}")));
             if o.live {
