@@ -8,22 +8,16 @@ mod ablations;
 mod characterization;
 mod comparison;
 mod core_exps;
-mod ingest;
 mod lammps;
-mod latency;
 mod quantizer;
-mod serve;
 mod throughput;
 
 pub use ablations::ablations;
 pub use characterization::{fig3, fig4, fig5, fig8, table1, table2};
 pub use comparison::{fig12, fig12var, fig13, fig14, fig15, fig16, table4, table5, table6};
 pub use core_exps::{fig10, fig11, fig9, table3};
-pub use ingest::ingest;
 pub use lammps::table7;
-pub use latency::latency;
 pub use quantizer::quantizer;
-pub use serve::serve;
 pub use throughput::throughput;
 
 use crate::table::Table;
@@ -103,10 +97,7 @@ pub const ALL: &[&str] = &[
     "table7",
     "ablations",
     "throughput",
-    "latency",
     "quantizer",
-    "ingest",
-    "serve",
 ];
 
 /// Runs one experiment by id.
@@ -134,10 +125,7 @@ pub fn run(id: &str, ctx: &mut Ctx) -> Option<Vec<Table>> {
         "table7" => table7(ctx),
         "ablations" => ablations(ctx),
         "throughput" => throughput(ctx),
-        "latency" => latency(ctx),
         "quantizer" => quantizer(ctx),
-        "ingest" => ingest(ctx),
-        "serve" => serve(ctx),
         _ => return None,
     };
     Some(tables)

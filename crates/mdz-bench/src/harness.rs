@@ -110,13 +110,6 @@ pub struct TimingSummary {
     pub median: f64,
     /// Mean over all repetitions, seconds.
     pub mean: f64,
-    /// 50th percentile (nearest-rank), seconds. Reported alongside `median`
-    /// because latency distributions are quoted as p50/p99 pairs; for odd
-    /// sample counts the two coincide.
-    pub p50: f64,
-    /// 99th percentile (nearest-rank), seconds — the tail-latency figure
-    /// the store's request benchmarks report.
-    pub p99: f64,
     /// Number of repetitions summarized.
     pub reps: usize,
 }
@@ -132,18 +125,7 @@ impl TimingSummary {
         let n = sorted.len();
         let median =
             if n % 2 == 1 { sorted[n / 2] } else { 0.5 * (sorted[n / 2 - 1] + sorted[n / 2]) };
-        // Nearest-rank percentile: smallest sample ≥ the requested fraction
-        // of the distribution. The tiny subtraction keeps an exact product
-        // like 0.99 × 100 = 99 from rounding up through its ceiling.
-        let rank = |p: f64| sorted[(((p * n as f64) - 1e-9).ceil() as usize).clamp(1, n) - 1];
-        Self {
-            min: sorted[0],
-            median,
-            mean: sorted.iter().sum::<f64>() / n as f64,
-            p50: rank(0.50),
-            p99: rank(0.99),
-            reps: n,
-        }
+        Self { min: sorted[0], median, mean: sorted.iter().sum::<f64>() / n as f64, reps: n }
     }
 
     /// Throughput in MB/s for `raw_bytes` of work, using the steady-state
@@ -330,22 +312,12 @@ mod tests {
         assert_eq!(s.median, 0.3);
         assert!((s.mean - 1.3 / 3.0).abs() < 1e-12);
         assert_eq!(s.reps, 3);
-        assert_eq!(s.p50, 0.3);
-        assert_eq!(s.p99, 0.9);
-        // Even count: median is the midpoint average; the nearest-rank p50
-        // is the lower of the two middle samples.
+        // Even count: median is the midpoint average.
         let s = TimingSummary::from_samples(&[0.4, 0.2, 0.8, 0.6]);
         assert!((s.median - 0.5).abs() < 1e-12);
-        assert_eq!(s.p50, 0.4);
-        assert_eq!(s.p99, 0.8);
         // Throughput uses the steady-state (min) repetition, so one slow
         // first rep (page faults) cannot skew it.
         assert_eq!(s.mbps(2_000_000), 10.0);
-        // Percentiles over a larger distribution: p99 isolates the tail.
-        let many: Vec<f64> = (1..=100).map(|i| i as f64).collect();
-        let s = TimingSummary::from_samples(&many);
-        assert_eq!(s.p50, 50.0);
-        assert_eq!(s.p99, 99.0);
         assert_eq!(TimingSummary::from_samples(&[]), TimingSummary::default());
     }
 

@@ -112,6 +112,24 @@ mod tests {
         assert!(!(0.05..=0.95).contains(&phase), "μ = {} phase {}", grid.mu, phase);
     }
 
+    /// The smallest planted lattice a property search once shrank to: two
+    /// levels 0.5 apart, 40 samples each, ±1% vibration, every sample kept.
+    #[test]
+    fn detect_levels_finds_two_levels_at_half_spacing() {
+        let (levels, spacing, per) = (2, 0.5, 40);
+        let mut s = 7u64;
+        let data: Vec<f64> = (0..levels * per)
+            .map(|i| {
+                s = s.wrapping_mul(6364136223846793005).wrapping_add(1);
+                let u = (s >> 11) as f64 / (1u64 << 53) as f64 - 0.5;
+                (i % levels) as f64 * spacing + u * spacing * 0.02
+            })
+            .collect();
+        let cfg = SelectConfig { min_samples: 512, ..Default::default() };
+        let grid = detect_levels(&data, &cfg).expect("grid");
+        assert!((grid.lambda - spacing).abs() < 0.05 * spacing, "λ = {}", grid.lambda);
+    }
+
     #[test]
     fn detect_levels_rejects_constant_data() {
         let data = vec![5.0; 100];

@@ -77,8 +77,8 @@ impl Histogram {
         if self.count == 0 {
             return 0.0;
         }
-        // Same epsilon-guarded nearest rank the bench harness uses: an
-        // exact product like 0.99 × 100 must not round up through ceil.
+        // Epsilon-guarded nearest rank: an exact product like 0.99 × 100
+        // must not round up through ceil.
         let rank = (((p * self.count as f64) - 1e-9).ceil() as u64).clamp(1, self.count);
         let mut seen = 0u64;
         for (i, &c) in self.buckets.iter().enumerate() {
@@ -197,6 +197,19 @@ mod tests {
         assert!(s.min <= s.p50 && s.p50 <= s.p99 && s.p99 <= s.max, "{s:?}");
         // The p50 bucket estimate must land within √2 of the true median.
         assert!(s.p50 >= 0.050 / 1.5 && s.p50 <= 0.050 * 1.5, "p50 {}", s.p50);
+    }
+
+    #[test]
+    fn p99_of_a_hundred_samples_is_rank_99_not_the_maximum() {
+        // 0.99 × 100 is exactly 99: the 99th sample sits in the 1 ms
+        // bucket, the 100th (the maximum) far above it.
+        let mut h = Histogram::default();
+        for _ in 0..99 {
+            h.observe(1e-3);
+        }
+        h.observe(1.0);
+        let s = h.snapshot("t");
+        assert!(s.p99 < 2e-3, "p99 {} reached the maximum", s.p99);
     }
 
     #[test]

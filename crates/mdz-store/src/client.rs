@@ -1,4 +1,4 @@
-//! A blocking client for the `mdzd` protocol, with an optional
+//! A blocking client for the store server's protocol, with an optional
 //! retry-with-backoff policy for transient failures and a tail-following
 //! reader for live archives.
 //!
@@ -341,7 +341,7 @@ pub enum Reply {
     Append(AppendAck),
 }
 
-/// A connected `mdzd` client. One request is in flight at a time; reconnect
+/// A connected server client. One request is in flight at a time; reconnect
 /// by constructing a new client.
 ///
 /// # Examples

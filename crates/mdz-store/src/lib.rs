@@ -14,7 +14,7 @@
 //!   maps a frame range to the buffers it touches, decodes through an LRU
 //!   cache of decoded buffers, and records into a shared metrics [`Registry`]
 //!   (core counters also surface as a [`StatsSnapshot`]).
-//! * **Serving** ([`server`], [`client`], [`protocol`]) — `mdzd` answers
+//! * **Serving** ([`server`], [`client`], [`protocol`]) — the server answers
 //!   GET/STATS/INFO/METRICS requests over a length-prefixed binary
 //!   protocol on TCP from a sharded epoll/kqueue event loop, with
 //!   per-request decode budgets; no dependency beyond `std` and the
@@ -57,6 +57,7 @@
 //! ```
 
 #![deny(missing_docs)]
+#![deny(clippy::undocumented_unsafe_blocks)]
 
 pub mod archive;
 pub mod client;

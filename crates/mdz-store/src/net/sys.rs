@@ -72,7 +72,11 @@ mod imp {
 
     impl Poller {
         pub(crate) fn new() -> io::Result<Poller> {
+            // SAFETY: `epoll_create1` takes no pointers and only returns a
+            // new fd or -1.
             let fd = cvt(unsafe { epoll_create1(EPOLL_CLOEXEC) })?;
+            // SAFETY: `cvt` passed, so `fd` is a freshly created epoll fd
+            // that nothing else owns; `OwnedFd` becomes its only closer.
             Ok(Poller { epfd: unsafe { OwnedFd::from_raw_fd(fd) } })
         }
 
@@ -85,6 +89,9 @@ mod imp {
                 events |= EPOLLOUT;
             }
             let mut ev = EpollEvent { events, data: fd as u64 };
+            // SAFETY: `ev` is a live, initialised `epoll_event` that the
+            // kernel only reads during the call; `epfd` is open for as long
+            // as `self` is. A bad `fd` makes the call fail, not misbehave.
             cvt(unsafe { epoll_ctl(self.epfd.as_raw_fd(), op, fd, &mut ev) }).map(|_| ())
         }
 
@@ -110,6 +117,9 @@ mod imp {
             let mut raw = [EpollEvent { events: 0, data: 0 }; MAX_EVENTS];
             let ms = timeout.as_millis().min(i32::MAX as u128).max(1) as i32;
             let n = loop {
+                // SAFETY: `raw` holds `MAX_EVENTS` writable events and the
+                // kernel writes at most `maxevents` of them; `epfd` is open
+                // for as long as `self` is.
                 let ret = unsafe {
                     epoll_wait(self.epfd.as_raw_fd(), raw.as_mut_ptr(), MAX_EVENTS as i32, ms)
                 };
@@ -188,7 +198,11 @@ mod imp {
 
     impl Poller {
         pub(crate) fn new() -> io::Result<Poller> {
+            // SAFETY: `kqueue` takes no arguments and only returns a new fd
+            // or -1.
             let fd = cvt(unsafe { kqueue() })?;
+            // SAFETY: `cvt` passed, so `fd` is a freshly created kqueue fd
+            // that nothing else owns; `OwnedFd` becomes its only closer.
             Ok(Poller { kq: unsafe { OwnedFd::from_raw_fd(fd) } })
         }
 
@@ -201,6 +215,9 @@ mod imp {
                 data: 0,
                 udata: std::ptr::null_mut(),
             };
+            // SAFETY: one initialised change record that the kernel only
+            // reads; the null event list with `nevents` 0 is never written,
+            // and a null timeout is allowed. `kq` is open while `self` is.
             cvt(unsafe {
                 kevent(self.kq.as_raw_fd(), &change, 1, std::ptr::null_mut(), 0, std::ptr::null())
             })
@@ -251,6 +268,10 @@ mod imp {
                 tv_nsec: i64::from(timeout.subsec_nanos()),
             };
             let n = loop {
+                // SAFETY: no changes (null list, count 0); `raw` holds
+                // `MAX_EVENTS` writable records and the kernel writes at most
+                // `nevents` of them; `ts` outlives the call; `kq` is open
+                // while `self` is.
                 let ret = unsafe {
                     kevent(
                         self.kq.as_raw_fd(),
@@ -321,6 +342,7 @@ impl WakePipe {
             extern "C" {
                 fn pipe2(fds: *mut i32, flags: i32) -> i32;
             }
+            // SAFETY: `fds` has room for the two fds `pipe2` writes.
             cvt(unsafe { pipe2(fds.as_mut_ptr(), O_NONBLOCK | O_CLOEXEC) })?;
         }
         #[cfg(not(target_os = "linux"))]
@@ -331,13 +353,20 @@ impl WakePipe {
                 fn pipe(fds: *mut i32) -> i32;
                 fn fcntl(fd: i32, cmd: i32, arg: i32) -> i32;
             }
+            // SAFETY: `fds` has room for the two fds `pipe` writes.
             cvt(unsafe { pipe(fds.as_mut_ptr()) })?;
             for fd in fds {
+                // SAFETY: `F_SETFL` takes an integer argument, no pointer;
+                // `fd` is one of the pipe ends just created.
                 cvt(unsafe { fcntl(fd, F_SETFL, O_NONBLOCK) })?;
             }
         }
         Ok(WakePipe {
+            // SAFETY: the pipe call succeeded, so both fds are open, and
+            // each end is wrapped exactly once, making `OwnedFd` its only
+            // closer.
             rx: unsafe { std::os::fd::OwnedFd::from_raw_fd(fds[0]) },
+            // SAFETY: as for `rx`.
             tx: unsafe { std::os::fd::OwnedFd::from_raw_fd(fds[1]) },
         })
     }
@@ -353,6 +382,8 @@ impl WakePipe {
     pub(crate) fn wake(&self) {
         use std::os::fd::AsRawFd;
         let byte = 1u8;
+        // SAFETY: the kernel reads one byte from `byte`, which outlives the
+        // call; `tx` is open while `self` is.
         unsafe { write(self.tx.as_raw_fd(), &byte, 1) };
     }
 
@@ -360,6 +391,8 @@ impl WakePipe {
     pub(crate) fn drain(&self) {
         use std::os::fd::AsRawFd;
         let mut buf = [0u8; 64];
+        // SAFETY: the kernel writes at most `buf.len()` bytes into `buf`;
+        // `rx` is open while `self` is.
         while unsafe { read(self.rx.as_raw_fd(), buf.as_mut_ptr(), buf.len()) } > 0 {}
     }
 }

@@ -1,4 +1,4 @@
-//! Length-prefixed binary protocol spoken between `mdzd` and its clients.
+//! Length-prefixed binary protocol spoken between the server and its clients.
 //!
 //! Every message — request or response — is framed as a `u32` little-endian
 //! body length followed by the body. Request bodies start with an opcode

@@ -1,6 +1,6 @@
-//! The `mdzd` serving layer: a sharded epoll (Linux) / kqueue (macOS)
-//! reactor — the `net` module — in front of one request-to-response path,
-//! `serve_request`.
+//! The serving layer behind `mdz serve`: a sharded epoll (Linux) / kqueue
+//! (macOS) reactor — the `net` module — in front of one request-to-response
+//! path, `serve_request`.
 //!
 //! [`ServerConfig::threads`] event shards each run a non-blocking poll
 //! loop. Shard 0 owns the one listener and hands accepted connections
@@ -69,8 +69,8 @@ use crate::reader::StoreReader;
 /// Serving-side budgets and sizing.
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
-    /// Event shards: threads each running one poll loop. `mdzd` spells this
-    /// `--threads` with `--shards` as an alias.
+    /// Event shards: threads each running one poll loop (`mdz serve
+    /// --threads`).
     pub threads: usize,
     /// Largest frame count a single GET may request.
     pub max_frames_per_request: usize,
@@ -94,8 +94,7 @@ pub struct ServerConfig {
     pub idle_timeout: Duration,
     /// The poll loop's wait timeout: how often shards wake to check the
     /// stop flag and the deadlines when no socket is ready. Bounds how
-    /// stale a shutdown request can go unnoticed (CLI `--drain-poll-ms`,
-    /// default 50 ms).
+    /// stale a shutdown request can go unnoticed (default 50 ms).
     pub drain_poll: Duration,
     /// Cap on a connection's queued-but-unsent response bytes. Past the
     /// cap the server stops *reading* that connection (backpressure) until
@@ -352,7 +351,7 @@ fn respond(
             let Some(sink) = sink else {
                 return encode_error(
                     Status::BadRequest,
-                    "server is read-only (start mdzd with --live to enable APPEND)",
+                    "server is read-only (start `mdz serve` with --live to enable APPEND)",
                 );
             };
             match sink.append(&frames, precision, reader) {

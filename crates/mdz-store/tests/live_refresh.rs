@@ -7,11 +7,16 @@
 //!    prefix of the final fault-free archive. This is the contract that
 //!    makes `StoreReader::refresh` safe to run against a file a writer is
 //!    actively appending to.
-//! 2. **Server-side append crashes are invisible** — an `mdzd` whose
+//! 2. **Server-side append crashes are invisible** — a server whose
 //!    append sink dies mid-append answers the APPEND with an error, keeps
 //!    serving the old state, and the surviving disk image recovers (the
 //!    restart path) to exactly that same old state: no torn frames are
 //!    ever served to followers.
+//! 3. **Followers stream the offline decode** — while a live server takes
+//!    appends, every follower tailing from frame 0 streams, bit for bit,
+//!    what an offline replay of the same appends decodes.
+
+use std::time::Duration;
 
 use mdz_core::{ErrorBound, Frame, MdzConfig};
 use mdz_store::{
@@ -44,9 +49,9 @@ fn store_opts() -> StoreOptions {
     opts
 }
 
-fn decode_bits(reader: &StoreReader, n: usize) -> Vec<u64> {
+fn frame_bits(frames: &[Frame]) -> Vec<u64> {
     let mut bits = Vec::new();
-    for f in &reader.read_frames(0..n).expect("decode") {
+    for f in frames {
         for i in 0..f.len() {
             bits.push(f.x[i].to_bits());
             bits.push(f.y[i].to_bits());
@@ -54,6 +59,10 @@ fn decode_bits(reader: &StoreReader, n: usize) -> Vec<u64> {
         }
     }
     bits
+}
+
+fn decode_bits(reader: &StoreReader, n: usize) -> Vec<u64> {
+    frame_bits(&reader.read_frames(0..n).expect("decode"))
 }
 
 /// Property: refreshing at every fault point of every append in a sequence
@@ -249,15 +258,7 @@ fn crashed_server_append_is_invisible_to_followers() {
         let info = follower.info().expect("info");
         assert_eq!(info.n_frames, 8, "{label}: served frame count changed");
         let served = follower.get(0..8).expect("get");
-        let mut served_bits = Vec::new();
-        for f in &served {
-            for i in 0..f.len() {
-                served_bits.push(f.x[i].to_bits());
-                served_bits.push(f.y[i].to_bits());
-                served_bits.push(f.z[i].to_bits());
-            }
-        }
-        assert_eq!(served_bits, pre_bits, "{label}: served frames diverged");
+        assert_eq!(frame_bits(&served), pre_bits, "{label}: served frames diverged");
         handle.shutdown();
         join.join().expect("server thread");
 
@@ -265,7 +266,7 @@ fn crashed_server_append_is_invisible_to_followers() {
         // deterministic, and the sink fails before any post-crash read, so
         // the twin's surviving image is byte-identical to the server's)
         // and reopen it through the recovery scan, exactly as a restarted
-        // mdzd would. It must come back as the pre-append archive.
+        // server would. It must come back as the pre-append archive.
         let mut twin = FaultIo::new(base_image.clone());
         twin.set_plan(FaultPlan {
             fault_op,
@@ -278,4 +279,68 @@ fn crashed_server_append_is_invisible_to_followers() {
         assert_eq!(recovered.index().n_frames, 8, "{label}: restart saw torn frames");
         assert_eq!(decode_bits(&recovered, 8), pre_bits, "{label}: restart state diverged");
     }
+}
+
+/// A sink-backed server takes appends while followers tail it from frame
+/// 0: each ack reports the archive's new frame count, and every follower's
+/// stream equals, bit for bit, an offline replay of the same appends.
+#[test]
+fn followers_stream_what_an_offline_replay_decodes() {
+    let opts = store_opts();
+    let base = synth_frames(0, 8);
+    let appends = [synth_frames(8, 8), synth_frames(16, 4), synth_frames(20, 8)];
+    let total = 28;
+
+    let mut io = MemIo::new(Vec::new());
+    create_store(&mut io, &base, &[], &[], &opts).expect("create");
+    let base_image = {
+        use mdz_store::StoreIo;
+        io.read_all().expect("base image")
+    };
+    let reader = StoreReader::open(base_image.clone()).expect("open");
+    let server =
+        Server::bind(reader, "127.0.0.1:0", ServerConfig { threads: 2, ..Default::default() })
+            .expect("bind")
+            .with_append_sink(AppendSink::new(
+                Box::new(MemIo::new(base_image.clone())),
+                opts.clone(),
+            ));
+    let addr = server.local_addr().expect("local addr");
+    let handle = server.handle().expect("handle");
+    let join = std::thread::spawn(move || server.run().unwrap());
+
+    let followers: Vec<_> = (0..3)
+        .map(|_| {
+            let follower = Client::connect(addr).expect("connect").follow(0).expect("follow");
+            std::thread::spawn(move || {
+                let mut follower = follower.with_poll_interval(Duration::from_millis(2));
+                let mut seen = Vec::new();
+                while seen.len() < total {
+                    seen.extend(follower.next_batch().expect("next_batch"));
+                }
+                seen
+            })
+        })
+        .collect();
+
+    let mut producer = Client::connect(addr).expect("connect");
+    let mut offline = MemIo::new(base_image);
+    let mut n = base.len() as u64;
+    for seg in &appends {
+        let ack = producer.append(seg, Precision::F64).expect("append");
+        assert_eq!((ack.start, ack.n_frames), (n, n + seg.len() as u64), "ack");
+        n += seg.len() as u64;
+        append_store(&mut offline, seg, &opts).expect("offline append");
+    }
+    let offline = {
+        use mdz_store::StoreIo;
+        StoreReader::open(offline.read_all().expect("offline image")).expect("offline open")
+    };
+    let want = decode_bits(&offline, total);
+    for (i, follower) in followers.into_iter().enumerate() {
+        let seen = follower.join().expect("follower thread");
+        assert_eq!(frame_bits(&seen), want, "follower {i} diverged from the offline decode");
+    }
+    handle.shutdown();
+    join.join().unwrap();
 }

@@ -222,7 +222,8 @@ fn assert_matches_golden(replay: &Replay, label: &str) {
         assert_eq!(replay.after.counter(name), want[2], "[{label}] final {name}");
     }
     // Every request produced exactly one request_seconds observation — the
-    // accounting bench-serve cross-checks.
+    // accounting server_overload.rs cross-checks under a 1024-connection
+    // burst.
     let observed = replay.after.histogram("server.request_seconds").map_or(0, |h| h.count);
     assert_eq!(observed, script.len() as u64, "[{label}] request_seconds.count");
 }

@@ -1,22 +1,24 @@
-//! Overload-hardening and admission tests for `mdzd`: the accept backlog
-//! absorbs a connection burst, the connection cap sheds load with a typed
-//! BUSY instead of stalling, `server.net.connections` reports the admitted
-//! count, a reader that stops draining its socket trips write backpressure
-//! and is disconnected by the write deadline while other connections keep
-//! serving, silent connections are reaped by the idle deadline, and
-//! shutdown drains connected-but-idle clients promptly.
+//! Overload-hardening and admission tests for the server: the accept
+//! backlog absorbs a connection burst, a 1024-connection pipelined burst
+//! and a 64-connection open burst are answered in full and each request is
+//! counted once by `server.request_seconds`, the connection cap sheds load
+//! with a typed BUSY instead of stalling, `server.net.connections` reports
+//! the admitted count, a reader that stops draining its socket trips write
+//! backpressure and is disconnected by the write deadline while other
+//! connections keep serving, silent connections are reaped by the idle
+//! deadline, and shutdown drains connected-but-idle clients promptly.
 
 #![cfg(any(target_os = "linux", target_os = "macos"))]
 
 use std::io::Write;
 use std::net::TcpStream;
-use std::sync::Arc;
+use std::sync::{Arc, Barrier};
 use std::time::{Duration, Instant};
 
 use mdz_core::{ErrorBound, Frame, MdzConfig};
 use mdz_store::{
-    write_store, Client, ClientError, Registry, RetryPolicy, Server, ServerConfig, ServerHandle,
-    Status, StoreOptions, StoreReader,
+    write_store, Client, ClientError, Registry, Reply, Request, RetryPolicy, Server, ServerConfig,
+    ServerHandle, Status, StoreOptions, StoreReader,
 };
 
 fn make_archive(n_frames: usize, n_atoms: usize) -> Vec<u8> {
@@ -78,6 +80,68 @@ fn accept_backlog_absorbs_a_connection_burst() {
         })
         .collect();
     assert_eq!(burst.len(), 300);
+}
+
+/// Opens `connections` clients to a fresh server, then releases them at
+/// once: each sends `depth` 4-frame GETs in one [`Client::pipeline`] (all
+/// written before any reply is read) and requires every reply to be frames.
+/// Returns the replies received and the server's `server.request_seconds`
+/// count, fetched over METRICS (a METRICS snapshot is taken before its own
+/// request is counted).
+fn pipelined_burst(connections: usize, depth: usize) -> (usize, u64) {
+    let cfg = ServerConfig {
+        threads: 2,
+        max_connections: connections + 16,
+        idle_timeout: Duration::from_secs(600),
+        ..ServerConfig::default()
+    };
+    let (addr, handle, _registry, join) = spawn(cfg, 64, 16);
+    let barrier = Arc::new(Barrier::new(connections));
+    let clients: Vec<_> = (0..connections)
+        .map(|c| {
+            let barrier = Arc::clone(&barrier);
+            std::thread::Builder::new()
+                // 1024 client threads on a small host: keep stacks small.
+                .stack_size(256 << 10)
+                .spawn(move || {
+                    let mut client = Client::connect(addr).unwrap();
+                    let timeout = Some(Duration::from_secs(120));
+                    client.set_timeouts(timeout, timeout).unwrap();
+                    let requests: Vec<Request> = (0..depth)
+                        .map(|i| {
+                            let start = ((c + i) * 4 % 60) as u64;
+                            Request::Get { start, end: start + 4 }
+                        })
+                        .collect();
+                    barrier.wait();
+                    let replies = client.pipeline(&requests).unwrap();
+                    for reply in &replies {
+                        assert!(
+                            matches!(reply, Ok(Reply::Frames { frames, .. }) if frames.len() == 4),
+                            "connection {c}: {reply:?}"
+                        );
+                    }
+                    replies.len()
+                })
+                .unwrap()
+        })
+        .collect();
+    let replies = clients.into_iter().map(|t| t.join().unwrap()).sum();
+    let metrics = Client::connect(addr).unwrap().metrics().unwrap();
+    let counted = metrics.histogram("server.request_seconds").map_or(0, |h| h.count);
+    handle.shutdown();
+    join.join().unwrap();
+    (replies, counted)
+}
+
+#[test]
+fn a_1024_connection_pipelined_burst_is_answered_and_counted_exactly() {
+    assert_eq!(pipelined_burst(1024, 4), (4096, 4096));
+}
+
+#[test]
+fn a_64_connection_open_burst_is_answered_and_counted_exactly() {
+    assert_eq!(pipelined_burst(64, 32), (2048, 2048));
 }
 
 #[test]

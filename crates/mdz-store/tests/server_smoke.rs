@@ -1,4 +1,4 @@
-//! Loopback smoke tests for the `mdzd` serving layer: real sockets, real
+//! Loopback smoke tests for the serving layer: real sockets, real
 //! worker pool, typed error statuses, counters, clean shutdown.
 
 use mdz_core::{ErrorBound, Frame, MdzConfig};

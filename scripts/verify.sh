@@ -55,12 +55,6 @@ cargo run --release -p mdz-bench --bin experiments -- \
 MDZ_BENCH_JSON="$tmp_out/BENCH_throughput.json" \
     cargo test -p mdz-bench --release --quiet --test throughput_json
 
-echo "==> latency smoke (1 rep, JSON schema check)"
-cargo run --release -p mdz-bench --bin experiments -- \
-    --scale test --reps 1 --out "$tmp_out" latency > /dev/null
-MDZ_BENCH_JSON="$tmp_out/BENCH_latency.json" \
-    cargo test -p mdz-bench --release --quiet --test latency_json
-
 # Bit-adaptive gate: the round-trip/bound tests for the version-2 block
 # format, then the quantizer-comparison experiment whose JSON artifact
 # must show the gas-corpus win at a per-value-verified bound.
@@ -72,16 +66,6 @@ cargo run --release -p mdz-bench --bin experiments -- \
     --scale test --out "$tmp_out" quantizer > /dev/null
 MDZ_BENCH_JSON="$tmp_out/BENCH_quantizer.json" \
     cargo test -p mdz-bench --release --quiet --test quantizer_json
-
-# Live-ingest bench: a real mdzd with an append sink, a producer
-# appending over the wire, and concurrent followers; the JSON artifact
-# (append throughput + read-behind-write staleness + follower
-# bit-exactness) is schema-checked like the others.
-echo "==> ingest smoke (live producer + followers, JSON schema check)"
-cargo run --release -p mdz-bench --bin experiments -- \
-    --scale test --out "$tmp_out" ingest > /dev/null
-MDZ_BENCH_JSON="$tmp_out/BENCH_ingest.json" \
-    cargo test -p mdz-bench --release --quiet --test ingest_json
 
 # Store smoke: compress simulated frames into a version-2 archive, serve
 # it on an ephemeral loopback port, and require the served range to
@@ -138,14 +122,6 @@ MDZ_METRICS_EXPECT_ERRORS=0 \
 kill "$server_pid"
 wait "$server_pid" 2> /dev/null || true
 trap 'rm -rf "$tmp_out"' EXIT
-
-# Server load smoke: bench-serve drives the server (closed-loop and
-# open-burst) at test scale; the JSON artifact is schema-checked,
-# including the exact request-accounting cross-check in every cell.
-echo "==> bench-serve smoke (JSON schema check)"
-"$mdz" bench-serve --scale test --out "$tmp_out" > /dev/null 2>&1
-MDZ_BENCH_JSON="$tmp_out/BENCH_server.json" \
-    cargo test -p mdz-bench --release --quiet --test server_json
 
 # Crash-consistency smoke: the exhaustive fault-point sweep, then the CLI
 # side of the same story — append under the footer-flip protocol, verify

@@ -1,12 +1,13 @@
 //! XYZ trajectories in and out of `.mdz` archives.
 //!
 //! mdz-store writes and parses every archive byte; this module carries an
-//! [`XyzTrajectory`]'s frames, elements and comments across it, and tallies
-//! the per-axis methods an archive's blocks were coded with.
+//! [`XyzTrajectory`]'s frames, elements and comments across it, tallies
+//! the per-axis methods an archive's blocks were coded with, and checks
+//! decoded frames against the ε each block was coded under.
 
 use crate::xyz::XyzTrajectory;
 use mdz_core::traj::split_container;
-use mdz_core::{Decompressor, Result};
+use mdz_core::{BlockInfo, Decompressor, Frame, MdzError, Result};
 use mdz_store::archive::record_at;
 use mdz_store::{write_store, ArchiveIndex, StoreOptions, StoreReader};
 
@@ -28,18 +29,87 @@ pub fn decompress(blob: Vec<u8>) -> Result<XyzTrajectory> {
 /// adaptive selector chose.
 pub fn method_tally(blob: &[u8], idx: &ArchiveIndex) -> Result<String> {
     let mut counts = std::collections::BTreeMap::<String, usize>::new();
-    for block in &idx.blocks {
-        for axis in split_container(record_at(blob, block.offset)?)? {
-            *counts.entry(Decompressor::inspect(axis)?.method.to_string()).or_default() += 1;
+    for axes in axis_headers(blob, idx)? {
+        for info in axes {
+            *counts.entry(info.method.to_string()).or_default() += 1;
         }
     }
     Ok(counts.iter().map(|(m, c)| format!("{m} ×{c}")).collect::<Vec<_>>().join(", "))
 }
 
+/// The x, y and z block headers of every block, in block order.
+fn axis_headers(blob: &[u8], idx: &ArchiveIndex) -> Result<Vec<[BlockInfo; 3]>> {
+    let mut headers = Vec::with_capacity(idx.blocks.len());
+    for block in &idx.blocks {
+        let [x, y, z] = split_container(record_at(blob, block.offset)?)?;
+        headers.push([
+            Decompressor::inspect(x)?,
+            Decompressor::inspect(y)?,
+            Decompressor::inspect(z)?,
+        ]);
+    }
+    Ok(headers)
+}
+
+/// One axis's outcome of [`check_bound`].
+#[derive(Debug, Clone, Copy, Default)]
+pub struct AxisBound {
+    /// Largest |source − decoded| over the axis.
+    pub max_error: f64,
+    /// ε of the block holding that largest error.
+    pub eps: f64,
+    /// First block in which a value of this axis exceeds the block's ε.
+    pub violation: Option<usize>,
+}
+
+/// Checks every decoded value against the ε its block and axis were coded
+/// under, per axis (x, y, z).
+///
+/// For an `f32` store the source is rounded to `f32` first, as the writer
+/// did, and narrowing the reconstruction back to `f32` may add half an
+/// `f32` ULP on top of ε. A non-finite source value must decode to itself.
+/// `source` and `decoded` must each hold every frame of the archive.
+pub fn check_bound(
+    source: &[Frame],
+    decoded: &[Frame],
+    blob: &[u8],
+    idx: &ArchiveIndex,
+) -> Result<[AxisBound; 3]> {
+    if source.len() != idx.n_frames || decoded.len() != idx.n_frames {
+        return Err(MdzError::BadInput("frame count differs from the archive's"));
+    }
+    let mut axes = [AxisBound::default(); 3];
+    for (b, (block, headers)) in idx.blocks.iter().zip(axis_headers(blob, idx)?).enumerate() {
+        let frames = block.frame_start..block.frame_start + block.n_frames;
+        for (src, got) in source[frames.clone()].iter().zip(&decoded[frames]) {
+            let pairs = [(&src.x, &got.x), (&src.y, &got.y), (&src.z, &got.z)];
+            for ((bound, info), (src, got)) in axes.iter_mut().zip(&headers).zip(pairs) {
+                for (&a, &d) in src.iter().zip(got) {
+                    let (a, slack) = if idx.f32_source {
+                        let a = f64::from(a as f32);
+                        (a, (a.abs() + info.eps) * f64::from(f32::EPSILON) / 2.0)
+                    } else {
+                        (a, 0.0)
+                    };
+                    let err = (a - d).abs();
+                    if err > bound.max_error {
+                        bound.max_error = err;
+                        bound.eps = info.eps;
+                    }
+                    if !(err <= info.eps + slack || a == d || (a.is_nan() && d.is_nan())) {
+                        bound.violation.get_or_insert(b);
+                    }
+                }
+            }
+        }
+    }
+    Ok(axes)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mdz_core::{ErrorBound, Frame, MdzConfig, MdzError};
+    use mdz_core::{ErrorBound, MdzConfig};
 
     fn sample_traj(m: usize, n: usize) -> XyzTrajectory {
         let frames = (0..m)

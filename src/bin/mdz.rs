@@ -13,17 +13,16 @@
 //! mdz append     --remote <addr> <in.xyz> [--f32] [--retries N]
 //! mdz recover    <archive.mdz>
 //! mdz get        <in.mdz> <start..end>
-//! mdz serve      <in.mdz> <addr> [--threads N | --shards N] [--live]
+//! mdz serve      <in.mdz> <addr> [--threads N] [--max-conns N] [--read-timeout-ms N]
+//!                [--write-timeout-ms N] [--idle-timeout-ms N] [--live [bound/method flags] [--f32]]
 //! mdz query      <addr> <start..end> [--retries N]
 //! mdz follow     <addr> [from] [--until N] [--poll-ms N]
 //! mdz stats      <addr> [--metrics [--json]]
-//! mdz bench-ingest [--scale test|small|full] [--seed N] [--out DIR]
-//! mdz bench-serve  [--scale test|small|full] [--seed N] [--out DIR]
 //! ```
 //!
 //! `store` (or `compress`) writes the indexed container version 2 (epoch
 //! re-anchors + footer index); `get` and `extract` random-access-read it
-//! locally; `serve`/`query`/`stats` speak the `mdzd` TCP protocol. Every
+//! locally; `serve`/`query`/`stats` speak the store's TCP protocol. Every
 //! subcommand that reads an archive also opens version 1, as a single
 //! epoch. `stats --metrics` fetches the server's full
 //! metrics snapshot (counters, gauges, latency histograms) via the
@@ -32,25 +31,25 @@
 //!
 //! `append` extends an existing v2 archive in place under the footer-flip
 //! protocol (crash-safe: a torn append leaves the old archive intact);
-//! with `--remote` the frames are sent to a live `mdzd` (started with
-//! `--live` / `serve --live`) which compresses and appends them
+//! with `--remote` the frames are sent to a live server (started with
+//! `serve --live`) which compresses and appends them
 //! server-side, acknowledging only once they are durable. `follow` tails a
 //! served archive: it streams frames from `from` (default 0) as they
 //! become durable, in the same layout as `get`/`query`, surviving server
 //! restarts; `--until N` exits once frame N-1 has been printed.
 //! One-argument `verify` walks every block and footer checksum and exits
-//! non-zero at the first corrupt offset; `recover` truncates a torn tail
-//! back to the last valid footer. `query --retries N` retries connect and
-//! timeout failures (and BUSY responses) with decorrelated-jitter backoff.
-//! `bench-ingest` runs the live-ingest benchmark (simulated producer
-//! appending over TCP while followers tail) and writes
-//! `BENCH_ingest.json` under `--out` (default `results/`).
-//! `bench-serve` runs the server-throughput load generator (C concurrent
-//! connections × pipelining depth) and writes `BENCH_server.json`. `serve`
-//! runs the sharded epoll/kqueue event loop, `--threads` (alias
-//! `--shards`) shards; other targets cannot serve.
+//! non-zero at the first corrupt offset; two-argument `verify` checks every
+//! decoded value against the ε of the block and axis holding it and exits
+//! non-zero, naming the axis and block, on the first violation. `recover`
+//! truncates a torn tail back to the last valid footer. `query --retries N`
+//! retries connect and timeout failures (and BUSY responses) with
+//! decorrelated-jitter backoff. `serve` opens the archive through the
+//! crash-recovery scan, so an archive with a torn append still serves its
+//! published frames (the file itself is only repaired by `recover`, or by
+//! the first APPEND of a `--live` server). It runs the sharded epoll/kqueue
+//! event loop with `--threads` shards; other targets cannot serve.
 
-use mdz::core::{EntropyStage, ErrorBound, Frame, MdzConfig, Method};
+use mdz::core::{ErrorBound, Frame, MdzConfig, Method};
 use mdz::sim::{datasets, DatasetKind, Scale};
 use mdz::store::{
     append_store, get_with_retry, recover_store, verify_archive, ArchiveIndex, Client, FileIo,
@@ -58,6 +57,10 @@ use mdz::store::{
 };
 use mdz::{archive, xyz};
 use std::process::exit;
+use std::time::Duration;
+
+/// Axis names in block order.
+const AXES: [&str; 3] = ["x", "y", "z"];
 
 fn fail(msg: &str) -> ! {
     eprintln!("error: {msg}");
@@ -97,12 +100,11 @@ struct Opts {
     abs: Option<f64>,
     bs: usize,
     method: Method,
-    range_coded: bool,
     scale: Scale,
     seed: u64,
     epoch: usize,
     f32: bool,
-    threads: usize,
+    server: ServerConfig,
     metrics: bool,
     json: bool,
     retries: Option<u32>,
@@ -110,7 +112,6 @@ struct Opts {
     live: bool,
     until: Option<usize>,
     poll_ms: u64,
-    out: Option<String>,
 }
 
 fn parse_opts(args: &[String]) -> Opts {
@@ -120,12 +121,11 @@ fn parse_opts(args: &[String]) -> Opts {
         abs: None,
         bs: 10,
         method: Method::Adaptive,
-        range_coded: false,
         scale: Scale::Small,
         seed: 20220707,
         epoch: 8,
         f32: false,
-        threads: 4,
+        server: ServerConfig::default(),
         metrics: false,
         json: false,
         retries: None,
@@ -133,7 +133,6 @@ fn parse_opts(args: &[String]) -> Opts {
         live: false,
         until: None,
         poll_ms: 100,
-        out: None,
     };
     let mut it = args.iter();
     while let Some(a) = it.next() {
@@ -145,7 +144,6 @@ fn parse_opts(args: &[String]) -> Opts {
             "--abs" => o.abs = Some(value("--abs").parse().unwrap_or_else(|_| fail("bad --abs"))),
             "--bs" => o.bs = value("--bs").parse().unwrap_or_else(|_| fail("bad --bs")),
             "--method" => o.method = parse_method(&value("--method")),
-            "--range-coded" => o.range_coded = true,
             "--epoch" => o.epoch = value("--epoch").parse().unwrap_or_else(|_| fail("bad --epoch")),
             "--f32" => o.f32 = true,
             "--metrics" => o.metrics = true,
@@ -162,10 +160,16 @@ fn parse_opts(args: &[String]) -> Opts {
             "--poll-ms" => {
                 o.poll_ms = value("--poll-ms").parse().unwrap_or_else(|_| fail("bad --poll-ms"))
             }
-            "--out" => o.out = Some(value("--out")),
-            "--threads" | "--shards" => {
-                o.threads = value(a).parse().unwrap_or_else(|_| fail(&format!("bad {a}")))
+            "--threads" => {
+                o.server.threads = value(a).parse().unwrap_or_else(|_| fail("bad --threads"))
             }
+            "--max-conns" => {
+                o.server.max_connections =
+                    value(a).parse().unwrap_or_else(|_| fail("bad --max-conns"))
+            }
+            "--read-timeout-ms" => o.server.read_timeout = millis(a, &value(a)),
+            "--write-timeout-ms" => o.server.write_timeout = millis(a, &value(a)),
+            "--idle-timeout-ms" => o.server.idle_timeout = millis(a, &value(a)),
             "--seed" => o.seed = value("--seed").parse().unwrap_or_else(|_| fail("bad --seed")),
             "--scale" => {
                 o.scale = match value("--scale").as_str() {
@@ -180,6 +184,11 @@ fn parse_opts(args: &[String]) -> Opts {
         }
     }
     o
+}
+
+/// Parses a millisecond count given to `flag`.
+fn millis(flag: &str, v: &str) -> Duration {
+    Duration::from_millis(v.parse().unwrap_or_else(|_| fail(&format!("bad {flag}"))))
 }
 
 /// Parses a `start..end` frame range.
@@ -232,7 +241,7 @@ fn open_archive(path: &str) -> StoreReader {
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let Some((cmd, rest)) = args.split_first() else {
-        eprintln!("usage: mdz <compress|decompress|info|extract|verify|gen|store|append|recover|get|serve|query|follow|stats|bench-ingest|bench-serve> …");
+        eprintln!("usage: mdz <compress|decompress|info|extract|verify|gen|store|append|recover|get|serve|query|follow|stats> …");
         exit(2);
     };
     let o = parse_opts(rest);
@@ -294,13 +303,17 @@ fn main() {
             let orig = read_xyz(orig_path);
             let blob = read_file(mdz_path);
             let archive_len = blob.len();
-            let dec = archive::decompress(blob)
+            let idx = ArchiveIndex::parse(&blob)
+                .unwrap_or_else(|e| fail(&format!("opening {mdz_path}: {e}")));
+            let dec = archive::decompress(blob.clone())
                 .unwrap_or_else(|e| fail(&format!("decompressing {mdz_path}: {e}")));
             if dec.frames.len() != orig.frames.len()
                 || dec.frames.first().map(|f| f.len()) != orig.frames.first().map(|f| f.len())
             {
                 fail("trajectory shapes differ");
             }
+            let axes = archive::check_bound(&orig.frames, &dec.frames, &blob, &idx)
+                .unwrap_or_else(|e| fail(&format!("reading blocks: {e}")));
             let mut flat_o = Vec::new();
             let mut flat_d = Vec::new();
             for (a, b) in orig.frames.iter().zip(dec.frames.iter()) {
@@ -323,9 +336,24 @@ fn main() {
                 raw,
                 archive_len
             );
-            println!("max error:  {:.3e}", stats.max_error);
+            let max_error = axes.iter().map(|a| a.max_error).fold(0.0, f64::max);
+            println!("max error:  {max_error:.3e}");
+            for (name, axis) in AXES.iter().zip(&axes) {
+                println!("max error {name}: {:.3e} (block ε {:.3e})", axis.max_error, axis.eps);
+            }
             println!("NRMSE:      {:.3e}", stats.nrmse);
             println!("PSNR:       {:.1} dB", stats.psnr);
+            for (name, axis) in AXES.iter().zip(&axes) {
+                if let Some(b) = axis.violation {
+                    let block = &idx.blocks[b];
+                    fail(&format!(
+                        "{mdz_path}: axis {name} of block {b} (frames {}..{}) exceeds the \
+                         block's error bound",
+                        block.frame_start,
+                        block.frame_start + block.n_frames
+                    ));
+                }
+            }
         }
         "extract" => {
             let [input, frame_str] = &o.positional[..] else {
@@ -367,11 +395,7 @@ fn main() {
                 fail(&format!("{cmd} needs <in.xyz> <out.mdz>"));
             };
             let traj = read_xyz(input);
-            let mut cfg = MdzConfig::new(bound_from(&o)).with_method(o.method);
-            if o.range_coded {
-                cfg = cfg.with_entropy(EntropyStage::Range);
-            }
-            let mut opts = StoreOptions::new(cfg);
+            let mut opts = StoreOptions::new(MdzConfig::new(bound_from(&o)).with_method(o.method));
             opts.buffer_size = o.bs;
             opts.epoch_interval = o.epoch;
             opts.precision = if o.f32 { Precision::F32 } else { Precision::F64 };
@@ -391,7 +415,7 @@ fn main() {
             );
         }
         "append" => {
-            // Remote form: send the frames to a live mdzd, which compresses
+            // Remote form: send the frames to a live server, which compresses
             // and appends them server-side. The printed ack is a durability
             // acknowledgment (the server replied only after the fsync'd
             // footer flip).
@@ -425,11 +449,7 @@ fn main() {
                 fail("append needs <archive.mdz> <in.xyz> (or --remote <addr> <in.xyz>)");
             };
             let traj = read_xyz(input);
-            let mut cfg = MdzConfig::new(bound_from(&o)).with_method(o.method);
-            if o.range_coded {
-                cfg = cfg.with_entropy(EntropyStage::Range);
-            }
-            let mut opts = StoreOptions::new(cfg);
+            let mut opts = StoreOptions::new(MdzConfig::new(bound_from(&o)).with_method(o.method));
             opts.precision = if o.f32 { Precision::F32 } else { Precision::F64 };
             let mut io = FileIo::open(archive_path)
                 .unwrap_or_else(|e| fail(&format!("opening {archive_path}: {e}")));
@@ -485,19 +505,20 @@ fn main() {
             let [input, addr] = &o.positional[..] else {
                 fail("serve needs <in.mdz> <addr>");
             };
-            let blob = read_file(input);
-            // --live opens through the recovery scan (a torn tail must not
-            // block serving) and attaches an append sink on the same file.
-            let reader = if o.live {
-                let (reader, _) = StoreReader::recover(blob)
-                    .unwrap_or_else(|e| fail(&format!("opening store: {e}")));
-                reader
-            } else {
-                StoreReader::open(blob).unwrap_or_else(|e| fail(&format!("opening store: {e}")))
-            };
-            let cfg = ServerConfig { threads: o.threads, ..Default::default() };
-            let mut server = Server::bind(reader, addr.as_str(), cfg)
+            // The recovery scan serves the frames a torn append left intact;
+            // only `recover` (or a --live server's first APPEND) repairs the file.
+            let (reader, report) = StoreReader::recover(read_file(input))
+                .unwrap_or_else(|e| fail(&format!("opening store: {e}")));
+            if report.truncated_bytes > 0 {
+                eprintln!(
+                    "mdz: {input} has a torn tail: serving the {} valid bytes, ignoring {} \
+                     garbage bytes (run `mdz recover` to repair the file)",
+                    report.valid_len, report.truncated_bytes
+                );
+            }
+            let mut server = Server::bind(reader, addr.as_str(), o.server.clone())
                 .unwrap_or_else(|e| fail(&format!("binding {addr}: {e}")));
+            // --live attaches an append sink on the same file.
             if o.live {
                 let io =
                     FileIo::open(input).unwrap_or_else(|e| fail(&format!("opening {input}: {e}")));
@@ -526,7 +547,7 @@ fn main() {
             let mut follower = client
                 .follow(from)
                 .unwrap_or_else(|e| fail(&format!("follow: {e}")))
-                .with_poll_interval(std::time::Duration::from_millis(o.poll_ms));
+                .with_poll_interval(Duration::from_millis(o.poll_ms));
             eprintln!("following {addr} from frame {from}");
             // Stream until --until (exclusive upper frame index), or forever.
             loop {
@@ -543,31 +564,6 @@ fn main() {
                 }
                 print_frames(start, &frames);
             }
-        }
-        "bench-ingest" => {
-            if !o.positional.is_empty() {
-                fail("bench-ingest takes only flags: [--scale test|small|full] [--seed N] [--out DIR]");
-            }
-            let out = std::path::PathBuf::from(o.out.as_deref().unwrap_or("results"));
-            let mut ctx = mdz::bench::experiments::Ctx::new(o.scale, out.clone(), o.seed);
-            let tables =
-                mdz::bench::experiments::run("ingest", &mut ctx).expect("ingest experiment");
-            for t in &tables {
-                print!("{}", t.render());
-            }
-            eprintln!("wrote {}", out.join("BENCH_ingest.json").display());
-        }
-        "bench-serve" => {
-            if !o.positional.is_empty() {
-                fail("bench-serve takes only flags: [--scale test|small|full] [--seed N] [--out DIR]");
-            }
-            let out = std::path::PathBuf::from(o.out.as_deref().unwrap_or("results"));
-            let mut ctx = mdz::bench::experiments::Ctx::new(o.scale, out.clone(), o.seed);
-            let tables = mdz::bench::experiments::run("serve", &mut ctx).expect("serve experiment");
-            for t in &tables {
-                print!("{}", t.render());
-            }
-            eprintln!("wrote {}", out.join("BENCH_server.json").display());
         }
         "query" => {
             let [addr, range_str] = &o.positional[..] else {
@@ -616,7 +612,7 @@ fn main() {
             println!("buffers decoded: {}", s.buffers_decoded);
         }
         _ => {
-            eprintln!("usage: mdz <compress|decompress|info|extract|verify|gen|store|append|recover|get|serve|query|follow|stats|bench-ingest|bench-serve> …");
+            eprintln!("usage: mdz <compress|decompress|info|extract|verify|gen|store|append|recover|get|serve|query|follow|stats> …");
             exit(2);
         }
     }

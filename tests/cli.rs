@@ -87,6 +87,20 @@ fn verify_checks_the_bound_of_a_store_archive() {
 }
 
 #[test]
+fn verify_fails_when_a_value_leaves_its_blocks_bound() {
+    let dir = Scratch::new("verify_bound");
+    let (xyz, archive) = lj_store(&dir);
+    // Move one y coordinate of frame 2 (block 2 at one frame per block)
+    // half a unit away from what the archive holds.
+    let mut traj = read_xyz(&xyz);
+    traj.frames[2].y[5] += 0.5;
+    let shifted = dir.path("shifted.xyz");
+    std::fs::write(&shifted, mdz::xyz::write(&traj)).unwrap();
+    let err = mdz_fails(&["verify", &shifted, &archive]);
+    assert!(err.contains("axis y of block 2"), "{err}");
+}
+
+#[test]
 fn extract_prints_the_rows_get_prints() {
     let dir = Scratch::new("extract");
     let (_, archive) = lj_store(&dir);
@@ -163,6 +177,8 @@ fn compress_f32_stores_single_precision() {
     mdz(&["gen", "lj", &xyz, "--scale", "test"]);
     mdz(&["compress", &xyz, &archive, "--f32"]);
     assert_eq!(field(&mdz(&["info", &archive]), "precision"), "f32");
+    // The bound holds against the f32-rounded source.
+    mdz(&["verify", &xyz, &archive]);
 }
 
 #[test]
@@ -219,4 +235,55 @@ fn golden_v1_archive_reads_through_the_cli() {
         assert_eq!(atom_rows(&extracted).len(), 300, "frame {k}");
         assert_eq!(atom_rows(&extracted), atom_rows(&got), "frame {k}");
     }
+}
+
+/// A served child process, killed on drop so a failing test leaves no
+/// server behind.
+struct Served(std::process::Child);
+
+impl Drop for Served {
+    fn drop(&mut self) {
+        let _ = self.0.kill();
+        let _ = self.0.wait();
+    }
+}
+
+#[test]
+#[cfg(any(target_os = "linux", target_os = "macos"))]
+fn serve_answers_from_an_archive_with_a_torn_tail() {
+    use std::io::{BufRead, BufReader};
+    use std::process::Stdio;
+
+    let dir = Scratch::new("serve_torn");
+    let (_, archive) = lj_store(&dir);
+    let torn = dir.path("torn.mdz");
+    let mut bytes = std::fs::read(&archive).unwrap();
+    bytes.extend_from_slice(b"torn append!!!");
+    std::fs::write(&torn, &bytes).unwrap();
+
+    let mut served = Served(
+        Command::new(env!("CARGO_BIN_EXE_mdz"))
+            .args(["serve", &torn, "127.0.0.1:0", "--threads", "1"])
+            .stderr(Stdio::piped())
+            .spawn()
+            .unwrap(),
+    );
+    let mut log = String::new();
+    let mut lines = BufReader::new(served.0.stderr.take().unwrap()).lines();
+    let addr = loop {
+        let line = lines.next().expect("server exited before serving").unwrap();
+        log.push_str(&line);
+        log.push('\n');
+        if let Some((_, addr)) = line.split_once(" on ") {
+            break addr.to_string();
+        }
+    };
+    assert!(log.contains("torn tail") && log.contains("ignoring 14 garbage bytes"), "{log}");
+    let remote = mdz(&["query", &addr, "1..3"]);
+    drop(served);
+
+    mdz(&["recover", &torn]);
+    let local = mdz(&["get", &torn, "1..3"]);
+    assert_eq!(atom_rows(&remote).len(), 2 * 256);
+    assert_eq!(atom_rows(&remote), atom_rows(&local));
 }
