@@ -1,13 +1,12 @@
 //! CLI regenerating the paper's tables and figures.
 //!
 //! ```text
-//! experiments [--scale test|small|full] [--out DIR] [--seed N]
-//!             [--workers LIST] [--reps N] <id>... | all | list
+//! experiments [--scale test|small|full] [--out DIR] [--seed N] [--reps N]
+//!             <id>... | all | list
 //! ```
 //!
-//! `--workers` takes a comma-separated list of worker counts (default
-//! `1,2,4,8`) and `--reps` the timed repetitions per measurement (default
-//! 3); both apply to the `throughput` experiment.
+//! `--reps` takes the timed repetitions per measurement (default 3) of the
+//! `throughput` experiment.
 //!
 //! Each experiment prints an aligned text table and writes CSV under the
 //! output directory (default `results/`).
@@ -21,7 +20,6 @@ fn main() {
     let mut scale = Scale::Small;
     let mut out_dir = PathBuf::from("results");
     let mut seed = 20220707u64;
-    let mut workers = vec![1usize, 2, 4, 8];
     let mut reps = 3usize;
     let mut ids: Vec<String> = Vec::new();
 
@@ -41,18 +39,6 @@ fn main() {
                 };
             }
             "--out" => out_dir = PathBuf::from(args.next().unwrap_or_default()),
-            "--workers" => {
-                let v = args.next().unwrap_or_default();
-                let parsed: Option<Vec<usize>> =
-                    v.split(',').map(|s| s.trim().parse().ok().filter(|&w| w > 0)).collect();
-                workers = match parsed.filter(|w| !w.is_empty()) {
-                    Some(w) => w,
-                    None => {
-                        eprintln!("--workers requires a comma-separated list of positive integers");
-                        std::process::exit(2);
-                    }
-                };
-            }
             "--reps" => {
                 reps = args.next().and_then(|s| s.parse().ok()).filter(|&r| r > 0).unwrap_or_else(
                     || {
@@ -77,7 +63,7 @@ fn main() {
             "--help" | "-h" => {
                 println!(
                     "usage: experiments [--scale test|small|full] [--out DIR] [--seed N] \
-                     [--workers LIST] [--reps N] <id>... | all | list"
+                     [--reps N] <id>... | all | list"
                 );
                 return;
             }
@@ -89,7 +75,7 @@ fn main() {
         std::process::exit(2);
     }
 
-    let mut ctx = Ctx::new(scale, out_dir, seed).with_workers(workers).with_reps(reps);
+    let mut ctx = Ctx::new(scale, out_dir, seed).with_reps(reps);
     for id in &ids {
         let t0 = Instant::now();
         match experiments::run(id, &mut ctx) {

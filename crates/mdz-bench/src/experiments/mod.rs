@@ -30,8 +30,6 @@ pub struct Ctx {
     pub scale: Scale,
     pub out_dir: PathBuf,
     pub seed: u64,
-    /// Worker counts the throughput experiment sweeps (CLI `--workers`).
-    pub workers: Vec<usize>,
     /// Timed repetitions per throughput measurement (CLI `--reps`).
     pub reps: usize,
     cache: HashMap<DatasetKind, Dataset>,
@@ -40,13 +38,7 @@ pub struct Ctx {
 impl Ctx {
     /// Creates a context writing CSVs under `out_dir`.
     pub fn new(scale: Scale, out_dir: PathBuf, seed: u64) -> Self {
-        Self { scale, out_dir, seed, workers: vec![1, 2, 4, 8], reps: 3, cache: HashMap::new() }
-    }
-
-    /// Overrides the worker sweep used by the throughput experiment.
-    pub fn with_workers(mut self, workers: Vec<usize>) -> Self {
-        self.workers = workers;
-        self
+        Self { scale, out_dir, seed, reps: 3, cache: HashMap::new() }
     }
 
     /// Overrides the timed repetitions per throughput measurement.

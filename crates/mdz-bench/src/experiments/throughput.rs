@@ -1,10 +1,12 @@
-//! Throughput sweep over the parallel block engine.
+//! Store throughput per codec at the host's parallelism.
 //!
 //! Not a paper artifact: the paper reports single-threaded throughput only
-//! (Fig. 13). This experiment seeds the repository's performance
-//! trajectory — it sweeps worker counts over the ADP/VQ/VQT/MT codecs on
-//! the default dataset, measuring compression and decompression MB/s and
-//! the speedup against the serial path, and writes the machine-readable
+//! (Fig. 13). This experiment times the two store paths users run, for the
+//! ADP/VQ/VQT/MT codecs on the default dataset: `create_store` (through
+//! [`write_store`], into memory), whose writer encodes every independent
+//! (epoch, axis) stream on its own core, and `StoreReader::open` plus a
+//! full `read_frames`. Next to that it reports the single-core
+//! scalar-vs-SIMD per-stage breakdown, and it writes the machine-readable
 //! `BENCH_throughput.json` consumed by `scripts/verify.sh` and
 //! EXPERIMENTS.md.
 
@@ -12,27 +14,22 @@ use super::Ctx;
 use crate::harness::{repeat_timed, TimingSummary};
 use crate::json::Json;
 use crate::table::{fmt, Table};
-use mdz_core::{
-    kernel, Compressor, Decompressor, ErrorBound, Frame, MdzConfig, Method, Obs, ParallelOptions,
-    ParallelTrajectoryCompressor, ParallelTrajectoryDecompressor,
-};
+use mdz_core::{kernel, Compressor, Decompressor, ErrorBound, Frame, MdzConfig, Method, Obs};
 use mdz_obs::Registry;
 use mdz_sim::{DatasetKind, Scale};
+use mdz_store::{write_store, StoreOptions, StoreReader};
 use std::sync::Arc;
 use std::time::Instant;
 
-/// The codecs the sweep covers, in report order.
+/// The codecs the experiment covers, in report order.
 const CODECS: &[(&str, Method)] =
     &[("ADP", Method::Adaptive), ("VQ", Method::Vq), ("VQT", Method::Vqt), ("MT", Method::Mt)];
 
 struct Entry {
     codec: &'static str,
-    workers: usize,
     compress: TimingSummary,
     decompress: TimingSummary,
     ratio: f64,
-    compress_speedup: f64,
-    decompress_speedup: f64,
 }
 
 /// The single-core pipeline stages the SIMD kernels land in, paired with
@@ -135,16 +132,11 @@ fn simd_breakdown(buffers: &[Vec<Vec<f64>>], reps: usize) -> Vec<StageRow> {
         .collect()
 }
 
-/// Workers × codecs throughput sweep; writes `BENCH_throughput.json`
-/// alongside the usual CSV.
+/// Per-codec store write and read throughput; writes
+/// `BENCH_throughput.json` alongside the usual CSV.
 pub fn throughput(ctx: &mut Ctx) -> Vec<Table> {
     let kind = DatasetKind::CopperB;
     let reps = ctx.reps.max(1);
-    let mut workers = ctx.workers.clone();
-    if !workers.contains(&1) {
-        // Speedups are reported against the measured serial path.
-        workers.insert(0, 1);
-    }
 
     let hw_threads = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
     let dataset = ctx.dataset(kind);
@@ -157,87 +149,63 @@ pub fn throughput(ctx: &mut Ctx) -> Vec<Table> {
     // One axis of the same stream, for the single-core scalar-vs-SIMD
     // breakdown.
     let xs: Vec<Vec<f64>> = dataset.snapshots.iter().map(|s| s.x.clone()).collect();
-    // Enough buffers per axis for real fan-out at every scale.
     let bs = if matches!(ctx.scale, Scale::Test) { 3 } else { 10 };
     let axis_buffers: Vec<Vec<Vec<f64>>> = xs.chunks(bs).map(<[Vec<f64>]>::to_vec).collect();
-    let buffers: Vec<&[Frame]> = frames.chunks(bs).collect();
 
+    // Archives keep the store's default epoch length.
+    let store_options = |method| {
+        let cfg = MdzConfig::new(ErrorBound::ValueRangeRelative(1e-3)).with_method(method);
+        StoreOptions { buffer_size: bs, ..StoreOptions::new(cfg) }
+    };
+    let epoch_buffers = store_options(Method::Adaptive).epoch_interval;
     let mut entries: Vec<Entry> = Vec::new();
     for &(name, method) in CODECS {
-        let cfg = MdzConfig::new(ErrorBound::ValueRangeRelative(1e-3)).with_method(method);
-        // One reference pass for the compressed size (bytes are identical
-        // for every worker count) and the decode input.
-        let containers = ParallelTrajectoryCompressor::new(cfg.clone())
-            .compress_buffers(&buffers)
-            .expect("compress");
-        let compressed: usize = containers.iter().map(Vec::len).sum();
-        let container_refs: Vec<&[u8]> = containers.iter().map(Vec::as_slice).collect();
-
-        let mut serial: Option<(f64, f64)> = None;
-        for &w in &workers {
-            let par = ParallelOptions::with_workers(w);
-            let compress = repeat_timed(reps, || {
-                // Fresh stream state per repetition, outside the clock.
-                let mut comp = ParallelTrajectoryCompressor::new(cfg.clone()).with_parallelism(par);
-                let t0 = Instant::now();
-                let out = comp.compress_buffers(&buffers).expect("compress");
-                let dt = t0.elapsed().as_secs_f64();
-                assert_eq!(out.iter().map(Vec::len).sum::<usize>(), compressed);
-                dt
-            });
-            let decompress = repeat_timed(reps, || {
-                let mut dec = ParallelTrajectoryDecompressor::new().with_parallelism(par);
-                let t0 = Instant::now();
-                let out = dec.decompress_buffers(&container_refs).expect("decompress");
-                let dt = t0.elapsed().as_secs_f64();
-                assert_eq!(out.len(), buffers.len());
-                dt
-            });
-            let (c_base, d_base) =
-                *serial.get_or_insert((compress.mbps(raw_bytes), decompress.mbps(raw_bytes)));
-            entries.push(Entry {
-                codec: name,
-                workers: w,
-                compress,
-                decompress,
-                ratio: raw_bytes as f64 / compressed.max(1) as f64,
-                compress_speedup: compress.mbps(raw_bytes) / c_base.max(1e-12),
-                decompress_speedup: decompress.mbps(raw_bytes) / d_base.max(1e-12),
-            });
-        }
+        let opts = store_options(method);
+        // One reference archive for the ratio and the read input; every
+        // repetition must write the same bytes.
+        let archive = write_store(&frames, &[], &[], &opts).expect("create_store");
+        let compress = repeat_timed(reps, || {
+            let t0 = Instant::now();
+            let out = write_store(&frames, &[], &[], &opts).expect("create_store");
+            let dt = t0.elapsed().as_secs_f64();
+            assert!(out == archive, "{name}: create_store wrote different bytes");
+            dt
+        });
+        let decompress = repeat_timed(reps, || {
+            let data = archive.clone();
+            let t0 = Instant::now();
+            let reader = StoreReader::open(data).expect("open");
+            let out = reader.read_frames(0..frames.len()).expect("read_frames");
+            let dt = t0.elapsed().as_secs_f64();
+            assert_eq!(out.len(), frames.len());
+            dt
+        });
+        entries.push(Entry {
+            codec: name,
+            compress,
+            decompress,
+            ratio: raw_bytes as f64 / archive.len() as f64,
+        });
     }
 
     let stage_rows = simd_breakdown(&axis_buffers, reps);
-    write_json(ctx, kind, raw_bytes, bs, reps, hw_threads, &entries, &stage_rows);
+    write_json(ctx, kind, raw_bytes, bs, epoch_buffers, reps, hw_threads, &entries, &stage_rows);
 
     let mut table = Table::new(
         &format!(
-            "Throughput sweep ({}, {} reps, min-of-reps, {} hw thread{})",
+            "Store throughput ({}, {} reps, min-of-reps, {} hw thread{})",
             kind.name(),
             reps,
             hw_threads,
             if hw_threads == 1 { "" } else { "s" }
         ),
-        &[
-            "codec",
-            "workers",
-            "comp MB/s",
-            "comp speedup",
-            "dec MB/s",
-            "dec speedup",
-            "CR",
-            "comp s (min)",
-            "comp s (median)",
-        ],
+        &["codec", "create MB/s", "read MB/s", "CR", "create s (min)", "create s (median)"],
     );
     for e in &entries {
         table.row(vec![
             e.codec.into(),
-            e.workers.to_string(),
             fmt(e.compress.mbps(raw_bytes)),
-            fmt(e.compress_speedup),
             fmt(e.decompress.mbps(raw_bytes)),
-            fmt(e.decompress_speedup),
             fmt(e.ratio),
             fmt(e.compress.min),
             fmt(e.compress.median),
@@ -268,6 +236,7 @@ fn write_json(
     kind: DatasetKind,
     raw_bytes: usize,
     bs: usize,
+    epoch_buffers: usize,
     reps: usize,
     hw_threads: usize,
     entries: &[Entry],
@@ -285,10 +254,13 @@ fn write_json(
         ("scale", Json::Str(format!("{:?}", ctx.scale).to_lowercase())),
         ("dataset", Json::Str(kind.name().into())),
         ("raw_bytes", Json::Num(raw_bytes as f64)),
+        ("compress_path", Json::Str("create_store".into())),
+        ("decompress_path", Json::Str("StoreReader::open + read_frames(0..n)".into())),
         ("buffer_snapshots", Json::Num(bs as f64)),
+        ("epoch_buffers", Json::Num(epoch_buffers as f64)),
         ("reps", Json::Num(reps as f64)),
-        // Wall-clock speedup is bounded by the machine: on a single-core
-        // runner, workers > 1 can only measure engine overhead.
+        // Both paths use every hardware thread, so the figures are only
+        // comparable between hosts with the same count.
         ("hardware_threads", Json::Num(hw_threads as f64)),
         (
             "entries",
@@ -298,12 +270,9 @@ fn write_json(
                     .map(|e| {
                         Json::obj(vec![
                             ("codec", Json::Str(e.codec.into())),
-                            ("workers", Json::Num(e.workers as f64)),
                             ("compress_mbps", Json::Num(e.compress.mbps(raw_bytes))),
                             ("decompress_mbps", Json::Num(e.decompress.mbps(raw_bytes))),
                             ("ratio", Json::Num(e.ratio)),
-                            ("compress_speedup", Json::Num(e.compress_speedup)),
-                            ("decompress_speedup", Json::Num(e.decompress_speedup)),
                             ("compress_timing", timing(&e.compress)),
                             ("decompress_timing", timing(&e.decompress)),
                         ])

@@ -10,7 +10,6 @@
 use crate::adaptive::Candidate;
 use crate::buffer::{Compressor, DecodeLimits, Decompressor};
 use crate::format::Method;
-use crate::pipeline::parallel::ParallelOptions;
 use crate::{ErrorBound, MdzConfig, QuantizerKind, Result};
 
 /// A stateful, error-bounded buffer compressor/decompressor pair.
@@ -65,7 +64,6 @@ pub struct MdzCodec {
     template: MdzConfig,
     comp: Compressor,
     dec: Decompressor,
-    par: ParallelOptions,
 }
 
 impl MdzCodec {
@@ -93,13 +91,7 @@ impl MdzCodec {
 
     /// Wraps a configuration under an explicit display name.
     pub fn with_name(name: &'static str, cfg: MdzConfig) -> Self {
-        Self {
-            name,
-            comp: Compressor::new(cfg.clone()),
-            dec: Decompressor::new(),
-            template: cfg,
-            par: ParallelOptions::serial(),
-        }
+        Self { name, comp: Compressor::new(cfg.clone()), dec: Decompressor::new(), template: cfg }
     }
 
     /// The template configuration this codec was built from.
@@ -130,50 +122,6 @@ impl MdzCodec {
     /// Replaces the decode budget applied to subsequent blocks.
     pub fn set_decode_limits(&mut self, limits: DecodeLimits) {
         self.dec.set_limits(limits);
-    }
-
-    /// Installs a worker configuration used by the batch APIs
-    /// ([`MdzCodec::compress_buffers`] / [`MdzCodec::decompress_buffers`]).
-    /// Output is byte-identical for every worker count; survives
-    /// [`Codec::reset`].
-    pub fn with_parallelism(mut self, par: ParallelOptions) -> Self {
-        self.par = par;
-        self
-    }
-
-    /// Replaces the worker configuration applied to subsequent batch calls.
-    pub fn set_parallelism(&mut self, par: ParallelOptions) {
-        self.par = par;
-    }
-
-    /// The worker configuration currently in force.
-    pub fn parallelism(&self) -> ParallelOptions {
-        self.par
-    }
-
-    /// Compresses an ordered batch of buffers under `bound`, fanning
-    /// independent blocks across the configured workers.
-    ///
-    /// Blocks are byte-identical to calling [`Codec::compress_buffer`] on
-    /// each buffer in order. On error the codec's stream state is
-    /// unspecified — [`Codec::reset`] before reuse.
-    pub fn compress_buffers(
-        &mut self,
-        buffers: &[&[Vec<f64>]],
-        bound: ErrorBound,
-    ) -> Result<Vec<Vec<u8>>> {
-        self.comp.set_bound(bound);
-        self.comp.compress_buffers_parallel(buffers, &self.par)
-    }
-
-    /// Decompresses an ordered batch of blocks, fanning independent blocks
-    /// across the configured workers.
-    ///
-    /// Results match calling [`Codec::decompress_buffer`] on each block in
-    /// order. On error the codec's stream state is unspecified —
-    /// [`Codec::reset`] before reuse.
-    pub fn decompress_buffers(&mut self, blocks: &[&[u8]]) -> Result<Vec<Vec<Vec<f64>>>> {
-        self.dec.decompress_blocks_parallel(blocks, &self.par)
     }
 }
 

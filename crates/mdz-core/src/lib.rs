@@ -39,10 +39,9 @@
 //! }
 //! ```
 //!
-//! Batch entry points ([`Compressor::compress_buffers_parallel`],
-//! [`MdzCodec::compress_buffers`], [`ParallelTrajectoryCompressor`]) fan
-//! independent axis×buffer blocks across worker threads configured by
-//! [`ParallelOptions`]; their output is byte-identical to the serial path.
+//! Every compressor here encodes on the caller's thread. [`fan_out`] is
+//! the thread runner the `mdz-store` archive writer uses to encode
+//! independent (epoch, axis) streams on separate cores.
 
 #![deny(missing_docs)]
 
@@ -67,13 +66,10 @@ pub use buffer::{BlockInfo, Compressor, DecodeLimits, Decompressor};
 pub use codec::{Codec, MdzCodec};
 pub use format::Method;
 pub use mdz_obs::{Obs, Recorder};
-pub use pipeline::parallel::ParallelOptions;
+pub use pipeline::parallel::fan_out;
 pub use quant::{BitAdaptiveQuantizer, LinearQuantizer};
 pub use stage::{HuffmanStage, LosslessStage, Lz77Stage, Quantizer, RangeStage};
-pub use traj::{
-    Frame, ParallelTrajectoryCompressor, ParallelTrajectoryDecompressor, TrajectoryCompressor,
-    TrajectoryDecompressor,
-};
+pub use traj::{Frame, TrajectoryCompressor, TrajectoryDecompressor};
 
 use mdz_entropy::EntropyError;
 

@@ -62,11 +62,11 @@ pub(crate) struct EncodeScratch {
 }
 
 /// Resolves the configured error bound against one buffer's value range.
-fn resolve_eps(cfg: &MdzConfig, snapshots: &[Vec<f64>]) -> f64 {
+fn resolve_eps<S: AsRef<[f64]>>(cfg: &MdzConfig, snapshots: &[S]) -> f64 {
     let mut all_min = f64::INFINITY;
     let mut all_max = f64::NEG_INFINITY;
     for s in snapshots {
-        for &v in s {
+        for &v in s.as_ref() {
             if v < all_min {
                 all_min = v;
             }
@@ -92,15 +92,18 @@ fn resolve_eps(cfg: &MdzConfig, snapshots: &[Vec<f64>]) -> f64 {
 /// `out` (cleared first), returning the state transition for the caller to
 /// commit.
 ///
+/// Snapshots are borrowed as slices (`Vec<f64>`, `&[f64]`, …), so callers
+/// holding their data elsewhere encode it without copying.
+///
 /// `obs` records per-stage timings (`core.encode.*_seconds`) and pipeline
 /// counters; pass a no-op handle to skip all measurement.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn encode_buffer_into(
+pub(crate) fn encode_buffer_into<S: AsRef<[f64]>>(
     cfg: &MdzConfig,
     state: &CoreState,
     method: Method,
     quantizer: QuantizerKind,
-    snapshots: &[Vec<f64>],
+    snapshots: &[S],
     out: &mut Vec<u8>,
     scratch: &mut EncodeScratch,
     obs: &Obs,
@@ -120,18 +123,18 @@ pub(crate) fn encode_buffer_into(
 
 /// The composition body, monomorphized per quantizer.
 #[allow(clippy::too_many_arguments)]
-fn encode_with<Q: Quantizer>(
+fn encode_with<Q: Quantizer, S: AsRef<[f64]>>(
     cfg: &MdzConfig,
     state: &CoreState,
     method: Method,
     quant: &Q,
-    snapshots: &[Vec<f64>],
+    snapshots: &[S],
     out: &mut Vec<u8>,
     scratch: &mut EncodeScratch,
     obs: &Obs,
 ) -> Result<StateDelta> {
     let m = snapshots.len();
-    let n = snapshots[0].len();
+    let n = snapshots[0].as_ref().len();
     let EncodeScratch {
         modes,
         b_codes,
@@ -184,7 +187,7 @@ fn encode_with<Q: Quantizer>(
                 sample_fraction: cfg.level_sample_fraction,
                 ..Default::default()
             };
-            let detected = detect_levels(&snapshots[0], &sel);
+            let detected = detect_levels(snapshots[0].as_ref(), &sel);
             obs.incr("core.grid.detect_runs", 1);
             if detected.is_some() {
                 obs.incr("core.grid.detected", 1);
@@ -213,7 +216,7 @@ fn encode_with<Q: Quantizer>(
     // (each value is predicted and immediately quantized against the
     // prediction), so they are timed as a single stage.
     let predict_quantize = obs.span("core.encode.predict_quantize_seconds");
-    for (s_idx, snap) in snapshots.iter().enumerate() {
+    for (s_idx, snap) in snapshots.iter().map(AsRef::as_ref).enumerate() {
         let mode = modes[s_idx];
         match mode {
             SnapshotMode::VqGrid => {

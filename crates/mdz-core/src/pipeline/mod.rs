@@ -33,7 +33,7 @@
 
 pub(crate) mod decode;
 pub(crate) mod encode;
-pub mod parallel;
+pub(crate) mod parallel;
 pub(crate) mod predict;
 
 use crate::adaptive::{AdaptiveState, Candidate};
@@ -163,6 +163,8 @@ pub struct Compressor {
     trial_best: Vec<u8>,
     /// Block being encoded by the current adaptive candidate.
     trial_cur: Vec<u8>,
+    /// `f32` snapshots widened to `f64`, reused across buffers.
+    widened: Vec<Vec<f64>>,
     /// Metrics handle; a no-op unless a recorder was attached.
     obs: Obs,
 }
@@ -177,6 +179,7 @@ impl Compressor {
             scratch: EncodeScratch::default(),
             trial_best: Vec::new(),
             trial_cur: Vec::new(),
+            widened: Vec::new(),
             obs: Obs::noop(),
         }
     }
@@ -237,11 +240,14 @@ impl Compressor {
     /// [`Self::compress_buffer`] writing the block into a caller-owned
     /// vector (cleared first).
     ///
-    /// With a reused output vector, steady-state compression of same-shaped
-    /// buffers performs no heap allocation.
-    pub fn compress_buffer_into(
+    /// Snapshots are borrowed as any slice type (`Vec<f64>`, `&[f64]`, …),
+    /// so data held elsewhere — one axis of a set of frames, say — is
+    /// encoded without copying it. With a reused output vector,
+    /// steady-state compression of same-shaped buffers performs no heap
+    /// allocation.
+    pub fn compress_buffer_into<S: AsRef<[f64]>>(
         &mut self,
-        snapshots: &[Vec<f64>],
+        snapshots: &[S],
         out: &mut Vec<u8>,
     ) -> Result<()> {
         self.cfg.validate()?;
@@ -275,11 +281,32 @@ impl Compressor {
     /// reconstruction back to `f32` adds at most half an `f32` ULP
     /// (≈ 6e-8·|value|), which is far below any practical MD bound.
     pub fn compress_buffer_f32(&mut self, snapshots: &[Vec<f32>]) -> Result<Vec<u8>> {
-        let widened: Vec<Vec<f64>> =
-            snapshots.iter().map(|s| s.iter().map(|&v| f64::from(v)).collect()).collect();
-        let mut block = self.compress_buffer(&widened)?;
-        block[FLAGS_OFFSET] |= FLAG_F32;
+        let mut block = Vec::new();
+        self.compress_buffer_f32_into(snapshots, &mut block)?;
         Ok(block)
+    }
+
+    /// [`Self::compress_buffer_f32`] writing the block into a caller-owned
+    /// vector (cleared first). The widened copy lives in a buffer the
+    /// compressor reuses, so steady-state calls do not allocate either.
+    pub fn compress_buffer_f32_into<S: AsRef<[f32]>>(
+        &mut self,
+        snapshots: &[S],
+        out: &mut Vec<u8>,
+    ) -> Result<()> {
+        let mut widened = std::mem::take(&mut self.widened);
+        if widened.len() < snapshots.len() {
+            widened.resize_with(snapshots.len(), Vec::new);
+        }
+        for (wide, s) in widened.iter_mut().zip(snapshots) {
+            wide.clear();
+            wide.extend(s.as_ref().iter().map(|&v| f64::from(v)));
+        }
+        let encoded = self.compress_buffer_into(&widened[..snapshots.len()], out);
+        self.widened = widened;
+        encoded?;
+        out[FLAGS_OFFSET] |= FLAG_F32;
+        Ok(())
     }
 
     /// The quantizer stages ADP trials: the configured one first (so the
@@ -300,7 +327,11 @@ impl Compressor {
     /// ADP: every `adapt_interval` buffers, compress with all candidate
     /// compositions (method × quantizer) and keep the smallest; in between,
     /// reuse the last winner.
-    fn compress_adaptive_into(&mut self, snapshots: &[Vec<f64>], out: &mut Vec<u8>) -> Result<()> {
+    fn compress_adaptive_into<S: AsRef<[f64]>>(
+        &mut self,
+        snapshots: &[S],
+        out: &mut Vec<u8>,
+    ) -> Result<()> {
         if self.adaptive.trial_due(self.cfg.adapt_interval) {
             let methods: &[Method] =
                 if self.cfg.extended_candidates { &Method::EXTENDED } else { &Method::CONCRETE };
@@ -594,15 +625,15 @@ impl Decompressor {
     }
 }
 
-pub(crate) fn validate_shape(snapshots: &[Vec<f64>]) -> Result<()> {
+pub(crate) fn validate_shape<S: AsRef<[f64]>>(snapshots: &[S]) -> Result<()> {
     if snapshots.is_empty() {
         return Err(MdzError::BadInput("buffer has no snapshots"));
     }
-    let n = snapshots[0].len();
+    let n = snapshots[0].as_ref().len();
     if n == 0 {
         return Err(MdzError::BadInput("snapshots are empty"));
     }
-    if snapshots.iter().any(|s| s.len() != n) {
+    if snapshots.iter().any(|s| s.as_ref().len() != n) {
         return Err(MdzError::BadInput("ragged snapshots in buffer"));
     }
     Ok(())

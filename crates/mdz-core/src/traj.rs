@@ -7,9 +7,7 @@
 //! three blocks in a tiny container. The axes are MDZ by default but any
 //! [`Codec`] mix works ([`TrajectoryCompressor::from_codecs`]).
 
-use crate::buffer::{Compressor, DecodeLimits, Decompressor};
 use crate::codec::{Codec, MdzCodec};
-use crate::pipeline::parallel::{compress_streams, decompress_streams, ParallelOptions};
 use crate::{ErrorBound, MdzConfig, MdzError, Result};
 use mdz_entropy::{read_uvarint, write_uvarint};
 
@@ -78,7 +76,7 @@ impl TrajectoryCompressor {
             self.axes[1].compress_buffer(&ys, self.bound)?,
             self.axes[2].compress_buffer(&zs, self.bound)?,
         ];
-        Ok(assemble(&blocks))
+        Ok(assemble_container(&blocks))
     }
 }
 
@@ -127,10 +125,6 @@ fn zip_frames(x: Vec<Vec<f64>>, y: Vec<Vec<f64>>, z: Vec<Vec<f64>>) -> Result<Ve
 /// blocks through [`crate::Compressor`] directly (the `mdz-store` epoch
 /// writer) yet must stay byte-compatible with [`TrajectoryCompressor`].
 pub fn assemble_container(blocks: &[Vec<u8>; 3]) -> Vec<u8> {
-    assemble(blocks)
-}
-
-fn assemble(blocks: &[Vec<u8>; 3]) -> Vec<u8> {
     let mut out = Vec::with_capacity(blocks.iter().map(Vec::len).sum::<usize>() + 16);
     out.extend_from_slice(&TRAJ_MAGIC);
     for b in blocks {
@@ -170,153 +164,6 @@ impl TrajectoryDecompressor {
         let y = self.axes[1].decompress_buffer(blocks[1])?;
         let z = self.axes[2].decompress_buffer(blocks[2])?;
         zip_frames(x, y, z)
-    }
-}
-
-/// Three-axis compressor that fans axis×buffer blocks across workers.
-///
-/// Where [`TrajectoryCompressor`] compresses one buffer's three axes in
-/// turn, this type feeds *every* axis×buffer block of a batch into the
-/// block engine
-/// ([`Compressor::compress_buffers_parallel`]), so a batch of `B` buffers
-/// exposes up to `3·B` units of work. Output is **byte-identical** to the
-/// serial path for every worker count. The axes are always MDZ codecs
-/// (the engine needs concrete [`Compressor`]s, not `dyn Codec`).
-pub struct ParallelTrajectoryCompressor {
-    axes: [Compressor; 3],
-    bound: ErrorBound,
-    par: ParallelOptions,
-}
-
-impl ParallelTrajectoryCompressor {
-    /// Creates one MDZ compressor per axis from a shared configuration,
-    /// initially serial — set workers with
-    /// [`ParallelTrajectoryCompressor::with_parallelism`].
-    pub fn new(cfg: MdzConfig) -> Self {
-        let bound = cfg.bound;
-        Self {
-            axes: std::array::from_fn(|_| Compressor::new(cfg.clone())),
-            bound,
-            par: ParallelOptions::serial(),
-        }
-    }
-
-    /// Installs a worker configuration for subsequent calls.
-    pub fn with_parallelism(mut self, par: ParallelOptions) -> Self {
-        self.par = par;
-        self
-    }
-
-    /// Compresses an ordered batch of frame buffers into one container
-    /// blob per buffer, byte-identical to
-    /// [`TrajectoryCompressor::compress_buffer`] called in order.
-    ///
-    /// On error the stream state is unspecified; rebuild before reuse.
-    pub fn compress_buffers(&mut self, buffers: &[&[Frame]]) -> Result<Vec<Vec<u8>>> {
-        if buffers.iter().any(|frames| frames.is_empty()) {
-            return Err(MdzError::BadInput("buffer has no frames"));
-        }
-        // axis → buffer → snapshots
-        let series: [Vec<Vec<Vec<f64>>>; 3] = [
-            buffers.iter().map(|fs| fs.iter().map(|f| f.x.clone()).collect()).collect(),
-            buffers.iter().map(|fs| fs.iter().map(|f| f.y.clone()).collect()).collect(),
-            buffers.iter().map(|fs| fs.iter().map(|f| f.z.clone()).collect()).collect(),
-        ];
-        let refs: Vec<Vec<&[Vec<f64>]>> =
-            series.iter().map(|bufs| bufs.iter().map(Vec::as_slice).collect()).collect();
-        for axis in &mut self.axes {
-            axis.set_bound(self.bound);
-        }
-        let streams = self
-            .axes
-            .iter_mut()
-            .zip(refs.iter())
-            .map(|(axis, bufs)| (axis, bufs.as_slice()))
-            .collect();
-        let mut per_axis = compress_streams(streams, self.par.workers).into_iter();
-        let (xs, ys, zs) = (
-            per_axis.next().expect("three streams"),
-            per_axis.next().expect("three streams"),
-            per_axis.next().expect("three streams"),
-        );
-        // Surface the first failure in buffer order, then axis order.
-        let mut out = Vec::with_capacity(buffers.len());
-        for ((x, y), z) in xs.into_iter().zip(ys).zip(zs) {
-            out.push(assemble(&[x?, y?, z?]));
-        }
-        Ok(out)
-    }
-}
-
-/// Three-axis decompressor that fans axis×buffer blocks across workers.
-///
-/// The decode mirror of [`ParallelTrajectoryCompressor`]: a batch of
-/// container blobs is split into per-axis block streams and fed to
-/// [`Decompressor::decompress_blocks_parallel`]. Results match
-/// [`TrajectoryDecompressor::decompress_buffer`] called in order.
-pub struct ParallelTrajectoryDecompressor {
-    axes: [Decompressor; 3],
-    par: ParallelOptions,
-}
-
-impl Default for ParallelTrajectoryDecompressor {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl ParallelTrajectoryDecompressor {
-    /// Creates an MDZ decompressor with empty stream state, initially
-    /// serial.
-    pub fn new() -> Self {
-        Self { axes: std::array::from_fn(|_| Decompressor::new()), par: ParallelOptions::serial() }
-    }
-
-    /// Installs a worker configuration for subsequent calls.
-    pub fn with_parallelism(mut self, par: ParallelOptions) -> Self {
-        self.par = par;
-        self
-    }
-
-    /// Replaces the worker configuration applied to subsequent calls.
-    pub fn set_parallelism(&mut self, par: ParallelOptions) {
-        self.par = par;
-    }
-
-    /// Installs a decode budget on all three axis decompressors.
-    pub fn with_decode_limits(mut self, limits: DecodeLimits) -> Self {
-        for axis in &mut self.axes {
-            axis.set_limits(limits);
-        }
-        self
-    }
-
-    /// Decompresses an ordered batch of container blobs back into frame
-    /// buffers.
-    ///
-    /// On error the stream state is unspecified; rebuild before reuse.
-    pub fn decompress_buffers(&mut self, containers: &[&[u8]]) -> Result<Vec<Vec<Frame>>> {
-        let split: Vec<[&[u8]; 3]> =
-            containers.iter().map(|c| split_container(c)).collect::<Result<_>>()?;
-        let blocks: Vec<Vec<&[u8]>> =
-            (0..3).map(|axis| split.iter().map(|s| s[axis]).collect()).collect();
-        let streams = self
-            .axes
-            .iter_mut()
-            .zip(blocks.iter())
-            .map(|(axis, bs)| (axis, bs.as_slice()))
-            .collect();
-        let mut per_axis = decompress_streams(streams, self.par.workers).into_iter();
-        let (xs, ys, zs) = (
-            per_axis.next().expect("three streams"),
-            per_axis.next().expect("three streams"),
-            per_axis.next().expect("three streams"),
-        );
-        let mut out = Vec::with_capacity(containers.len());
-        for ((x, y), z) in xs.into_iter().zip(ys).zip(zs) {
-            out.push(zip_frames(x?, y?, z?)?);
-        }
-        Ok(out)
     }
 }
 
@@ -386,42 +233,5 @@ mod tests {
     #[should_panic(expected = "equally long")]
     fn ragged_frame_panics() {
         let _ = Frame::new(vec![1.0], vec![1.0, 2.0], vec![1.0]);
-    }
-
-    #[test]
-    fn parallel_batch_matches_serial_trajectory_bytes() {
-        let buffers: Vec<Vec<Frame>> = (0..5).map(|k| frames(4, 80 + k)).collect();
-        let refs: Vec<&[Frame]> = buffers.iter().map(Vec::as_slice).collect();
-        let cfg = MdzConfig::new(ErrorBound::Absolute(1e-3));
-        let mut serial = TrajectoryCompressor::new(cfg.clone());
-        let want: Vec<Vec<u8>> = refs.iter().map(|b| serial.compress_buffer(b).unwrap()).collect();
-        for workers in [1, 4] {
-            let mut par = ParallelTrajectoryCompressor::new(cfg.clone())
-                .with_parallelism(ParallelOptions::with_workers(workers));
-            assert_eq!(par.compress_buffers(&refs).unwrap(), want, "{workers} workers");
-        }
-    }
-
-    #[test]
-    fn parallel_trajectory_decompressor_round_trips() {
-        let buffers: Vec<Vec<Frame>> = (0..4).map(|_| frames(4, 70)).collect();
-        let refs: Vec<&[Frame]> = buffers.iter().map(Vec::as_slice).collect();
-        let cfg = MdzConfig::new(ErrorBound::Absolute(1e-4)).with_method(Method::Mt);
-        let mut c = ParallelTrajectoryCompressor::new(cfg)
-            .with_parallelism(ParallelOptions::with_workers(4));
-        let containers = c.compress_buffers(&refs).unwrap();
-        let container_refs: Vec<&[u8]> = containers.iter().map(Vec::as_slice).collect();
-        let mut d = ParallelTrajectoryDecompressor::new()
-            .with_parallelism(ParallelOptions::with_workers(4));
-        let out = d.decompress_buffers(&container_refs).unwrap();
-        assert_eq!(out.len(), 4);
-        for (got, want) in out.iter().zip(buffers.iter()) {
-            assert_eq!(got.len(), want.len());
-            for (g, w) in got.iter().zip(want.iter()) {
-                for (a, b) in g.x.iter().zip(w.x.iter()) {
-                    assert!((a - b).abs() <= 1e-4);
-                }
-            }
-        }
     }
 }

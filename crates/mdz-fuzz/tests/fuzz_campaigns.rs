@@ -18,7 +18,7 @@ use mdz_core::format::{FLAGS_OFFSET, FLAG_BIT_ADAPTIVE};
 use mdz_core::traj::TrajectoryDecompressor;
 use mdz_core::{
     Codec, Compressor, DecodeLimits, Decompressor, EntropyStage, ErrorBound, Frame, MdzCodec,
-    MdzConfig, Method, ParallelOptions, QuantizerKind, TrajectoryCompressor,
+    MdzConfig, Method, QuantizerKind, TrajectoryCompressor,
 };
 use mdz_entropy::{
     huffman_decode_at_limited, huffman_encode, range_decode_at_limited, range_encode, StreamLimits,
@@ -364,46 +364,6 @@ fn fuzz_trajectory_container() {
                 as Box<dyn Codec>
         });
         let _ = TrajectoryDecompressor::from_codecs(axes).decompress_buffer(input);
-    });
-}
-
-#[test]
-fn fuzz_concurrent_block_decode_differential() {
-    // Batched decode must be indistinguishable from the serial loop on
-    // hostile input: identical values when every block decodes, identical
-    // first error otherwise. Worker fan-out must never change acceptance.
-    let seeds = vec![
-        block(Method::Vq, EntropyStage::Huffman),
-        block(Method::Mt, EntropyStage::Huffman),
-        block(Method::Vqt, EntropyStage::Range),
-        f32_block(),
-    ];
-    let limits = tight_limits();
-    let opts = ParallelOptions::with_workers(4);
-    campaign("concurrent-decode", 0x4d445a0a, &seeds.clone(), 256 * MB, |_, base_idx, input| {
-        // The mutated block rides between two intact seeds so an error can
-        // land at any slot and reference state carries across slots.
-        let batch: [&[u8]; 3] = [&seeds[base_idx], input, &seeds[(base_idx + 1) % seeds.len()]];
-        let serial: Vec<_> = {
-            let mut dec = Decompressor::with_limits(limits);
-            batch.iter().map(|b| dec.decompress_block(b)).collect()
-        };
-        let parallel = Decompressor::with_limits(limits).decompress_blocks_parallel(&batch, &opts);
-        match serial.iter().find_map(|r| r.as_ref().err()) {
-            None => {
-                let expected: Vec<_> = serial.into_iter().map(Result::unwrap).collect();
-                assert_eq!(
-                    parallel.as_ref().ok(),
-                    Some(&expected),
-                    "parallel decode diverged from a clean serial loop"
-                );
-            }
-            Some(first_err) => assert_eq!(
-                parallel.as_ref().err(),
-                Some(first_err),
-                "parallel decode surfaced a different first error"
-            ),
-        }
     });
 }
 

@@ -135,6 +135,43 @@ impl Obs {
     pub fn span(&self, name: &'static str) -> Span<'_> {
         Span { obs: self, name, start: self.recorder.is_some().then(Instant::now) }
     }
+
+    /// A handle for one of `threads` workers that run side by side over
+    /// one wall-clock window. Its latency observations (`*_seconds`) are
+    /// divided by `threads`, so a stage's total is its share of the window
+    /// rather than busy time summed over threads: the spans all workers
+    /// record, none overlapping within a thread, add up to at most the
+    /// window. Counters, gauges and other observations pass through.
+    /// With `threads <= 1` this is a plain clone.
+    pub fn share(&self, threads: usize) -> Obs {
+        match &self.recorder {
+            Some(inner) if threads > 1 => {
+                Obs::new(Arc::new(Shared { inner: Arc::clone(inner), threads: threads as f64 }))
+            }
+            _ => self.clone(),
+        }
+    }
+}
+
+/// The recorder behind [`Obs::share`].
+struct Shared {
+    inner: Arc<dyn Recorder>,
+    threads: f64,
+}
+
+impl Recorder for Shared {
+    fn incr(&self, name: &'static str, delta: u64) {
+        self.inner.incr(name, delta);
+    }
+
+    fn gauge(&self, name: &'static str, value: u64) {
+        self.inner.gauge(name, value);
+    }
+
+    fn observe(&self, name: &'static str, value: f64) {
+        let value = if name.ends_with("_seconds") { value / self.threads } else { value };
+        self.inner.observe(name, value);
+    }
 }
 
 impl std::fmt::Debug for Obs {
@@ -208,6 +245,24 @@ mod tests {
         obs.incr("shared", 1);
         clone.incr("shared", 1);
         assert_eq!(reg.snapshot().counter("shared"), 2);
+    }
+
+    #[test]
+    fn shared_handles_record_seconds_as_a_share_of_the_window() {
+        let reg = Arc::new(Registry::new());
+        let obs = Obs::new(reg.clone());
+        let shared = obs.share(4);
+        shared.observe("t_seconds", 2.0);
+        shared.observe("jobs", 2.0);
+        shared.incr("c", 3);
+        shared.gauge("g", 7);
+        obs.share(1).observe("t_seconds", 1.0);
+        let snap = reg.snapshot();
+        let t = snap.histogram("t_seconds").unwrap();
+        assert_eq!((t.count, t.sum), (2, 1.5));
+        assert_eq!(snap.histogram("jobs").unwrap().sum, 2.0);
+        assert_eq!((snap.counter("c"), snap.gauge("g")), (3, Some(7)));
+        assert!(!Obs::noop().share(4).enabled());
     }
 
     #[test]

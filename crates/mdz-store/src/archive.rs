@@ -55,7 +55,7 @@
 use crate::io::{MemIo, StoreIo};
 use mdz_core::checksum::{crc32, fnv1a64};
 use mdz_core::traj::assemble_container;
-use mdz_core::{Compressor, Frame, MdzConfig, MdzError, Obs, Result};
+use mdz_core::{fan_out, Compressor, Frame, MdzConfig, MdzError, Obs, Result};
 use mdz_entropy::{read_uvarint, write_uvarint};
 use mdz_lossless::lz77;
 use mdz_lossless::StreamLimits;
@@ -102,7 +102,7 @@ pub struct StoreOptions {
     pub epoch_interval: usize,
     /// Coordinate precision.
     pub precision: Precision,
-    /// Recorder attached to the per-axis compressors, so writing an
+    /// Recorder attached to every encoding compressor, so writing an
     /// archive surfaces pipeline metrics (`core.encode.*`, ADP winner
     /// counts) in a caller registry. No-op (free) by default.
     pub obs: Obs,
@@ -283,9 +283,11 @@ pub fn write_store(
 /// Compresses a trajectory into an indexed version-2 archive on `io`,
 /// replacing any existing contents.
 ///
-/// Durability protocol: header and block records are written first and
-/// synced, then the footer is written at the tail and synced. The archive
-/// is published (readable) only once the footer is durable.
+/// Every block is encoded before `io` is touched, so rejected input leaves
+/// an existing file as it was. Durability protocol: header and block
+/// records are written first and synced, then the footer is written at the
+/// tail and synced. The archive is published (readable) only once the
+/// footer is durable.
 pub fn create_store(
     io: &mut dyn StoreIo,
     frames: &[Frame],
@@ -297,6 +299,9 @@ pub fn create_store(
         return Err(MdzError::BadInput("trajectory has no frames"));
     }
     let n_atoms = frames[0].len();
+    if n_atoms == 0 {
+        return Err(MdzError::BadInput("frames have no atoms"));
+    }
     if frames.iter().any(|f| f.len() != n_atoms || f.y.len() != n_atoms || f.z.len() != n_atoms) {
         return Err(MdzError::BadInput("ragged frames: atom counts differ"));
     }
@@ -330,10 +335,12 @@ pub fn create_store(
     write_uvarint(&mut head, meta_c.len() as u64);
     head.extend_from_slice(&meta_c);
 
+    let records =
+        encode_records(frames, opts.buffer_size, opts.epoch_interval, opts, hardware_threads())?;
     io.truncate(0)?;
     io.write_at(0, &head)?;
     let mut pos = head.len() as u64;
-    let offsets = write_blocks(io, &mut pos, frames, opts.buffer_size, opts.epoch_interval, opts)?;
+    let offsets = write_records(io, &mut pos, &records)?;
     io.sync()?;
 
     let epoch_starts: Vec<usize> = (0..offsets.len()).step_by(opts.epoch_interval).collect();
@@ -401,10 +408,11 @@ pub fn append_store(
     }
     opts.cfg.validate()?;
 
+    let records =
+        encode_records(frames, index.buffer_size, index.epoch_interval, opts, hardware_threads())?;
     let base_blocks = index.blocks.len();
     let mut pos = valid_len as u64;
-    let new_offsets =
-        write_blocks(io, &mut pos, frames, index.buffer_size, index.epoch_interval, opts)?;
+    let new_offsets = write_records(io, &mut pos, &records)?;
     io.sync()?;
 
     let mut offsets: Vec<usize> = index.blocks.iter().map(|b| b.offset).collect();
@@ -424,45 +432,114 @@ pub fn append_store(
     })
 }
 
-/// Compresses `frames` into block records at `*pos`, advancing it; returns
-/// the absolute offset of each record. Fresh per-axis compressors anchor the
-/// segment's first block; the stream re-anchors every `epoch_interval`
-/// blocks after that.
-fn write_blocks(
-    io: &mut dyn StoreIo,
-    pos: &mut u64,
+/// The writer's worker count: one per hardware thread.
+fn hardware_threads() -> usize {
+    std::thread::available_parallelism().map_or(1, |n| n.get())
+}
+
+/// Encodes `frames` into one block record per `buffer_size` frames, in
+/// block order. The segment's first block anchors a fresh stream, and the
+/// stream re-anchors every `epoch_interval` blocks after that.
+///
+/// An anchor drops all stream state ([`Compressor::reset_stream`]), so each
+/// (epoch, axis) stream encodes independently of every other. Each is one
+/// job for [`fan_out`] on `workers` threads; a worker's compressor resets
+/// before every job, so the records are byte-identical for any `workers`.
+fn encode_records(
     frames: &[Frame],
     buffer_size: usize,
     epoch_interval: usize,
     opts: &StoreOptions,
-) -> Result<Vec<usize>> {
-    let mut axes = [
-        Compressor::new(opts.cfg.clone()),
-        Compressor::new(opts.cfg.clone()),
-        Compressor::new(opts.cfg.clone()),
-    ];
-    for c in axes.iter_mut() {
-        c.set_obs(opts.obs.clone());
-    }
-    let mut offsets = Vec::new();
-    let mut record = Vec::new();
-    for (i, chunk) in frames.chunks(buffer_size).enumerate() {
-        if i > 0 && i % epoch_interval == 0 {
-            for c in axes.iter_mut() {
-                c.reset_stream();
-            }
+    workers: usize,
+) -> Result<Vec<Vec<u8>>> {
+    let jobs: Vec<(&[Frame], usize)> = frames
+        .chunks(buffer_size.saturating_mul(epoch_interval))
+        .flat_map(|epoch| (0..3).map(move |axis| (epoch, axis)))
+        .collect();
+    // As many threads as `fan_out` runs; their stage seconds are recorded
+    // as shares of the encode's wall clock, so they still add up to at
+    // most the write's wall time.
+    let threads = workers.clamp(1, jobs.len().max(1));
+    let obs = opts.obs.share(threads);
+    let make_compressor = || {
+        let mut comp = Compressor::new(opts.cfg.clone());
+        comp.set_obs(obs.clone());
+        (comp, Vec::new())
+    };
+    let streams = fan_out(&jobs, threads, &opts.obs, make_compressor, |worker, &(epoch, axis)| {
+        let (comp, narrow) = worker;
+        comp.reset_stream();
+        epoch
+            .chunks(buffer_size)
+            .map(|chunk| encode_axis_block(comp, narrow, chunk, axis, opts.precision))
+            .collect::<Result<Vec<Vec<u8>>>>()
+    });
+
+    let mut records = Vec::with_capacity(frames.len().div_ceil(buffer_size));
+    let mut streams = streams.into_iter();
+    while let (Some(x), Some(y), Some(z)) = (streams.next(), streams.next(), streams.next()) {
+        for ((x, y), z) in x?.into_iter().zip(y?).zip(z?) {
+            let container = assemble_container(&[x, y, z]);
+            // Length uvarint (at most 10 bytes) + FNV-1a checksum (8).
+            let mut record = Vec::with_capacity(container.len() + 18);
+            write_uvarint(&mut record, container.len() as u64);
+            record.extend_from_slice(&fnv1a64(&container).to_le_bytes());
+            record.extend_from_slice(&container);
+            records.push(record);
         }
-        let blocks = compress_chunk(&mut axes, chunk, opts.precision)?;
-        let container = assemble_container(&blocks);
-        record.clear();
-        write_uvarint(&mut record, container.len() as u64);
-        record.extend_from_slice(&fnv1a64(&container).to_le_bytes());
-        record.extend_from_slice(&container);
-        io.write_at(*pos, &record)?;
-        offsets.push(*pos as usize);
-        *pos += record.len() as u64;
     }
-    Ok(offsets)
+    Ok(records)
+}
+
+/// Encodes one axis of `chunk` as the next block of `comp`'s stream. The
+/// compressor borrows `f64` coordinates in place; `f32` ones are narrowed
+/// once into `narrow`, which the worker reuses.
+fn encode_axis_block(
+    comp: &mut Compressor,
+    narrow: &mut Vec<Vec<f32>>,
+    chunk: &[Frame],
+    axis: usize,
+    precision: Precision,
+) -> Result<Vec<u8>> {
+    fn coords(frame: &Frame, axis: usize) -> &[f64] {
+        match axis {
+            0 => &frame.x,
+            1 => &frame.y,
+            _ => &frame.z,
+        }
+    }
+    let mut block = Vec::new();
+    match precision {
+        Precision::F64 => {
+            let snapshots: Vec<&[f64]> = chunk.iter().map(|f| coords(f, axis)).collect();
+            comp.compress_buffer_into(&snapshots, &mut block)?;
+        }
+        Precision::F32 => {
+            if narrow.len() < chunk.len() {
+                narrow.resize_with(chunk.len(), Vec::new);
+            }
+            for (snapshot, frame) in narrow.iter_mut().zip(chunk) {
+                snapshot.clear();
+                snapshot.extend(coords(frame, axis).iter().map(|&v| v as f32));
+            }
+            comp.compress_buffer_f32_into(&narrow[..chunk.len()], &mut block)?;
+        }
+    }
+    Ok(block)
+}
+
+/// Writes `records` back to back from `*pos`, one write call each,
+/// advancing `*pos`; returns the absolute offset of each record.
+fn write_records(io: &mut dyn StoreIo, pos: &mut u64, records: &[Vec<u8>]) -> Result<Vec<usize>> {
+    records
+        .iter()
+        .map(|record| {
+            io.write_at(*pos, record)?;
+            let offset = *pos as usize;
+            *pos += record.len() as u64;
+            Ok(offset)
+        })
+        .collect()
 }
 
 /// Serializes a version-2 footer (payload + trailer) for the given state.
@@ -614,35 +691,6 @@ pub fn verify_archive(data: &[u8]) -> std::result::Result<VerifyReport, VerifyFa
         n_epochs: idx.n_epochs(),
         archive_len: data.len(),
     })
-}
-
-fn compress_chunk(
-    axes: &mut [Compressor; 3],
-    chunk: &[Frame],
-    precision: Precision,
-) -> Result<[Vec<u8>; 3]> {
-    let mut blocks: [Vec<u8>; 3] = Default::default();
-    for (j, comp) in axes.iter_mut().enumerate() {
-        fn pick(f: &Frame, axis: usize) -> &[f64] {
-            match axis {
-                0 => &f.x,
-                1 => &f.y,
-                _ => &f.z,
-            }
-        }
-        blocks[j] = match precision {
-            Precision::F64 => {
-                let snaps: Vec<Vec<f64>> = chunk.iter().map(|f| pick(f, j).to_vec()).collect();
-                comp.compress_buffer(&snaps)?
-            }
-            Precision::F32 => {
-                let snaps: Vec<Vec<f32>> =
-                    chunk.iter().map(|f| pick(f, j).iter().map(|&v| v as f32).collect()).collect();
-                comp.compress_buffer_f32(&snaps)?
-            }
-        };
-    }
-    Ok(blocks)
 }
 
 struct StoreHeader {
@@ -902,6 +950,18 @@ mod tests {
     }
 
     #[test]
+    fn rejected_create_leaves_the_existing_file_intact() {
+        let existing = write_store(&frames(8, 6), &[], &[], &opts()).unwrap();
+        let mut io = MemIo::new(existing.clone());
+        let no_atoms = frames(5, 0);
+        assert!(matches!(
+            create_store(&mut io, &no_atoms, &[], &[], &opts()),
+            Err(MdzError::BadInput(_))
+        ));
+        assert!(io.into_bytes() == existing, "a rejected create rewrote the file");
+    }
+
+    #[test]
     fn footer_corruption_is_detected() {
         let data = write_store(&frames(10, 6), &[], &[], &opts()).unwrap();
         // Flip one payload byte: CRC mismatch.
@@ -1030,5 +1090,55 @@ mod tests {
         assert_eq!(fault.offset, v1.len());
         // Reads stay tolerant of the tail.
         assert_eq!(ArchiveIndex::parse(&dirty).unwrap().n_frames, 8);
+    }
+
+    /// The inputs of `tests/golden/store_*.mdz`; the metadata helpers are
+    /// only used by the `golden_archives` integration test.
+    #[allow(dead_code)]
+    mod golden {
+        use super::*;
+        use mdz_core::Method;
+
+        include!("../tests/support/golden.rs");
+
+        /// The block records of a golden archive from `first_block` on.
+        fn records(archive: &[u8], first_block: usize) -> Vec<&[u8]> {
+            let idx = ArchiveIndex::parse(archive).unwrap();
+            idx.blocks[first_block..]
+                .iter()
+                .map(|b| {
+                    let container = record_at(archive, b.offset).unwrap();
+                    let end = container.as_ptr_range().end as usize - archive.as_ptr() as usize;
+                    &archive[b.offset..end]
+                })
+                .collect()
+        }
+
+        fn fixture(name: &str) -> Vec<u8> {
+            let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden");
+            std::fs::read(dir.join(format!("{name}.mdz"))).unwrap()
+        }
+
+        fn encode(frames: &[Frame], method: Method, f32: bool, workers: usize) -> Vec<Vec<u8>> {
+            let opts = golden_options(method, f32);
+            encode_records(frames, opts.buffer_size, opts.epoch_interval, &opts, workers).unwrap()
+        }
+
+        #[test]
+        fn every_worker_count_encodes_the_golden_records() {
+            let created = golden_frames(GOLDEN_FRAMES, 1);
+            let appended = golden_frames(GOLDEN_FRAMES, 2);
+            let appended_archive = fixture(GOLDEN_APPENDED);
+            let segment = records(&appended_archive, GOLDEN_APPEND_BASE / GOLDEN_BUFFER_SIZE);
+            for workers in 1..=4 {
+                for (name, method, f32) in GOLDEN_CREATED {
+                    let archive = fixture(name);
+                    let got = encode(&created, method, f32, workers);
+                    assert!(got == records(&archive, 0), "{name}: {workers} workers");
+                }
+                let got = encode(&appended, Method::Adaptive, false, workers);
+                assert!(got == segment, "{GOLDEN_APPENDED}: {workers} workers");
+            }
+        }
     }
 }

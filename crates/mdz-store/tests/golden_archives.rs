@@ -1,0 +1,75 @@
+//! Golden store archives: the writer's output, pinned byte for byte.
+//!
+//! `golden/store_*.mdz` are version-2 archives of the frames in
+//! `support/golden.rs`: ADP, VQ and MT, each in `f64` and `f32`, written by
+//! [`write_store`], plus `store_adp_f64_appended.mdz`, extended by
+//! [`append_store`]. They were written at commit cc0daa5 by the serial
+//! writer (one compressor per axis, encoding buffer after buffer on the
+//! caller's thread) with
+//!
+//! ```text
+//! MDZ_BLESS=1 cargo test -p mdz-store --test golden_archives
+//! ```
+//!
+//! A writer that splits the work differently must still reproduce them, on
+//! any number of cores. Regenerate them only together with an intentional
+//! format change.
+
+use std::path::PathBuf;
+
+use mdz_core::{ErrorBound, Frame, MdzConfig, Method};
+use mdz_store::{append_store, write_store, MemIo, Precision, StoreOptions, StoreReader};
+
+include!("support/golden.rs");
+
+/// Compares `bytes` with the fixture `name` (or rewrites it under
+/// `MDZ_BLESS`), then checks that the archive decodes to `frames` within
+/// the bound, so a fixture can only pin a working archive.
+fn check_golden(name: &str, bytes: &[u8], frames: &[Frame]) {
+    let path = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join(format!("tests/golden/{name}.mdz"));
+    if std::env::var_os("MDZ_BLESS").is_some() {
+        std::fs::write(&path, bytes).unwrap();
+    }
+    let golden = std::fs::read(&path)
+        .unwrap_or_else(|e| panic!("missing golden archive {path:?}: {e}; run with MDZ_BLESS=1"));
+    if let Some(at) = golden.iter().zip(bytes).position(|(g, b)| g != b) {
+        panic!("{name}: writer output differs from the golden archive at byte {at}");
+    }
+    assert_eq!(bytes.len(), golden.len(), "{name}: writer output length differs");
+
+    let decoded = StoreReader::open(bytes.to_vec()).unwrap().read_frames(0..frames.len()).unwrap();
+    for (want, got) in frames.iter().zip(&decoded) {
+        for (a, b) in [(&want.x, &got.x), (&want.y, &got.y), (&want.z, &got.z)] {
+            for (a, b) in a.iter().zip(b) {
+                // 1e-3 of the widest per-buffer axis range (< 10) bounds
+                // every block's ε.
+                assert!((a - b).abs() <= 1e-2, "{name}: {a} decoded as {b}");
+            }
+        }
+    }
+}
+
+#[test]
+fn write_store_reproduces_the_golden_archives() {
+    let frames = golden_frames(GOLDEN_FRAMES, 1);
+    for (name, method, f32) in GOLDEN_CREATED {
+        let opts = golden_options(method, f32);
+        let bytes = write_store(&frames, &golden_elements(), &golden_comments(), &opts).unwrap();
+        check_golden(name, &bytes, &frames);
+    }
+}
+
+#[test]
+fn append_store_reproduces_the_golden_appended_archive() {
+    let opts = golden_options(Method::Adaptive, false);
+    let mut frames = golden_frames(GOLDEN_FRAMES, 1);
+    frames.truncate(GOLDEN_APPEND_BASE);
+    let comments = &golden_comments()[..GOLDEN_APPEND_BASE];
+    let base = write_store(&frames, &golden_elements(), comments, &opts).unwrap();
+    let extra = golden_frames(GOLDEN_FRAMES, 2);
+    let mut io = MemIo::new(base);
+    let report = append_store(&mut io, &extra, &opts).unwrap();
+    assert_eq!(report.n_frames, GOLDEN_APPEND_BASE + GOLDEN_FRAMES);
+    frames.extend(extra);
+    check_golden(GOLDEN_APPENDED, &io.into_bytes(), &frames);
+}

@@ -41,17 +41,19 @@ cargo test --workspace --doc --quiet
 echo "==> fuzz smoke (MDZ_FUZZ_ITERS=${MDZ_FUZZ_ITERS:-5000})"
 MDZ_FUZZ_ITERS="${MDZ_FUZZ_ITERS:-5000}" cargo test -p mdz-fuzz --release --quiet
 
-# Parallel engine gate: byte-identity across worker counts, then a
-# 1-repetition throughput smoke whose JSON artifact is schema-checked by
+# Parallel gate: the store writer's bytes against golden archives written
+# by the serial writer, through the public API and for 1-4 workers, then
+# a 1-repetition throughput smoke whose JSON artifact is schema-checked by
 # the same validator EXPERIMENTS.md's numbers went through.
-echo "==> parallel determinism (serial vs workers=4)"
-cargo test -p mdz-core --release --quiet --test parallel_determinism
+echo "==> parallel determinism (golden store archives, workers 1-4)"
+cargo test -p mdz-store --release --quiet --test golden_archives
+cargo test -p mdz-store --release --quiet --lib golden
 
 echo "==> throughput smoke (1 rep, JSON schema check)"
 tmp_out="$(mktemp -d)"
 trap 'rm -rf "$tmp_out"' EXIT
 cargo run --release -p mdz-bench --bin experiments -- \
-    --scale test --reps 1 --workers 1,2 --out "$tmp_out" throughput > /dev/null
+    --scale test --reps 1 --out "$tmp_out" throughput > /dev/null
 MDZ_BENCH_JSON="$tmp_out/BENCH_throughput.json" \
     cargo test -p mdz-bench --release --quiet --test throughput_json
 
