@@ -74,6 +74,16 @@ impl AdaptiveState {
         self.since_trial += 1;
     }
 
+    /// The state after `encoded` (≥ 1) buffers of a stream whose trials
+    /// fall every `interval` buffers from its first, with `current` the
+    /// winner in force: the next trial falls at the next multiple of
+    /// `interval`.
+    pub(crate) fn resume(current: Candidate, encoded: usize, interval: u32) -> Self {
+        // A trial leaves the counter at 1 and each later buffer adds 1.
+        let since_trial = (encoded - 1) % interval as usize + 1;
+        Self { since_trial: since_trial as u32, current: Some(current) }
+    }
+
     /// The composition currently in force, if a trial has run.
     pub fn current(&self) -> Option<Candidate> {
         self.current
@@ -101,6 +111,22 @@ mod tests {
             s.tick();
         }
         assert!(s.trial_due(5));
+    }
+
+    #[test]
+    fn resume_keeps_the_trial_cadence() {
+        let winner = Candidate::linear(Method::Vq);
+        let mut s = AdaptiveState::new();
+        for encoded in 1..=7 {
+            if s.trial_due(3) {
+                s.record_winner(winner);
+            } else {
+                s.tick();
+            }
+            let resumed = AdaptiveState::resume(winner, encoded, 3);
+            assert_eq!(resumed.since_trial, s.since_trial, "after {encoded} buffers");
+            assert_eq!(resumed.current(), s.current());
+        }
     }
 
     #[test]

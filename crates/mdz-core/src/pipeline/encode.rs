@@ -95,6 +95,10 @@ fn resolve_eps<S: AsRef<[f64]>>(cfg: &MdzConfig, snapshots: &[S]) -> f64 {
 /// Snapshots are borrowed as slices (`Vec<f64>`, `&[f64]`, …), so callers
 /// holding their data elsewhere encode it without copying.
 ///
+/// `detected` holds the level detection of this buffer's first snapshot
+/// once a VQ-family encode has run it, so the candidates of one ADP trial
+/// share one detection; pass `&mut None` for a buffer's first encode.
+///
 /// `obs` records per-stage timings (`core.encode.*_seconds`) and pipeline
 /// counters; pass a no-op handle to skip all measurement.
 #[allow(clippy::too_many_arguments)]
@@ -104,6 +108,7 @@ pub(crate) fn encode_buffer_into<S: AsRef<[f64]>>(
     method: Method,
     quantizer: QuantizerKind,
     snapshots: &[S],
+    detected: &mut Option<Option<LevelGrid>>,
     out: &mut Vec<u8>,
     scratch: &mut EncodeScratch,
     obs: &Obs,
@@ -112,11 +117,11 @@ pub(crate) fn encode_buffer_into<S: AsRef<[f64]>>(
     match quantizer {
         QuantizerKind::Linear => {
             let quant = LinearQuantizer::new(eps, cfg.radius);
-            encode_with(cfg, state, method, &quant, snapshots, out, scratch, obs)
+            encode_with(cfg, state, method, &quant, snapshots, detected, out, scratch, obs)
         }
         QuantizerKind::BitAdaptive { chunk } => {
             let quant = BitAdaptiveQuantizer::new(eps, chunk);
-            encode_with(cfg, state, method, &quant, snapshots, out, scratch, obs)
+            encode_with(cfg, state, method, &quant, snapshots, detected, out, scratch, obs)
         }
     }
 }
@@ -129,6 +134,7 @@ fn encode_with<Q: Quantizer, S: AsRef<[f64]>>(
     method: Method,
     quant: &Q,
     snapshots: &[S],
+    detected: &mut Option<Option<LevelGrid>>,
     out: &mut Vec<u8>,
     scratch: &mut EncodeScratch,
     obs: &Obs,
@@ -179,21 +185,25 @@ fn encode_with<Q: Quantizer, S: AsRef<[f64]>>(
     );
 
     // Level grid: detect once per stream, from the first snapshot seen by a
-    // VQ-family method (the paper computes F once, on the first snapshot).
+    // VQ-family method (the paper computes F once, on the first snapshot),
+    // and at most once per buffer however many candidates need it.
     let grid: Option<LevelGrid> =
         if matches!(method, Method::Vq | Method::Vqt) && state.grid.is_none() {
-            let sel = SelectConfig {
-                max_k: cfg.max_levels,
-                sample_fraction: cfg.level_sample_fraction,
-                ..Default::default()
-            };
-            let detected = detect_levels(snapshots[0].as_ref(), &sel);
-            obs.incr("core.grid.detect_runs", 1);
-            if detected.is_some() {
-                obs.incr("core.grid.detected", 1);
-            }
-            delta.grid = Some(detected);
-            detected
+            let grid = *detected.get_or_insert_with(|| {
+                let sel = SelectConfig {
+                    max_k: cfg.max_levels,
+                    sample_fraction: cfg.level_sample_fraction,
+                    ..Default::default()
+                };
+                let grid = detect_levels(snapshots[0].as_ref(), &sel);
+                obs.incr("core.grid.detect_runs", 1);
+                if grid.is_some() {
+                    obs.incr("core.grid.detected", 1);
+                }
+                grid
+            });
+            delta.grid = Some(grid);
+            grid
         } else {
             state.grid.flatten()
         };

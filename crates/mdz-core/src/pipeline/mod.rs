@@ -41,7 +41,7 @@ use crate::format::{
     BlockHeader, Method, FLAGS_OFFSET, FLAG_BIT_ADAPTIVE, FLAG_F32, FLAG_RANGE_CODED, FLAG_SEQ2,
     MAGIC,
 };
-use crate::{ErrorBound, MdzConfig, MdzError, QuantizerKind, Result};
+use crate::{BitAdaptiveQuantizer, ErrorBound, MdzConfig, MdzError, QuantizerKind, Result};
 use decode::{decode_inner, decode_inner_one, DecodeScratch};
 use encode::{encode_buffer_into, EncodeScratch};
 use mdz_entropy::{read_uvarint, StreamLimits};
@@ -228,6 +228,58 @@ impl Compressor {
         self.adaptive = AdaptiveState::new();
     }
 
+    /// Resets the stream, then takes up the encode decisions of `blocks`:
+    /// the blocks a stream has encoded since its last reset, in order. The
+    /// next buffer gets the level grid, ADP candidate and ADP trial cadence
+    /// that stream's compressor would give it, but no MT reference, as
+    /// after [`reset_stream`](Self::reset_stream), so it decodes without
+    /// `blocks`.
+    ///
+    /// The grid is the one the first VQ or VQT block coded with (absent
+    /// when that block has none, undetected when no block is VQ-family),
+    /// the candidate is the last block's method and quantizer, and trials
+    /// fall every `adapt_interval` buffers counted from the first block.
+    /// All of it comes from block headers, except the chunk size of a
+    /// bit-adaptive last block, which is read from the front of its code
+    /// stream (FORMAT.md §4.5). With no blocks this is
+    /// [`reset_stream`](Self::reset_stream).
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use mdz_core::{Compressor, ErrorBound, MdzConfig};
+    ///
+    /// let mut comp = Compressor::new(MdzConfig::new(ErrorBound::Absolute(1e-3)));
+    /// let first = comp.compress_buffer(&[vec![1.0, 2.0, 3.5], vec![1.1, 2.1, 3.4]]).unwrap();
+    /// let mut resumed = Compressor::new(MdzConfig::new(ErrorBound::Absolute(1e-3)));
+    /// resumed.resume_decisions(&[&first]).unwrap();
+    /// assert_eq!(resumed.current_adaptive_choice(), comp.current_adaptive_choice());
+    /// ```
+    pub fn resume_decisions(&mut self, blocks: &[&[u8]]) -> Result<()> {
+        self.cfg.validate()?;
+        self.reset_stream();
+        let mut last = None;
+        for &block in blocks {
+            let info = Decompressor::inspect(block)?;
+            if self.state.grid.is_none() && matches!(info.method, Method::Vq | Method::Vqt) {
+                let grid =
+                    info.grid.map(|(mu, lambda)| LevelGrid { mu, lambda, k: 0, fit_error: 0.0 });
+                self.state.grid = Some(grid);
+            }
+            last = Some((block, info));
+        }
+        if let Some((block, info)) = last {
+            let quantizer = if info.bit_adaptive {
+                QuantizerKind::BitAdaptive { chunk: bit_adaptive_chunk(block)? }
+            } else {
+                QuantizerKind::Linear
+            };
+            let current = Candidate { method: info.method, quantizer };
+            self.adaptive = AdaptiveState::resume(current, blocks.len(), self.cfg.adapt_interval);
+        }
+        Ok(())
+    }
+
     /// Compresses one buffer of snapshots into a self-describing block.
     ///
     /// All snapshots must be non-empty and equally sized.
@@ -261,6 +313,7 @@ impl Compressor {
                     m,
                     self.cfg.quantizer,
                     snapshots,
+                    &mut None,
                     out,
                     &mut self.scratch,
                     &self.obs,
@@ -337,6 +390,7 @@ impl Compressor {
                 if self.cfg.extended_candidates { &Method::EXTENDED } else { &Method::CONCRETE };
             let quantizers = self.trial_quantizers();
             let mut best: Option<(StateDelta, Candidate)> = None;
+            let mut detected = None;
             for &m in methods {
                 for &q in &quantizers {
                     let delta = encode_buffer_into(
@@ -345,6 +399,7 @@ impl Compressor {
                         m,
                         q,
                         snapshots,
+                        &mut detected,
                         &mut self.trial_cur,
                         &mut self.scratch,
                         &self.obs,
@@ -373,6 +428,7 @@ impl Compressor {
                 c.method,
                 c.quantizer,
                 snapshots,
+                &mut None,
                 out,
                 &mut self.scratch,
                 &self.obs,
@@ -381,6 +437,29 @@ impl Compressor {
             Ok(())
         }
     }
+}
+
+/// The chunk size a bit-adaptive block's code stream declares in its first
+/// bytes: the one quantizer parameter the block header does not carry.
+fn bit_adaptive_chunk(block: &[u8]) -> Result<usize> {
+    let mut pos = 0;
+    let header = BlockHeader::read(block, &mut pos)?;
+    let budget = DecodeLimits::default().inner_budget(header.n_snapshots * header.n_values);
+    let mut inner = Vec::new();
+    lz77::decompress_into_limited(payload(block, pos)?, &mut inner, &budget)?;
+    let chunk = read_uvarint(&inner, &mut 0)? as usize;
+    if !(1..=BitAdaptiveQuantizer::MAX_CHUNK).contains(&chunk) {
+        return Err(MdzError::Corrupt { what: "bit-adaptive chunk size out of range" });
+    }
+    Ok(chunk)
+}
+
+/// The LZ77-compressed payload that follows a block header ending at `pos`.
+fn payload(block: &[u8], mut pos: usize) -> Result<&[u8]> {
+    let len = read_uvarint(block, &mut pos)? as usize;
+    pos.checked_add(len)
+        .and_then(|end| block.get(pos..end))
+        .ok_or(MdzError::BadHeader("truncated payload"))
 }
 
 /// The ADP winner counter for a concrete method.
@@ -539,14 +618,10 @@ impl Decompressor {
         if index >= header.n_snapshots {
             return Err(MdzError::BadInput("snapshot index out of range"));
         }
-        let payload_len = read_uvarint(block, &mut pos)? as usize;
-        let end = pos
-            .checked_add(payload_len)
-            .filter(|&e| e <= block.len())
-            .ok_or(MdzError::BadHeader("truncated payload"))?;
+        let payload = payload(block, pos)?;
         let budget = limits.inner_budget(header.n_snapshots * header.n_values);
         let mut inner = Vec::new();
-        lz77::decompress_into_limited(&block[pos..end], &mut inner, &budget)?;
+        lz77::decompress_into_limited(payload, &mut inner, &budget)?;
         let all = decode_inner_one(&header, &inner, index)?;
         Ok(all)
     }
@@ -604,15 +679,11 @@ impl Decompressor {
         let mut pos = 0;
         let header = BlockHeader::read(block, &mut pos)?;
         self.limits.check(&header)?;
-        let payload_len = read_uvarint(block, &mut pos)? as usize;
-        let end = pos
-            .checked_add(payload_len)
-            .filter(|&e| e <= block.len())
-            .ok_or(MdzError::BadHeader("truncated payload"))?;
+        let payload = payload(block, pos)?;
         let budget = self.limits.inner_budget(header.n_snapshots * header.n_values);
         {
             let _t = self.obs.span("core.decode.lossless_seconds");
-            lz77::decompress_into_limited(&block[pos..end], &mut self.scratch.inner, &budget)?;
+            lz77::decompress_into_limited(payload, &mut self.scratch.inner, &budget)?;
         }
         let reconstruct = self.obs.span("core.decode.reconstruct_seconds");
         let snapshots = decode_inner(&header, self.reference.as_deref(), &mut self.scratch)?;
@@ -1172,6 +1243,67 @@ mod tests {
             d.reset_stream();
             let out = d.decompress_block(&b0_again).unwrap();
             assert_eq!(out, Decompressor::new().decompress_block(&b0).unwrap());
+        }
+    }
+
+    #[test]
+    fn resumed_compressor_places_trials_and_grid_like_the_original() {
+        use mdz_obs::Registry;
+        use std::sync::Arc;
+
+        // Each buffer shifts the lattice, so a grid detected on any buffer
+        // but the first would differ from the first buffer's.
+        let buffers: Vec<Vec<Vec<f64>>> = (0..7)
+            .map(|b| {
+                let mut buf = lattice_buffer(4, 200, 1e-4);
+                buf.iter_mut().flatten().for_each(|v| *v += b as f64 * 0.37);
+                buf
+            })
+            .collect();
+        let mut cfg = MdzConfig::new(ErrorBound::Absolute(1e-3));
+        cfg.adapt_interval = 3;
+        // Encodes `buffers[from..]`, returning each block with whether its
+        // buffer ran an ADP trial and a grid detection.
+        let encode = |comp: &mut Compressor, from: usize| {
+            let registry = Arc::new(Registry::new());
+            comp.set_obs(Obs::new(Arc::clone(&registry) as Arc<dyn mdz_obs::Recorder>));
+            let mut counts = (0, 0);
+            buffers[from..]
+                .iter()
+                .map(|buf| {
+                    let block = comp.compress_buffer(buf).unwrap();
+                    let snap = registry.snapshot();
+                    let now =
+                        (snap.counter("core.adp.trials"), snap.counter("core.grid.detect_runs"));
+                    let ran = (now.0 > counts.0, now.1 > counts.1);
+                    counts = now;
+                    (block, ran)
+                })
+                .collect::<Vec<_>>()
+        };
+        let original = encode(&mut Compressor::new(cfg.clone()), 0);
+        let trials: Vec<usize> = (0..7).filter(|&b| original[b].1 .0).collect();
+        assert_eq!(trials, [0, 3, 6]);
+        assert!(
+            original.iter().any(|(block, _)| Decompressor::inspect(block).unwrap().grid.is_some()),
+            "the stream must code with a grid"
+        );
+        for p in 0..7 {
+            let blocks: Vec<&[u8]> = original[..p].iter().map(|(b, _)| b.as_slice()).collect();
+            let mut resumed = Compressor::new(cfg.clone());
+            resumed.resume_decisions(&blocks).unwrap();
+            let next_trial = p.next_multiple_of(3);
+            for (b, (block, ran)) in (p..7).zip(encode(&mut resumed, p)) {
+                assert_eq!(ran, original[b].1, "resumed at {p}: buffer {b}'s trial and detection");
+                if b == next_trial {
+                    // From here on the MT candidate sees another reference.
+                    break;
+                }
+                let (want, got) = (&original[b].0, &block);
+                let (want, got) =
+                    (Decompressor::inspect(want).unwrap(), Decompressor::inspect(got).unwrap());
+                assert_eq!((got.method, got.grid), (want.method, want.grid), "resumed at {p}");
+            }
         }
     }
 

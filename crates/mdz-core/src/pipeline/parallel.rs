@@ -3,7 +3,9 @@
 //!
 //! Its one caller is the `mdz-store` archive writer, whose jobs are
 //! (epoch, axis) streams. An epoch anchor drops all stream state
-//! ([`crate::Compressor::reset_stream`]), so those streams share nothing
+//! ([`crate::Compressor::reset_stream`]), and a stream that finishes an
+//! archive's open epoch takes its decisions from blocks already written
+//! ([`crate::Compressor::resume_decisions`]), so the streams share nothing
 //! and the writer's bytes do not depend on the worker count.
 
 use std::sync::atomic::{AtomicUsize, Ordering};

@@ -20,7 +20,9 @@
 //! * **Epochs** — every `epoch_interval` buffers the compressor re-anchors
 //!   its stream state ([`mdz_core::Compressor::reset_stream`]), so the first
 //!   buffer of each epoch decodes standalone and a reader can start decoding
-//!   at any epoch boundary instead of replaying from frame zero.
+//!   at any epoch boundary instead of replaying from frame zero. An
+//!   appended segment also starts an epoch at its first block
+//!   ([`append_store`]).
 //! * **Footer index** — byte offsets of every block record, checksummed and
 //!   framed from the *end* of the file so it can be located without scanning.
 //!   Offsets in the payload are delta-coded (first entry absolute).
@@ -54,7 +56,7 @@
 
 use crate::io::{MemIo, StoreIo};
 use mdz_core::checksum::{crc32, fnv1a64};
-use mdz_core::traj::assemble_container;
+use mdz_core::traj::{assemble_container, split_container};
 use mdz_core::{fan_out, Compressor, Frame, MdzConfig, MdzError, Obs, Result};
 use mdz_entropy::{read_uvarint, write_uvarint};
 use mdz_lossless::lz77;
@@ -148,9 +150,12 @@ pub struct ArchiveIndex {
     pub n_frames: usize,
     /// Frames per buffer.
     pub buffer_size: usize,
-    /// Nominal buffers per epoch (for version 1: the whole archive is one
-    /// epoch). Appended segments re-anchor on their own stride, so use
-    /// [`ArchiveIndex::epoch_starts`] — not this — to locate anchors.
+    /// Buffers per *decision epoch*: the runs of this many blocks counted
+    /// from block 0, which are the epochs [`create_store`] writes (for
+    /// version 1: the whole archive is one epoch). An appended segment
+    /// also anchors at its first block, which may fall inside a decision
+    /// epoch, so use [`ArchiveIndex::epoch_starts`] — not this — to locate
+    /// anchors.
     pub epoch_interval: usize,
     /// Block index at which each epoch starts (first entry is always 0,
     /// strictly increasing). The authoritative re-anchor points.
@@ -335,8 +340,16 @@ pub fn create_store(
     write_uvarint(&mut head, meta_c.len() as u64);
     head.extend_from_slice(&meta_c);
 
-    let records =
-        encode_records(frames, opts.buffer_size, opts.epoch_interval, opts, hardware_threads())?;
+    // A new archive has no open decision epoch to resume.
+    let open = Default::default();
+    let records = encode_records(
+        frames,
+        opts.buffer_size,
+        opts.epoch_interval,
+        &open,
+        opts,
+        hardware_threads(),
+    )?;
     io.truncate(0)?;
     io.write_at(0, &head)?;
     let mut pos = head.len() as u64;
@@ -370,21 +383,48 @@ pub struct AppendReport {
 /// sync a fresh footer at the new tail. A crash at any point leaves the
 /// archive readable as either the pre-append or the post-append state.
 ///
-/// The archive's geometry wins: frames are blocked by its `buffer_size`,
-/// the appended segment re-anchors on its `epoch_interval` stride (starting
-/// with a fresh anchor at the segment's first block), and `opts.precision`
-/// must match the archive's. `opts.buffer_size`/`opts.epoch_interval` are
-/// ignored. The archive's frame count must be a multiple of its buffer size
-/// (a partial tail block cannot be extended in place).
+/// The archive's geometry wins: frames are blocked by its `buffer_size`
+/// and `opts.precision` must match the archive's;
+/// `opts.buffer_size`/`opts.epoch_interval` are ignored. The archive's
+/// frame count must be a multiple of its buffer size (a partial tail block
+/// cannot be extended in place).
+///
+/// Epochs follow the archive's *decision epochs*: the runs of
+/// `epoch_interval` blocks counted from block 0, which are exactly the
+/// epochs [`create_store`] writes. The segment's first block anchors an
+/// epoch, and so does every decision-epoch start inside the segment. A
+/// block that starts a decision epoch is encoded by a fresh compressor, as
+/// in [`create_store`]. The blocks before the first such start finish the
+/// archive's open decision epoch: they keep the level grid, ADP candidate
+/// and ADP trial cadence its earlier blocks recorded in their headers
+/// ([`Compressor::resume_decisions`]), so they run no trial or grid
+/// detection that [`create_store`] would not, but start with an empty MT
+/// reference. A block of that epoch failing its checksum fails the append
+/// with [`MdzError::Corrupt`]. When the archive was written with
+/// `opts.cfg` and `opts.cfg.adapt_interval >= epoch_interval`, every
+/// appended block codes with the method, grid and quantizer one
+/// [`create_store`] of all the frames would give it.
 pub fn append_store(
     io: &mut dyn StoreIo,
     frames: &[Frame],
     opts: &StoreOptions,
 ) -> Result<AppendReport> {
-    let data = io.read_all()?;
+    append_image(io, frames, opts).map(|(report, _)| report)
+}
+
+/// [`append_store`], also returning the archive image it leaves: the bytes
+/// it read, cut to the valid prefix and extended by the records and footer
+/// it wrote and synced. That image equals the storage's contents, so the
+/// live sink publishes it without reading the file again.
+pub(crate) fn append_image(
+    io: &mut dyn StoreIo,
+    frames: &[Frame],
+    opts: &StoreOptions,
+) -> Result<(AppendReport, Vec<u8>)> {
+    let mut data = io.read_all()?;
     let (valid_len, index) = recover_slice(&data)?;
     let recovered_bytes = data.len() - valid_len;
-    drop(data);
+    data.truncate(valid_len);
     if recovered_bytes > 0 {
         io.truncate(valid_len as u64)?;
         io.sync()?;
@@ -408,9 +448,19 @@ pub fn append_store(
     }
     opts.cfg.validate()?;
 
-    let records =
-        encode_records(frames, index.buffer_size, index.epoch_interval, opts, hardware_threads())?;
     let base_blocks = index.blocks.len();
+    let epoch_interval = index.epoch_interval;
+    // The open decision epoch's blocks, one list per axis.
+    let mut open: [Vec<&[u8]>; 3] = Default::default();
+    for block in &index.blocks[base_blocks - base_blocks % epoch_interval..] {
+        for (axis, stream) in
+            split_container(record_at(&data, block.offset)?)?.into_iter().enumerate()
+        {
+            open[axis].push(stream);
+        }
+    }
+    let records =
+        encode_records(frames, index.buffer_size, epoch_interval, &open, opts, hardware_threads())?;
     let mut pos = valid_len as u64;
     let new_offsets = write_records(io, &mut pos, &records)?;
     io.sync()?;
@@ -418,18 +468,25 @@ pub fn append_store(
     let mut offsets: Vec<usize> = index.blocks.iter().map(|b| b.offset).collect();
     offsets.extend_from_slice(&new_offsets);
     let mut epoch_starts = index.epoch_starts.clone();
-    epoch_starts
-        .extend((0..new_offsets.len()).step_by(index.epoch_interval).map(|j| base_blocks + j));
+    let new_blocks = base_blocks..offsets.len();
+    epoch_starts.extend(new_blocks.filter(|&b| b == base_blocks || b % epoch_interval == 0));
     let n_frames = index.n_frames + frames.len();
     let footer = footer_bytes(n_frames, &offsets, &epoch_starts);
     io.write_at(pos, &footer)?;
     io.sync()?;
-    Ok(AppendReport {
+
+    data.reserve_exact(pos as usize - valid_len + footer.len());
+    for record in &records {
+        data.extend_from_slice(record);
+    }
+    data.extend_from_slice(&footer);
+    let report = AppendReport {
         appended_frames: frames.len(),
         appended_blocks: new_offsets.len(),
         recovered_bytes,
         n_frames,
-    })
+    };
+    Ok((report, data))
 }
 
 /// The writer's worker count: one per hardware thread.
@@ -437,25 +494,49 @@ fn hardware_threads() -> usize {
     std::thread::available_parallelism().map_or(1, |n| n.get())
 }
 
+/// One (epoch, axis) stream for [`encode_records`] to encode.
+struct StreamJob<'a> {
+    frames: &'a [Frame],
+    axis: usize,
+    /// The stream's blocks already in the archive, which it resumes from
+    /// (empty to start afresh).
+    prior: &'a [&'a [u8]],
+}
+
 /// Encodes `frames` into one block record per `buffer_size` frames, in
-/// block order. The segment's first block anchors a fresh stream, and the
-/// stream re-anchors every `epoch_interval` blocks after that.
+/// block order, continuing a decision epoch of `epoch_interval` blocks
+/// whose first blocks, per axis, are `open` (all empty to start afresh).
+/// The blocks that finish that epoch resume its decisions
+/// ([`Compressor::resume_decisions`]); each later epoch starts a fresh
+/// stream.
 ///
-/// An anchor drops all stream state ([`Compressor::reset_stream`]), so each
-/// (epoch, axis) stream encodes independently of every other. Each is one
-/// job for [`fan_out`] on `workers` threads; a worker's compressor resets
-/// before every job, so the records are byte-identical for any `workers`.
+/// Every segment start drops the MT reference, so each (epoch, axis)
+/// stream encodes independently of every other, from its frames and, when
+/// resumed, from blocks already written. Each is one job for [`fan_out`]
+/// on `workers` threads; a worker's compressor resumes or resets before
+/// every job, so the records are byte-identical for any `workers`.
 fn encode_records(
     frames: &[Frame],
     buffer_size: usize,
     epoch_interval: usize,
+    open: &[Vec<&[u8]>; 3],
     opts: &StoreOptions,
     workers: usize,
 ) -> Result<Vec<Vec<u8>>> {
-    let jobs: Vec<(&[Frame], usize)> = frames
-        .chunks(buffer_size.saturating_mul(epoch_interval))
-        .flat_map(|epoch| (0..3).map(move |axis| (epoch, axis)))
-        .collect();
+    let epoch_frames = buffer_size.saturating_mul(epoch_interval);
+    let (rest_of_open, fresh) =
+        frames.split_at(frames.len().min(epoch_frames - open[0].len() * buffer_size));
+    let mut jobs = Vec::new();
+    if !rest_of_open.is_empty() {
+        jobs.extend((0..3).map(|axis| StreamJob {
+            frames: rest_of_open,
+            axis,
+            prior: &open[axis],
+        }));
+    }
+    for epoch in fresh.chunks(epoch_frames) {
+        jobs.extend((0..3).map(|axis| StreamJob { frames: epoch, axis, prior: &[] }));
+    }
     // As many threads as `fan_out` runs; their stage seconds are recorded
     // as shares of the encode's wall clock, so they still add up to at
     // most the write's wall time.
@@ -466,12 +547,12 @@ fn encode_records(
         comp.set_obs(obs.clone());
         (comp, Vec::new())
     };
-    let streams = fan_out(&jobs, threads, &opts.obs, make_compressor, |worker, &(epoch, axis)| {
+    let streams = fan_out(&jobs, threads, &opts.obs, make_compressor, |worker, job| {
         let (comp, narrow) = worker;
-        comp.reset_stream();
-        epoch
+        comp.resume_decisions(job.prior)?;
+        job.frames
             .chunks(buffer_size)
-            .map(|chunk| encode_axis_block(comp, narrow, chunk, axis, opts.precision))
+            .map(|chunk| encode_axis_block(comp, narrow, chunk, job.axis, opts.precision))
             .collect::<Result<Vec<Vec<u8>>>>()
     });
 
@@ -1045,6 +1126,21 @@ mod tests {
     }
 
     #[test]
+    fn append_rejects_a_corrupt_block_in_the_epoch_it_resumes() {
+        // Three blocks at two per epoch: block 2 opens the last epoch.
+        let base = write_store(&frames(12, 6), &[], &[], &opts()).unwrap();
+        let idx = ArchiveIndex::parse(&base).unwrap();
+        let mut bad = base.clone();
+        bad[idx.blocks[2].offset + 12] ^= 0x40;
+        let mut io = MemIo::new(bad.clone());
+        assert!(matches!(
+            append_store(&mut io, &frames(4, 6), &opts()),
+            Err(MdzError::Corrupt { what: "block checksum mismatch" })
+        ));
+        assert!(io.into_bytes() == bad, "a rejected append wrote to the file");
+    }
+
+    #[test]
     fn recover_truncates_garbage_tail() {
         let data = write_store(&frames(8, 6), &[], &[], &opts()).unwrap();
         let mut dirty = data.clone();
@@ -1121,7 +1217,8 @@ mod tests {
 
         fn encode(frames: &[Frame], method: Method, f32: bool, workers: usize) -> Vec<Vec<u8>> {
             let opts = golden_options(method, f32);
-            encode_records(frames, opts.buffer_size, opts.epoch_interval, &opts, workers).unwrap()
+            let (bs, epoch) = (opts.buffer_size, opts.epoch_interval);
+            encode_records(frames, bs, epoch, &Default::default(), &opts, workers).unwrap()
         }
 
         #[test]

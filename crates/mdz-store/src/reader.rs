@@ -403,10 +403,11 @@ impl StoreReader {
         let bs = idx.buffer_size.max(1);
         let touched = range.start / bs..(range.end - 1) / bs + 1;
         // Epoch boundaries are irregular after appends (each appended
-        // segment anchors its own epochs), so map frames through the
-        // index's epoch-start list rather than a fixed stride. Epochs are
-        // served one at a time so at most one epoch's decoded buffers are
-        // held outside the cache at once.
+        // segment anchors an epoch at its first block, besides the
+        // `epoch_interval` stride), so map frames through the index's
+        // epoch-start list rather than a fixed stride. Epochs are served
+        // one at a time so at most one epoch's decoded buffers are held
+        // outside the cache at once.
         let mut out = Vec::with_capacity(range.len());
         for epoch in idx.epoch_of_frame(range.start)..=idx.epoch_of_frame(range.end - 1) {
             let in_epoch = idx.epoch_blocks(epoch);

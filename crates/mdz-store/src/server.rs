@@ -45,10 +45,14 @@
 //! frames are compressed server-side through [`crate::append_store`]'s
 //! footer-flip protocol against the sink's [`StoreIo`], under the sink's
 //! per-archive write lock (one append at a time; readers are never blocked).
-//! The OK response is sent only after the second sync — it is a durability
-//! acknowledgment — and the shared [`StoreReader`] is refreshed under the
-//! same lock so followers observe the new frames immediately. Without a
-//! sink, APPEND is answered with [`Status::BadRequest`] (read-only server).
+//! The appended blocks keep their decision epoch's encode decisions, as
+//! every append does. The OK response is sent only after the second sync
+//! — it is a durability acknowledgment — and the shared [`StoreReader`] is
+//! refreshed under the same lock so followers observe the new frames
+//! immediately. The refresh takes the image the append itself read and
+//! wrote, so each APPEND reads the file once and no I/O runs between the
+//! durable footer and the publish. Without a sink, APPEND is answered with
+//! [`Status::BadRequest`] (read-only server).
 
 use std::net::{SocketAddr, TcpListener, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -58,7 +62,7 @@ use std::time::Duration;
 use mdz_core::{DecodeLimits, Frame, MdzError};
 use mdz_obs::Obs;
 
-use crate::archive::{append_store, Precision, StoreOptions};
+use crate::archive::{append_image, Precision, StoreOptions};
 use crate::io::StoreIo;
 use crate::protocol::{
     encode_append_ack, encode_error, encode_frames, encode_info, encode_metrics, encode_stats,
@@ -156,7 +160,7 @@ impl AppendSink {
     /// Wraps the storage backing the served archive. `opts` configures the
     /// server-side compressor (error bound, method, precision); the
     /// archive's own geometry (buffer size, epoch stride) wins over
-    /// `opts.buffer_size`/`opts.epoch_interval` as in [`append_store`].
+    /// `opts.buffer_size`/`opts.epoch_interval` as in [`crate::append_store`].
     pub fn new(io: Box<dyn StoreIo>, opts: StoreOptions) -> Self {
         Self { io: Mutex::new(io), opts }
     }
@@ -173,11 +177,11 @@ impl AppendSink {
         let mut io = self.io.lock().unwrap();
         let mut opts = self.opts.clone();
         opts.precision = precision;
-        let report = append_store(io.as_mut(), frames, &opts)?;
-        // Publish to followers while still holding the write lock, so a
-        // racing append cannot interleave an older image into refresh().
-        let data = io.read_all()?;
-        reader.refresh(data)?;
+        let (report, image) = append_image(io.as_mut(), frames, &opts)?;
+        // Publish the image the append wrote, while still holding the write
+        // lock, so a racing append cannot interleave an older image into
+        // refresh(). No I/O runs between the durable footer and here.
+        reader.refresh(image)?;
         Ok(AppendAck {
             start: (report.n_frames - report.appended_frames) as u64,
             n_frames: report.n_frames as u64,

@@ -1,0 +1,200 @@
+//! The decision oracle: an archive grown by appends codes every block with
+//! the method, level grid and quantizer that one `create_store` over the
+//! same frames gives it, for every method and both precisions.
+//!
+//! An appended block that starts a *decision epoch* (a run of
+//! `epoch_interval` blocks counted from block 0) starts a fresh stream, as
+//! `create_store`'s epochs do; any other appended block resumes its
+//! decision epoch's decisions from the headers already in the archive.
+//! The oracle holds when `adapt_interval >= epoch_interval`, which
+//! includes the defaults (50 ≥ 8): every ADP trial then falls on a
+//! decision-epoch start. Below that, a trial inside an epoch ranks its
+//! candidates against another MT reference (an appended segment starts
+//! with none), so it may pick another winner.
+//!
+//! MT blocks of a resumed stretch differ in bytes from `create_store`'s,
+//! because their reference snapshot comes from the segment's first block;
+//! VQ and VQT blocks never use one, so those must match byte for byte.
+
+use mdz_core::{Decompressor, ErrorBound, Frame, MdzConfig, Method, QuantizerKind};
+use mdz_store::{
+    append_store, write_store, ArchiveIndex, MemIo, Precision, StoreOptions, StoreReader,
+};
+
+const N_ATOMS: usize = 256;
+const BUFFER_SIZE: usize = 2;
+const EPOCH_INTERVAL: usize = 4;
+/// Buffers each append adds, in order.
+const APPENDS: [usize; 3] = [1, 3, 9];
+/// Base archives: one ends on a decision-epoch boundary, one inside an
+/// epoch.
+const BASE_BLOCKS: [usize; 2] = [8, 6];
+
+/// Three regimes, switching every three buffers so that they straddle the
+/// four-buffer epochs: a quiet crystal, a noisy crystal, and a quiet
+/// liquid whose sites form no level grid.
+fn frames(n_frames: usize) -> Vec<Frame> {
+    let mut state = 0x0A11_CE55_u64;
+    let mut noise = move || {
+        state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+        (state >> 11) as f64 / (1u64 << 53) as f64 - 0.5
+    };
+    // Bell-shaped sites: no split of them is a level collapse.
+    let liquid: Vec<f64> =
+        (0..3 * N_ATOMS).map(|_| 6.0 + (noise() + noise() + noise() + noise()) * 3.0).collect();
+    (0..n_frames)
+        .map(|t| {
+            let regime = t / (3 * BUFFER_SIZE) % 3;
+            let mut axis = |a: usize| -> Vec<f64> {
+                (0..N_ATOMS)
+                    .map(|i| {
+                        let drift = t as f64 * 1e-3;
+                        match regime {
+                            0 => ((i * 7 + a * 3) % 8) as f64 * 1.5 + noise() * 0.004 + drift,
+                            1 => ((i * 7 + a * 3) % 8) as f64 * 1.5 + noise() * 0.3 + drift,
+                            _ => liquid[a * N_ATOMS + i] + noise() * 0.004 + drift,
+                        }
+                    })
+                    .collect()
+            };
+            Frame::new(axis(0), axis(1), axis(2))
+        })
+        .collect()
+}
+
+/// The configurations the oracle covers. The last one trials two
+/// bit-adaptive chunk sizes, so resuming it must read a block's chunk from
+/// its code stream.
+fn configs() -> Vec<(&'static str, MdzConfig)> {
+    let base = MdzConfig::new(ErrorBound::Absolute(1e-3));
+    vec![
+        ("ADP", base.clone()),
+        ("VQ", base.clone().with_method(Method::Vq)),
+        ("VQT", base.clone().with_method(Method::Vqt)),
+        ("MT", base.clone().with_method(Method::Mt)),
+        (
+            "ADP+BA",
+            base.with_quantizer(QuantizerKind::BitAdaptive { chunk: 16 })
+                .with_bit_adaptive_candidates(true),
+        ),
+    ]
+}
+
+/// The three axis blocks of block `b`.
+fn axis_blocks<'a>(archive: &'a [u8], index: &ArchiveIndex, b: usize) -> [&'a [u8]; 3] {
+    let record = mdz_store::archive::record_at(archive, index.blocks[b].offset).unwrap();
+    mdz_core::traj::split_container(record).unwrap()
+}
+
+/// What the oracle saw across one archive, to show that it covered the
+/// decisions it checks.
+#[derive(Default)]
+struct Seen {
+    resumed_grid: usize,
+    resumed_gridless_vq: usize,
+    resumed_mt: usize,
+    bit_adaptive: usize,
+}
+
+/// Grows a `base_blocks` archive by [`APPENDS`] and checks it against one
+/// `create_store` over the same frames.
+fn check(name: &str, cfg: &MdzConfig, precision: Precision, base_blocks: usize, seen: &mut Seen) {
+    let label = format!("{name}/{precision:?}/base {base_blocks}");
+    let mut opts = StoreOptions::new(cfg.clone());
+    opts.buffer_size = BUFFER_SIZE;
+    opts.epoch_interval = EPOCH_INTERVAL;
+    opts.precision = precision;
+    let n_blocks = base_blocks + APPENDS.iter().sum::<usize>();
+    let source = frames(n_blocks * BUFFER_SIZE);
+    let created = write_store(&source, &[], &[], &opts).unwrap();
+
+    let mut io =
+        MemIo::new(write_store(&source[..base_blocks * BUFFER_SIZE], &[], &[], &opts).unwrap());
+    let mut segment_starts = vec![0];
+    let mut at = base_blocks;
+    for n in APPENDS {
+        let report =
+            append_store(&mut io, &source[at * BUFFER_SIZE..(at + n) * BUFFER_SIZE], &opts)
+                .unwrap();
+        assert_eq!(report.appended_blocks, n, "{label}");
+        segment_starts.push(at);
+        at += n;
+    }
+    let appended = io.into_bytes();
+
+    // Epochs: the decision-epoch starts plus every segment start.
+    let index = ArchiveIndex::parse(&appended).unwrap();
+    let want_starts: Vec<usize> =
+        (0..n_blocks).filter(|b| b % EPOCH_INTERVAL == 0 || segment_starts.contains(b)).collect();
+    assert_eq!(index.epoch_starts, want_starts, "{label}: footer epoch starts");
+
+    // Decisions: block for block and axis for axis, those of create_store.
+    let created_index = ArchiveIndex::parse(&created).unwrap();
+    for b in 0..n_blocks {
+        let resumed = b >= base_blocks && b % EPOCH_INTERVAL != 0;
+        let got = axis_blocks(&appended, &index, b);
+        let want = axis_blocks(&created, &created_index, b);
+        for axis in 0..3 {
+            let g = Decompressor::inspect(got[axis]).unwrap();
+            let w = Decompressor::inspect(want[axis]).unwrap();
+            assert_eq!(
+                (g.method, g.grid, g.bit_adaptive),
+                (w.method, w.grid, w.bit_adaptive),
+                "{label}: block {b} axis {axis}"
+            );
+            if matches!(g.method, Method::Vq | Method::Vqt) {
+                assert!(got[axis] == want[axis], "{label}: block {b} axis {axis} bytes");
+            }
+            seen.bit_adaptive += usize::from(g.bit_adaptive);
+            if resumed {
+                seen.resumed_grid += usize::from(g.grid.is_some());
+                seen.resumed_gridless_vq += usize::from(g.method == Method::Vq && g.grid.is_none());
+                seen.resumed_mt += usize::from(g.method == Method::Mt);
+            }
+        }
+    }
+
+    // Bound: every value within its block's ε (of the narrowed value for f32).
+    let decoded =
+        StoreReader::open(appended.clone()).unwrap().read_frames(0..source.len()).unwrap();
+    for b in 0..n_blocks {
+        let blocks = axis_blocks(&appended, &index, b);
+        let eps: Vec<f64> =
+            blocks.iter().map(|block| Decompressor::inspect(block).unwrap().eps).collect();
+        for t in b * BUFFER_SIZE..(b + 1) * BUFFER_SIZE {
+            let (src, dec) = (&source[t], &decoded[t]);
+            for (axis, (a, d)) in
+                [(&src.x, &dec.x), (&src.y, &dec.y), (&src.z, &dec.z)].into_iter().enumerate()
+            {
+                for (&v, &r) in a.iter().zip(d) {
+                    let (v, slack) = match precision {
+                        Precision::F64 => (v, 0.0),
+                        // Narrowing the reconstruction adds half an f32 ulp.
+                        Precision::F32 => {
+                            let v = f64::from(v as f32);
+                            (v, v.abs() * f64::from(f32::EPSILON) / 2.0)
+                        }
+                    };
+                    assert!((v - r).abs() <= eps[axis] + slack, "{label}: frame {t}: {v} vs {r}");
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn appended_blocks_keep_the_decisions_create_store_makes() {
+    let mut seen = Seen::default();
+    for (name, cfg) in configs() {
+        assert!(cfg.adapt_interval as usize >= EPOCH_INTERVAL, "the oracle's condition");
+        for precision in [Precision::F64, Precision::F32] {
+            for base_blocks in BASE_BLOCKS {
+                check(name, &cfg, precision, base_blocks, &mut seen);
+            }
+        }
+    }
+    assert!(seen.resumed_grid > 0, "no resumed block coded with a grid");
+    assert!(seen.resumed_gridless_vq > 0, "no resumed VQ block found its grid absent");
+    assert!(seen.resumed_mt > 0, "no resumed MT block");
+    assert!(seen.bit_adaptive > 0, "no bit-adaptive block");
+}

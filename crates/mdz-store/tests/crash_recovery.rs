@@ -9,8 +9,8 @@
 
 use mdz_core::{ErrorBound, Frame, MdzConfig, MdzError, Method};
 use mdz_store::{
-    append_store, create_store, recover_store, verify_archive, FaultIo, FaultMode, FaultPlan,
-    MemIo, Precision, StoreOptions, StoreReader,
+    append_store, create_store, recover_store, verify_archive, ArchiveIndex, FaultIo, FaultMode,
+    FaultPlan, MemIo, Precision, StoreOptions, StoreReader,
 };
 
 const BASE_FRAMES: usize = 16;
@@ -160,6 +160,20 @@ fn vq_f64_every_fault_point_recovers() {
 #[test]
 fn vq_f32_every_fault_point_recovers() {
     sweep(Method::Vq, Precision::F32, 1);
+}
+
+/// The `epoch_interval` 3 sweeps append into an open decision epoch: their
+/// 4-block base ends one block into the epoch that starts at block 3, so
+/// the appended segment anchors at block 4, resumes that epoch's encode
+/// decisions, and anchors again at the next decision epoch, block 6.
+#[test]
+fn k3_sweeps_append_into_an_open_decision_epoch() {
+    let opts = opts_for(Method::Adaptive, Precision::F64, 3);
+    let mut io = MemIo::new(Vec::new());
+    create_store(&mut io, &synth_frames(0, BASE_FRAMES), &[], &[], &opts).expect("create");
+    append_store(&mut io, &synth_frames(BASE_FRAMES, APPEND_FRAMES), &opts).expect("append");
+    let index = ArchiveIndex::parse(&io.into_bytes()).expect("index");
+    assert_eq!(index.epoch_starts, [0, 3, 4, 6]);
 }
 
 /// A crash mid-`create_store` (before the first footer is durable) leaves a

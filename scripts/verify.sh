@@ -42,11 +42,14 @@ echo "==> fuzz smoke (MDZ_FUZZ_ITERS=${MDZ_FUZZ_ITERS:-5000})"
 MDZ_FUZZ_ITERS="${MDZ_FUZZ_ITERS:-5000}" cargo test -p mdz-fuzz --release --quiet
 
 # Parallel gate: the store writer's bytes against golden archives written
-# by the serial writer, through the public API and for 1-4 workers, then
-# a 1-repetition throughput smoke whose JSON artifact is schema-checked by
-# the same validator EXPERIMENTS.md's numbers went through.
-echo "==> parallel determinism (golden store archives, workers 1-4)"
+# by the serial writer, through the public API and for 1-4 workers; the
+# decision oracle, which checks that appended blocks code with the
+# decisions one create_store gives them; then a 1-repetition throughput
+# smoke whose JSON artifact is schema-checked by the same validator
+# EXPERIMENTS.md's numbers went through.
+echo "==> parallel determinism (golden store archives, workers 1-4, append decisions)"
 cargo test -p mdz-store --release --quiet --test golden_archives
+cargo test -p mdz-store --release --quiet --test append_decisions
 cargo test -p mdz-store --release --quiet --lib golden
 
 echo "==> throughput smoke (1 rep, JSON schema check)"
