@@ -5,7 +5,7 @@ use super::Ctx;
 use crate::harness::{axis_eps, mdz_codec, run_dataset};
 use crate::table::{fmt, Table};
 use mdz_core::quant::Quantized;
-use mdz_core::{Codec, Compressor, EntropyStage, ErrorBound, LinearQuantizer, MdzConfig, Method};
+use mdz_core::{Compressor, EntropyStage, ErrorBound, LinearQuantizer, MdzConfig, Method};
 use mdz_entropy::{huffman_encode, range_encode};
 use mdz_lossless::lz77;
 use mdz_sim::DatasetKind;
@@ -298,10 +298,4 @@ fn grid_reuse(ctx: &mut Ctx) -> Table {
         ]);
     }
     ctx.emit("ablation_grid_reuse", t)
-}
-
-/// Allow boxed codec reuse inside this module.
-#[allow(dead_code)]
-fn _codec_type_check(c: Box<dyn Codec>) -> &'static str {
-    c.name()
 }

@@ -8,8 +8,8 @@
 //! forward their configured bound buffer by buffer.
 
 use crate::adaptive::Candidate;
-use crate::buffer::{Compressor, DecodeLimits, Decompressor};
 use crate::format::Method;
+use crate::{Compressor, DecodeLimits, Decompressor};
 use crate::{ErrorBound, MdzConfig, QuantizerKind, Result};
 
 /// A stateful, error-bounded buffer compressor/decompressor pair.
@@ -117,11 +117,6 @@ impl MdzCodec {
     pub fn with_decode_limits(mut self, limits: DecodeLimits) -> Self {
         self.dec.set_limits(limits);
         self
-    }
-
-    /// Replaces the decode budget applied to subsequent blocks.
-    pub fn set_decode_limits(&mut self, limits: DecodeLimits) {
-        self.dec.set_limits(limits);
     }
 }
 

@@ -47,7 +47,6 @@
 
 pub mod adaptive;
 pub mod bound;
-pub mod buffer;
 pub mod checksum;
 pub mod codec;
 pub mod format;
@@ -62,13 +61,13 @@ pub use mdz_entropy::kernel;
 
 pub use adaptive::{AdaptiveState, Candidate};
 pub use bound::ErrorBound;
-pub use buffer::{BlockInfo, Compressor, DecodeLimits, Decompressor};
 pub use codec::{Codec, MdzCodec};
 pub use format::Method;
 pub use mdz_obs::{Obs, Recorder};
 pub use pipeline::parallel::fan_out;
+pub use pipeline::{BlockInfo, Compressor, DecodeLimits, Decompressor};
 pub use quant::{BitAdaptiveQuantizer, LinearQuantizer};
-pub use stage::{HuffmanStage, LosslessStage, Lz77Stage, Quantizer, RangeStage};
+pub use stage::{HuffmanStage, Quantizer, RangeStage};
 pub use traj::{Frame, TrajectoryCompressor, TrajectoryDecompressor};
 
 use mdz_entropy::EntropyError;

@@ -6,9 +6,9 @@
 //! and entropy stages are rebuilt from the header flags ([`HeaderQuantizer`],
 //! [`HeaderEntropy`]) and the body is generic over
 //! [`Quantizer`](crate::stage::Quantizer), so linear and bit-adaptive blocks
-//! share one reconstruction path. Streaming decompression reuses
-//! [`DecodeScratch`]; the random-access path ([`decode_inner_one`]) is cold
-//! and allocates freely.
+//! share one reconstruction path. Every decode, the random access of one
+//! VQ snapshot included, runs through [`decode_inner`] and reuses
+//! [`DecodeScratch`].
 
 use crate::format::{
     BlockHeader, Method, FLAG_BIT_ADAPTIVE, FLAG_FIRST_LORENZO, FLAG_RANGE_CODED, FLAG_SEQ2,
@@ -123,111 +123,6 @@ fn check_escape_count(count: usize, block_values: usize, remaining: usize) -> Re
         return Err(MdzError::Corrupt { what: "escape count exceeds input size" });
     }
     Ok(())
-}
-
-/// Decodes exactly one snapshot of a VQ block's inner payload.
-///
-/// The entropy streams are sequential and must be decoded in full, but only
-/// the requested snapshot's values are dequantized and reconstructed.
-pub(crate) fn decode_inner_one(
-    header: &BlockHeader,
-    inner: &[u8],
-    index: usize,
-) -> Result<Vec<f64>> {
-    match HeaderQuantizer::from_header(header) {
-        HeaderQuantizer::Linear(q) => decode_inner_one_with(header, inner, index, &q),
-        HeaderQuantizer::BitAdaptive(q) => decode_inner_one_with(header, inner, index, &q),
-    }
-}
-
-/// [`decode_inner_one`] monomorphized over the header's quantizer stage.
-fn decode_inner_one_with<Q: Quantizer>(
-    header: &BlockHeader,
-    inner: &[u8],
-    index: usize,
-    quant: &Q,
-) -> Result<Vec<f64>> {
-    let m = header.n_snapshots;
-    let n = header.n_values;
-    let stream_limits = StreamLimits::with_max_items(m * n);
-    let mut entropy = HeaderEntropy::from_header(header);
-    let mut pos = 0;
-    let mut b_ordered = Vec::new();
-    quant.decode_codes(inner, &mut pos, entropy.as_dyn(), &mut b_ordered, &stream_limits)?;
-    let mut j_ordered = Vec::new();
-    entropy.as_dyn().decode_at_into(inner, &mut pos, &mut j_ordered, &stream_limits)?;
-    if b_ordered.len() != m * n {
-        return Err(MdzError::Corrupt { what: "quantization code count mismatch" });
-    }
-    check_codes(&b_ordered, quant.code_space())?;
-    let grid = header.grid.map(|(mu, lambda)| LevelGrid { mu, lambda, k: 0, fit_error: 0.0 });
-    let expect_j = if grid.is_some() { m * n } else { 0 };
-    if j_ordered.len() != expect_j {
-        return Err(MdzError::Corrupt { what: "level code count mismatch" });
-    }
-    // Escapes for this snapshot only.
-    let escape_count = read_uvarint(inner, &mut pos)? as usize;
-    check_escape_count(escape_count, m * n, inner.len().saturating_sub(pos))?;
-    let mut escapes: HashMap<usize, f64> = HashMap::new();
-    let mut idx = 0u64;
-    let flat_base = index * n;
-    for i in 0..escape_count {
-        let delta = read_uvarint(inner, &mut pos)?;
-        idx = if i == 0 {
-            delta
-        } else {
-            idx.checked_add(delta).ok_or(MdzError::Corrupt { what: "escape index overflow" })?
-        };
-        if idx >= (m * n) as u64 {
-            return Err(MdzError::Corrupt { what: "escape index out of range" });
-        }
-        let bytes = inner
-            .get(pos..pos + 8)
-            .ok_or(MdzError::Stream(mdz_entropy::EntropyError::UnexpectedEof))?;
-        pos += 8;
-        let flat = idx as usize;
-        if flat >= flat_base && flat < flat_base + n {
-            escapes.insert(flat - flat_base, f64::from_le_bytes(bytes.try_into().unwrap()));
-        }
-    }
-    let seq2 = header.flags & FLAG_SEQ2 != 0;
-    // Extract this snapshot's codes straight out of the interleaved layout.
-    let pick = |ordered: &[u32], i: usize| -> u32 {
-        if seq2 && m > 1 && n > 1 {
-            ordered[i * m + index]
-        } else {
-            ordered[flat_base + i]
-        }
-    };
-    let mut snap = vec![0.0f64; n];
-    match &grid {
-        Some(g) => {
-            let mut level = 0i64;
-            for (i, out) in snap.iter_mut().enumerate() {
-                level = level.wrapping_add(zigzag_decode(u64::from(pick(&j_ordered, i))));
-                let code = pick(&b_ordered, i);
-                *out = if code == 0 {
-                    *escapes.get(&i).ok_or(MdzError::BadHeader("missing escape value"))?
-                } else {
-                    quant.reconstruct(code, g.value_of(level))
-                };
-            }
-        }
-        None => {
-            // Grid-less VQ blocks are Lorenzo-coded per snapshot — still
-            // independent of other snapshots.
-            for i in 0..n {
-                let pred = Predictor::Lorenzo.predict(&snap, i);
-                let code = pick(&b_ordered, i);
-                snap[i] = if code == 0 {
-                    *escapes.get(&i).ok_or(MdzError::BadHeader("missing escape value"))?
-                } else {
-                    quant.reconstruct(code, pred)
-                };
-            }
-        }
-    }
-    Ok(snap)
 }
 
 /// Decodes the inner payload (`scratch.inner`) into snapshots.

@@ -7,8 +7,9 @@
 //! discard the deltas of losing candidates). The pipeline is assembled from
 //! the stage traits in [`crate::stage`] — the quantizer is a generic
 //! [`Quantizer`] parameter (monomorphized, so the fixed-scale hot loop costs
-//! nothing), and the entropy/lossless stages are the trait objects owned by
-//! [`EncodeScratch`]. All intermediate storage lives in [`EncodeScratch`],
+//! nothing), the entropy stages are the trait objects owned by
+//! [`EncodeScratch`], and the LZ77 coder is called directly with the LZ77
+//! scratch it owns. All intermediate storage lives in [`EncodeScratch`],
 //! so a warmed-up compressor re-encoding same-shaped buffers performs no
 //! heap allocation here (bit-adaptive width tables excepted).
 
@@ -17,11 +18,12 @@ use crate::format::{
 };
 use crate::quant::{BitAdaptiveQuantizer, LinearQuantizer, Quantized};
 use crate::seq::to_seq2_into;
-use crate::stage::{HuffmanStage, LosslessStage, Lz77Stage, Quantizer, RangeStage};
+use crate::stage::{HuffmanStage, Quantizer, RangeStage};
 use crate::{EntropyStage, MdzConfig, QuantizerKind, Result};
 use mdz_entropy::kernel::SimdLevel;
 use mdz_entropy::{write_uvarint, zigzag_encode};
 use mdz_kmeans::{detect_levels, LevelGrid, SelectConfig};
+use mdz_lossless::lz77;
 use mdz_obs::Obs;
 
 use super::predict::{snapshot_modes_into, Predictor, SnapshotMode};
@@ -35,8 +37,8 @@ const MAX_LEVEL_MAG: f64 = (1u64 << 40) as f64;
 ///
 /// Every vector is cleared (never shrunk) between buffers, so steady-state
 /// compression of same-shaped buffers runs allocation-free; the
-/// `alloc_free` integration test locks this in. The entropy and lossless
-/// stages live here too, carrying their own scratch.
+/// `alloc_free` integration test locks this in. The entropy stages live
+/// here too, carrying their own scratch, next to the LZ77 scratch.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct EncodeScratch {
     modes: Vec<SnapshotMode>,
@@ -58,7 +60,7 @@ pub(crate) struct EncodeScratch {
     payload: Vec<u8>,
     huffman: HuffmanStage,
     range: RangeStage,
-    lz77: Lz77Stage,
+    lz77: lz77::Lz77Scratch,
 }
 
 /// Resolves the configured error bound against one buffer's value range.
@@ -159,7 +161,7 @@ fn encode_with<Q: Quantizer, S: AsRef<[f64]>>(
         payload,
         huffman,
         range,
-        lz77: lossless,
+        lz77: lz77_scratch,
     } = scratch;
     let mut delta = StateDelta::default();
     let eps = quant.eps();
@@ -348,7 +350,7 @@ fn encode_with<Q: Quantizer, S: AsRef<[f64]>>(
     payload.clear();
     {
         let _t = obs.span("core.encode.lossless_seconds");
-        lossless.compress_into(inner, payload);
+        lz77::compress_into(inner, lz77::Level::Default, payload, lz77_scratch);
     }
     let mut flags = quant.wire_flags();
     let grid_used = matches!(method, Method::Vq | Method::Vqt) && grid.is_some();

@@ -42,7 +42,7 @@ use crate::format::{
     MAGIC,
 };
 use crate::{BitAdaptiveQuantizer, ErrorBound, MdzConfig, MdzError, QuantizerKind, Result};
-use decode::{decode_inner, decode_inner_one, DecodeScratch};
+use decode::{decode_inner, DecodeScratch};
 use encode::{encode_buffer_into, EncodeScratch};
 use mdz_entropy::{read_uvarint, StreamLimits};
 use mdz_kmeans::LevelGrid;
@@ -590,14 +590,16 @@ impl Decompressor {
         self.reference.as_ref().is_some_and(|r| r.len() == n_values)
     }
 
-    /// Decompresses a single snapshot from a pure-VQ block without
-    /// reconstructing the others — the paper's random-access property
-    /// (§VI: "any snapshot data can be decompressed very quickly without a
-    /// need in decompressing other snapshots").
+    /// Decompresses a single snapshot from a pure-VQ block — the paper's
+    /// random-access property (§VI: "any snapshot data can be decompressed
+    /// very quickly without a need in decompressing other snapshots").
     ///
-    /// Works on blocks whose snapshots are all independently coded (method
-    /// VQ, with or without a detected grid). Errors on VQT/MT blocks, whose
-    /// snapshots form prediction chains, and on out-of-range indices.
+    /// A VQ block is self-contained: it never reads the stream's reference
+    /// snapshot, so it decodes on a fresh [`Decompressor`] without touching
+    /// any other block, and this returns row `index` of that decode. Works
+    /// on VQ blocks with or without a detected grid. Errors on VQT/MT
+    /// blocks, whose snapshots form prediction chains, and on out-of-range
+    /// indices.
     pub fn decompress_snapshot(block: &[u8], index: usize) -> Result<Vec<f64>> {
         Self::decompress_snapshot_limited(block, index, &DecodeLimits::default())
     }
@@ -609,8 +611,7 @@ impl Decompressor {
         index: usize,
         limits: &DecodeLimits,
     ) -> Result<Vec<f64>> {
-        let mut pos = 0;
-        let header = BlockHeader::read(block, &mut pos)?;
+        let header = BlockHeader::read(block, &mut 0)?;
         limits.check(&header)?;
         if header.method != Method::Vq {
             return Err(MdzError::BadInput("random access requires a VQ block"));
@@ -618,12 +619,8 @@ impl Decompressor {
         if index >= header.n_snapshots {
             return Err(MdzError::BadInput("snapshot index out of range"));
         }
-        let payload = payload(block, pos)?;
-        let budget = limits.inner_budget(header.n_snapshots * header.n_values);
-        let mut inner = Vec::new();
-        lz77::decompress_into_limited(payload, &mut inner, &budget)?;
-        let all = decode_inner_one(&header, &inner, index)?;
-        Ok(all)
+        let mut rows = Self::with_limits(*limits).decompress_block(block)?;
+        Ok(rows.swap_remove(index))
     }
 
     /// Parses a block's header without decompressing it — cheap

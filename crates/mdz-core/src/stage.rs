@@ -1,16 +1,17 @@
-//! Composable pipeline stage traits: quantizer, entropy coder, lossless coder.
+//! Composable pipeline stage traits: quantizer and entropy coder.
 //!
 //! MDZ is one point in the SZ-family design space, whose compressors are best
 //! engineered as a composition of predictor × quantizer × entropy coder ×
 //! lossless coder. The predictor side of that product has been a trait from
-//! the start (`Predictor` in the pipeline); this module supplies the other
-//! three axes so the block encoder and decoder are compositions over trait
-//! parameters instead of hard-wired calls:
+//! the start (`Predictor` in the pipeline); this module supplies the two
+//! axes that have more than one implementation, so the block encoder and
+//! decoder are compositions over trait parameters instead of hard-wired
+//! calls:
 //!
 //! ```text
 //! snapshots ─predict─▶ residuals ─[Quantizer]─▶ codes
 //!     codes ─[EntropyStage]─▶ bytes ─┐
-//!  escapes ─────────────────────────┼─▶ inner ─[LosslessStage]─▶ payload
+//!  escapes ─────────────────────────┼─▶ inner ─lz77─▶ payload
 //! ```
 //!
 //! [`Quantizer`] owns the whole code-space contract — step size, escape code
@@ -18,18 +19,17 @@
 //! — so no other stage re-derives `2·radius` locally. [`EntropyStage`] (the
 //! trait; the [`crate::EntropyStage`] enum at the crate root remains the
 //! *configuration* selector between its two implementations) turns `u32` code
-//! streams into bytes and back. [`LosslessStage`] is the final dictionary
-//! coder over the assembled inner payload.
+//! streams into bytes and back. The final dictionary coder has one
+//! implementation, so the pipeline calls [`mdz_lossless::lz77`] directly.
 //!
-//! Implementations provided here wrap the existing mdz-entropy / mdz-lossless
-//! primitives and their reusable scratch buffers: [`HuffmanStage`],
-//! [`RangeStage`], and [`Lz77Stage`]. The two quantizers live in
-//! [`crate::quant`]: [`crate::LinearQuantizer`] (the classic fixed `[1, 2R)`
-//! alphabet) and [`crate::BitAdaptiveQuantizer`] (per-chunk bit widths behind
-//! the version-2 block flag).
+//! The entropy implementations provided here wrap the mdz-entropy
+//! primitives and their reusable scratch buffers: [`HuffmanStage`] and
+//! [`RangeStage`]. The two quantizers live in [`crate::quant`]:
+//! [`crate::LinearQuantizer`] (the classic fixed `[1, 2R)` alphabet) and
+//! [`crate::BitAdaptiveQuantizer`] (per-chunk bit widths behind the
+//! version-2 block flag).
 
 use mdz_entropy::{huffman, range, StreamLimits};
-use mdz_lossless::lz77;
 
 use crate::quant::Quantized;
 use crate::Result;
@@ -173,43 +173,6 @@ impl EntropyStage for RangeStage {
     }
 }
 
-/// Final dictionary-coder stage over the assembled inner payload.
-pub trait LosslessStage {
-    /// Appends the compressed form of `data` to `out`.
-    fn compress_into(&mut self, data: &[u8], out: &mut Vec<u8>);
-
-    /// Decompresses `data`, replacing the contents of `out`; the declared
-    /// raw length is checked against `limits` before allocation.
-    fn decompress_into_limited(
-        &mut self,
-        data: &[u8],
-        out: &mut Vec<u8>,
-        limits: &StreamLimits,
-    ) -> Result<()>;
-}
-
-/// The workspace LZ77 coder at its default effort level.
-#[derive(Debug, Clone, Default)]
-pub struct Lz77Stage {
-    scratch: lz77::Lz77Scratch,
-}
-
-impl LosslessStage for Lz77Stage {
-    fn compress_into(&mut self, data: &[u8], out: &mut Vec<u8>) {
-        lz77::compress_into(data, lz77::Level::Default, out, &mut self.scratch);
-    }
-
-    fn decompress_into_limited(
-        &mut self,
-        data: &[u8],
-        out: &mut Vec<u8>,
-        limits: &StreamLimits,
-    ) -> Result<()> {
-        lz77::decompress_into_limited(data, out, limits)?;
-        Ok(())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -245,31 +208,5 @@ mod tests {
         let mut via_free = Vec::new();
         mdz_entropy::huffman_encode_into(&symbols, &mut via_free, &mut scratch);
         assert_eq!(via_stage, via_free);
-    }
-
-    #[test]
-    fn lossless_stage_round_trips() {
-        let data: Vec<u8> = (0..4000).map(|i| b"molecular dynamics "[i % 19]).collect();
-        let mut stage = Lz77Stage::default();
-        let mut packed = Vec::new();
-        stage.compress_into(&data, &mut packed);
-        let mut back = Vec::new();
-        stage
-            .decompress_into_limited(&packed, &mut back, &StreamLimits::default())
-            .expect("round trip");
-        assert_eq!(back, data);
-    }
-
-    #[test]
-    fn lossless_stage_rejects_oversized_declarations() {
-        let mut stage = Lz77Stage::default();
-        let data = vec![0u8; 4096];
-        let mut packed = Vec::new();
-        stage.compress_into(&data, &mut packed);
-        let mut back = Vec::new();
-        let err = stage
-            .decompress_into_limited(&packed, &mut back, &StreamLimits::with_max_items(16))
-            .unwrap_err();
-        assert!(matches!(err, crate::MdzError::LimitExceeded { .. }));
     }
 }

@@ -16,8 +16,8 @@
 //! format change and a version bump.
 
 use mdz_core::bound::ErrorBound;
-use mdz_core::buffer::{Compressor, Decompressor};
 use mdz_core::format::Method;
+use mdz_core::{Compressor, Decompressor};
 use mdz_core::{EntropyStage, MdzConfig, QuantizerKind};
 use std::path::PathBuf;
 

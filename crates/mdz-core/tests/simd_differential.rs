@@ -13,9 +13,9 @@
 //! cover the detection logic itself.
 
 use mdz_core::bound::ErrorBound;
-use mdz_core::buffer::{Compressor, Decompressor};
 use mdz_core::format::Method;
 use mdz_core::kernel;
+use mdz_core::{Compressor, Decompressor};
 use mdz_core::{EntropyStage, MdzConfig, QuantizerKind};
 use std::sync::Mutex;
 

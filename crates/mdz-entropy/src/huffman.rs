@@ -6,6 +6,12 @@
 //! compact canonical code table (sorted symbols as delta varints plus one
 //! length byte each) ahead of the bit-packed payload.
 //!
+//! [`huffman_encode_into`] is the one encoder ([`huffman_encode`] is its
+//! fresh-scratch wrapper). It counts a compact alphabet (below 2^20, the
+//! case for quantization codes) in a dense histogram and maps symbols to
+//! codes by index; a larger alphabet is counted by a sort and run scan and
+//! mapped by binary search, as [`crate::range`] does.
+//!
 //! Codes are length-limited to [`MAX_CODE_LEN`] bits by frequency rescaling,
 //! which keeps decode state machine-word sized. Decoding uses a one-level
 //! lookup table for codes up to `LUT_BITS` bits and a canonical
@@ -15,13 +21,13 @@ use crate::bitio::{BitReader, BitWriter};
 use crate::varint::{read_uvarint, write_uvarint};
 use crate::{EntropyError, Result, StreamLimits};
 use std::collections::BinaryHeap;
-use std::collections::HashMap;
 
 /// Upper bound on code lengths after limiting.
 pub const MAX_CODE_LEN: u32 = 32;
 /// Width of the fast decode lookup table.
 const LUT_BITS: u32 = 11;
-/// Symbol-to-code maps switch from a dense vector to a hash map above this.
+/// Alphabets whose largest symbol reaches this are counted by sorting and
+/// mapped by binary search instead of by index.
 const DENSE_LIMIT: u64 = 1 << 20;
 
 /// One canonical code: `len` low bits of `code`, MSB-first on the wire.
@@ -29,28 +35,6 @@ const DENSE_LIMIT: u64 = 1 << 20;
 struct Code {
     code: u32,
     len: u8,
-}
-
-/// Builds Huffman code lengths from symbol frequencies.
-///
-/// Returns `lengths[i]` for each `(symbol, freq)` input pair. Frequencies are
-/// rescaled and the tree rebuilt until the maximum depth fits
-/// [`MAX_CODE_LEN`].
-fn code_lengths(freqs: &[u64]) -> Vec<u8> {
-    assert!(freqs.len() >= 2, "need at least two symbols for a code");
-    let mut scaled: Vec<u64> = freqs.to_vec();
-    loop {
-        let lengths = tree_depths(&scaled);
-        if lengths.iter().all(|&l| u32::from(l) <= MAX_CODE_LEN) {
-            return lengths;
-        }
-        // Halving (with a +1 floor) compresses the frequency range, which
-        // bounds the depth of the rebuilt tree; this terminates because the
-        // range eventually collapses to all-equal frequencies.
-        for f in &mut scaled {
-            *f = (*f >> 1) + 1;
-        }
-    }
 }
 
 /// Heap entry for the Huffman tree construction.
@@ -71,20 +55,10 @@ impl PartialOrd for Node {
     }
 }
 
-/// Computes tree depths for each entry of `freqs` with a standard two-queue
-/// Huffman construction over a binary heap.
-fn tree_depths(freqs: &[u64]) -> Vec<u8> {
-    let mut parent = Vec::new();
-    let mut heap = BinaryHeap::new();
-    let mut depth = Vec::new();
-    let mut out = Vec::new();
-    tree_depths_into(freqs, &mut parent, &mut heap, &mut depth, &mut out);
-    out
-}
-
-/// [`tree_depths`] writing into caller-owned buffers (no allocation once the
-/// buffers have grown to the working size).
-fn tree_depths_into(
+/// Computes the Huffman tree depth of each entry of `freqs` (two-queue
+/// construction over a binary heap) into `out`, using caller-owned buffers
+/// (no allocation once they have grown to the working size).
+fn huffman_depths_into(
     freqs: &[u64],
     parent: &mut Vec<usize>,
     heap: &mut BinaryHeap<Node>,
@@ -119,9 +93,10 @@ fn tree_depths_into(
     out.extend_from_slice(&depth[..n]);
 }
 
-/// Assigns canonical codes to `(symbol, len)` pairs sorted by `(len, symbol)`.
-fn assign_canonical(sorted: &[(u32, u8)]) -> Vec<Code> {
-    let mut codes = Vec::with_capacity(sorted.len());
+/// Assigns canonical codes to `(symbol, len)` pairs sorted by `(len, symbol)`,
+/// replacing the contents of `codes`.
+fn assign_canonical(sorted: &[(u32, u8)], codes: &mut Vec<Code>) {
+    codes.clear();
     let mut code = 0u32;
     let mut prev_len = 0u8;
     for &(_, len) in sorted {
@@ -130,140 +105,10 @@ fn assign_canonical(sorted: &[(u32, u8)]) -> Vec<Code> {
         code += 1;
         prev_len = len;
     }
-    codes
-}
-
-/// Symbol-to-code map used while encoding.
-enum CodeMap {
-    Dense(Vec<Code>),
-    Sparse(HashMap<u32, Code>),
-}
-
-impl CodeMap {
-    #[inline]
-    fn get(&self, symbol: u32) -> Option<Code> {
-        match self {
-            CodeMap::Dense(v) => {
-                let c = *v.get(symbol as usize)?;
-                (c.len > 0).then_some(c)
-            }
-            CodeMap::Sparse(m) => m.get(&symbol).copied(),
-        }
-    }
-}
-
-/// A reusable Huffman encoder built from symbol frequencies.
-pub struct HuffmanEncoder {
-    /// Distinct symbols with lengths, sorted by `(len, symbol)`.
-    table: Vec<(u32, u8)>,
-    map: CodeMap,
-}
-
-impl HuffmanEncoder {
-    /// Builds an encoder from the symbols that will be encoded.
-    pub fn from_symbols(symbols: &[u32]) -> Self {
-        // Dense counting for compact alphabets (quantization codes, level
-        // deltas) — hashing every symbol dominates encoder setup otherwise.
-        let max = symbols.iter().copied().max().unwrap_or(0);
-        if u64::from(max) < DENSE_LIMIT {
-            let mut counts = vec![0u64; max as usize + 1];
-            for &s in symbols {
-                counts[s as usize] += 1;
-            }
-            let entries: Vec<(u32, u64)> = counts
-                .iter()
-                .enumerate()
-                .filter(|&(_, &c)| c > 0)
-                .map(|(s, &c)| (s as u32, c))
-                .collect();
-            return Self::from_sorted_entries(entries);
-        }
-        let mut freq: HashMap<u32, u64> = HashMap::new();
-        for &s in symbols {
-            *freq.entry(s).or_insert(0) += 1;
-        }
-        Self::from_frequencies(&freq)
-    }
-
-    /// Builds an encoder from an explicit frequency map.
-    pub fn from_frequencies(freq: &HashMap<u32, u64>) -> Self {
-        let mut entries: Vec<(u32, u64)> = freq.iter().map(|(&s, &f)| (s, f)).collect();
-        entries.sort_unstable_by_key(|&(s, _)| s);
-        Self::from_sorted_entries(entries)
-    }
-
-    /// Builds an encoder from `(symbol, count)` entries sorted by symbol.
-    fn from_sorted_entries(entries: Vec<(u32, u64)>) -> Self {
-        let mut table: Vec<(u32, u8)>;
-        match entries.len() {
-            0 => table = Vec::new(),
-            1 => table = vec![(entries[0].0, 1)],
-            _ => {
-                let freqs: Vec<u64> = entries.iter().map(|&(_, f)| f).collect();
-                let lens = code_lengths(&freqs);
-                table = entries.iter().zip(lens.iter()).map(|(&(s, _), &l)| (s, l)).collect();
-                table.sort_unstable_by_key(|&(s, l)| (l, s));
-            }
-        }
-        let codes = assign_canonical(&table);
-        let max_sym = table.iter().map(|&(s, _)| u64::from(s)).max().unwrap_or(0);
-        let map = if max_sym < DENSE_LIMIT {
-            let mut dense = vec![Code { code: 0, len: 0 }; (max_sym + 1) as usize];
-            for (&(s, _), &c) in table.iter().zip(codes.iter()) {
-                dense[s as usize] = c;
-            }
-            CodeMap::Dense(dense)
-        } else {
-            CodeMap::Sparse(table.iter().zip(codes.iter()).map(|(&(s, _), &c)| (s, c)).collect())
-        };
-        Self { table, map }
-    }
-
-    /// Number of distinct symbols in the code.
-    pub fn alphabet_size(&self) -> usize {
-        self.table.len()
-    }
-
-    /// Serializes the canonical table: distinct count, then delta-coded
-    /// sorted symbols and one length byte each.
-    fn write_table(&self, out: &mut Vec<u8>) {
-        write_uvarint(out, self.table.len() as u64);
-        // Symbols sorted ascending for tight delta coding.
-        let mut sorted: Vec<(u32, u8)> = self.table.clone();
-        sorted.sort_unstable_by_key(|&(s, _)| s);
-        let mut prev = 0u32;
-        for (i, &(s, l)) in sorted.iter().enumerate() {
-            let delta = if i == 0 { u64::from(s) } else { u64::from(s - prev) };
-            write_uvarint(out, delta);
-            out.push(l);
-            prev = s;
-        }
-    }
-
-    /// Encodes `symbols` (all of which must have appeared in the frequency
-    /// set) into a self-contained byte stream.
-    pub fn encode(&self, symbols: &[u32]) -> Vec<u8> {
-        let mut out = Vec::new();
-        write_uvarint(&mut out, symbols.len() as u64);
-        self.write_table(&mut out);
-        if self.table.len() <= 1 {
-            // Zero- and one-symbol alphabets need no payload bits.
-            return out;
-        }
-        let mut bits = BitWriter::with_capacity(symbols.len() / 2);
-        for &s in symbols {
-            let c = self.map.get(s).expect("symbol not present in encoder frequency set");
-            bits.write_bits(u64::from(c.code), u32::from(c.len));
-        }
-        let payload = bits.finish();
-        write_uvarint(&mut out, payload.len() as u64);
-        out.extend_from_slice(&payload);
-        out
-    }
 }
 
 /// Decoder state rebuilt from a serialized canonical table.
-pub struct HuffmanDecoder {
+struct HuffmanDecoder {
     /// Symbols sorted by `(len, symbol)` — canonical order.
     symbols: Vec<u32>,
     /// `first_code[l]`/`first_index[l]`: canonical ranges per length.
@@ -351,7 +196,8 @@ impl HuffmanDecoder {
         // Fast LUT for short codes.
         let lut_len = 1usize << LUT_BITS;
         dec.lut = vec![(0, 0); lut_len];
-        let codes = assign_canonical(&pairs);
+        let mut codes = Vec::with_capacity(pairs.len());
+        assign_canonical(&pairs, &mut codes);
         for (&(sym, len), &c) in pairs.iter().zip(codes.iter()) {
             let len32 = u32::from(len);
             if len32 <= LUT_BITS {
@@ -440,7 +286,9 @@ impl HuffmanDecoder {
 
 /// Encodes `symbols` into a self-contained Huffman stream.
 pub fn huffman_encode(symbols: &[u32]) -> Vec<u8> {
-    HuffmanEncoder::from_symbols(symbols).encode(symbols)
+    let mut out = Vec::new();
+    huffman_encode_into(symbols, &mut out, &mut HuffmanScratch::default());
+    out
 }
 
 /// Reusable workspace for [`huffman_encode_into`].
@@ -452,6 +300,7 @@ pub fn huffman_encode(symbols: &[u32]) -> Vec<u8> {
 #[derive(Debug, Clone, Default)]
 pub struct HuffmanScratch {
     counts: Vec<u64>,
+    ranked: Vec<u32>,
     entries: Vec<(u32, u64)>,
     freqs: Vec<u64>,
     lens: Vec<u8>,
@@ -460,28 +309,19 @@ pub struct HuffmanScratch {
     heap: BinaryHeap<Node>,
     table: Vec<(u32, u8)>,
     codes: Vec<Code>,
-    dense: Vec<Code>,
+    map: Vec<Code>,
     sorted: Vec<(u32, u8)>,
     bits: BitWriter,
 }
 
-/// Appends the stream [`huffman_encode`] would produce for `symbols` to
-/// `out`, reusing `scratch` for all intermediate state.
+/// Appends the stream [`huffman_encode`] produces for `symbols` to `out`,
+/// reusing `scratch` for all intermediate state.
 ///
-/// Output bytes are identical to [`huffman_encode`]. Allocation-free after
-/// warm-up for alphabets below the dense-counting limit (the case for
-/// quantization codes); the rare huge-alphabet path falls back to the
-/// allocating encoder.
+/// Allocation-free once `scratch` has grown to the working set size.
 pub fn huffman_encode_into(symbols: &[u32], out: &mut Vec<u8>, scratch: &mut HuffmanScratch) {
-    let max = symbols.iter().copied().max().unwrap_or(0);
-    if u64::from(max) >= DENSE_LIMIT {
-        // Sparse-alphabet path: rare (symbols here are quantization codes,
-        // bounded by the radius); reuse the allocating hash-map encoder.
-        out.extend_from_slice(&huffman_encode(symbols));
-        return;
-    }
     let HuffmanScratch {
         counts,
+        ranked,
         entries,
         freqs,
         lens,
@@ -490,21 +330,36 @@ pub fn huffman_encode_into(symbols: &[u32], out: &mut Vec<u8>, scratch: &mut Huf
         heap,
         table,
         codes,
-        dense,
+        map,
         sorted,
         bits,
     } = scratch;
 
-    // Dense count, mirroring `HuffmanEncoder::from_symbols`.
-    counts.clear();
-    counts.resize(max as usize + 1, 0);
-    for &s in symbols {
-        counts[s as usize] += 1;
-    }
+    // Count into symbol-sorted `(symbol, count)` entries: a dense histogram
+    // for a compact alphabet, a sort and run scan otherwise.
+    let max = symbols.iter().copied().max().unwrap_or(0);
+    let compact = u64::from(max) < DENSE_LIMIT;
     entries.clear();
-    entries.extend(counts.iter().enumerate().filter(|&(_, &c)| c > 0).map(|(s, &c)| (s as u32, c)));
+    if compact {
+        counts.clear();
+        counts.resize(max as usize + 1, 0);
+        for &s in symbols {
+            counts[s as usize] += 1;
+        }
+        entries.extend(
+            counts.iter().enumerate().filter(|&(_, &c)| c > 0).map(|(s, &c)| (s as u32, c)),
+        );
+    } else {
+        ranked.clear();
+        ranked.extend_from_slice(symbols);
+        ranked.sort_unstable();
+        entries.extend(ranked.chunk_by(|a, b| a == b).map(|run| (run[0], run.len() as u64)));
+    }
 
-    // Table construction, mirroring `from_sorted_entries`.
+    // Code lengths, rescaling the frequencies until the deepest code fits
+    // MAX_CODE_LEN. Halving (with a +1 floor) compresses the frequency
+    // range, which bounds the depth of the rebuilt tree; this terminates
+    // because the range eventually collapses to all-equal frequencies.
     table.clear();
     match entries.len() {
         0 => {}
@@ -513,7 +368,7 @@ pub fn huffman_encode_into(symbols: &[u32], out: &mut Vec<u8>, scratch: &mut Huf
             freqs.clear();
             freqs.extend(entries.iter().map(|&(_, f)| f));
             loop {
-                tree_depths_into(freqs, parent, heap, depth, lens);
+                huffman_depths_into(freqs, parent, heap, depth, lens);
                 if lens.iter().all(|&l| u32::from(l) <= MAX_CODE_LEN) {
                     break;
                 }
@@ -526,25 +381,18 @@ pub fn huffman_encode_into(symbols: &[u32], out: &mut Vec<u8>, scratch: &mut Huf
         }
     }
 
-    // Canonical codes and a dense symbol→code map (max < DENSE_LIMIT here).
-    codes.clear();
-    {
-        let mut code = 0u32;
-        let mut prev_len = 0u8;
-        for &(_, len) in table.iter() {
-            code <<= len - prev_len;
-            codes.push(Code { code, len });
-            code += 1;
-            prev_len = len;
-        }
-    }
-    dense.clear();
-    dense.resize(max as usize + 1, Code { code: 0, len: 0 });
+    // Canonical codes, mapped by symbol for a compact alphabet and by rank
+    // in `entries` otherwise.
+    assign_canonical(table, codes);
+    let rank = |s: u32| entries.binary_search_by_key(&s, |&(e, _)| e).expect("symbol was counted");
+    map.clear();
+    map.resize(if compact { max as usize + 1 } else { entries.len() }, Code { code: 0, len: 0 });
     for (&(s, _), &c) in table.iter().zip(codes.iter()) {
-        dense[s as usize] = c;
+        map[if compact { s as usize } else { rank(s) }] = c;
     }
 
-    // Stream layout identical to `HuffmanEncoder::encode`.
+    // Stream: symbol count, then the table (distinct count, delta-coded
+    // ascending symbols with one length byte each), then the payload.
     write_uvarint(out, symbols.len() as u64);
     write_uvarint(out, table.len() as u64);
     sorted.clear();
@@ -558,17 +406,28 @@ pub fn huffman_encode_into(symbols: &[u32], out: &mut Vec<u8>, scratch: &mut Huf
         prev = s;
     }
     if table.len() <= 1 {
+        // Zero- and one-symbol alphabets need no payload bits.
         return;
     }
     bits.clear();
-    for &s in symbols {
-        let c = dense[s as usize];
-        debug_assert!(c.len > 0, "symbol not present in encoder frequency set");
-        bits.write_bits(u64::from(c.code), u32::from(c.len));
+    if compact {
+        pack(symbols, bits, |s| map[s as usize]);
+    } else {
+        pack(symbols, bits, |s| map[rank(s)]);
     }
     let payload = bits.flush();
     write_uvarint(out, payload.len() as u64);
     out.extend_from_slice(payload);
+}
+
+/// Appends the code `code_of` gives each symbol to `bits`.
+#[inline]
+fn pack(symbols: &[u32], bits: &mut BitWriter, code_of: impl Fn(u32) -> Code) {
+    for &s in symbols {
+        let c = code_of(s);
+        debug_assert!(c.len > 0, "symbol not present in encoder frequency set");
+        bits.write_bits(u64::from(c.code), u32::from(c.len));
+    }
 }
 
 /// Decodes a stream produced by [`huffman_encode`], starting at `*pos` and
@@ -588,13 +447,8 @@ pub fn huffman_decode_at_limited(
     Ok(out)
 }
 
-/// [`huffman_decode_at`] writing the symbols into a caller-owned vector
-/// (cleared first), so a streaming decoder can reuse the allocation.
-pub fn huffman_decode_at_into(data: &[u8], pos: &mut usize, out: &mut Vec<u32>) -> Result<()> {
-    huffman_decode_at_into_limited(data, pos, out, &StreamLimits::default())
-}
-
-/// [`huffman_decode_at_into`] with a caller-supplied decode budget.
+/// [`huffman_decode_at_limited`] writing the symbols into a caller-owned
+/// vector (cleared first), so a streaming decoder can reuse the allocation.
 ///
 /// The declared symbol count is checked against `limits` before any
 /// count-proportional allocation. The multi-symbol path additionally bounds
@@ -890,6 +744,14 @@ mod tests {
                 }
                 v
             },
+            // Sparse and dense alphabets alternate from here on, so each
+            // path runs on the scratch the other one left behind.
+            vec![0, 1 << 20, u32::MAX, 5, 1 << 20],
+            (0..500u32).map(|i| i % 5).collect(),
+            vec![u32::MAX; 7],
+            vec![3, 1, 4, 1, 5, 9, 2, 6],
+            (0..2000u32).map(|i| i.wrapping_mul(2_654_435_761) | 1 << 31).collect(),
+            vec![9; 3],
         ];
         let mut scratch = HuffmanScratch::default();
         let mut out = Vec::new();
@@ -902,6 +764,27 @@ mod tests {
     }
 
     #[test]
+    fn sparse_alphabet_bytes_are_pinned() {
+        // Alphabets reaching 2^20 take the sort-and-search path; these bytes
+        // were written by the hash-map encoder that path replaced. The
+        // repeated symbol gives the short stream three code lengths, so a
+        // miscount changes its table.
+        assert_eq!(
+            huffman_encode(&[0, 1 << 20, u32::MAX, 5, 1 << 20, 1 << 20]),
+            [6, 4, 0, 3, 5, 3, 251, 255, 63, 1, 255, 255, 191, 255, 15, 2, 2, 203, 128]
+        );
+        let fnv1a = |bytes: &[u8]| {
+            bytes.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, &b| {
+                (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+            })
+        };
+        let sparse: Vec<u32> =
+            (0..4000).map(|i| (i * 2_654_435_761u64 % 1_000_000_007) as u32).collect();
+        let enc = huffman_encode(&sparse);
+        assert_eq!((enc.len(), fnv1a(&enc)), (21_992, 0xa7d9_c19e_e9aa_994a));
+    }
+
+    #[test]
     fn decode_at_into_reuses_buffer() {
         let a: Vec<u32> = (0..100).map(|i| i % 3).collect();
         let b: Vec<u32> = (0..50).map(|i| i % 7 + 100).collect();
@@ -909,9 +792,10 @@ mod tests {
         buf.extend(huffman_encode(&b));
         let mut pos = 0;
         let mut out = Vec::new();
-        huffman_decode_at_into(&buf, &mut pos, &mut out).unwrap();
+        let limits = StreamLimits::default();
+        huffman_decode_at_into_limited(&buf, &mut pos, &mut out, &limits).unwrap();
         assert_eq!(out, a);
-        huffman_decode_at_into(&buf, &mut pos, &mut out).unwrap();
+        huffman_decode_at_into_limited(&buf, &mut pos, &mut out, &limits).unwrap();
         assert_eq!(out, b);
         assert_eq!(pos, buf.len());
     }
@@ -989,18 +873,5 @@ mod tests {
         let out =
             huffman_decode_at_limited(&enc, &mut pos, &StreamLimits::with_max_items(1000)).unwrap();
         assert_eq!(out, vec![7u32; 1000]);
-    }
-
-    #[test]
-    fn encoder_reuse_across_batches() {
-        let batch1: Vec<u32> = (0..500).map(|i| i % 11).collect();
-        let batch2: Vec<u32> = (0..300).map(|i| (i + 3) % 11).collect();
-        let mut freq = HashMap::new();
-        for &s in batch1.iter().chain(batch2.iter()) {
-            *freq.entry(s).or_insert(0u64) += 1;
-        }
-        let enc = HuffmanEncoder::from_frequencies(&freq);
-        assert_eq!(huffman_decode(&enc.encode(&batch1)).unwrap(), batch1);
-        assert_eq!(huffman_decode(&enc.encode(&batch2)).unwrap(), batch2);
     }
 }

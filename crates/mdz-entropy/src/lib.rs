@@ -25,8 +25,7 @@ pub mod varint;
 
 pub use bitio::{BitReader, BitWriter};
 pub use huffman::{
-    huffman_decode, huffman_decode_at_limited, huffman_encode, huffman_encode_into, HuffmanDecoder,
-    HuffmanEncoder, HuffmanScratch,
+    huffman_decode, huffman_decode_at_limited, huffman_encode, huffman_encode_into, HuffmanScratch,
 };
 pub use range::{range_decode, range_decode_at_limited, range_encode, RangeScratch};
 pub use varint::{

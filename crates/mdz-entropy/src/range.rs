@@ -344,13 +344,8 @@ pub fn range_decode_at_limited(
     Ok(out)
 }
 
-/// [`range_decode_at`] writing the symbols into a caller-owned vector
-/// (cleared first), so a streaming decoder can reuse the allocation.
-pub fn range_decode_at_into(data: &[u8], pos: &mut usize, out: &mut Vec<u32>) -> Result<()> {
-    range_decode_at_into_limited(data, pos, out, &StreamLimits::default())
-}
-
-/// [`range_decode_at_into`] with a caller-supplied decode budget.
+/// [`range_decode_at_limited`] writing the symbols into a caller-owned
+/// vector (cleared first), so a streaming decoder can reuse the allocation.
 ///
 /// Unlike Huffman, a range-coded symbol can cost less than one bit, so the
 /// declared count cannot be bounded by the payload size; the budget is the
@@ -534,7 +529,8 @@ mod tests {
             assert_eq!(out, range_encode(v), "{} symbols", v.len());
             let mut pos = 0;
             let mut dec = Vec::new();
-            range_decode_at_into(&out, &mut pos, &mut dec).unwrap();
+            range_decode_at_into_limited(&out, &mut pos, &mut dec, &StreamLimits::default())
+                .unwrap();
             assert_eq!(&dec, v);
         }
     }

@@ -9,8 +9,8 @@
 //! residual bit lengths — and emit residual payload bits raw.
 
 use mdz_entropy::{
-    huffman::huffman_decode_at, read_uvarint, write_uvarint, BitReader, BitWriter, EntropyError,
-    HuffmanEncoder, Result,
+    huffman::huffman_decode_at, huffman_encode, read_uvarint, write_uvarint, BitReader, BitWriter,
+    EntropyError, Result,
 };
 
 /// Order-preserving map from IEEE-754 double bits to `u64`.
@@ -60,7 +60,7 @@ pub fn compress(data: &[f64]) -> Vec<u8> {
             payload.write_bits(mag & !(1u64 << (nbits - 1)), nbits - 1);
         }
     }
-    out.extend(HuffmanEncoder::from_symbols(&symbols).encode(&symbols));
+    out.extend(huffman_encode(&symbols));
     let bits = payload.finish();
     write_uvarint(&mut out, bits.len() as u64);
     out.extend_from_slice(&bits);

@@ -374,16 +374,12 @@ pub fn compress_into(data: &[u8], level: Level, out: &mut Vec<u8>, scratch: &mut
 /// Decompresses a stream produced by [`compress`].
 pub fn decompress(data: &[u8]) -> Result<Vec<u8>> {
     let mut out = Vec::new();
-    decompress_into(data, &mut out)?;
+    decompress_into_limited(data, &mut out, &StreamLimits::default())?;
     Ok(out)
 }
 
-/// [`decompress`] writing into a caller-owned vector (cleared first).
-pub fn decompress_into(data: &[u8], out: &mut Vec<u8>) -> Result<()> {
-    decompress_into_limited(data, out, &StreamLimits::default())
-}
-
-/// [`decompress_into`] with a caller-supplied decode budget.
+/// [`decompress`] writing into a caller-owned vector (cleared first), with
+/// a caller-supplied decode budget.
 ///
 /// `limits.max_items` bounds the declared raw (decompressed) length; the
 /// token streams are in turn bounded by that length (every token produces at
@@ -671,11 +667,19 @@ mod tests {
                 // Fresh-scratch compression must agree byte for byte: no
                 // match-finder or token state may leak between calls.
                 assert_eq!(out, compress(data, level), "{} bytes, {level:?}", data.len());
-                let mut rec = Vec::new();
-                decompress_into(&out, &mut rec).unwrap();
-                assert_eq!(&rec, data);
+                assert_eq!(&decompress(&out).unwrap(), data);
             }
         }
+    }
+
+    #[test]
+    fn decompress_rejects_a_length_past_the_budget() {
+        let packed = compress(&[0u8; 4096], Level::Default);
+        let mut out = Vec::new();
+        assert_eq!(
+            decompress_into_limited(&packed, &mut out, &StreamLimits::with_max_items(16)),
+            Err(EntropyError::LimitExceeded { what: "lz77 raw length", limit: 16 })
+        );
     }
 
     #[test]

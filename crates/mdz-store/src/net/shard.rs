@@ -51,7 +51,9 @@ use mdz_obs::Obs;
 
 use crate::protocol::{encode_error, Status, OP_APPEND};
 use crate::reader::StoreReader;
-use crate::server::{serve_request, status_counter, AppendSink, Server, ServerConfig};
+use crate::server::{
+    body_budget, serve_request, status_counter, AppendSink, Server, ServerConfig, DRAIN_POLL,
+};
 
 use super::conn::{Conn, ReadOutcome};
 use super::sys::{Event, Poller, WakePipe};
@@ -206,7 +208,7 @@ impl<'a> Shard<'a> {
         }
         poller.add(shared.wakes[id].read_fd(), true, false)?;
         let obs = Obs::new(reader.recorder());
-        let body_budget = cfg.body_budget(sink.is_some());
+        let body_budget = body_budget(sink.is_some());
         Ok(Shard {
             id,
             shards,
@@ -229,7 +231,7 @@ impl<'a> Shard<'a> {
         let mut events: Vec<Event> = Vec::new();
         let wake_fd = self.shared.wakes[self.id].read_fd();
         loop {
-            self.poller.wait(&mut events, self.cfg.drain_poll_clamped())?;
+            self.poller.wait(&mut events, DRAIN_POLL)?;
             if !self.draining && self.shared.stop.load(Ordering::SeqCst) {
                 self.start_drain();
             }

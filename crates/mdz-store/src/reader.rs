@@ -379,17 +379,6 @@ impl StoreReader {
     /// slicing the same range out of a full sequential decompression of the
     /// archive, or an error.
     pub fn read_frames(&self, range: Range<usize>) -> Result<Vec<Frame>> {
-        self.read_frames_limited(range, &self.opts.limits)
-    }
-
-    /// [`read_frames`](Self::read_frames) with a caller-supplied decode
-    /// budget — the serving layer passes its per-connection limits here.
-    /// Cache hits bypass the budget (the work was already done).
-    pub fn read_frames_limited(
-        &self,
-        range: Range<usize>,
-        limits: &DecodeLimits,
-    ) -> Result<Vec<Frame>> {
         // One consistent snapshot per call: a concurrent refresh can land a
         // new index mid-read without this read observing mixed state.
         let snap = self.snapshot();
@@ -412,7 +401,7 @@ impl StoreReader {
         for epoch in idx.epoch_of_frame(range.start)..=idx.epoch_of_frame(range.end - 1) {
             let in_epoch = idx.epoch_blocks(epoch);
             let blocks = touched.start.max(in_epoch.start)..touched.end.min(in_epoch.end);
-            let buffers = self.epoch_buffers(&snap, epoch, blocks.clone(), limits)?;
+            let buffers = self.epoch_buffers(&snap, epoch, blocks.clone())?;
             for (block, frames) in blocks.zip(&buffers) {
                 let start = idx.blocks[block].frame_start;
                 let lo = range.start.max(start) - start;
@@ -454,7 +443,6 @@ impl StoreReader {
         snap: &Snapshot,
         epoch: usize,
         blocks: Range<usize>,
-        limits: &DecodeLimits,
     ) -> Result<Vec<Arc<Vec<Frame>>>> {
         let obs = &self.shared.obs;
         let mut got: Vec<Option<Arc<Vec<Frame>>>> = vec![None; blocks.len()];
@@ -498,7 +486,7 @@ impl StoreReader {
                 let wanted: Vec<usize> = leads.iter().map(|(b, _)| *b).collect();
                 // Decode outside the cache lock so other buffers stay
                 // readable while these are in flight.
-                let result = self.decode_from_anchor(snap, epoch, &wanted, limits);
+                let result = self.decode_from_anchor(snap, epoch, &wanted);
                 let mut cache = self.shared.cache.lock().unwrap();
                 for block in &wanted {
                     cache.pending.remove(block);
@@ -555,7 +543,6 @@ impl StoreReader {
         snap: &Snapshot,
         epoch: usize,
         wanted: &[usize],
-        limits: &DecodeLimits,
     ) -> Result<Vec<(usize, Arc<Vec<Frame>>)>> {
         let idx = &snap.index;
         let anchor = idx.epoch_blocks(epoch).start;
@@ -566,7 +553,7 @@ impl StoreReader {
             .collect::<Result<Vec<&[u8]>>>()?;
 
         let decode_axis = |axis: usize| -> Result<Vec<(usize, Vec<Vec<f64>>)>> {
-            let mut dec = Decompressor::with_limits(*limits);
+            let mut dec = Decompressor::with_limits(self.opts.limits);
             dec.set_obs(self.shared.obs.clone());
             let mut decoded = Vec::new();
             for (block, container) in (anchor..).zip(&containers) {
@@ -855,15 +842,16 @@ mod tests {
 
     #[test]
     fn tight_limits_are_enforced_and_counted() {
+        let tight = DecodeLimits { max_snapshots: 1, ..Default::default() };
         let reader = {
             let mut opts = StoreOptions::new(MdzConfig::new(ErrorBound::Absolute(1e-3)));
             opts.buffer_size = 4;
             opts.epoch_interval = 2;
             let data = write_store(&frames(8, 8), &[], &[], &opts).unwrap();
-            StoreReader::open(data).unwrap()
+            StoreReader::with_options(data, ReaderOptions { limits: tight, ..Default::default() })
+                .unwrap()
         };
-        let tight = DecodeLimits { max_snapshots: 1, ..Default::default() };
-        let err = reader.read_frames_limited(0..4, &tight).unwrap_err();
+        let err = reader.read_frames(0..4).unwrap_err();
         assert!(matches!(err, MdzError::LimitExceeded { .. }), "{err:?}");
         assert_eq!(reader.stats().decode_errors, 1);
     }

@@ -7,17 +7,18 @@
 //! round-robin to every shard, its own share included. All shards share one
 //! [`StoreReader`] clone, so one buffer cache and one table of in-flight
 //! decodes: whichever connection decodes a buffer first populates it for
-//! the rest. Each request decodes under [`ServerConfig::limits`]; a request
-//! that would decode past that budget is refused with
-//! [`Status::LimitExceeded`] rather than letting one client monopolize
-//! memory.
+//! the rest. Each request decodes under the reader's
+//! [`ReaderOptions::limits`](crate::ReaderOptions::limits); a request that
+//! would decode past that budget is refused with [`Status::LimitExceeded`]
+//! rather than letting one client monopolize memory.
 //!
 //! Serving needs epoll or kqueue: on any other target [`Server::run`]
 //! returns [`std::io::ErrorKind::Unsupported`].
 //!
 //! # Degradation under hostile load
 //!
-//! Every per-connection budget is explicit in [`ServerConfig`]:
+//! Every per-connection budget is explicit in [`ServerConfig`] or the
+//! protocol's body caps:
 //!
 //! * **Connection cap** — when `max_connections` connections are already
 //!   admitted, new connections get a framed [`Status::Busy`] response and
@@ -32,10 +33,11 @@
 //!   disconnected once its writes make no progress for `write_timeout`
 //!   (`server.conn.write_timeouts`).
 //! * **Bounded request bodies** — frame lengths are validated against
-//!   `max_request_body` before any allocation (`max_append_body` when live
-//!   appends are enabled, since APPEND carries raw coordinate payloads).
+//!   [`MAX_REQUEST_BODY`] before any allocation ([`MAX_APPEND_BODY`] when
+//!   live appends are enabled, since APPEND carries raw coordinate
+//!   payloads).
 //!
-//! Shutdown drains gracefully: within one `drain_poll` tick the listener
+//! Shutdown drains gracefully: within one 50 ms poll tick the listener
 //! closes, in-flight requests finish (bounded by the read/write deadlines),
 //! and idle connections are closed (`server.drain.closed`).
 //!
@@ -59,7 +61,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
-use mdz_core::{DecodeLimits, Frame, MdzError};
+use mdz_core::{Frame, MdzError};
 use mdz_obs::Obs;
 
 use crate::archive::{append_image, Precision, StoreOptions};
@@ -78,17 +80,9 @@ pub struct ServerConfig {
     pub threads: usize,
     /// Largest frame count a single GET may request.
     pub max_frames_per_request: usize,
-    /// Decode budget each request's reads run under.
-    pub limits: DecodeLimits,
     /// Connections admitted concurrently; beyond this, new connections are
     /// shed with a framed [`Status::Busy`] response.
     pub max_connections: usize,
-    /// Largest request body accepted, enforced before allocation.
-    pub max_request_body: usize,
-    /// Largest APPEND request body accepted when a sink is attached
-    /// (APPEND bodies carry raw coordinates, so they dwarf the control
-    /// verbs). Ignored on a read-only server.
-    pub max_append_body: usize,
     /// Budget for a started request to finish arriving (also bounds the
     /// post-error drain that lets an error response reach the peer).
     pub read_timeout: Duration,
@@ -96,10 +90,6 @@ pub struct ServerConfig {
     pub write_timeout: Duration,
     /// How long a connection may sit between requests before it is closed.
     pub idle_timeout: Duration,
-    /// The poll loop's wait timeout: how often shards wake to check the
-    /// stop flag and the deadlines when no socket is ready. Bounds how
-    /// stale a shutdown request can go unnoticed (default 50 ms).
-    pub drain_poll: Duration,
     /// Cap on a connection's queued-but-unsent response bytes. Past the
     /// cap the server stops *reading* that connection (backpressure) until
     /// the peer drains its socket; a peer that never drains is killed by
@@ -112,33 +102,29 @@ impl Default for ServerConfig {
         Self {
             threads: 4,
             max_frames_per_request: 1 << 20,
-            limits: DecodeLimits::default(),
             max_connections: 256,
-            max_request_body: MAX_REQUEST_BODY,
-            max_append_body: MAX_APPEND_BODY,
             read_timeout: Duration::from_secs(5),
             write_timeout: Duration::from_secs(10),
             idle_timeout: Duration::from_secs(60),
-            drain_poll: Duration::from_millis(50),
             max_write_buffer: 4 << 20,
         }
     }
 }
 
-impl ServerConfig {
-    /// The framing budget requests are read under: APPEND bodies carry raw
-    /// coordinates, so the budget only widens when a sink is attached.
-    pub(crate) fn body_budget(&self, has_sink: bool) -> usize {
-        if has_sink {
-            self.max_append_body.max(self.max_request_body)
-        } else {
-            self.max_request_body
-        }
-    }
+/// The poll loop's wait timeout: how often shards wake to check the stop
+/// flag and the deadlines when no socket is ready. Bounds how stale a
+/// shutdown request can go unnoticed.
+pub(crate) const DRAIN_POLL: Duration = Duration::from_millis(50);
 
-    /// `drain_poll` clamped away from zero (a zero poll would spin).
-    pub(crate) fn drain_poll_clamped(&self) -> Duration {
-        self.drain_poll.max(Duration::from_millis(1))
+/// The framing budget requests are read under, enforced before allocation:
+/// [`MAX_REQUEST_BODY`], widened to [`MAX_APPEND_BODY`] when a sink is
+/// attached, since APPEND bodies carry raw coordinates and dwarf the
+/// control verbs.
+pub(crate) fn body_budget(has_sink: bool) -> usize {
+    if has_sink {
+        MAX_APPEND_BODY.max(MAX_REQUEST_BODY)
+    } else {
+        MAX_REQUEST_BODY
     }
 }
 
@@ -213,7 +199,7 @@ pub struct ServerHandle {
 
 impl ServerHandle {
     /// Asks the server to stop. Idempotent; safe from any thread. Every
-    /// shard observes the flag within one `drain_poll` tick.
+    /// shard observes the flag within one 50 ms poll tick.
     pub fn shutdown(&self) {
         self.stop.store(true, Ordering::SeqCst);
     }
@@ -393,7 +379,7 @@ fn respond(
             if end > n_frames {
                 return encode_error(Status::OutOfRange, "frame range past end of archive");
             }
-            match reader.read_frames_limited(start as usize..end as usize, &cfg.limits) {
+            match reader.read_frames(start as usize..end as usize) {
                 Ok(frames) => encode_frames(start, reader.index().n_atoms, &frames),
                 Err(e) => encode_error(Status::from_error(&e), &e.to_string()),
             }

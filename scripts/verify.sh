@@ -19,6 +19,8 @@ RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --quiet
 echo "==> cargo build --release"
 cargo build --release --workspace
 
+# Runs every unit, integration and doc test: each `# Examples` block in
+# the workspace compiles and runs here (no crate sets `doctest = false`).
 echo "==> cargo test --workspace"
 cargo test --workspace --quiet
 
@@ -28,12 +30,6 @@ cargo test --workspace --quiet
 echo "==> benchmark build + tests (benchmark/, its own workspace)"
 cargo build --release --offline --manifest-path benchmark/Cargo.toml
 cargo test --release --offline --quiet --manifest-path benchmark/Cargo.toml
-
-# Rustdoc examples are executable documentation: every `# Examples`
-# block in the workspace compiles and runs (the docs CI job runs the
-# same gate).
-echo "==> cargo test --doc"
-cargo test --workspace --doc --quiet
 
 # Bounded fuzz smoke: deterministic seeded campaigns over every decode
 # entry point. 5 000 iterations keeps this step to a few seconds; CI's
