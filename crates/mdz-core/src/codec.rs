@@ -1,11 +1,11 @@
 //! The unified buffer-codec abstraction.
 //!
 //! Everything that can compress a buffer of snapshots — MDZ itself and the
-//! comparison baselines — implements [`Codec`], so harnesses, archives, and
-//! CLIs hold a `Box<dyn Codec>` and never special-case MDZ. The error bound
-//! is a *per-call* parameter: stateless one-shot callers pass a fixed
-//! absolute bound, while streaming callers (the trajectory layer, archives)
-//! forward their configured bound buffer by buffer.
+//! comparison baselines — implements [`Codec`], so the experiment harness
+//! holds a `Box<dyn Codec>` and never special-cases MDZ. The error bound is
+//! a *per-call* parameter: stateless one-shot callers pass a fixed absolute
+//! bound, while streaming callers forward their configured bound buffer by
+//! buffer.
 
 use crate::adaptive::Candidate;
 use crate::format::Method;
@@ -18,10 +18,7 @@ use crate::{ErrorBound, MdzConfig, QuantizerKind, Result};
 /// MT reference snapshot); compressed blocks must then be decompressed in
 /// stream order by the same instance. [`Codec::reset`] returns an instance
 /// to its freshly-constructed state.
-///
-/// `Send` is a supertrait so independent streams (e.g. the three axes of a
-/// trajectory) can be driven from scoped threads.
-pub trait Codec: Send {
+pub trait Codec {
     /// Short display name ("VQT", "SZ2", …).
     fn name(&self) -> &'static str;
 

@@ -68,7 +68,7 @@ pub use pipeline::parallel::fan_out;
 pub use pipeline::{BlockInfo, Compressor, DecodeLimits, Decompressor};
 pub use quant::{BitAdaptiveQuantizer, LinearQuantizer};
 pub use stage::{HuffmanStage, Quantizer, RangeStage};
-pub use traj::{Frame, TrajectoryCompressor, TrajectoryDecompressor};
+pub use traj::Frame;
 
 use mdz_entropy::EntropyError;
 
@@ -177,10 +177,6 @@ pub struct MdzConfig {
     pub seq2: bool,
     /// Re-evaluate the adaptive choice every this many buffers (paper: 50).
     pub adapt_interval: u32,
-    /// Sampling fraction for level detection (paper: 0.10).
-    pub level_sample_fraction: f64,
-    /// Maximum clusters considered by level detection (paper: 150).
-    pub max_levels: usize,
     /// Entropy coder for the integer streams (paper/SZ default: Huffman).
     pub entropy: EntropyStage,
     /// Include the second-order predictor [`Method::Mt2`] among the
@@ -248,8 +244,6 @@ impl MdzConfig {
             radius: 512,
             seq2: true,
             adapt_interval: 50,
-            level_sample_fraction: 0.10,
-            max_levels: 150,
             entropy: EntropyStage::default(),
             extended_candidates: false,
             quantizer: QuantizerKind::default(),

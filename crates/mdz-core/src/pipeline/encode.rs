@@ -192,12 +192,7 @@ fn encode_with<Q: Quantizer, S: AsRef<[f64]>>(
     let grid: Option<LevelGrid> =
         if matches!(method, Method::Vq | Method::Vqt) && state.grid.is_none() {
             let grid = *detected.get_or_insert_with(|| {
-                let sel = SelectConfig {
-                    max_k: cfg.max_levels,
-                    sample_fraction: cfg.level_sample_fraction,
-                    ..Default::default()
-                };
-                let grid = detect_levels(snapshots[0].as_ref(), &sel);
+                let grid = detect_levels(snapshots[0].as_ref(), &SelectConfig::default());
                 obs.incr("core.grid.detect_runs", 1);
                 if grid.is_some() {
                     obs.incr("core.grid.detected", 1);

@@ -310,7 +310,6 @@ pub struct HuffmanScratch {
     table: Vec<(u32, u8)>,
     codes: Vec<Code>,
     map: Vec<Code>,
-    sorted: Vec<(u32, u8)>,
     bits: BitWriter,
 }
 
@@ -331,7 +330,6 @@ pub fn huffman_encode_into(symbols: &[u32], out: &mut Vec<u8>, scratch: &mut Huf
         table,
         codes,
         map,
-        sorted,
         bits,
     } = scratch;
 
@@ -356,14 +354,15 @@ pub fn huffman_encode_into(symbols: &[u32], out: &mut Vec<u8>, scratch: &mut Huf
         entries.extend(ranked.chunk_by(|a, b| a == b).map(|run| (run[0], run.len() as u64)));
     }
 
-    // Code lengths, rescaling the frequencies until the deepest code fits
-    // MAX_CODE_LEN. Halving (with a +1 floor) compresses the frequency
-    // range, which bounds the depth of the rebuilt tree; this terminates
-    // because the range eventually collapses to all-equal frequencies.
-    table.clear();
+    // Code lengths, parallel to `entries`, rescaling the frequencies until
+    // the deepest code fits MAX_CODE_LEN. Halving (with a +1 floor)
+    // compresses the frequency range, which bounds the depth of the rebuilt
+    // tree; this terminates because the range eventually collapses to
+    // all-equal frequencies. A one-symbol alphabet gets length 1.
+    lens.clear();
     match entries.len() {
         0 => {}
-        1 => table.push((entries[0].0, 1)),
+        1 => lens.push(1),
         _ => {
             freqs.clear();
             freqs.extend(entries.iter().map(|&(_, f)| f));
@@ -376,10 +375,11 @@ pub fn huffman_encode_into(symbols: &[u32], out: &mut Vec<u8>, scratch: &mut Huf
                     *f = (*f >> 1) + 1;
                 }
             }
-            table.extend(entries.iter().zip(lens.iter()).map(|(&(s, _), &l)| (s, l)));
-            table.sort_unstable_by_key(|&(s, l)| (l, s));
         }
     }
+    table.clear();
+    table.extend(entries.iter().zip(lens.iter()).map(|(&(s, _), &l)| (s, l)));
+    table.sort_unstable_by_key(|&(s, l)| (l, s));
 
     // Canonical codes, mapped by symbol for a compact alphabet and by rank
     // in `entries` otherwise.
@@ -392,20 +392,17 @@ pub fn huffman_encode_into(symbols: &[u32], out: &mut Vec<u8>, scratch: &mut Huf
     }
 
     // Stream: symbol count, then the table (distinct count, delta-coded
-    // ascending symbols with one length byte each), then the payload.
+    // ascending symbols with one length byte each, which `entries` and
+    // `lens` already list in that order), then the payload.
     write_uvarint(out, symbols.len() as u64);
-    write_uvarint(out, table.len() as u64);
-    sorted.clear();
-    sorted.extend_from_slice(table);
-    sorted.sort_unstable_by_key(|&(s, _)| s);
+    write_uvarint(out, entries.len() as u64);
     let mut prev = 0u32;
-    for (i, &(s, l)) in sorted.iter().enumerate() {
-        let delta = if i == 0 { u64::from(s) } else { u64::from(s - prev) };
-        write_uvarint(out, delta);
+    for (&(s, _), &l) in entries.iter().zip(lens.iter()) {
+        write_uvarint(out, u64::from(s - prev));
         out.push(l);
         prev = s;
     }
-    if table.len() <= 1 {
+    if entries.len() <= 1 {
         // Zero- and one-symbol alphabets need no payload bits.
         return;
     }

@@ -17,6 +17,9 @@
 //!   the `MDZ_FUZZ_ITERS` environment variable so CI can run deep
 //!   campaigns while a local `cargo test` stays fast.
 //!
+//! [`ContainerArchive`] carries hostile trajectory containers into the one
+//! decoder that reads them, `mdz_store::StoreReader`.
+//!
 //! The campaigns themselves live in this crate's integration tests
 //! (`tests/fuzz_campaigns.rs`); seeded regression inputs from past runs
 //! live in the repository's `corpus/` directory and are replayed by
@@ -24,6 +27,12 @@
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
+
+use mdz_core::checksum::fnv1a64;
+use mdz_core::{ErrorBound, Frame, MdzConfig};
+use mdz_entropy::write_uvarint;
+use mdz_store::archive::record_at;
+use mdz_store::{write_store, ArchiveIndex, StoreOptions};
 
 pub use mdz_sim::rng::Rng;
 
@@ -41,6 +50,46 @@ pub fn default_iters() -> usize {
                 100_000
             }
         }
+    }
+}
+
+/// A valid one-block store archive of `n_frames` frames of `n_atoms`
+/// atoms, cut around its block record, so that any bytes can stand in as
+/// the record's trajectory container under a recomputed record checksum.
+///
+/// The footer indexes the block by its start offset, which the new record
+/// keeps, so the wrapped archive opens whatever the container holds, and
+/// reading its frames reaches `split_container` and the three axis
+/// decoders. A container coding `n_frames` frames of `n_atoms` atoms reads
+/// back in full.
+pub struct ContainerArchive {
+    /// Header and metadata, up to the block record.
+    head: Vec<u8>,
+    /// The footer after the block record.
+    tail: Vec<u8>,
+}
+
+impl ContainerArchive {
+    /// Writes the template archive.
+    pub fn new(n_atoms: usize, n_frames: usize) -> Self {
+        let mut opts = StoreOptions::new(MdzConfig::new(ErrorBound::Absolute(1e-3)));
+        opts.buffer_size = n_frames;
+        let frame = Frame::new(vec![0.0; n_atoms], vec![0.0; n_atoms], vec![0.0; n_atoms]);
+        let valid = write_store(&vec![frame; n_frames], &[], &[], &opts).expect("template");
+        let offset = ArchiveIndex::parse(&valid).expect("template index").blocks[0].offset;
+        let container = record_at(&valid, offset).expect("template record");
+        let end = container.as_ptr_range().end as usize - valid.as_ptr() as usize;
+        Self { head: valid[..offset].to_vec(), tail: valid[end..].to_vec() }
+    }
+
+    /// The template archive with `container` as its block record's body.
+    pub fn wrap(&self, container: &[u8]) -> Vec<u8> {
+        let mut out = self.head.clone();
+        write_uvarint(&mut out, container.len() as u64);
+        out.extend_from_slice(&fnv1a64(container).to_le_bytes());
+        out.extend_from_slice(container);
+        out.extend_from_slice(&self.tail);
+        out
     }
 }
 

@@ -17,18 +17,15 @@ use std::path::{Path, PathBuf};
 
 use mdz_core::checksum::{crc32, fnv1a64};
 use mdz_core::format::{FLAGS_OFFSET, FLAG_BIT_ADAPTIVE, MAGIC};
-use mdz_core::traj::TrajectoryDecompressor;
 use mdz_core::{
-    Codec, Compressor, DecodeLimits, Decompressor, ErrorBound, Frame, MdzCodec, MdzConfig, Method,
-    QuantizerKind,
+    Compressor, DecodeLimits, Decompressor, ErrorBound, Frame, MdzConfig, Method, QuantizerKind,
 };
 use mdz_entropy::{
     huffman_decode_at_limited, huffman_encode, range_decode_at_limited, range_encode, read_uvarint,
     write_uvarint, StreamLimits,
 };
-use mdz_fuzz::CountingAlloc;
+use mdz_fuzz::{ContainerArchive, CountingAlloc};
 use mdz_lossless::{lz77, rle};
-use mdz_store::archive::record_at;
 use mdz_store::{
     append_store, write_store, ArchiveIndex, FaultIo, FaultMode, FaultPlan, FrameDecoder, MemIo,
     Precision, ReaderOptions, Request, StoreOptions, StoreReader,
@@ -70,19 +67,13 @@ fn replay(name: &str, bytes: &[u8]) -> bool {
     } else if name.starts_with("block_") {
         Decompressor::with_limits(tight_limits()).decompress_block(bytes).is_err()
     } else if name.starts_with("traj_") {
-        // Two decoders must reject the container: the serial trajectory
-        // decoder, and the store's epoch decoder, which decodes the three
-        // axes of a whole epoch on threads of their own.
-        let axes: [Box<dyn Codec>; 3] = std::array::from_fn(|_| {
-            Box::new(MdzCodec::default().with_decode_limits(tight_limits())) as Box<dyn Codec>
-        });
-        let serial_rejects =
-            TrajectoryDecompressor::from_codecs(axes).decompress_buffer(bytes).is_err();
+        // The container is the record of a one-frame archive; the store's
+        // epoch decoder, which decodes the three axes of a whole epoch on
+        // threads of their own, must reject it.
         let opts = ReaderOptions { cache_epochs: 2, limits: tight_limits() };
-        let store_rejects = StoreReader::with_options(archive_around(bytes), opts)
+        StoreReader::with_options(ContainerArchive::new(1, 1).wrap(bytes), opts)
             .and_then(|r| r.read_frames(0..1))
-            .is_err();
-        serial_rejects && store_rejects
+            .is_err()
     } else if name.starts_with("fault_append_") {
         // Torn-append seeds carry a dual obligation: the strict open must
         // reject the file, AND the recovery scan must find the last valid
@@ -166,26 +157,6 @@ fn replay(name: &str, bytes: &[u8]) -> bool {
     } else {
         panic!("corpus file {name} has no known prefix");
     }
-}
-
-/// A valid one-frame, one-block archive whose block record holds
-/// `container` instead, under a recomputed record checksum. The footer
-/// stays valid: it indexes the block by its start offset, which the new
-/// record keeps.
-fn archive_around(container: &[u8]) -> Vec<u8> {
-    let mut opts = StoreOptions::new(MdzConfig::new(ErrorBound::Absolute(1e-3)));
-    opts.buffer_size = 1;
-    let frame = Frame::new(vec![1.0], vec![2.0], vec![3.0]);
-    let valid = write_store(&[frame], &[], &[], &opts).unwrap();
-    let offset = ArchiveIndex::parse(&valid).unwrap().blocks[0].offset;
-    let old = record_at(&valid, offset).unwrap();
-    let old_end = old.as_ptr_range().end as usize - valid.as_ptr() as usize;
-    let mut out = valid[..offset].to_vec();
-    write_uvarint(&mut out, container.len() as u64);
-    out.extend_from_slice(&fnv1a64(container).to_le_bytes());
-    out.extend_from_slice(container);
-    out.extend_from_slice(&valid[old_end..]);
-    out
 }
 
 /// Writes the seed corpus. Each entry is deterministic, so blessing twice

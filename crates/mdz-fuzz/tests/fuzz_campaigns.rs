@@ -15,19 +15,19 @@
 use std::sync::Mutex;
 
 use mdz_core::format::{FLAGS_OFFSET, FLAG_BIT_ADAPTIVE};
-use mdz_core::traj::TrajectoryDecompressor;
 use mdz_core::{
-    Codec, Compressor, DecodeLimits, Decompressor, EntropyStage, ErrorBound, Frame, MdzCodec,
-    MdzConfig, Method, QuantizerKind, TrajectoryCompressor,
+    Compressor, DecodeLimits, Decompressor, EntropyStage, ErrorBound, Frame, MdzConfig, Method,
+    QuantizerKind,
 };
 use mdz_entropy::{
     huffman_decode_at_limited, huffman_encode, range_decode_at_limited, range_encode, StreamLimits,
 };
-use mdz_fuzz::{default_iters, CountingAlloc, Mutator};
+use mdz_fuzz::{default_iters, ContainerArchive, CountingAlloc, Mutator};
 use mdz_lossless::{lz77, rle};
+use mdz_store::archive::record_at;
 use mdz_store::{
-    append_store, write_store, FrameDecoder, MemIo, Precision, ReaderOptions, Request,
-    StoreOptions, StoreReader,
+    append_store, write_store, ArchiveIndex, FrameDecoder, MemIo, Precision, ReaderOptions,
+    Request, StoreOptions, StoreReader,
 };
 
 #[global_allocator]
@@ -353,17 +353,31 @@ fn frames(n: usize, t: usize) -> Vec<Frame> {
 
 #[test]
 fn fuzz_trajectory_container() {
-    let cfg = MdzConfig::new(ErrorBound::Absolute(1e-4)).with_method(Method::Vqt);
-    let mut tc = TrajectoryCompressor::new(cfg.clone());
-    let seeds: Vec<Vec<u8>> =
-        (0..3).map(|_| tc.compress_buffer(&frames(120, 4)).unwrap()).collect();
+    // The three containers of one VQT stream. Mutations land in the
+    // container framing and the axis blocks; each input is read through
+    // the store as the record of a valid one-block archive, so a read
+    // reaches `split_container` and all three axis decoders. Unmutated
+    // seeds must read back in full.
+    let mut opts =
+        StoreOptions::new(MdzConfig::new(ErrorBound::Absolute(1e-4)).with_method(Method::Vqt));
+    opts.buffer_size = 4;
+    let stream: Vec<Frame> = (0..3).flat_map(|_| frames(120, 4)).collect();
+    let archive = write_store(&stream, &[], &[], &opts).unwrap();
+    let seeds: Vec<Vec<u8>> = ArchiveIndex::parse(&archive)
+        .unwrap()
+        .blocks
+        .iter()
+        .map(|b| record_at(&archive, b.offset).unwrap().to_vec())
+        .collect();
+    let wrapper = ContainerArchive::new(120, 4);
     let limits = tight_limits();
-    campaign("traj", 0x4d445a08, &seeds, 256 * MB, |_, _, input| {
-        let axes: [Box<dyn Codec>; 3] = std::array::from_fn(|_| {
-            Box::new(MdzCodec::from_config(cfg.clone()).with_decode_limits(limits))
-                as Box<dyn Codec>
-        });
-        let _ = TrajectoryDecompressor::from_codecs(axes).decompress_buffer(input);
+    campaign("traj", 0x4d445a08, &seeds.clone(), 256 * MB, |_, base_idx, input| {
+        let opts = ReaderOptions { cache_epochs: 2, limits };
+        let got =
+            StoreReader::with_options(wrapper.wrap(input), opts).and_then(|r| r.read_frames(0..4));
+        if input == seeds[base_idx] {
+            assert_eq!(got.expect("identity container must read").len(), 4);
+        }
     });
 }
 

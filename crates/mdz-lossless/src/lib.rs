@@ -17,6 +17,7 @@
 //! All decoders return [`mdz_entropy::EntropyError`] on malformed input.
 
 #![deny(missing_docs)]
+#![deny(clippy::undocumented_unsafe_blocks)]
 
 pub mod fpc;
 pub mod fpzip_like;

@@ -117,18 +117,22 @@ pub struct Lz77Scratch {
 /// First-mismatch index between `a` and `b`, scanning at most `limit` bytes.
 ///
 /// Every variant returns exactly the scalar answer; `level` only selects how
-/// many bytes are compared per step. Callers guarantee both slices hold at
-/// least `limit` bytes.
+/// many bytes are compared per step. `limit` is clamped to both slices'
+/// lengths first, which is the bound the vector kernels' loads rely on.
 #[inline]
 fn match_len(a: &[u8], b: &[u8], limit: usize, level: SimdLevel) -> usize {
+    let limit = limit.min(a.len()).min(b.len());
     match level {
         #[cfg(target_arch = "x86_64")]
-        // SAFETY: dispatched only when runtime detection reported AVX2.
+        // SAFETY: dispatched only when runtime detection reported AVX2, and
+        // `limit` is clamped to both lengths above.
         SimdLevel::Avx2 => unsafe { match_len_avx2(a, b, limit) },
         #[cfg(target_arch = "x86_64")]
-        SimdLevel::Sse41 => match_len_sse(a, b, limit),
+        // SAFETY: `limit` is clamped to both lengths above.
+        SimdLevel::Sse41 => unsafe { match_len_sse(a, b, limit) },
         #[cfg(target_arch = "aarch64")]
-        SimdLevel::Neon => match_len_neon(a, b, limit),
+        // SAFETY: `limit` is clamped to both lengths above.
+        SimdLevel::Neon => unsafe { match_len_neon(a, b, limit) },
         _ => match_len_scalar(a, b, limit),
     }
 }
@@ -161,6 +165,11 @@ fn match_len_tail(a: &[u8], b: &[u8], limit: usize) -> usize {
 }
 
 /// 32 bytes per step.
+///
+/// # Safety
+///
+/// The CPU must support AVX2, and `limit` must not exceed `a.len()` or
+/// `b.len()`.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
 unsafe fn match_len_avx2(a: &[u8], b: &[u8], limit: usize) -> usize {
@@ -185,9 +194,13 @@ unsafe fn match_len_avx2(a: &[u8], b: &[u8], limit: usize) -> usize {
 /// 16 bytes per step. Uses only SSE2 intrinsics (x86_64 baseline), so no
 /// feature gate is needed; dispatch still routes here via `Sse41` so the
 /// scalar oracle stays pure.
+///
+/// # Safety
+///
+/// `limit` must not exceed `a.len()` or `b.len()`.
 #[cfg(target_arch = "x86_64")]
 #[inline]
-fn match_len_sse(a: &[u8], b: &[u8], limit: usize) -> usize {
+unsafe fn match_len_sse(a: &[u8], b: &[u8], limit: usize) -> usize {
     use std::arch::x86_64::*;
     let mut i = 0;
     while i + 16 <= limit {
@@ -207,9 +220,13 @@ fn match_len_sse(a: &[u8], b: &[u8], limit: usize) -> usize {
 }
 
 /// 16 bytes per step via `vceqq_u8`, inspecting the two 64-bit halves.
+///
+/// # Safety
+///
+/// `limit` must not exceed `a.len()` or `b.len()`.
 #[cfg(target_arch = "aarch64")]
 #[inline]
-fn match_len_neon(a: &[u8], b: &[u8], limit: usize) -> usize {
+unsafe fn match_len_neon(a: &[u8], b: &[u8], limit: usize) -> usize {
     use std::arch::aarch64::*;
     let mut i = 0;
     while i + 16 <= limit {

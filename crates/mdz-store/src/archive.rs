@@ -8,6 +8,7 @@
 //! uvarint n_atoms · uvarint n_frames · uvarint buffer_size · uvarint epoch_interval
 //! uvarint meta_len · meta                  — LZ-compressed element + comment text
 //! repeated: uvarint block_len · u64 fnv1a checksum (LE) · trajectory container
+//! trajectory container: "MDZT" · per axis (x, y, z): uvarint len · axis block
 //! footer payload (v2): uvarint n_frames · uvarint n_blocks
 //!                      · per-block uvarint offset delta
 //!                      · uvarint n_epochs · per-epoch uvarint start-block delta
@@ -56,7 +57,6 @@
 
 use crate::io::{MemIo, StoreIo};
 use mdz_core::checksum::{crc32, fnv1a64};
-use mdz_core::traj::{assemble_container, split_container};
 use mdz_core::{fan_out, Compressor, Frame, MdzConfig, MdzError, Obs, Result};
 use mdz_entropy::{read_uvarint, write_uvarint};
 use mdz_lossless::lz77;
@@ -66,6 +66,9 @@ use mdz_lossless::StreamLimits;
 pub const MAGIC: [u8; 4] = *b"MDZA";
 /// Container version written by [`write_store`].
 pub const VERSION_V2: u8 = 2;
+/// Trajectory container magic: the first four bytes of every block
+/// record's body ([`assemble_container`]).
+const TRAJ_MAGIC: [u8; 4] = *b"MDZT";
 /// Footer trailer magic, the last four bytes of a version-2 archive.
 pub const FOOTER_MAGIC: [u8; 4] = *b"MDZI";
 /// Legacy footer layout: block offsets only; frame count and epoch stride
@@ -244,6 +247,39 @@ impl ArchiveIndex {
 /// Epoch that block `block` belongs to, given the epoch start list.
 fn epoch_of_block(epoch_starts: &[usize], block: usize) -> usize {
     epoch_starts.partition_point(|&s| s <= block).saturating_sub(1)
+}
+
+/// Frames one buffer's three per-axis blocks (x, y, z) into the trajectory
+/// container a block record holds (FORMAT.md §3).
+pub fn assemble_container(blocks: &[Vec<u8>; 3]) -> Vec<u8> {
+    let mut out = Vec::with_capacity(blocks.iter().map(Vec::len).sum::<usize>() + 16);
+    out.extend_from_slice(&TRAJ_MAGIC);
+    for b in blocks {
+        write_uvarint(&mut out, b.len() as u64);
+        out.extend_from_slice(b);
+    }
+    out
+}
+
+/// Splits a trajectory container into its x, y and z blocks; the inverse
+/// of [`assemble_container`].
+pub fn split_container(data: &[u8]) -> Result<[&[u8]; 3]> {
+    let magic = data.get(..4).ok_or(MdzError::BadHeader("truncated container"))?;
+    if magic != TRAJ_MAGIC {
+        return Err(MdzError::BadHeader("not an MDZ trajectory container"));
+    }
+    let mut pos = 4;
+    let mut blocks = [&data[0..0]; 3];
+    for slot in &mut blocks {
+        let len = read_uvarint(data, &mut pos)? as usize;
+        let end = pos
+            .checked_add(len)
+            .filter(|&e| e <= data.len())
+            .ok_or(MdzError::BadHeader("truncated axis block"))?;
+        *slot = &data[pos..end];
+        pos = end;
+    }
+    Ok(blocks)
 }
 
 /// Reads the block record at `offset`, verifying its FNV-1a checksum, and
@@ -1028,6 +1064,18 @@ mod tests {
         for b in &idx.blocks {
             record_at(&data, b.offset).unwrap();
         }
+    }
+
+    #[test]
+    fn container_splits_into_the_blocks_it_framed() {
+        let blocks = [vec![1u8, 2], Vec::new(), vec![3u8; 200]];
+        let container = assemble_container(&blocks);
+        assert_eq!(split_container(&container).unwrap(), [&[1u8, 2][..], &[], &[3u8; 200]]);
+        assert!(split_container(&container[..3]).is_err());
+        assert!(split_container(&container[..container.len() - 1]).is_err());
+        let mut bad = container;
+        bad[0] = b'X';
+        assert!(split_container(&bad).is_err());
     }
 
     #[test]

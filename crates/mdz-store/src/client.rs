@@ -320,27 +320,6 @@ pub fn get_with_retry(
     })
 }
 
-/// One successfully parsed response from [`Client::pipeline`], tagged with
-/// the verb it answers.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Reply {
-    /// A GET response: the starting frame index and the decoded frames.
-    Frames {
-        /// Index of the first returned frame.
-        start: u64,
-        /// The decoded frames, in request order.
-        frames: Vec<Frame>,
-    },
-    /// A STATS response.
-    Stats(StatsSnapshot),
-    /// An INFO response.
-    Info(StoreInfo),
-    /// A METRICS response.
-    Metrics(MetricsSnapshot),
-    /// An APPEND durability acknowledgment.
-    Append(AppendAck),
-}
-
 /// A connected server client. One request is in flight at a time; reconnect
 /// by constructing a new client.
 ///
@@ -576,60 +555,6 @@ impl Client {
         parse_append_ack(&body).map_err(ClientError::Protocol)
     }
 
-    /// Sends every request before reading any response, then returns the
-    /// responses in request order — one round-trip's latency for the whole
-    /// batch instead of one per request.
-    ///
-    /// The outer `Err` is transport death (the socket failed or the server
-    /// closed mid-batch): any replies not yet read are lost and their
-    /// requests' effects unknown. Each inner `Result` is that request's own
-    /// typed outcome — a non-OK status or a malformed payload for one
-    /// request does not disturb the others, because the server keeps
-    /// serving a connection after application errors (it only hangs up on
-    /// framing violations).
-    ///
-    /// Responses buffer in the client's socket until the batch is written,
-    /// so keep the pipelined response volume below the socket buffers —
-    /// a batch whose responses overflow them deadlocks against the
-    /// server's write-side backpressure until a timeout fires.
-    ///
-    /// # Examples
-    ///
-    /// ```no_run
-    /// use mdz_store::{Client, Reply, Request};
-    ///
-    /// let mut client = Client::connect("127.0.0.1:7979")?;
-    /// let replies = client.pipeline(&[
-    ///     Request::Info,
-    ///     Request::Get { start: 0, end: 4 },
-    ///     Request::Stats,
-    /// ])?;
-    /// for reply in replies {
-    ///     match reply? {
-    ///         Reply::Info(info) => println!("{} frames", info.n_frames),
-    ///         Reply::Frames { frames, .. } => println!("got {}", frames.len()),
-    ///         Reply::Stats(stats) => println!("{} requests", stats.requests),
-    ///         _ => {}
-    ///     }
-    /// }
-    /// # Ok::<(), mdz_store::ClientError>(())
-    /// ```
-    pub fn pipeline(
-        &mut self,
-        requests: &[Request],
-    ) -> Result<Vec<Result<Reply, ClientError>>, ClientError> {
-        for request in requests {
-            write_message(&mut self.stream, &request.encode())?;
-        }
-        let mut replies = Vec::with_capacity(requests.len());
-        for request in requests {
-            let body = read_message(&mut self.stream, self.max_response_bytes)?
-                .ok_or(ClientError::Protocol("server closed the connection mid-request"))?;
-            replies.push(parse_reply(request, &body));
-        }
-        Ok(replies)
-    }
-
     /// Turns this connection into a [`Follower`] that streams frames from
     /// `from_frame` onward, polling for newly durable frames as the
     /// archive grows. Reconnects re-apply this client's timeouts and
@@ -685,37 +610,14 @@ impl Client {
             conn: Some(self),
             next: from_frame,
             poll_interval: Duration::from_millis(100),
-            max_batch: 1 << 12,
             obs: Obs::noop(),
         })
     }
 }
 
-/// Types one pipelined response body by the request it answers.
-fn parse_reply(request: &Request, body: &[u8]) -> Result<Reply, ClientError> {
-    match body.first().copied().and_then(Status::from_byte) {
-        Some(Status::Ok) => {}
-        Some(status) => {
-            return Err(ClientError::Server {
-                status,
-                message: String::from_utf8_lossy(&body[1..]).into_owned(),
-            })
-        }
-        None => return Err(ClientError::Protocol("unknown response status")),
-    }
-    match request {
-        Request::Get { .. } => {
-            let (start, frames) = parse_frames(body).map_err(ClientError::Protocol)?;
-            Ok(Reply::Frames { start, frames })
-        }
-        Request::Stats => parse_stats(body).map(Reply::Stats).map_err(ClientError::Protocol),
-        Request::Info => parse_info(body).map(Reply::Info).map_err(ClientError::Protocol),
-        Request::Metrics => parse_metrics(body).map(Reply::Metrics).map_err(ClientError::Protocol),
-        Request::Append { .. } => {
-            parse_append_ack(body).map(Reply::Append).map_err(ClientError::Protocol)
-        }
-    }
-}
+/// The most frames one [`Follower::next_batch`] fetches, bounding response
+/// sizes against the server's per-request limits.
+const FOLLOW_MAX_BATCH: usize = 4096;
 
 /// A tail-following reader over a live archive: repeatedly polls the
 /// server's frame count and fetches whatever landed past its position.
@@ -737,7 +639,6 @@ pub struct Follower {
     conn: Option<Client>,
     next: usize,
     poll_interval: Duration,
-    max_batch: usize,
     obs: Obs,
 }
 
@@ -758,23 +659,6 @@ impl Follower {
     /// ```
     pub fn with_poll_interval(mut self, interval: Duration) -> Follower {
         self.poll_interval = interval.max(Duration::from_millis(1));
-        self
-    }
-
-    /// Caps how many frames one [`next_batch`](Self::next_batch) call
-    /// fetches (default 4096), bounding response sizes against the
-    /// server's per-request limits.
-    ///
-    /// # Examples
-    ///
-    /// ```no_run
-    /// use mdz_store::Client;
-    ///
-    /// let follower = Client::connect("127.0.0.1:7979")?.follow(0)?.with_max_batch(128);
-    /// # Ok::<(), mdz_store::ClientError>(())
-    /// ```
-    pub fn with_max_batch(mut self, max_batch: usize) -> Follower {
-        self.max_batch = max_batch.max(1);
         self
     }
 
@@ -812,8 +696,8 @@ impl Follower {
     }
 
     /// Blocks until new durable frames are available past
-    /// [`position`](Self::position), then returns them (at most
-    /// `max_batch`) and advances.
+    /// [`position`](Self::position), then returns them (at most 4096) and
+    /// advances.
     ///
     /// Transient errors — the server restarting, timeouts, BUSY — are
     /// retried indefinitely at the poll cadence (the follower is a tailing
@@ -844,13 +728,13 @@ impl Follower {
     /// means no new frames yet. INFO and GET are idempotent, so a failure
     /// here can be retried without double-delivering.
     fn try_advance(&mut self) -> Result<Option<Vec<Frame>>, ClientError> {
-        let (next, max_batch) = (self.next, self.max_batch);
+        let next = self.next;
         let client = self.connection()?;
         let available = client.info()?.n_frames as usize;
         if available <= next {
             return Ok(None);
         }
-        let end = available.min(next + max_batch);
+        let end = available.min(next + FOLLOW_MAX_BATCH);
         let frames = client.get(next..end)?;
         self.next = end;
         Ok(Some(frames))

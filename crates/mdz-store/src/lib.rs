@@ -74,8 +74,8 @@ pub use archive::{
     VerifyReport,
 };
 pub use client::{
-    connect_with_retry, get_with_retry, with_retry, Client, ClientError, Follower, Reply,
-    RetryPolicy, RetryStage,
+    connect_with_retry, get_with_retry, with_retry, Client, ClientError, Follower, RetryPolicy,
+    RetryStage,
 };
 pub use io::{FaultIo, FaultMode, FaultPlan, FileIo, MemIo, StoreIo};
 pub use mdz_obs::{HistogramSnapshot, MetricsSnapshot, Obs, Registry};

@@ -2,10 +2,8 @@
 //! incremental [`FrameDecoder`], a bounded write queue, and the timestamps
 //! the deadline sweep runs against.
 //!
-//! A `Conn` is owned by exactly one shard at a time. The only way it moves
-//! is APPEND migration, where the whole struct (decoder backlog, write
-//! queue, deadlines) is boxed and handed to shard 0 through its inbox, so
-//! ownership stays single-threaded by construction.
+//! A `Conn` is owned by exactly one shard for its whole life, so its state
+//! is single-threaded by construction.
 
 use std::collections::VecDeque;
 use std::io::{IoSlice, Read, Write};
@@ -56,8 +54,6 @@ pub(crate) struct Conn {
     /// Backpressure: reads are suspended until the queue drains below half
     /// of `max_write_buffer`.
     pub(crate) reading_paused: bool,
-    /// The APPEND body travelling with a migration handoff.
-    pub(crate) migrated_frame: Option<Vec<u8>>,
     /// When the connection was accepted (shed-reply deadline).
     pub(crate) opened_at: Instant,
     /// Last time bytes arrived (idle deadline).
@@ -94,7 +90,6 @@ impl Conn {
             discard_input: false,
             peer_eof: false,
             reading_paused: false,
-            migrated_frame: None,
             opened_at: now,
             last_activity: now,
             partial_since: None,
@@ -181,28 +176,16 @@ impl Conn {
         Ok(if any { ReadOutcome::Progress } else { ReadOutcome::Blocked })
     }
 
-    /// The interest set this connection currently needs.
-    pub(crate) fn wanted_interest(&self) -> (bool, bool) {
-        (!self.reading_paused, !self.queue_empty())
-    }
-
-    /// Reconciles the poller registration with the wanted interest set
-    /// (no-op when unchanged — the common case).
+    /// Reconciles the poller registration with the interest set this
+    /// connection currently needs (no-op when unchanged — the common case).
     pub(crate) fn sync_interest(&mut self, poller: &Poller) {
-        let (read, write) = self.wanted_interest();
+        let (read, write) = (!self.reading_paused, !self.queue_empty());
         if (read != self.registered_read || write != self.registered_write)
             && poller.modify(self.fd(), read, write).is_ok()
         {
             self.registered_read = read;
             self.registered_write = write;
         }
-    }
-
-    /// Records the interest set a fresh `poller.add` registered (used when
-    /// a migrated connection is re-registered on its new shard).
-    pub(crate) fn set_registered(&mut self, read: bool, write: bool) {
-        self.registered_read = read;
-        self.registered_write = write;
     }
 }
 

@@ -4,8 +4,8 @@
 //!
 //! Layout: [`sys`] holds the zero-dependency syscall bindings (poller,
 //! wake pipe, accept backlog), [`conn`] the per-connection state machine,
-//! and [`shard`] the event loop, accept/dispatch, APPEND migration, and
-//! shutdown choreography. See `DESIGN.md` §15 for the architecture
+//! and [`shard`] the event loop, accept/dispatch, and shutdown
+//! choreography. See `DESIGN.md` §15 for the architecture
 //! rationale.
 
 mod conn;

@@ -6,11 +6,9 @@
 //! of them share one [`StoreReader`] clone, so one buffer cache and one
 //! table of in-flight decodes: a shard that finds a buffer being decoded by
 //! another shard waits for that decode instead of repeating it. A
-//! connection is owned by exactly one shard for its whole life, with one
-//! exception: the first APPEND frame decoded on shard *i ≠ 0* migrates the
-//! entire connection to shard 0 through its inbox, so live writes always
-//! execute on a single owning shard (and the sink's write lock is only ever
-//! contended by migration races, never steady state).
+//! connection is owned by the shard it was handed to for its whole life;
+//! APPENDs run on whichever shard owns their connection, and the
+//! [`AppendSink`]'s lock orders them.
 //!
 //! # Accept and dispatch
 //!
@@ -36,9 +34,7 @@
 //! `accepting` count to zero), every shard stops decoding new work, closes
 //! idle connections (`server.drain.closed`), and lets in-flight requests
 //! finish under the read/write deadlines. Shards exit when `accepting == 0`
-//! and they have no connections or queued handoffs; shard 0 — the migration
-//! target — exits last, after every other shard has, so a handoff can never
-//! be stranded.
+//! and they have no connections or queued handoffs.
 
 use std::collections::{HashMap, VecDeque};
 use std::net::{TcpListener, TcpStream};
@@ -49,7 +45,7 @@ use std::time::Instant;
 
 use mdz_obs::Obs;
 
-use crate::protocol::{encode_error, Status, OP_APPEND};
+use crate::protocol::{encode_error, Status};
 use crate::reader::StoreReader;
 use crate::server::{
     body_budget, serve_request, status_counter, AppendSink, Server, ServerConfig, DRAIN_POLL,
@@ -57,14 +53,6 @@ use crate::server::{
 
 use super::conn::{Conn, ReadOutcome};
 use super::sys::{Event, Poller, WakePipe};
-
-/// Work pushed into a shard's inbox by another shard.
-enum Handoff {
-    /// A freshly accepted, already-admitted connection.
-    New(TcpStream),
-    /// A connection mid-APPEND moving to shard 0 with its whole state.
-    Migrated(Box<Conn>),
-}
 
 /// State shared by every shard of one server.
 struct SharedState {
@@ -76,10 +64,9 @@ struct SharedState {
     /// Shards still owning an open listener; 0 means no new connection can
     /// ever be admitted or handed off, which gates shard exit.
     accepting: AtomicUsize,
-    /// Shards that have finished; shard 0 exits only once this reaches
-    /// `shards - 1`, so migrations always find it alive.
-    exited: AtomicUsize,
-    inboxes: Vec<Mutex<VecDeque<Handoff>>>,
+    /// Freshly accepted, already-admitted connections shard 0 handed to
+    /// each shard.
+    inboxes: Vec<Mutex<VecDeque<TcpStream>>>,
     wakes: Vec<WakePipe>,
 }
 
@@ -98,7 +85,6 @@ pub(crate) fn run(server: Server) -> std::io::Result<()> {
         admitted: AtomicUsize::new(0),
         next_shard: AtomicUsize::new(0),
         accepting: AtomicUsize::new(1),
-        exited: AtomicUsize::new(0),
         inboxes,
         wakes,
     };
@@ -134,10 +120,9 @@ pub(crate) fn run(server: Server) -> std::io::Result<()> {
                     // One shard dying takes the server down gracefully:
                     // everyone else sees the stop flag and drains.
                     shared.stop.store(true, Ordering::SeqCst);
-                }
-                shared.exited.fetch_add(1, Ordering::SeqCst);
-                for wake in &shared.wakes {
-                    wake.wake();
+                    for wake in &shared.wakes {
+                        wake.wake();
+                    }
                 }
                 result
             });
@@ -276,27 +261,16 @@ impl<'a> Shard<'a> {
     /// it reads 0 no shard can push another handoff, so a subsequent empty
     /// inbox is conclusively empty.
     fn ready_to_exit(&self) -> bool {
-        if self.shared.accepting.load(Ordering::SeqCst) != 0 {
-            return false;
-        }
-        if !self.conns.is_empty() {
-            return false;
-        }
-        if !self.shared.inboxes[self.id].lock().unwrap().is_empty() {
-            return false;
-        }
-        // Shard 0 is the migration target: it outlives everyone else.
-        self.id != 0 || self.shared.exited.load(Ordering::SeqCst) >= self.shards - 1
+        self.shared.accepting.load(Ordering::SeqCst) == 0
+            && self.conns.is_empty()
+            && self.shared.inboxes[self.id].lock().unwrap().is_empty()
     }
 
     fn drain_inbox(&mut self) {
         loop {
             let handoff = self.shared.inboxes[self.id].lock().unwrap().pop_front();
-            match handoff {
-                None => return,
-                Some(Handoff::New(stream)) => self.install(stream, true),
-                Some(Handoff::Migrated(conn)) => self.install_migrated(*conn),
-            }
+            let Some(stream) = handoff else { return };
+            self.install(stream, true);
         }
     }
 
@@ -331,7 +305,7 @@ impl<'a> Shard<'a> {
         if target == self.id {
             self.install(stream, true);
         } else {
-            self.shared.inboxes[target].lock().unwrap().push_back(Handoff::New(stream));
+            self.shared.inboxes[target].lock().unwrap().push_back(stream);
             self.shared.wakes[target].wake();
         }
     }
@@ -355,31 +329,6 @@ impl<'a> Shard<'a> {
                 }
             }
         }
-    }
-
-    /// Adopts a connection migrated from another shard: re-registers it,
-    /// serves the APPEND frame it travelled with, then pumps whatever else
-    /// its decoder already holds.
-    fn install_migrated(&mut self, mut conn: Conn) {
-        let fd = conn.fd();
-        let (read, write) = conn.wanted_interest();
-        if self.poller.add(fd, read, write).is_err() {
-            if conn.admitted {
-                self.shared.admitted.fetch_sub(1, Ordering::SeqCst);
-            }
-            return;
-        }
-        conn.set_registered(read, write);
-        let frame = conn.migrated_frame.take();
-        self.conns.insert(fd, conn);
-        if let Some(body) = frame {
-            let response = serve_request(&body, &self.reader, self.cfg, self.sink, &self.obs);
-            if let Some(conn) = self.conns.get_mut(&fd) {
-                conn.enqueue(response);
-            }
-        }
-        self.pump(fd);
-        self.flush_conn(fd);
     }
 
     fn conn_event(&mut self, ev: Event) {
@@ -469,7 +418,7 @@ impl<'a> Shard<'a> {
     }
 
     /// Decodes and serves every complete frame the connection has buffered,
-    /// stopping at backpressure, shed/close transitions, or migration.
+    /// stopping at backpressure or shed/close transitions.
     fn pump(&mut self, fd: RawFd) {
         let mut served = 0u64;
         // Arm the read deadline only when the decoder is genuinely stuck
@@ -495,22 +444,14 @@ impl<'a> Shard<'a> {
                     break;
                 }
                 Ok(Some(body)) => {
-                    let (shed, migrate) = {
+                    let shed = {
                         let conn = self.conns.get_mut(&fd).expect("checked above");
                         conn.last_activity = Instant::now();
-                        let migrate = self.id != 0
-                            && !self.draining
-                            && self.sink.is_some()
-                            && body.first() == Some(&OP_APPEND);
-                        (conn.shed, migrate)
+                        conn.shed
                     };
                     if shed {
                         self.shed_reply(fd);
                         break;
-                    }
-                    if migrate {
-                        self.migrate(fd, body);
-                        return;
                     }
                     let response =
                         serve_request(&body, &self.reader, self.cfg, self.sink, &self.obs);
@@ -573,16 +514,6 @@ impl<'a> Shard<'a> {
             conn.reading_paused = false;
             conn.partial_since = None;
         }
-    }
-
-    /// Moves a connection mid-APPEND to shard 0 with its whole state.
-    fn migrate(&mut self, fd: RawFd, body: Vec<u8>) {
-        let Some(mut conn) = self.conns.remove(&fd) else { return };
-        let _ = self.poller.remove(fd);
-        conn.migrated_frame = Some(body);
-        self.obs.incr("server.net.migrations", 1);
-        self.shared.inboxes[0].lock().unwrap().push_back(Handoff::Migrated(Box::new(conn)));
-        self.shared.wakes[0].wake();
     }
 
     /// The per-tick deadline sweep: write stalls, post-error lingers,

@@ -6,11 +6,10 @@ use std::collections::{BTreeMap, HashMap};
 use std::ops::Range;
 use std::sync::{Arc, Condvar, Mutex, RwLock};
 
-use mdz_core::traj::split_container;
 use mdz_core::{DecodeLimits, Decompressor, Frame, MdzError, Obs, Result};
 use mdz_obs::{MetricsSnapshot, Registry};
 
-use crate::archive::{record_at, recover_slice, ArchiveIndex, RecoverReport};
+use crate::archive::{record_at, recover_slice, split_container, ArchiveIndex, RecoverReport};
 
 /// Tuning knobs for [`StoreReader`].
 #[derive(Debug, Clone)]

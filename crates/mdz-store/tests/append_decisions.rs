@@ -83,7 +83,7 @@ fn configs() -> Vec<(&'static str, MdzConfig)> {
 /// The three axis blocks of block `b`.
 fn axis_blocks<'a>(archive: &'a [u8], index: &ArchiveIndex, b: usize) -> [&'a [u8]; 3] {
     let record = mdz_store::archive::record_at(archive, index.blocks[b].offset).unwrap();
-    mdz_core::traj::split_container(record).unwrap()
+    mdz_store::archive::split_container(record).unwrap()
 }
 
 /// What the oracle saw across one archive, to show that it covered the

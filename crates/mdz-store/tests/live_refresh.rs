@@ -15,13 +15,19 @@
 //! 3. **Followers stream the offline decode** — while a live server takes
 //!    appends, every follower tailing from frame 0 streams, bit for bit,
 //!    what an offline replay of the same appends decodes.
+//! 4. **Concurrent appends tile the archive** — two producers on two shards
+//!    append at once, ordered by nothing but the sink's lock: every append
+//!    is acked, the acked ranges tile the grown archive, and the file that
+//!    results verifies and decodes to what each producer sent.
 
+use std::sync::{Arc, Barrier, Mutex};
 use std::time::Duration;
 
 use mdz_core::{ErrorBound, Frame, MdzConfig};
 use mdz_store::{
-    append_store, create_store, AppendSink, Client, ClientError, FaultIo, FaultMode, FaultPlan,
-    MemIo, Precision, Server, ServerConfig, Status, StoreOptions, StoreReader,
+    append_store, create_store, verify_archive, AppendSink, Client, ClientError, FaultIo,
+    FaultMode, FaultPlan, MemIo, Precision, Server, ServerConfig, Status, StoreIo, StoreOptions,
+    StoreReader,
 };
 
 const N_ATOMS: usize = 12;
@@ -79,10 +85,7 @@ fn refresh_observes_only_monotone_bitexact_prefixes() {
     // checked against.
     let mut io = MemIo::new(Vec::new());
     create_store(&mut io, &base, &[], &[], &opts).expect("create");
-    let base_image = {
-        use mdz_store::StoreIo;
-        io.read_all().expect("base image")
-    };
+    let base_image = io.read_all().expect("base image");
     let mut reference = FaultIo::new(base_image.clone());
     for seg in &appends {
         append_store(&mut reference, seg, &opts).expect("reference append");
@@ -141,10 +144,7 @@ fn refresh_observes_only_monotone_bitexact_prefixes() {
         // The real (fault-free) append, then refresh to the new state.
         let mut io = MemIo::new(current);
         append_store(&mut io, seg, &opts).expect("append");
-        current = {
-            use mdz_store::StoreIo;
-            io.read_all().expect("image")
-        };
+        current = io.read_all().expect("image");
         // The very last mid-append view (everything but the final sync)
         // already exposed the full footer, so this refresh is a no-op for
         // the frame count — it must still succeed and stay monotone.
@@ -167,10 +167,7 @@ fn every_crash_image_recovers_to_a_bitexact_prefix() {
 
     let mut io = MemIo::new(Vec::new());
     create_store(&mut io, &base, &[], &[], &opts).expect("create");
-    let base_image = {
-        use mdz_store::StoreIo;
-        io.read_all().expect("base image")
-    };
+    let base_image = io.read_all().expect("base image");
     let mut reference = FaultIo::new(base_image.clone());
     append_store(&mut reference, &seg, &opts).expect("reference append");
     let final_reader = StoreReader::open(reference.disk_image()).expect("final open");
@@ -215,10 +212,7 @@ fn crashed_server_append_is_invisible_to_followers() {
 
     let mut io = MemIo::new(Vec::new());
     create_store(&mut io, &base, &[], &[], &opts).expect("create");
-    let base_image = {
-        use mdz_store::StoreIo;
-        io.read_all().expect("base image")
-    };
+    let base_image = io.read_all().expect("base image");
     let pre_reader = StoreReader::open(base_image.clone()).expect("open");
     let pre_bits = decode_bits(&pre_reader, 8);
 
@@ -293,10 +287,7 @@ fn followers_stream_what_an_offline_replay_decodes() {
 
     let mut io = MemIo::new(Vec::new());
     create_store(&mut io, &base, &[], &[], &opts).expect("create");
-    let base_image = {
-        use mdz_store::StoreIo;
-        io.read_all().expect("base image")
-    };
+    let base_image = io.read_all().expect("base image");
     let reader = StoreReader::open(base_image.clone()).expect("open");
     let server =
         Server::bind(reader, "127.0.0.1:0", ServerConfig { threads: 2, ..Default::default() })
@@ -332,10 +323,8 @@ fn followers_stream_what_an_offline_replay_decodes() {
         n += seg.len() as u64;
         append_store(&mut offline, seg, &opts).expect("offline append");
     }
-    let offline = {
-        use mdz_store::StoreIo;
-        StoreReader::open(offline.read_all().expect("offline image")).expect("offline open")
-    };
+    let offline =
+        StoreReader::open(offline.read_all().expect("offline image")).expect("offline open");
     let want = decode_bits(&offline, total);
     for (i, follower) in followers.into_iter().enumerate() {
         let seen = follower.join().expect("follower thread");
@@ -343,4 +332,131 @@ fn followers_stream_what_an_offline_replay_decodes() {
     }
     handle.shutdown();
     join.join().unwrap();
+}
+
+/// Storage the test can still read after the server has taken it as its
+/// append sink.
+#[derive(Clone)]
+struct SharedIo(Arc<Mutex<MemIo>>);
+
+impl StoreIo for SharedIo {
+    fn len(&mut self) -> mdz_core::Result<u64> {
+        self.0.lock().unwrap().len()
+    }
+
+    fn read_all(&mut self) -> mdz_core::Result<Vec<u8>> {
+        self.0.lock().unwrap().read_all()
+    }
+
+    fn write_at(&mut self, offset: u64, buf: &[u8]) -> mdz_core::Result<()> {
+        self.0.lock().unwrap().write_at(offset, buf)
+    }
+
+    fn truncate(&mut self, len: u64) -> mdz_core::Result<()> {
+        self.0.lock().unwrap().truncate(len)
+    }
+
+    fn sync(&mut self) -> mdz_core::Result<()> {
+        self.0.lock().unwrap().sync()
+    }
+}
+
+/// Two producers, one on each of two shards, append one-buffer chunks at
+/// the same time while a follower tails. Nothing but the sink's lock
+/// orders their appends, and the result must be as if they took turns:
+/// every append acked, the acked ranges disjoint and together contiguous,
+/// the final file intact, each range within ε of what its producer sent,
+/// and the follower's stream equal to an offline decode of the file.
+#[test]
+fn concurrent_appends_on_two_shards_tile_the_archive() {
+    let opts = store_opts();
+    let eps = 1e-3;
+    let chunks_per_producer = 6;
+    let base = synth_frames(0, 8);
+    let total = base.len() + 2 * chunks_per_producer * opts.buffer_size;
+
+    let mut io = MemIo::new(Vec::new());
+    create_store(&mut io, &base, &[], &[], &opts).expect("create");
+    let mut storage = SharedIo(Arc::new(Mutex::new(io)));
+    let reader = StoreReader::open(storage.read_all().expect("base image")).expect("open");
+    let server =
+        Server::bind(reader, "127.0.0.1:0", ServerConfig { threads: 2, ..Default::default() })
+            .expect("bind")
+            .with_append_sink(AppendSink::new(Box::new(storage.clone()), opts.clone()));
+    let addr = server.local_addr().expect("local addr");
+    let handle = server.handle().expect("handle");
+    let join = std::thread::spawn(move || server.run().unwrap());
+
+    // Shard 0 hands accepted connections out round-robin, so the two
+    // producers, connected one after the other before anyone else, land on
+    // shards 0 and 1.
+    let producers: Vec<Client> = (0..2).map(|_| Client::connect(addr).expect("connect")).collect();
+    let follower = Client::connect(addr).expect("connect").follow(0).expect("follow");
+    let following = std::thread::spawn(move || {
+        let mut follower = follower.with_poll_interval(Duration::from_millis(2));
+        let mut seen = Vec::new();
+        while seen.len() < total {
+            seen.extend(follower.next_batch().expect("next_batch"));
+        }
+        seen
+    });
+
+    let start = Arc::new(Barrier::new(producers.len()));
+    let appending: Vec<_> = producers
+        .into_iter()
+        .enumerate()
+        .map(|(p, mut producer)| {
+            let start = Arc::clone(&start);
+            let chunk = opts.buffer_size;
+            std::thread::spawn(move || {
+                let chunks: Vec<Vec<Frame>> = (0..chunks_per_producer)
+                    .map(|i| synth_frames(1000 * (p + 1) + i * chunk, chunk))
+                    .collect();
+                start.wait();
+                chunks
+                    .into_iter()
+                    .map(|frames| {
+                        (producer.append(&frames, Precision::F64).expect("append"), frames)
+                    })
+                    .collect::<Vec<_>>()
+            })
+        })
+        .collect();
+    let mut acked: Vec<_> =
+        appending.into_iter().flat_map(|t| t.join().expect("producer thread")).collect();
+    assert_eq!(acked.len(), 2 * chunks_per_producer, "every append is acked");
+    acked.sort_by_key(|(ack, _)| ack.start);
+    let mut end = base.len() as u64;
+    for (ack, frames) in &acked {
+        assert_eq!(
+            (ack.start, ack.n_frames),
+            (end, end + frames.len() as u64),
+            "acked ranges must be disjoint and contiguous"
+        );
+        end = ack.n_frames;
+    }
+    assert_eq!(end as usize, total);
+
+    let seen = following.join().expect("follower thread");
+    handle.shutdown();
+    join.join().unwrap();
+
+    let image = storage.read_all().expect("final image");
+    assert_eq!(verify_archive(&image).expect("final file verifies").n_frames, total);
+    let decoded = StoreReader::open(image).expect("open").read_frames(0..total).expect("decode");
+    for (ack, frames) in &acked {
+        let back = &decoded[ack.start as usize..ack.n_frames as usize];
+        for (sent, got) in frames.iter().zip(back) {
+            for (a, b) in [(&sent.x, &got.x), (&sent.y, &got.y), (&sent.z, &got.z)] {
+                for (v, w) in a.iter().zip(b) {
+                    assert!((v - w).abs() <= eps * (1.0 + 1e-9), "{v} decoded as {w}");
+                }
+            }
+        }
+    }
+    assert_eq!(
+        frame_bits(&seen),
+        frame_bits(&decoded),
+        "follower diverged from the offline decode"
+    );
 }

@@ -16,8 +16,9 @@ use std::sync::{Arc, Barrier};
 use std::time::{Duration, Instant};
 
 use mdz_core::{ErrorBound, Frame, MdzConfig};
+use mdz_store::protocol::{parse_frames, read_message, write_message};
 use mdz_store::{
-    write_store, Client, ClientError, Registry, Reply, Request, RetryPolicy, Server, ServerConfig,
+    write_store, Client, ClientError, Registry, Request, RetryPolicy, Server, ServerConfig,
     ServerHandle, Status, StoreOptions, StoreReader,
 };
 
@@ -82,9 +83,9 @@ fn accept_backlog_absorbs_a_connection_burst() {
     assert_eq!(burst.len(), 300);
 }
 
-/// Opens `connections` clients to a fresh server, then releases them at
-/// once: each sends `depth` 4-frame GETs in one [`Client::pipeline`] (all
-/// written before any reply is read) and requires every reply to be frames.
+/// Opens `connections` connections to a fresh server, then releases them
+/// at once: each writes `depth` 4-frame GETs before it reads any reply, and
+/// requires every reply, in order, to be the frames it asked for.
 /// Returns the replies received and the server's `server.request_seconds`
 /// count, fetched over METRICS (a METRICS snapshot is taken before its own
 /// request is counted).
@@ -104,24 +105,26 @@ fn pipelined_burst(connections: usize, depth: usize) -> (usize, u64) {
                 // 1024 client threads on a small host: keep stacks small.
                 .stack_size(256 << 10)
                 .spawn(move || {
-                    let mut client = Client::connect(addr).unwrap();
+                    let mut stream = TcpStream::connect(addr).unwrap();
+                    stream.set_nodelay(true).unwrap();
                     let timeout = Some(Duration::from_secs(120));
-                    client.set_timeouts(timeout, timeout).unwrap();
-                    let requests: Vec<Request> = (0..depth)
-                        .map(|i| {
-                            let start = ((c + i) * 4 % 60) as u64;
-                            Request::Get { start, end: start + 4 }
-                        })
-                        .collect();
+                    stream.set_read_timeout(timeout).unwrap();
+                    stream.set_write_timeout(timeout).unwrap();
+                    let starts: Vec<u64> = (0..depth).map(|i| ((c + i) * 4 % 60) as u64).collect();
                     barrier.wait();
-                    let replies = client.pipeline(&requests).unwrap();
-                    for reply in &replies {
+                    for &start in &starts {
+                        let request = Request::Get { start, end: start + 4 };
+                        write_message(&mut stream, &request.encode()).unwrap();
+                    }
+                    for &start in &starts {
+                        let body = read_message(&mut stream, 1 << 20).unwrap().expect("a reply");
+                        let reply = parse_frames(&body);
                         assert!(
-                            matches!(reply, Ok(Reply::Frames { frames, .. }) if frames.len() == 4),
+                            matches!(&reply, Ok((at, frames)) if *at == start && frames.len() == 4),
                             "connection {c}: {reply:?}"
                         );
                     }
-                    replies.len()
+                    starts.len()
                 })
                 .unwrap()
         })

@@ -10,6 +10,7 @@ use std::ops::Range;
 
 use mdz_core::{Decompressor, ErrorBound, Frame, MdzConfig, MdzError, Method};
 use mdz_entropy::read_uvarint;
+use mdz_store::archive::split_container;
 use mdz_store::{write_store, Precision, StoreOptions, StoreReader};
 
 /// Deterministic pseudo-random walk: jittery but compressible coordinates.
@@ -242,8 +243,9 @@ fn forged_block_between_anchor_and_read_is_decoded_or_rejected() {
     }
 }
 
-/// Sequential decode of a version-1 archive's block records through the
-/// stock trajectory decompressor, with no index or epoch logic.
+/// Sequential decode of a version-1 archive's block records: each record's
+/// container split into its axis blocks, one decompressor per axis, with
+/// no index or epoch logic.
 fn v1_sequential_decode(data: &[u8]) -> Vec<Frame> {
     assert_eq!(&data[..5], b"MDZA\x01");
     let mut pos = 5;
@@ -252,12 +254,15 @@ fn v1_sequential_decode(data: &[u8]) -> Vec<Frame> {
     }
     let meta_len = read_uvarint(data, &mut pos).unwrap() as usize;
     pos += meta_len;
-    let mut dec = mdz_core::traj::TrajectoryDecompressor::new();
+    let mut axes = [Decompressor::new(), Decompressor::new(), Decompressor::new()];
     let mut frames = Vec::new();
     while pos < data.len() {
         let len = read_uvarint(data, &mut pos).unwrap() as usize;
         pos += 8; // fnv1a checksum
-        frames.extend(dec.decompress_buffer(&data[pos..pos + len]).unwrap());
+        let blocks = split_container(&data[pos..pos + len]).unwrap();
+        let [x, y, z] =
+            std::array::from_fn(|axis| axes[axis].decompress_block(blocks[axis]).unwrap());
+        frames.extend(x.into_iter().zip(y).zip(z).map(|((x, y), z)| Frame::new(x, y, z)));
         pos += len;
     }
     frames
@@ -271,9 +276,10 @@ fn v1_sequential_decode(data: &[u8]) -> Vec<Frame> {
 #[test]
 fn v1_archives_open_as_a_single_epoch() {
     use mdz_core::checksum::fnv1a64;
-    use mdz_core::traj::TrajectoryCompressor;
+    use mdz_core::Compressor;
     use mdz_entropy::write_uvarint;
     use mdz_lossless::lz77;
+    use mdz_store::archive::assemble_container;
 
     // Hand-rolled v1 archive, matching the retired writer's layout.
     let frames = make_frames(20, 6, 0x11);
@@ -288,9 +294,13 @@ fn v1_archives_open_as_a_single_epoch() {
     write_uvarint(&mut data, meta.len() as u64);
     data.extend_from_slice(&meta);
     let cfg = MdzConfig::new(ErrorBound::Absolute(1e-4)).with_method(Method::Mt);
-    let mut comp = TrajectoryCompressor::new(cfg);
+    let mut axes = [(); 3].map(|_| Compressor::new(cfg.clone()));
     for chunk in frames.chunks(bs) {
-        let block = comp.compress_buffer(chunk).unwrap();
+        let block = assemble_container(&std::array::from_fn(|axis| {
+            let snapshots: Vec<Vec<f64>> =
+                chunk.iter().map(|f| [&f.x, &f.y, &f.z][axis].clone()).collect();
+            axes[axis].compress_buffer(&snapshots).unwrap()
+        }));
         write_uvarint(&mut data, block.len() as u64);
         data.extend_from_slice(&fnv1a64(&block).to_le_bytes());
         data.extend_from_slice(&block);

@@ -6,9 +6,8 @@
 //! decoded frames against the ε each block was coded under.
 
 use crate::xyz::XyzTrajectory;
-use mdz_core::traj::split_container;
 use mdz_core::{BlockInfo, Decompressor, Frame, MdzError, Result};
-use mdz_store::archive::record_at;
+use mdz_store::archive::{record_at, split_container};
 use mdz_store::{write_store, ArchiveIndex, StoreOptions, StoreReader};
 
 /// Compresses a trajectory into a version-2 archive.

@@ -3,12 +3,10 @@
 
 use mdz::analysis::rdf::{rdf, rdf_distance, RdfConfig};
 use mdz::analysis::ErrorStats;
-use mdz::core::traj::TrajectoryDecompressor;
 use mdz::core::Codec;
-use mdz::core::{
-    Compressor, Decompressor, ErrorBound, Frame, MdzConfig, Method, TrajectoryCompressor,
-};
+use mdz::core::{Compressor, Decompressor, ErrorBound, Frame, MdzConfig, Method};
 use mdz::sim::{datasets, DatasetKind, Scale};
+use mdz::store::{write_store, StoreOptions, StoreReader};
 
 fn axis_eps(series: &[Vec<f64>], rel: f64) -> f64 {
     let mut min = f64::INFINITY;
@@ -81,12 +79,11 @@ fn trajectory_container_streams_frames() {
     let d = datasets::generate(DatasetKind::HeliumB, Scale::Test, 3);
     let frames: Vec<Frame> =
         d.snapshots.iter().map(|s| Frame::new(s.x.clone(), s.y.clone(), s.z.clone())).collect();
-    let cfg = MdzConfig::new(ErrorBound::ValueRangeRelative(1e-3));
-    let mut c = TrajectoryCompressor::new(cfg);
-    let mut dec = TrajectoryDecompressor::new();
-    for chunk in frames.chunks(4) {
-        let blob = c.compress_buffer(chunk).unwrap();
-        let out = dec.decompress_buffer(&blob).unwrap();
+    let mut opts = StoreOptions::new(MdzConfig::new(ErrorBound::ValueRangeRelative(1e-3)));
+    opts.buffer_size = 4;
+    let reader = StoreReader::open(write_store(&frames, &[], &[], &opts).unwrap()).unwrap();
+    for (b, chunk) in frames.chunks(4).enumerate() {
+        let out = reader.read_frames(b * 4..b * 4 + chunk.len()).unwrap();
         assert_eq!(out.len(), chunk.len());
         for (f, g) in chunk.iter().zip(out.iter()) {
             assert_eq!(f.len(), g.len());
