@@ -9,21 +9,19 @@
 //! * [`mod@similarity`] — the paper's Eq. 2 snapshot-similarity measure
 //!   (Fig. 8),
 //! * [`histogram`] — value distributions (Fig. 4),
-//! * [`series`] — spatial/temporal series extraction helpers (Figs. 3, 5),
-//! * [`dynamics`] — mean squared displacement and velocity autocorrelation
-//!   (dynamics-preservation checks beyond the paper's static RDF).
+//! * [`series`] — spatial/temporal series extraction helpers (Figs. 3, 5).
 //!
 //! All functions are pure and operate on plain slices, so they apply to
 //! original and decompressed data alike.
 
-pub mod dynamics;
+#![forbid(unsafe_code)]
+
 pub mod error;
 pub mod histogram;
 pub mod rdf;
 pub mod series;
 pub mod similarity;
 
-pub use dynamics::{msd_axis, msd_curve, vacf};
 pub use error::{bit_rate, compression_ratio, max_error, nrmse, psnr, ErrorStats};
 pub use histogram::Histogram;
 pub use rdf::{first_peak, rdf, rdf_distance, RdfConfig};

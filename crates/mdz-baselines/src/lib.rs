@@ -25,6 +25,8 @@
 //! itself exposes — so harnesses and archives drive every compressor in the
 //! evaluation uniformly, with no MDZ-vs-baseline special casing.
 
+#![forbid(unsafe_code)]
+
 pub mod asn;
 pub mod common;
 pub mod hrtc;

@@ -11,6 +11,8 @@
 //! Each experiment prints an aligned text table and writes CSV under the
 //! output directory (default `results/`).
 
+#![forbid(unsafe_code)]
+
 use mdz_bench::experiments::{self, Ctx, ALL};
 use mdz_sim::Scale;
 use std::path::PathBuf;

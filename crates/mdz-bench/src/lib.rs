@@ -8,6 +8,8 @@
 //! returning a printable text table. The `experiments` binary is a thin CLI
 //! over those functions.
 
+#![forbid(unsafe_code)]
+
 pub mod experiments;
 pub mod harness;
 pub mod json;

@@ -113,16 +113,6 @@ impl MdzError {
     pub fn io(kind: std::io::ErrorKind, msg: impl Into<String>) -> Self {
         MdzError::Io { kind, msg: msg.into() }
     }
-
-    /// True when this is an I/O timeout (`TimedOut` or `WouldBlock`) — the
-    /// class of transient failure retry policies may safely retry.
-    pub fn is_io_timeout(&self) -> bool {
-        matches!(
-            self,
-            MdzError::Io { kind: std::io::ErrorKind::TimedOut, .. }
-                | MdzError::Io { kind: std::io::ErrorKind::WouldBlock, .. }
-        )
-    }
 }
 
 impl From<std::io::Error> for MdzError {

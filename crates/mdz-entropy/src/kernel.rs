@@ -1,9 +1,10 @@
 //! Runtime SIMD kernel dispatch shared by the whole pipeline.
 //!
-//! Hot-path stages (fused predict/quantize, batched Huffman decode, LZ77
-//! match probing) ship both a scalar implementation and one or more
-//! vectorized kernels built on `core::arch` intrinsics. Which one runs is
-//! decided here, once, from runtime CPU-feature detection — never from
+//! Two hot-path stages ship both a scalar implementation and a faster
+//! kernel: mdz-core's fused predict/quantize, with `core::arch` intrinsics
+//! per instruction set, and the batched Huffman decode in
+//! [`crate::huffman`], a portable wide-window table decode. Which one runs
+//! is decided here, once, from runtime CPU-feature detection — never from
 //! compile-time flags — so a single binary is correct everywhere and fast
 //! where the hardware allows.
 //!

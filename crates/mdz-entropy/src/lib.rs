@@ -16,6 +16,7 @@
 //! streams produce [`EntropyError`] values, never panics.
 
 #![deny(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod bitio;
 pub mod huffman;
@@ -67,10 +68,10 @@ impl std::fmt::Display for EntropyError {
 /// payload length all come from the (potentially hostile) input. Structural
 /// checks reject counts the input could never satisfy — e.g. a table larger
 /// than its own encoding — but some formats legitimately expand (a
-/// one-symbol Huffman stream or a single RLE run can declare an output
-/// million-fold larger than the input), so expansion can only be bounded by
-/// a caller-supplied budget. Counts above `max_items` fail with
-/// [`EntropyError::LimitExceeded`] *before* any proportional allocation.
+/// one-symbol Huffman stream can declare an output million-fold larger than
+/// the input), so expansion can only be bounded by a caller-supplied budget.
+/// Counts above `max_items` fail with [`EntropyError::LimitExceeded`]
+/// *before* any proportional allocation.
 ///
 /// The default budget equals the crate's historic plausibility cap (2³⁴
 /// items), so the non-`_limited` entry points behave as before; callers that

@@ -25,7 +25,7 @@ use mdz_entropy::{
     write_uvarint, StreamLimits,
 };
 use mdz_fuzz::{ContainerArchive, CountingAlloc};
-use mdz_lossless::{lz77, rle};
+use mdz_lossless::lz77;
 use mdz_store::{
     append_store, write_store, ArchiveIndex, FaultIo, FaultMode, FaultPlan, FrameDecoder, MemIo,
     Precision, ReaderOptions, Request, StoreOptions, StoreReader,
@@ -62,8 +62,6 @@ fn replay(name: &str, bytes: &[u8]) -> bool {
         let mut out = Vec::new();
         lz77::decompress_into_limited(bytes, &mut out, &StreamLimits::with_max_items(1 << 20))
             .is_err()
-    } else if name.starts_with("rle_") {
-        rle::decompress_limited(bytes, &stream_limits).is_err()
     } else if name.starts_with("block_") {
         Decompressor::with_limits(tight_limits()).decompress_block(bytes).is_err()
     } else if name.starts_with("traj_") {
@@ -235,15 +233,6 @@ fn bless(dir: &Path) {
     write_uvarint(&mut forged, u64::MAX);
     forged.extend_from_slice(&valid[pos..]);
     put("lz77_forged_rawlen.bin", forged);
-
-    // An RLE stream declaring a u64::MAX output length.
-    let mut b = Vec::new();
-    write_uvarint(&mut b, u64::MAX);
-    for _ in 0..8 {
-        write_uvarint(&mut b, 255);
-        b.push(0xAA);
-    }
-    put("rle_bomb.bin", b);
 
     // A valid VQ block whose snapshot count is forged to 2^30.
     let cfg = MdzConfig::new(ErrorBound::Absolute(1e-4)).with_method(Method::Vq);

@@ -23,7 +23,7 @@ use mdz_entropy::{
     huffman_decode_at_limited, huffman_encode, range_decode_at_limited, range_encode, StreamLimits,
 };
 use mdz_fuzz::{default_iters, ContainerArchive, CountingAlloc, Mutator};
-use mdz_lossless::{lz77, rle};
+use mdz_lossless::lz77;
 use mdz_store::archive::record_at;
 use mdz_store::{
     append_store, write_store, ArchiveIndex, FrameDecoder, MemIo, Precision, ReaderOptions,
@@ -186,24 +186,6 @@ fn fuzz_lz77_decompress() {
         }
         if input == seeds[base_idx] {
             assert!(got.is_ok() && out == refs[base_idx], "identity input must decode");
-        }
-    });
-}
-
-#[test]
-fn fuzz_rle_decompress() {
-    let seeds = vec![
-        rle::compress(&vec![7u8; 5000]),
-        rle::compress(&(0..1000).map(|i| (i / 100) as u8).collect::<Vec<_>>()),
-        rle::compress(&[]),
-    ];
-    let limits = StreamLimits::with_max_items(1 << 20);
-    let refs: Vec<Vec<u8>> =
-        seeds.iter().map(|s| rle::decompress_limited(s, &limits).expect("seed decodes")).collect();
-    campaign("rle", 0x4d445a04, &seeds.clone(), 8 * MB, |_, base_idx, input| {
-        let got = rle::decompress_limited(input, &limits);
-        if input == seeds[base_idx] {
-            assert_eq!(got.as_ref().ok(), Some(&refs[base_idx]), "identity input must decode");
         }
     });
 }

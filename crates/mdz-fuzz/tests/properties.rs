@@ -3,8 +3,8 @@
 //! Each property draws a fixed number of cases from `mdz_fuzz::Rng`
 //! (xoshiro256++), case `i` seeded with `i`, so a failure replays from the
 //! case index the panic names. Decode-robustness properties the fuzz
-//! campaigns already cover (`tests/fuzz_campaigns.rs`: MDZ blocks, Huffman,
-//! LZ77 and RLE streams under mutation) are not repeated here.
+//! campaigns already cover (`tests/fuzz_campaigns.rs`: MDZ blocks, Huffman
+//! and LZ77 streams under mutation) are not repeated here.
 
 use mdz_baselines::all_baselines;
 use mdz_core::{Compressor, Decompressor, EntropyStage, ErrorBound, MdzConfig, Method};
@@ -14,7 +14,7 @@ use mdz_entropy::{
 };
 use mdz_fuzz::Rng;
 use mdz_kmeans::{detect_levels, kmeans_1d, LevelGrid, SelectConfig};
-use mdz_lossless::{fpc, fpzip_like, gorilla, lz77, rle};
+use mdz_lossless::{fpc, fpzip_like, gorilla, lz77};
 use mdz_sim::cells::CellList;
 use mdz_sim::crystal::{CosmoCloud, RandomWalkCloud, VibratingCrystal};
 use mdz_sim::lattice::{self, Structure};
@@ -207,7 +207,7 @@ fn huffman_round_trips_small_and_arbitrary_alphabets() {
 }
 
 #[test]
-fn lz77_and_rle_round_trip() {
+fn lz77_round_trips() {
     check("lz77", 256, |rng| {
         let data = bytes(rng, 4000);
         for level in [lz77::Level::Fast, lz77::Level::Default, lz77::Level::High] {
@@ -217,8 +217,6 @@ fn lz77_and_rle_round_trip() {
         let repetitive = phrase.repeat(between(rng, 1, 200));
         let c = lz77::compress(&repetitive, lz77::Level::Default);
         assert_eq!(lz77::decompress(&c).unwrap(), repetitive);
-        let runs: Vec<u8> = (0..rng.index(2000)).map(|_| rng.index(4) as u8).collect();
-        assert_eq!(rle::decompress(&rle::compress(&runs)).unwrap(), runs);
     });
 }
 

@@ -19,6 +19,8 @@
 //! * [`LevelGrid::fit`] — least-squares fit of `(λ, μ)` to the centroids,
 //! * [`detect_levels`] — the end-to-end sampled pipeline used by MDZ.
 
+#![forbid(unsafe_code)]
+
 pub mod dp;
 pub mod grid;
 pub mod select;

@@ -11,19 +11,20 @@
 //! * [`gorilla`] — Facebook Gorilla XOR compression for `f64` streams,
 //! * [`fpc`] — Burtscher & Ratanaworabhan's FCM/DFCM predictor codec,
 //! * [`fpzip_like`] — difference-predicted, leading-zero-coded float codec in
-//!   the spirit of fpzip,
-//! * [`rle`] — byte run-length coding (used in tests and as a reference).
+//!   the spirit of fpzip.
 //!
-//! All decoders return [`mdz_entropy::EntropyError`] on malformed input.
+//! All decoders return [`mdz_entropy::EntropyError`] on malformed input. The
+//! crate is safe Rust throughout: LZ77's match finder compares 8 bytes per
+//! step with a portable XOR loop, because its cost is hash-chain traversal,
+//! not byte comparison.
 
 #![deny(missing_docs)]
-#![deny(clippy::undocumented_unsafe_blocks)]
+#![forbid(unsafe_code)]
 
 pub mod fpc;
 pub mod fpzip_like;
 pub mod gorilla;
 pub mod lz77;
-pub mod rle;
 
 pub use lz77::{compress as lz_compress, decompress as lz_decompress, Level};
 pub use mdz_entropy::StreamLimits;

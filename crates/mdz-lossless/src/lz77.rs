@@ -17,7 +17,6 @@
 
 use mdz_entropy::{
     huffman::{huffman_decode_at_limited, huffman_encode_into},
-    kernel::{self, SimdLevel},
     read_uvarint, write_uvarint, BitReader, BitWriter, EntropyError, HuffmanScratch, Result,
     StreamLimits,
 };
@@ -114,42 +113,16 @@ pub struct Lz77Scratch {
     huffman: HuffmanScratch,
 }
 
-/// First-mismatch index between `a` and `b`, scanning at most `limit` bytes.
+/// First-mismatch index between `a` and `b`, scanning at most `limit` bytes
+/// (clamped to both slices' lengths): 8 bytes per step via XOR, then
+/// bytewise.
 ///
-/// Every variant returns exactly the scalar answer; `level` only selects how
-/// many bytes are compared per step. `limit` is clamped to both slices'
-/// lengths first, which is the bound the vector kernels' loads rely on.
+/// Match finding costs hash-chain traversal, not byte comparison, so
+/// wider vector compares do not pay here (EXPERIMENTS.md, "Per-stage
+/// scalar vs SIMD breakdown").
 #[inline]
-fn match_len(a: &[u8], b: &[u8], limit: usize, level: SimdLevel) -> usize {
+fn match_len(a: &[u8], b: &[u8], limit: usize) -> usize {
     let limit = limit.min(a.len()).min(b.len());
-    match level {
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: dispatched only when runtime detection reported AVX2, and
-        // `limit` is clamped to both lengths above.
-        SimdLevel::Avx2 => unsafe { match_len_avx2(a, b, limit) },
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: `limit` is clamped to both lengths above.
-        SimdLevel::Sse41 => unsafe { match_len_sse(a, b, limit) },
-        #[cfg(target_arch = "aarch64")]
-        // SAFETY: `limit` is clamped to both lengths above.
-        SimdLevel::Neon => unsafe { match_len_neon(a, b, limit) },
-        _ => match_len_scalar(a, b, limit),
-    }
-}
-
-/// The scalar oracle: one byte per step.
-#[inline]
-fn match_len_scalar(a: &[u8], b: &[u8], limit: usize) -> usize {
-    let mut len = 0;
-    while len < limit && a[len] == b[len] {
-        len += 1;
-    }
-    len
-}
-
-/// Sub-vector tail: 8 bytes per step via XOR, then bytewise.
-#[inline]
-fn match_len_tail(a: &[u8], b: &[u8], limit: usize) -> usize {
     let mut i = 0;
     while i + 8 <= limit {
         let x = u64::from_le_bytes(a[i..i + 8].try_into().expect("8-byte window"));
@@ -161,105 +134,15 @@ fn match_len_tail(a: &[u8], b: &[u8], limit: usize) -> usize {
         }
         i += 8;
     }
-    i + match_len_scalar(&a[i..], &b[i..], limit - i)
-}
-
-/// 32 bytes per step.
-///
-/// # Safety
-///
-/// The CPU must support AVX2, and `limit` must not exceed `a.len()` or
-/// `b.len()`.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-unsafe fn match_len_avx2(a: &[u8], b: &[u8], limit: usize) -> usize {
-    use std::arch::x86_64::*;
-    let mut i = 0;
-    while i + 32 <= limit {
-        // SAFETY: `i + 32 <= limit <= a.len(), b.len()` keeps both unaligned
-        // loads in bounds.
-        let mask = unsafe {
-            let va = _mm256_loadu_si256(a.as_ptr().add(i).cast());
-            let vb = _mm256_loadu_si256(b.as_ptr().add(i).cast());
-            _mm256_movemask_epi8(_mm256_cmpeq_epi8(va, vb)) as u32
-        };
-        if mask != u32::MAX {
-            return i + (!mask).trailing_zeros() as usize;
-        }
-        i += 32;
+    while i < limit && a[i] == b[i] {
+        i += 1;
     }
-    i + match_len_tail(&a[i..], &b[i..], limit - i)
-}
-
-/// 16 bytes per step. Uses only SSE2 intrinsics (x86_64 baseline), so no
-/// feature gate is needed; dispatch still routes here via `Sse41` so the
-/// scalar oracle stays pure.
-///
-/// # Safety
-///
-/// `limit` must not exceed `a.len()` or `b.len()`.
-#[cfg(target_arch = "x86_64")]
-#[inline]
-unsafe fn match_len_sse(a: &[u8], b: &[u8], limit: usize) -> usize {
-    use std::arch::x86_64::*;
-    let mut i = 0;
-    while i + 16 <= limit {
-        // SAFETY: `i + 16 <= limit <= a.len(), b.len()` keeps both unaligned
-        // loads in bounds; SSE2 is part of the x86_64 baseline.
-        let mask = unsafe {
-            let va = _mm_loadu_si128(a.as_ptr().add(i).cast());
-            let vb = _mm_loadu_si128(b.as_ptr().add(i).cast());
-            _mm_movemask_epi8(_mm_cmpeq_epi8(va, vb)) as u32
-        };
-        if mask != 0xFFFF {
-            return i + (!mask).trailing_zeros() as usize;
-        }
-        i += 16;
-    }
-    i + match_len_tail(&a[i..], &b[i..], limit - i)
-}
-
-/// 16 bytes per step via `vceqq_u8`, inspecting the two 64-bit halves.
-///
-/// # Safety
-///
-/// `limit` must not exceed `a.len()` or `b.len()`.
-#[cfg(target_arch = "aarch64")]
-#[inline]
-unsafe fn match_len_neon(a: &[u8], b: &[u8], limit: usize) -> usize {
-    use std::arch::aarch64::*;
-    let mut i = 0;
-    while i + 16 <= limit {
-        // SAFETY: `i + 16 <= limit <= a.len(), b.len()` keeps both loads in
-        // bounds; NEON is part of the aarch64 baseline.
-        let (lo, hi) = unsafe {
-            let eq = vreinterpretq_u64_u8(vceqq_u8(
-                vld1q_u8(a.as_ptr().add(i)),
-                vld1q_u8(b.as_ptr().add(i)),
-            ));
-            (vgetq_lane_u64::<0>(eq), vgetq_lane_u64::<1>(eq))
-        };
-        if lo != u64::MAX {
-            return i + ((!lo).trailing_zeros() / 8) as usize;
-        }
-        if hi != u64::MAX {
-            return i + 8 + ((!hi).trailing_zeros() / 8) as usize;
-        }
-        i += 16;
-    }
-    i + match_len_tail(&a[i..], &b[i..], limit - i)
+    i
 }
 
 /// Finds the longest match for `pos` among the hash chain, at most `depth`
 /// candidates, within the window. Returns `(length, distance)`.
-fn best_match(
-    data: &[u8],
-    pos: usize,
-    head: &[i64],
-    prev: &[i64],
-    depth: usize,
-    simd: SimdLevel,
-) -> (usize, usize) {
+fn best_match(data: &[u8], pos: usize, head: &[i64], prev: &[i64], depth: usize) -> (usize, usize) {
     let max_len = (data.len() - pos).min(MAX_MATCH);
     if max_len < MIN_MATCH {
         return (0, 0);
@@ -274,7 +157,7 @@ fn best_match(
         debug_assert!(c < pos);
         // Quick reject: candidate must beat the current best at its end byte.
         if best_len == 0 || data[c + best_len] == data[pos + best_len] {
-            let len = match_len(&data[c..], &data[pos..], max_len, simd);
+            let len = match_len(&data[c..], &data[pos..], max_len);
             if len > best_len {
                 best_len = len;
                 best_dist = pos - c;
@@ -306,10 +189,6 @@ fn parse_into(data: &[u8], level: Level, scratch: &mut Lz77Scratch) {
     extra.clear();
     let depth = level.chain_depth();
     let lazy = level.lazy();
-    // Read once: a concurrent force-scalar toggle must not split one parse
-    // across kernel strategies (all strategies agree anyway, but the oracle
-    // rule is that a forced-scalar run never touches a vector path).
-    let simd = kernel::active_level();
 
     let insert = |head: &mut [i64], prev: &mut [i64], data: &[u8], i: usize| {
         if i + MIN_MATCH <= data.len() {
@@ -321,12 +200,12 @@ fn parse_into(data: &[u8], level: Level, scratch: &mut Lz77Scratch) {
 
     let mut i = 0;
     while i < n {
-        let (mut len, mut dist) = best_match(data, i, head, prev, depth, simd);
+        let (mut len, mut dist) = best_match(data, i, head, prev, depth);
         if lazy && (MIN_MATCH..MAX_MATCH).contains(&len) && i + 1 < n {
             // Peek one position ahead; if it has a strictly longer match,
             // emit a literal now and take the later match.
             insert(head, prev, data, i);
-            let (len2, dist2) = best_match(data, i + 1, head, prev, depth, simd);
+            let (len2, dist2) = best_match(data, i + 1, head, prev, depth);
             if len2 > len + 1 {
                 litlen.push(u32::from(data[i]));
                 i += 1;
@@ -489,20 +368,13 @@ mod tests {
         all_levels(&[]);
     }
 
-    #[test]
-    fn match_len_kernels_agree_with_scalar() {
-        // Every level the host can actually run, plus the oracle itself.
-        let mut levels = vec![SimdLevel::Scalar];
-        #[cfg(target_arch = "x86_64")]
-        {
-            levels.push(SimdLevel::Sse41); // SSE2-baseline impl, always runnable
-            if kernel::detected_level() == SimdLevel::Avx2 {
-                levels.push(SimdLevel::Avx2);
-            }
-        }
-        #[cfg(target_arch = "aarch64")]
-        levels.push(SimdLevel::Neon);
+    /// The reference `match_len` is held to: one byte per step.
+    fn match_len_bytewise(a: &[u8], b: &[u8], limit: usize) -> usize {
+        a.iter().zip(b).take(limit).take_while(|(x, y)| x == y).count()
+    }
 
+    #[test]
+    fn match_len_agrees_with_bytewise_reference() {
         let mut state = 0x1234_5678_9ABC_DEF0u64;
         let mut rng = move || {
             state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
@@ -511,42 +383,24 @@ mod tests {
         let n = 300;
         let a: Vec<u8> = (0..n).map(|_| (rng() >> 56) as u8).collect();
         // Plant the first mismatch at every offset, including none at all,
-        // to cross every vector-width boundary (8/16/32) and both tails.
+        // to cross every 8-byte step and the bytewise tail; the last limits
+        // run past one slice or both.
         for mismatch in (0..n).chain([n]) {
             let mut b = a.clone();
             if mismatch < n {
                 b[mismatch] ^= 0x80;
             }
-            for limit in [0, 1, 7, 8, 9, 15, 16, 17, 31, 32, 33, 63, 100, n] {
-                let expect = match_len_scalar(&a, &b, limit);
-                for &lv in &levels {
+            for limit in [0, 1, 7, 8, 9, 15, 16, 17, 31, 32, 33, 63, 100, n, n + 1, 2 * n] {
+                for (x, y) in [(&a[..], &b[..]), (&a[..], &b[..n / 2]), (&a[..n / 3], &b[..])] {
                     assert_eq!(
-                        match_len(&a, &b, limit, lv),
-                        expect,
-                        "level {lv:?} mismatch at {mismatch} limit {limit}"
+                        match_len(x, y, limit),
+                        match_len_bytewise(x, y, limit),
+                        "mismatch at {mismatch} limit {limit}, lengths {} and {}",
+                        x.len(),
+                        y.len()
                     );
                 }
             }
-        }
-    }
-
-    #[test]
-    fn forced_scalar_parse_is_byte_identical() {
-        // The parse itself must not depend on which match kernel ran.
-        let mut data = Vec::new();
-        for i in 0..20_000u64 {
-            data.push((i % 251) as u8);
-            if i % 17 == 0 {
-                data.push(0xAB);
-            }
-        }
-        for level in [Level::Fast, Level::Default, Level::High] {
-            let auto = compress(&data, level);
-            kernel::set_force_scalar(true);
-            let scalar = compress(&data, level);
-            kernel::set_force_scalar(false);
-            assert_eq!(auto, scalar, "level {level:?}");
-            assert_eq!(decompress(&auto).unwrap(), data);
         }
     }
 

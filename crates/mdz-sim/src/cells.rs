@@ -39,11 +39,6 @@ impl CellList {
         }
     }
 
-    /// Number of cells per axis.
-    pub fn cells_per_axis(&self) -> usize {
-        self.n_cells
-    }
-
     #[inline]
     fn cell_index(&self, p: Vec3) -> usize {
         let f = |c: f64| -> usize {

@@ -23,6 +23,8 @@
 //! Determinism: every generator takes a seed and produces identical output
 //! across runs, so experiments are reproducible.
 
+#![forbid(unsafe_code)]
+
 pub mod cells;
 pub mod crystal;
 pub mod datasets;

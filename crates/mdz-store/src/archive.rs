@@ -185,11 +185,6 @@ impl ArchiveIndex {
         start..end
     }
 
-    /// First frame index covered by `epoch`.
-    pub fn epoch_frame_start(&self, epoch: usize) -> usize {
-        self.epoch_blocks(epoch).start * self.buffer_size
-    }
-
     /// Epoch containing `frame` (clamped to the last epoch).
     pub fn epoch_of_frame(&self, frame: usize) -> usize {
         let block = frame / self.buffer_size.max(1);

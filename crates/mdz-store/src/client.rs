@@ -432,7 +432,16 @@ impl Client {
 
     fn round_trip(&mut self, req: &Request) -> Result<Vec<u8>, ClientError> {
         write_message(&mut self.stream, &req.encode())?;
-        let body = read_message(&mut self.stream, self.max_response_bytes)?
+        let body = read_message(&mut self.stream, self.max_response_bytes)
+            .map_err(|e| match e.kind() {
+                // `read_message` refuses a body past the budget with
+                // `InvalidData`. Sending the request again gets the same
+                // body, so this is not a transient I/O error.
+                std::io::ErrorKind::InvalidData => {
+                    ClientError::Protocol("response exceeds the client's max_response_bytes")
+                }
+                _ => e.into(),
+            })?
             .ok_or(ClientError::Protocol("server closed the connection mid-request"))?;
         match body.first().copied().and_then(Status::from_byte) {
             Some(Status::Ok) => Ok(body),
@@ -619,6 +628,16 @@ impl Client {
 /// sizes against the server's per-request limits.
 const FOLLOW_MAX_BATCH: usize = 4096;
 
+/// How many frames of `n_atoms` atoms one GET may ask for so that its
+/// response body (25 header bytes, then 24 bytes per atom per frame) fits
+/// a client's `max_response_bytes`: at least 1, at most
+/// [`FOLLOW_MAX_BATCH`]. A frame too large for the budget is still asked
+/// for, and the refusal surfaces as an error.
+fn follow_batch(max_response_bytes: usize, n_atoms: usize) -> usize {
+    let fits = max_response_bytes.saturating_sub(25).checked_div(n_atoms.saturating_mul(24));
+    fits.unwrap_or(FOLLOW_MAX_BATCH).clamp(1, FOLLOW_MAX_BATCH)
+}
+
 /// A tail-following reader over a live archive: repeatedly polls the
 /// server's frame count and fetches whatever landed past its position.
 ///
@@ -696,13 +715,15 @@ impl Follower {
     }
 
     /// Blocks until new durable frames are available past
-    /// [`position`](Self::position), then returns them (at most 4096) and
-    /// advances.
+    /// [`position`](Self::position), then returns them and advances. A
+    /// batch holds at most 4096 frames, and no more than fit the client's
+    /// response budget ([`Client::with_max_response_bytes`]).
     ///
     /// Transient errors — the server restarting, timeouts, BUSY — are
     /// retried indefinitely at the poll cadence (the follower is a tailing
     /// process; callers bound it by frame count or by dropping it). Fatal
-    /// errors (corrupt archive, protocol violations) propagate.
+    /// errors (corrupt archive, protocol violations, a single frame larger
+    /// than the response budget) propagate.
     pub fn next_batch(&mut self) -> Result<Vec<Frame>, ClientError> {
         loop {
             match self.try_advance() {
@@ -719,7 +740,11 @@ impl Follower {
                     self.obs.incr("client.follow.reconnects", 1);
                     std::thread::sleep(self.poll_interval);
                 }
-                Err(e) => return Err(e),
+                Err(e) => {
+                    // The connection may hold the unread rest of a response.
+                    self.conn = None;
+                    return Err(e);
+                }
             }
         }
     }
@@ -730,11 +755,13 @@ impl Follower {
     fn try_advance(&mut self) -> Result<Option<Vec<Frame>>, ClientError> {
         let next = self.next;
         let client = self.connection()?;
-        let available = client.info()?.n_frames as usize;
+        let info = client.info()?;
+        let available = info.n_frames as usize;
         if available <= next {
             return Ok(None);
         }
-        let end = available.min(next + FOLLOW_MAX_BATCH);
+        let batch = follow_batch(client.max_response_bytes, info.n_atoms as usize);
+        let end = available.min(next + batch);
         let frames = client.get(next..end)?;
         self.next = end;
         Ok(Some(frames))
@@ -794,6 +821,17 @@ mod tests {
         // The reconnected follower times out on the stalled server instead
         // of hanging.
         assert!(matches!(follower.try_advance(), Err(ClientError::Timeout(_))));
+    }
+
+    #[test]
+    fn follow_batch_fits_the_response_budget() {
+        // 8 atoms: 192 bytes a frame after the 25-byte header.
+        assert_eq!(follow_batch(4096, 8), 21);
+        assert_eq!(follow_batch(25 + 192, 8), 1);
+        assert_eq!(follow_batch(100, 8), 1, "at least one frame");
+        assert_eq!(follow_batch(1 << 28, 8), FOLLOW_MAX_BATCH);
+        assert_eq!(follow_batch(1 << 28, 3341), 3347, "a paper-sized ADK frame");
+        assert_eq!(follow_batch(4096, 0), FOLLOW_MAX_BATCH);
     }
 
     #[test]

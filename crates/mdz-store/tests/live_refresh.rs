@@ -19,15 +19,20 @@
 //!    append at once, ordered by nothing but the sink's lock: every append
 //!    is acked, the acked ranges tile the grown archive, and the file that
 //!    results verifies and decodes to what each producer sent.
+//! 5. **Followers fetch what their response budget holds** — a backlog
+//!    larger than a client's `max_response_bytes` streams in batches that
+//!    fit, without a reconnect; a budget smaller than one frame is an
+//!    error, not a GET re-sent forever.
 
+use std::sync::mpsc::{self, RecvTimeoutError};
 use std::sync::{Arc, Barrier, Mutex};
 use std::time::Duration;
 
 use mdz_core::{ErrorBound, Frame, MdzConfig};
 use mdz_store::{
     append_store, create_store, verify_archive, AppendSink, Client, ClientError, FaultIo,
-    FaultMode, FaultPlan, MemIo, Precision, Server, ServerConfig, Status, StoreIo, StoreOptions,
-    StoreReader,
+    FaultMode, FaultPlan, MemIo, Obs, Precision, Registry, Server, ServerConfig, Status, StoreIo,
+    StoreOptions, StoreReader,
 };
 
 const N_ATOMS: usize = 12;
@@ -459,4 +464,75 @@ fn concurrent_appends_on_two_shards_tile_the_archive() {
         frame_bits(&decoded),
         "follower diverged from the offline decode"
     );
+}
+
+/// Runs `f` on a thread of its own and waits at most `deadline` for it, so
+/// a follower that never returns fails the test instead of hanging it. The
+/// thread is not joined: past the deadline it is still running, and a
+/// panic in it arrives as the channel's disconnect.
+fn within<T: Send + 'static>(deadline: Duration, f: impl FnOnce() -> T + Send + 'static) -> T {
+    let (tx, rx) = mpsc::channel();
+    std::thread::spawn(move || tx.send(f()));
+    match rx.recv_timeout(deadline) {
+        Ok(v) => v,
+        Err(RecvTimeoutError::Timeout) => panic!("no result within {deadline:?}"),
+        Err(RecvTimeoutError::Disconnected) => panic!("the worker thread panicked"),
+    }
+}
+
+/// A 64-frame backlog of 8-atom frames (217 response bytes for one frame,
+/// 12 313 for all 64) tailed through clients whose response budget holds
+/// only part of it. With a 4096-byte budget the follower fetches 21-frame
+/// batches and never reconnects. With a 100-byte budget, which holds an
+/// INFO reply but not one frame, `next_batch` returns an error.
+#[test]
+fn follower_batches_fit_the_client_response_budget() {
+    let frames: Vec<Frame> = synth_frames(0, 64)
+        .into_iter()
+        .map(|f| Frame::new(f.x[..8].to_vec(), f.y[..8].to_vec(), f.z[..8].to_vec()))
+        .collect();
+    let mut io = MemIo::new(Vec::new());
+    create_store(&mut io, &frames, &[], &[], &store_opts()).expect("create");
+    let image = io.read_all().expect("image");
+    let want = decode_bits(&StoreReader::open(image.clone()).expect("open"), 64);
+    let server = Server::bind(
+        StoreReader::open(image).expect("open"),
+        "127.0.0.1:0",
+        ServerConfig::default(),
+    )
+    .expect("bind");
+    let addr = server.local_addr().expect("local addr");
+    let handle = server.handle().expect("handle");
+    let join = std::thread::spawn(move || server.run().unwrap());
+    let deadline = Duration::from_secs(10);
+
+    let registry = Arc::new(Registry::new());
+    let mut follower = Client::connect(addr)
+        .expect("connect")
+        .with_max_response_bytes(4096)
+        .follow(0)
+        .expect("follow")
+        .with_poll_interval(Duration::from_millis(2))
+        .with_obs(Obs::new(registry.clone()));
+    let seen = within(deadline, move || {
+        let mut seen = Vec::new();
+        while seen.len() < 64 {
+            seen.extend(follower.next_batch().expect("next_batch"));
+        }
+        seen
+    });
+    assert_eq!(frame_bits(&seen), want, "followed frames diverged from the local decode");
+    assert_eq!(registry.counter("client.follow.reconnects"), 0);
+
+    let mut tiny = Client::connect(addr)
+        .expect("connect")
+        .with_max_response_bytes(100)
+        .follow(0)
+        .expect("follow")
+        .with_poll_interval(Duration::from_millis(2));
+    let got = within(deadline, move || tiny.next_batch());
+    assert!(matches!(got, Err(ClientError::Protocol(_))), "{got:?}");
+
+    handle.shutdown();
+    join.join().unwrap();
 }

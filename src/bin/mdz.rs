@@ -49,6 +49,8 @@
 //! the first APPEND of a `--live` server). It runs the sharded epoll/kqueue
 //! event loop with `--threads` shards; other targets cannot serve.
 
+#![forbid(unsafe_code)]
+
 use mdz::core::{ErrorBound, Frame, MdzConfig, Method};
 use mdz::sim::{datasets, DatasetKind, Scale};
 use mdz::store::{
