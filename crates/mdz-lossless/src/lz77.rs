@@ -98,12 +98,20 @@ fn unbucket(k: u32, bits: &mut BitReader<'_>) -> Result<u64> {
 
 /// Reusable workspace for [`compress_into`]: match-finder tables, the parsed
 /// token streams, and the Huffman encoder's scratch.
+///
+/// The match tables hold positions offset by `base`, which each call
+/// advances past its input, so an entry left by an earlier call lies below
+/// every window floor of the next and reads as empty: the tables are filled
+/// once, not cleared per call.
 #[derive(Debug, Clone, Default)]
 pub struct Lz77Scratch {
-    /// Hash-chain heads, indexed by 4-byte-prefix hash.
+    /// Hash-chain heads, indexed by 4-byte-prefix hash: `base` + position.
     head: Vec<i64>,
-    /// Previous chain entry per window slot.
+    /// Previous chain entry per window slot. A chain only reads the slot of
+    /// a position the current call inserted, so stale slots are never read.
     prev: Vec<i64>,
+    /// The `base` of the next call.
+    base: i64,
     /// Literal bytes (0..=255) or `MATCH_BASE + length_bucket`.
     litlen: Vec<u32>,
     /// Distance buckets, one per match, in token order.
@@ -141,8 +149,14 @@ fn match_len(a: &[u8], b: &[u8], limit: usize) -> usize {
 }
 
 /// Finds the longest match for `pos` among the hash chain, at most `depth`
-/// candidates, within the window. Returns `(length, distance)`.
-fn best_match(data: &[u8], pos: usize, head: &[i64], prev: &[i64], depth: usize) -> (usize, usize) {
+/// candidates, within the window. Chain entries are `base` + position.
+/// Returns `(length, distance)`.
+fn best_match(
+    data: &[u8],
+    pos: usize,
+    (head, prev, base): (&[i64], &[i64], i64),
+    depth: usize,
+) -> (usize, usize) {
     let max_len = (data.len() - pos).min(MAX_MATCH);
     if max_len < MIN_MATCH {
         return (0, 0);
@@ -150,10 +164,10 @@ fn best_match(data: &[u8], pos: usize, head: &[i64], prev: &[i64], depth: usize)
     let mut best_len = 0;
     let mut best_dist = 0;
     let mut cand = head[hash4(data, pos)];
-    let window_floor = pos.saturating_sub(WINDOW - 1) as i64;
+    let window_floor = base + pos.saturating_sub(WINDOW - 1) as i64;
     let mut steps = 0;
     while cand >= window_floor && steps < depth {
-        let c = cand as usize;
+        let c = (cand - base) as usize;
         debug_assert!(c < pos);
         // Quick reject: candidate must beat the current best at its end byte.
         if best_len == 0 || data[c + best_len] == data[pos + best_len] {
@@ -178,12 +192,21 @@ fn best_match(data: &[u8], pos: usize, head: &[i64], prev: &[i64], depth: usize)
 
 /// Greedy/lazy LZ77 parse writing the token streams into `scratch`.
 fn parse_into(data: &[u8], level: Level, scratch: &mut Lz77Scratch) {
-    let Lz77Scratch { head, prev, litlen, dist: dists, extra, .. } = scratch;
+    let Lz77Scratch { head, prev, base: next_base, litlen, dist: dists, extra, .. } = scratch;
     let n = data.len();
-    head.clear();
-    head.resize(1 << HASH_BITS, i64::MIN);
-    prev.clear();
-    prev.resize(WINDOW, i64::MIN);
+    // Every stored entry is below `next_base`, so this call stores above it
+    // and clears the heads only when its positions would overflow.
+    let end = i64::try_from(n).ok().and_then(|n| next_base.checked_add(n));
+    let base = match end {
+        Some(end) if head.len() == 1 << HASH_BITS => std::mem::replace(next_base, end),
+        _ => {
+            head.clear();
+            head.resize(1 << HASH_BITS, i64::MIN);
+            prev.resize(WINDOW, i64::MIN);
+            *next_base = n as i64;
+            0
+        }
+    };
     litlen.clear();
     dists.clear();
     extra.clear();
@@ -194,18 +217,18 @@ fn parse_into(data: &[u8], level: Level, scratch: &mut Lz77Scratch) {
         if i + MIN_MATCH <= data.len() {
             let h = hash4(data, i);
             prev[i % WINDOW] = head[h];
-            head[h] = i as i64;
+            head[h] = base + i as i64;
         }
     };
 
     let mut i = 0;
     while i < n {
-        let (mut len, mut dist) = best_match(data, i, head, prev, depth);
+        let (mut len, mut dist) = best_match(data, i, (head, prev, base), depth);
         if lazy && (MIN_MATCH..MAX_MATCH).contains(&len) && i + 1 < n {
             // Peek one position ahead; if it has a strictly longer match,
             // emit a literal now and take the later match.
             insert(head, prev, data, i);
-            let (len2, dist2) = best_match(data, i + 1, head, prev, depth);
+            let (len2, dist2) = best_match(data, i + 1, (head, prev, base), depth);
             if len2 > len + 1 {
                 litlen.push(u32::from(data[i]));
                 i += 1;
@@ -522,12 +545,23 @@ mod tests {
 
     #[test]
     fn compress_into_with_reused_scratch_is_byte_identical() {
+        // Past the window and then its own prefix: a head left by the long
+        // input would point at the same bytes in the short one, and match.
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        let long: Vec<u8> = (0..70_000)
+            .map(|_| {
+                state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+                b"mdz"[(state >> 62) as usize % 3]
+            })
+            .collect();
         let inputs: Vec<Vec<u8>> = vec![
             vec![],
             b"abcd".to_vec(),
             b"the quick brown fox jumps over the lazy dog. ".repeat(50),
             vec![7u8; 20_000],
             (0..30_000u32).map(|i| (i * 7 % 256) as u8).collect(),
+            long.clone(),
+            long[..25_000].to_vec(),
         ];
         let mut scratch = Lz77Scratch::default();
         let mut out = Vec::new();
@@ -541,6 +575,19 @@ mod tests {
                 assert_eq!(&decompress(&out).unwrap(), data);
             }
         }
+    }
+
+    #[test]
+    fn tables_are_refilled_when_the_position_base_would_overflow() {
+        let data = b"abcabcabcdefdefdef".repeat(40);
+        let mut scratch = Lz77Scratch::default();
+        let mut out = Vec::new();
+        compress_into(&data, Level::Default, &mut out, &mut scratch);
+        scratch.base = i64::MAX - 100;
+        out.clear();
+        compress_into(&data, Level::Default, &mut out, &mut scratch);
+        assert_eq!(scratch.base, data.len() as i64, "the tables were not refilled");
+        assert_eq!(out, compress(&data, Level::Default));
     }
 
     #[test]
