@@ -119,10 +119,10 @@ fn metrics_json_schema_and_traffic_accounting() {
 
     // Writing 4 buffers × 3 axes through instrumented compressors.
     // `core.encode.buffers` counts encode *passes*: an ADP trial encodes
-    // its buffer once per candidate method. Per axis: 2 trials (buffer 0
-    // and the epoch re-anchor at buffer 2) × 3 candidates + 2 plain
-    // buffers = 8 passes.
-    assert_eq!(registry.counter("core.encode.buffers"), 24);
+    // its buffer once per candidate method. Per axis: 1 trial (buffer 0;
+    // the next would fall at buffer 50) × 3 candidates in the writer's
+    // decide pass, then the 4 buffers in its encode pass = 7 passes.
+    assert_eq!(registry.counter("core.encode.buffers"), 21);
     let trials = registry.counter("core.adp.trials");
     assert!(trials >= 3, "each axis runs at least one ADP trial, got {trials}");
     let wins: u64 = ["vq", "vqt", "mt", "mt2", "other"]

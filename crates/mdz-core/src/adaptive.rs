@@ -74,14 +74,13 @@ impl AdaptiveState {
         self.since_trial += 1;
     }
 
-    /// The state after `encoded` (≥ 1) buffers of a stream whose trials
-    /// fall every `interval` buffers from its first, with `current` the
-    /// winner in force: the next trial falls at the next multiple of
-    /// `interval`.
-    pub(crate) fn resume(current: Candidate, encoded: usize, interval: u32) -> Self {
-        // A trial leaves the counter at 1 and each later buffer adds 1.
-        let since_trial = (encoded - 1) % interval as usize + 1;
-        Self { since_trial: since_trial as u32, current: Some(current) }
+    /// The state in which the next buffer codes with `current` as the
+    /// buffer of the trial that chose it would, so the next trial falls
+    /// `interval` buffers after it. With no candidate the next buffer is a
+    /// trial.
+    pub(crate) fn resume(current: Option<Candidate>) -> Self {
+        // A trial leaves the counter at 1; the resumed buffer's tick does.
+        Self { since_trial: 0, current }
     }
 
     /// The composition currently in force, if a trial has run.
@@ -114,19 +113,24 @@ mod tests {
     }
 
     #[test]
-    fn resume_keeps_the_trial_cadence() {
+    fn resume_counts_the_next_buffer_as_its_trial() {
         let winner = Candidate::linear(Method::Vq);
-        let mut s = AdaptiveState::new();
-        for encoded in 1..=7 {
-            if s.trial_due(3) {
-                s.record_winner(winner);
-            } else {
-                s.tick();
+        let mut original = AdaptiveState::new();
+        let mut resumed = AdaptiveState::resume(Some(winner));
+        for buffer in 0..7 {
+            // Only the original's first buffer runs the trial the resumed
+            // state takes as done.
+            assert_eq!(original.trial_due(3), buffer % 3 == 0, "buffer {buffer}");
+            assert_eq!(resumed.trial_due(3), buffer % 3 == 0 && buffer > 0, "buffer {buffer}");
+            for s in [&mut original, &mut resumed] {
+                if s.trial_due(3) {
+                    s.record_winner(winner);
+                } else {
+                    s.tick();
+                }
             }
-            let resumed = AdaptiveState::resume(winner, encoded, 3);
-            assert_eq!(resumed.since_trial, s.since_trial, "after {encoded} buffers");
-            assert_eq!(resumed.current(), s.current());
         }
+        assert!(AdaptiveState::resume(None).trial_due(3));
     }
 
     #[test]

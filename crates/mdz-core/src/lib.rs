@@ -65,7 +65,7 @@ pub use codec::{Codec, MdzCodec};
 pub use format::Method;
 pub use mdz_obs::{Obs, Recorder};
 pub use pipeline::parallel::fan_out;
-pub use pipeline::{BlockInfo, Compressor, DecodeLimits, Decompressor};
+pub use pipeline::{BlockInfo, Compressor, Decisions, DecodeLimits, Decompressor};
 pub use quant::{BitAdaptiveQuantizer, LinearQuantizer};
 pub use stage::{HuffmanStage, Quantizer, RangeStage};
 pub use traj::Frame;
@@ -166,6 +166,9 @@ pub struct MdzConfig {
     /// Use Seq-2 (particle-major) interleaving before entropy coding.
     pub seq2: bool,
     /// Re-evaluate the adaptive choice every this many buffers (paper: 50).
+    /// An `mdz-store` archive rounds it up to whole epochs, so that every
+    /// trial falls on the first block of an epoch (50 → 56 at 8-buffer
+    /// epochs); [`Compressor::reset_stream`] keeps the cadence.
     pub adapt_interval: u32,
     /// Entropy coder for the integer streams (paper/SZ default: Huffman).
     pub entropy: EntropyStage,

@@ -217,67 +217,54 @@ impl Compressor {
         self.cfg.bound = bound;
     }
 
-    /// Drops all cross-buffer stream state (level grid, MT reference,
-    /// adaptive history), keeping the configuration and scratch storage.
+    /// Anchors the stream: drops the MT reference, so the next buffer
+    /// decodes standalone, as the first of a fresh stream does. The
+    /// configuration, scratch storage and the stream's [`Decisions`] (level
+    /// grid, ADP candidate and trial cadence) are kept: the decoder never
+    /// needs them.
     ///
-    /// The next buffer is encoded exactly as the first buffer of a fresh
-    /// stream, so it decodes standalone — this is the keyframe re-anchoring
-    /// hook the `mdz-store` epoch layer is built on.
+    /// This is the keyframe re-anchoring hook the `mdz-store` epoch layer is
+    /// built on; [`Decompressor::reset_stream`] is its mirror.
     pub fn reset_stream(&mut self) {
-        self.state = CoreState::default();
-        self.adaptive = AdaptiveState::new();
+        self.state.reference = None;
     }
 
-    /// Resets the stream, then takes up the encode decisions of `blocks`:
-    /// the blocks a stream has encoded since its last reset, in order. The
-    /// next buffer gets the level grid, ADP candidate and ADP trial cadence
-    /// that stream's compressor would give it, but no MT reference, as
-    /// after [`reset_stream`](Self::reset_stream), so it decodes without
-    /// `blocks`.
-    ///
-    /// The grid is the one the first VQ or VQT block coded with (absent
-    /// when that block has none, undetected when no block is VQ-family),
-    /// the candidate is the last block's method and quantizer, and trials
-    /// fall every `adapt_interval` buffers counted from the first block.
-    /// All of it comes from block headers, except the chunk size of a
-    /// bit-adaptive last block, which is read from the front of its code
-    /// stream (FORMAT.md §4.5). With no blocks this is
-    /// [`reset_stream`](Self::reset_stream).
+    /// The decisions this stream has made so far.
+    pub fn decisions(&self) -> Decisions {
+        Decisions {
+            grid: self.state.grid.map(|grid| grid.map(|g| (g.mu, g.lambda))),
+            candidate: self.adaptive.current(),
+        }
+    }
+
+    /// Anchors the stream ([`reset_stream`](Self::reset_stream)) and takes
+    /// up `decisions` as though the next buffer were the ADP trial that
+    /// chose their candidate: it codes with their candidate and grid, and
+    /// the next trial falls `adapt_interval` buffers after it. A set grid
+    /// is never detected again. Without a candidate the next buffer runs a
+    /// trial (under [`Method::Adaptive`]); a fixed method ignores the
+    /// candidate.
     ///
     /// # Examples
     ///
     /// ```
     /// use mdz_core::{Compressor, ErrorBound, MdzConfig};
     ///
+    /// let buffer = [vec![1.0, 2.0, 3.5], vec![1.1, 2.1, 3.4]];
     /// let mut comp = Compressor::new(MdzConfig::new(ErrorBound::Absolute(1e-3)));
-    /// let first = comp.compress_buffer(&[vec![1.0, 2.0, 3.5], vec![1.1, 2.1, 3.4]]).unwrap();
+    /// let first = comp.compress_buffer(&buffer).unwrap(); // an ADP trial
     /// let mut resumed = Compressor::new(MdzConfig::new(ErrorBound::Absolute(1e-3)));
-    /// resumed.resume_decisions(&[&first]).unwrap();
-    /// assert_eq!(resumed.current_adaptive_choice(), comp.current_adaptive_choice());
+    /// resumed.resume(&comp.decisions());
+    /// assert_eq!(resumed.compress_buffer(&buffer).unwrap(), first); // no trial
     /// ```
-    pub fn resume_decisions(&mut self, blocks: &[&[u8]]) -> Result<()> {
-        self.cfg.validate()?;
-        self.reset_stream();
-        let mut last = None;
-        for &block in blocks {
-            let info = Decompressor::inspect(block)?;
-            if self.state.grid.is_none() && matches!(info.method, Method::Vq | Method::Vqt) {
-                let grid =
-                    info.grid.map(|(mu, lambda)| LevelGrid { mu, lambda, k: 0, fit_error: 0.0 });
-                self.state.grid = Some(grid);
-            }
-            last = Some((block, info));
-        }
-        if let Some((block, info)) = last {
-            let quantizer = if info.bit_adaptive {
-                QuantizerKind::BitAdaptive { chunk: bit_adaptive_chunk(block)? }
-            } else {
-                QuantizerKind::Linear
-            };
-            let current = Candidate { method: info.method, quantizer };
-            self.adaptive = AdaptiveState::resume(current, blocks.len(), self.cfg.adapt_interval);
-        }
-        Ok(())
+    pub fn resume(&mut self, decisions: &Decisions) {
+        self.state = CoreState {
+            grid: decisions.grid.map(|grid| {
+                grid.map(|(mu, lambda)| LevelGrid { mu, lambda, k: 0, fit_error: 0.0 })
+            }),
+            reference: None,
+        };
+        self.adaptive = AdaptiveState::resume(decisions.candidate);
     }
 
     /// Compresses one buffer of snapshots into a self-describing block.
@@ -436,6 +423,45 @@ impl Compressor {
             self.state.apply(delta);
             Ok(())
         }
+    }
+}
+
+/// What an axis stream has decided, as opposed to what its decoder needs:
+/// the level grid VQ and VQT code with, and the ADP candidate in force. An
+/// epoch anchor ([`Compressor::reset_stream`]) keeps them.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+pub struct Decisions {
+    /// The level grid `(μ, λ)`: `None` until a VQ or VQT encode detects it
+    /// (under ADP: until a VQ-family candidate wins a trial), `Some(None)`
+    /// when the data has no level structure.
+    pub grid: Option<Option<(f64, f64)>>,
+    /// The ADP candidate in force; `None` before the first trial.
+    pub candidate: Option<Candidate>,
+}
+
+impl Decisions {
+    /// Takes up what `block`, the next of a stream's blocks in stream
+    /// order, records in its header: a VQ or VQT block sets the grid when
+    /// none is set yet (absent when the block has none), and every block
+    /// sets the candidate to its method and quantizer. Only the blocks
+    /// where the stream decided need be given: the grid's first VQ-family
+    /// block and the last ADP trial's.
+    ///
+    /// All of it comes from the header, except the chunk size of a
+    /// bit-adaptive block, which is read from the front of its code stream
+    /// (FORMAT.md §4.5).
+    pub fn update(&mut self, block: &[u8]) -> Result<()> {
+        let info = Decompressor::inspect(block)?;
+        if self.grid.is_none() && matches!(info.method, Method::Vq | Method::Vqt) {
+            self.grid = Some(info.grid);
+        }
+        let quantizer = if info.bit_adaptive {
+            QuantizerKind::BitAdaptive { chunk: bit_adaptive_chunk(block)? }
+        } else {
+            QuantizerKind::Linear
+        };
+        self.candidate = Some(Candidate { method: info.method, quantizer });
+        Ok(())
     }
 }
 
@@ -1244,7 +1270,7 @@ mod tests {
     }
 
     #[test]
-    fn resumed_compressor_places_trials_and_grid_like_the_original() {
+    fn an_anchor_keeps_the_grid_and_the_trial_cadence() {
         use mdz_obs::Registry;
         use std::sync::Arc;
 
@@ -1259,49 +1285,60 @@ mod tests {
             .collect();
         let mut cfg = MdzConfig::new(ErrorBound::Absolute(1e-3));
         cfg.adapt_interval = 3;
-        // Encodes `buffers[from..]`, returning each block with whether its
-        // buffer ran an ADP trial and a grid detection.
-        let encode = |comp: &mut Compressor, from: usize| {
-            let registry = Arc::new(Registry::new());
-            comp.set_obs(Obs::new(Arc::clone(&registry) as Arc<dyn mdz_obs::Recorder>));
-            let mut counts = (0, 0);
-            buffers[from..]
-                .iter()
-                .map(|buf| {
-                    let block = comp.compress_buffer(buf).unwrap();
-                    let snap = registry.snapshot();
-                    let now =
-                        (snap.counter("core.adp.trials"), snap.counter("core.grid.detect_runs"));
-                    let ran = (now.0 > counts.0, now.1 > counts.1);
-                    counts = now;
-                    (block, ran)
-                })
-                .collect::<Vec<_>>()
+        let registry = Arc::new(Registry::new());
+        let counts = || {
+            let snap = registry.snapshot();
+            (snap.counter("core.adp.trials"), snap.counter("core.grid.detect_runs"))
         };
-        let original = encode(&mut Compressor::new(cfg.clone()), 0);
-        let trials: Vec<usize> = (0..7).filter(|&b| original[b].1 .0).collect();
+        // Every buffer is an anchor. Each block, the decisions in force for
+        // it, and whether it ran a trial.
+        let mut comp = Compressor::new(cfg.clone());
+        comp.set_obs(Obs::new(Arc::clone(&registry) as Arc<dyn mdz_obs::Recorder>));
+        let mut stream = Vec::new();
+        for buf in &buffers {
+            let before = counts();
+            comp.reset_stream();
+            let block = comp.compress_buffer(buf).unwrap();
+            stream.push((block, comp.decisions(), counts().0 > before.0));
+        }
+        let trials: Vec<usize> = (0..7).filter(|&b| stream[b].2).collect();
         assert_eq!(trials, [0, 3, 6]);
-        assert!(
-            original.iter().any(|(block, _)| Decompressor::inspect(block).unwrap().grid.is_some()),
-            "the stream must code with a grid"
-        );
-        for p in 0..7 {
-            let blocks: Vec<&[u8]> = original[..p].iter().map(|(b, _)| b.as_slice()).collect();
-            let mut resumed = Compressor::new(cfg.clone());
-            resumed.resume_decisions(&blocks).unwrap();
-            let next_trial = p.next_multiple_of(3);
-            for (b, (block, ran)) in (p..7).zip(encode(&mut resumed, p)) {
-                assert_eq!(ran, original[b].1, "resumed at {p}: buffer {b}'s trial and detection");
-                if b == next_trial {
-                    // From here on the MT candidate sees another reference.
-                    break;
-                }
-                let (want, got) = (&original[b].0, &block);
-                let (want, got) =
-                    (Decompressor::inspect(want).unwrap(), Decompressor::inspect(got).unwrap());
-                assert_eq!((got.method, got.grid), (want.method, want.grid), "resumed at {p}");
+        assert_eq!(counts(), (3, 1), "trials and grid detections");
+        // Every VQ-family block, the last trial's too, codes with the first
+        // buffer's grid.
+        let grids: Vec<_> = stream
+            .iter()
+            .map(|(block, ..)| Decompressor::inspect(block).unwrap())
+            .filter(|info| matches!(info.method, Method::Vq | Method::Vqt))
+            .map(|info| info.grid)
+            .collect();
+        assert!(grids.len() > 1 && grids[0].is_some(), "{grids:?}");
+        assert!(grids.iter().all(|g| *g == grids[0]), "{grids:?}");
+        for (b, (block, ..)) in stream.iter().enumerate() {
+            let out = Decompressor::new().decompress_block(block).unwrap();
+            for (s, o) in buffers[b].iter().zip(&out) {
+                assert!(s.iter().zip(o).all(|(a, r)| (a - r).abs() <= 1e-3), "buffer {b}");
             }
         }
+
+        // A compressor resumed from the decisions in force for a buffer
+        // codes it alike, with no trial and no grid detection.
+        for (b, (block, decisions, _)) in stream.iter().enumerate() {
+            let registry = Arc::new(Registry::new());
+            let mut resumed = Compressor::new(cfg.clone());
+            resumed.set_obs(Obs::new(Arc::clone(&registry) as Arc<dyn mdz_obs::Recorder>));
+            resumed.resume(decisions);
+            assert_eq!(&resumed.compress_buffer(&buffers[b]).unwrap(), block, "buffer {b}");
+            let snap = registry.snapshot();
+            assert_eq!(snap.counter("core.adp.trials") + snap.counter("core.grid.detect_runs"), 0);
+        }
+
+        // The trial blocks' headers record the decisions in force.
+        let mut read = Decisions::default();
+        for &b in &trials {
+            read.update(&stream[b].0).unwrap();
+        }
+        assert_eq!(read, stream[6].1);
     }
 
     #[test]

@@ -1,12 +1,12 @@
 //! The worker-thread runner: [`fan_out`] spreads independent jobs across
 //! scoped threads and hands the results back in job order.
 //!
-//! Its one caller is the `mdz-store` archive writer, whose jobs are
-//! (epoch, axis) streams. An epoch anchor drops all stream state
-//! ([`crate::Compressor::reset_stream`]), and a stream that finishes an
-//! archive's open epoch takes its decisions from blocks already written
-//! ([`crate::Compressor::resume_decisions`]), so the streams share nothing
-//! and the writer's bytes do not depend on the worker count.
+//! Its one caller is the `mdz-store` archive writer. Its decide pass runs
+//! one job per axis stream; its encode pass one per (epoch, axis) stretch,
+//! which anchors (drops the MT reference) and takes up the decisions in
+//! force at its start ([`crate::Compressor::resume`]). So the jobs of a
+//! pass share nothing and the writer's bytes do not depend on the worker
+//! count.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 

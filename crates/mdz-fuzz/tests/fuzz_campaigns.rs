@@ -176,13 +176,11 @@ fn fuzz_lz77_decompress() {
     campaign("lz77", 0x4d445a03, &seeds.clone(), 32 * MB, |_, base_idx, input| {
         let mut out = Vec::new();
         let got = lz77::decompress_into_limited(input, &mut out, &limits);
-        // LZ77 decode is scalar either way (SIMD sits in the match finder);
-        // round-trip the decoded bytes through both compressor arms so the
-        // vectorized probe is also exercised on mutated, hostile-shaped data.
+        // Compressing what a mutation decodes to runs the match finder on
+        // hostile-shaped data; its output must decode back to those bytes.
         if got.is_ok() {
-            let auto = with_force_scalar(false, || lz77::compress(&out, lz77::Level::Default));
-            let oracle = with_force_scalar(true, || lz77::compress(&out, lz77::Level::Default));
-            assert_eq!(auto, oracle, "SIMD match probe diverged from the scalar oracle");
+            let packed = lz77::compress(&out, lz77::Level::Default);
+            assert_eq!(lz77::decompress(&packed).as_ref(), Ok(&out), "lz77 round trip");
         }
         if input == seeds[base_idx] {
             assert!(got.is_ok() && out == refs[base_idx], "identity input must decode");

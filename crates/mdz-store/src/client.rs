@@ -14,7 +14,7 @@
 //! transparently reconnecting across server restarts (INFO and GET are
 //! idempotent, so a retried poll can never double-deliver).
 
-use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
+use std::net::{Shutdown, SocketAddr, TcpStream, ToSocketAddrs};
 use std::ops::Range;
 use std::time::Duration;
 
@@ -393,6 +393,9 @@ impl Client {
     }
 
     /// Caps how large a response body this client will read (default 256 MiB).
+    /// A call whose response exceeds the cap fails with
+    /// [`ClientError::Protocol`] and closes the connection, so every later
+    /// call on this client fails with [`ClientError::Io`].
     ///
     /// # Examples
     ///
@@ -436,8 +439,12 @@ impl Client {
             .map_err(|e| match e.kind() {
                 // `read_message` refuses a body past the budget with
                 // `InvalidData`. Sending the request again gets the same
-                // body, so this is not a transient I/O error.
+                // body, so this is not a transient I/O error. The body is
+                // still on the socket, where the next reply would be read
+                // from, so the connection ends: every later call on this
+                // client fails with an I/O error.
                 std::io::ErrorKind::InvalidData => {
+                    let _ = self.stream.shutdown(Shutdown::Both);
                     ClientError::Protocol("response exceeds the client's max_response_bytes")
                 }
                 _ => e.into(),

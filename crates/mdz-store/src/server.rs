@@ -47,7 +47,7 @@
 //! frames are compressed server-side through [`crate::append_store`]'s
 //! footer-flip protocol against the sink's [`StoreIo`], under the sink's
 //! per-archive write lock (one append at a time; readers are never blocked).
-//! The appended blocks keep their decision epoch's encode decisions, as
+//! The appended blocks keep their axis streams' encode decisions, as
 //! every append does. The OK response is sent only after the second sync
 //! — it is a durability acknowledgment — and the shared [`StoreReader`] is
 //! refreshed under the same lock so followers observe the new frames

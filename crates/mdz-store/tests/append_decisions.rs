@@ -1,20 +1,21 @@
 //! The decision oracle: an archive grown by appends codes every block with
 //! the method, level grid and quantizer that one `create_store` over the
-//! same frames gives it, for every method and both precisions.
+//! same frames gives it, for every method, both precisions and any
+//! `adapt_interval`.
 //!
-//! An appended block that starts a *decision epoch* (a run of
-//! `epoch_interval` blocks counted from block 0) starts a fresh stream, as
-//! `create_store`'s epochs do; any other appended block resumes its
-//! decision epoch's decisions from the headers already in the archive.
-//! The oracle holds when `adapt_interval >= epoch_interval`, which
-//! includes the defaults (50 ≥ 8): every ADP trial then falls on a
-//! decision-epoch start. Below that, a trial inside an epoch ranks its
-//! candidates against another MT reference (an appended segment starts
-//! with none), so it may pick another winner.
+//! An axis stream decides only at its decision blocks: under ADP its
+//! trials, on the first block of every ⌈`adapt_interval` /
+//! `epoch_interval`⌉-th epoch counted from block 0, and under VQ or VQT
+//! block 0, whose grid it keeps. An append reads the decisions of the
+//! archive's earlier decision blocks from their headers and runs the
+//! trials that fall in its segment. A trial always falls on an epoch
+//! anchor, where neither writer has an MT reference, so it ranks its
+//! candidates alike in both.
 //!
-//! MT blocks of a resumed stretch differ in bytes from `create_store`'s,
-//! because their reference snapshot comes from the segment's first block;
-//! VQ and VQT blocks never use one, so those must match byte for byte.
+//! MT blocks in a segment's first epoch differ in bytes from
+//! `create_store`'s, because their reference snapshot comes from the
+//! segment's first block; VQ and VQT blocks never use one, so those must
+//! match byte for byte.
 
 use mdz_core::{Decompressor, ErrorBound, Frame, MdzConfig, Method, QuantizerKind};
 use mdz_store::{
@@ -30,10 +31,14 @@ const APPENDS: [usize; 3] = [1, 3, 9];
 /// epoch.
 const BASE_BLOCKS: [usize; 2] = [8, 6];
 
+/// Regimes the streams start in: a quiet crystal, whose level grid they
+/// keep, and the liquid, in which they find none.
+const FIRST_REGIMES: [usize; 2] = [0, 2];
+
 /// Three regimes, switching every three buffers so that they straddle the
-/// four-buffer epochs: a quiet crystal, a noisy crystal, and a quiet
-/// liquid whose sites form no level grid.
-fn frames(n_frames: usize) -> Vec<Frame> {
+/// four-buffer epochs, from `first_regime` on: a quiet crystal, a noisy
+/// crystal, and a quiet liquid whose sites form no level grid.
+fn frames(n_frames: usize, first_regime: usize) -> Vec<Frame> {
     let mut state = 0x0A11_CE55_u64;
     let mut noise = move || {
         state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
@@ -44,7 +49,7 @@ fn frames(n_frames: usize) -> Vec<Frame> {
         (0..3 * N_ATOMS).map(|_| 6.0 + (noise() + noise() + noise() + noise()) * 3.0).collect();
     (0..n_frames)
         .map(|t| {
-            let regime = t / (3 * BUFFER_SIZE) % 3;
+            let regime = (t / (3 * BUFFER_SIZE) + first_regime) % 3;
             let mut axis = |a: usize| -> Vec<f64> {
                 (0..N_ATOMS)
                     .map(|i| {
@@ -62,12 +67,20 @@ fn frames(n_frames: usize) -> Vec<Frame> {
         .collect()
 }
 
-/// The configurations the oracle covers. The last one trials two
-/// bit-adaptive chunk sizes, so resuming it must read a block's chunk from
-/// its code stream.
+/// The configurations the oracle covers. ADP trials at every epoch start
+/// with an `adapt_interval` of 3, at every second with 8, and only at
+/// block 0 with 50. The last one trials two bit-adaptive chunk sizes, so an
+/// append must read a block's chunk from its code stream.
 fn configs() -> Vec<(&'static str, MdzConfig)> {
     let base = MdzConfig::new(ErrorBound::Absolute(1e-3));
+    let adp = |adapt_interval| {
+        let mut cfg = base.clone();
+        cfg.adapt_interval = adapt_interval;
+        cfg
+    };
     vec![
+        ("ADP/3", adp(3)),
+        ("ADP/8", adp(8)),
         ("ADP", base.clone()),
         ("VQ", base.clone().with_method(Method::Vq)),
         ("VQT", base.clone().with_method(Method::Vqt)),
@@ -86,27 +99,33 @@ fn axis_blocks<'a>(archive: &'a [u8], index: &ArchiveIndex, b: usize) -> [&'a [u
     mdz_store::archive::split_container(record).unwrap()
 }
 
-/// What the oracle saw across one archive, to show that it covered the
+/// What the oracle saw in appended blocks, to show that it covered the
 /// decisions it checks.
 #[derive(Default)]
 struct Seen {
-    resumed_grid: usize,
-    resumed_gridless_vq: usize,
-    resumed_mt: usize,
+    grid: usize,
+    gridless_vq: usize,
+    mt: usize,
     bit_adaptive: usize,
 }
 
-/// Grows a `base_blocks` archive by [`APPENDS`] and checks it against one
-/// `create_store` over the same frames.
-fn check(name: &str, cfg: &MdzConfig, precision: Precision, base_blocks: usize, seen: &mut Seen) {
-    let label = format!("{name}/{precision:?}/base {base_blocks}");
+/// Grows a `base_blocks` archive of `source` by [`APPENDS`] and checks it
+/// against one `create_store` over the same frames.
+fn check(
+    (name, cfg): (&str, &MdzConfig),
+    (source, first_regime): (&[Frame], usize),
+    precision: Precision,
+    base_blocks: usize,
+    seen: &mut Seen,
+) {
+    let label = format!("{name}/regime {first_regime}/{precision:?}/base {base_blocks}");
     let mut opts = StoreOptions::new(cfg.clone());
     opts.buffer_size = BUFFER_SIZE;
     opts.epoch_interval = EPOCH_INTERVAL;
     opts.precision = precision;
     let n_blocks = base_blocks + APPENDS.iter().sum::<usize>();
-    let source = frames(n_blocks * BUFFER_SIZE);
-    let created = write_store(&source, &[], &[], &opts).unwrap();
+    let source = &source[..n_blocks * BUFFER_SIZE];
+    let created = write_store(source, &[], &[], &opts).unwrap();
 
     let mut io =
         MemIo::new(write_store(&source[..base_blocks * BUFFER_SIZE], &[], &[], &opts).unwrap());
@@ -131,7 +150,7 @@ fn check(name: &str, cfg: &MdzConfig, precision: Precision, base_blocks: usize, 
     // Decisions: block for block and axis for axis, those of create_store.
     let created_index = ArchiveIndex::parse(&created).unwrap();
     for b in 0..n_blocks {
-        let resumed = b >= base_blocks && b % EPOCH_INTERVAL != 0;
+        let in_segment = b >= base_blocks;
         let got = axis_blocks(&appended, &index, b);
         let want = axis_blocks(&created, &created_index, b);
         for axis in 0..3 {
@@ -145,11 +164,11 @@ fn check(name: &str, cfg: &MdzConfig, precision: Precision, base_blocks: usize, 
             if matches!(g.method, Method::Vq | Method::Vqt) {
                 assert!(got[axis] == want[axis], "{label}: block {b} axis {axis} bytes");
             }
-            seen.bit_adaptive += usize::from(g.bit_adaptive);
-            if resumed {
-                seen.resumed_grid += usize::from(g.grid.is_some());
-                seen.resumed_gridless_vq += usize::from(g.method == Method::Vq && g.grid.is_none());
-                seen.resumed_mt += usize::from(g.method == Method::Mt);
+            if in_segment {
+                seen.grid += usize::from(g.grid.is_some());
+                seen.gridless_vq += usize::from(g.method == Method::Vq && g.grid.is_none());
+                seen.mt += usize::from(g.method == Method::Mt);
+                seen.bit_adaptive += usize::from(g.bit_adaptive);
             }
         }
     }
@@ -185,16 +204,20 @@ fn check(name: &str, cfg: &MdzConfig, precision: Precision, base_blocks: usize, 
 #[test]
 fn appended_blocks_keep_the_decisions_create_store_makes() {
     let mut seen = Seen::default();
-    for (name, cfg) in configs() {
-        assert!(cfg.adapt_interval as usize >= EPOCH_INTERVAL, "the oracle's condition");
-        for precision in [Precision::F64, Precision::F32] {
-            for base_blocks in BASE_BLOCKS {
-                check(name, &cfg, precision, base_blocks, &mut seen);
+    let n_frames = (BASE_BLOCKS[0] + APPENDS.iter().sum::<usize>()) * BUFFER_SIZE;
+    for first_regime in FIRST_REGIMES {
+        let source = frames(n_frames, first_regime);
+        for (name, cfg) in configs() {
+            for precision in [Precision::F64, Precision::F32] {
+                for base_blocks in BASE_BLOCKS {
+                    let stream = (&source[..], first_regime);
+                    check((name, &cfg), stream, precision, base_blocks, &mut seen);
+                }
             }
         }
     }
-    assert!(seen.resumed_grid > 0, "no resumed block coded with a grid");
-    assert!(seen.resumed_gridless_vq > 0, "no resumed VQ block found its grid absent");
-    assert!(seen.resumed_mt > 0, "no resumed MT block");
-    assert!(seen.bit_adaptive > 0, "no bit-adaptive block");
+    assert!(seen.grid > 0, "no appended block coded with a grid");
+    assert!(seen.gridless_vq > 0, "no appended VQ block found its grid absent");
+    assert!(seen.mt > 0, "no appended MT block");
+    assert!(seen.bit_adaptive > 0, "no appended bit-adaptive block");
 }

@@ -8,10 +8,11 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
+use mdz_core::{ErrorBound, Frame, MdzConfig};
 use mdz_store::protocol::{encode_error, read_message, write_message};
 use mdz_store::{
-    connect_with_retry, get_with_retry, Client, ClientError, Obs, Registry, RetryPolicy,
-    RetryStage, Status,
+    connect_with_retry, get_with_retry, write_store, Client, ClientError, Obs, Registry,
+    RetryPolicy, RetryStage, Server, ServerConfig, Status, StoreOptions, StoreReader,
 };
 
 fn test_policy(max_retries: u32, retry_busy: bool) -> RetryPolicy {
@@ -153,5 +154,41 @@ fn request_deadline_surfaces_a_typed_timeout() {
     assert!(policy.should_retry(&err, RetryStage::Connect));
     assert!(policy.should_retry(&err, RetryStage::Request));
     drop(client);
+    join.join().unwrap();
+}
+
+/// A response refused for its size leaves its body on the socket. The
+/// client then closes the connection, so its next call fails with an I/O
+/// error instead of reading that body as the reply to another request.
+#[test]
+fn a_refused_response_closes_the_connection() {
+    let frames: Vec<Frame> = (0..16)
+        .map(|t| {
+            let axis = |a: usize| (0..8).map(|i| (i * 3 + a) as f64 + t as f64 * 0.01).collect();
+            Frame::new(axis(0), axis(1), axis(2))
+        })
+        .collect();
+    let opts = StoreOptions::new(MdzConfig::new(ErrorBound::Absolute(1e-3)));
+    let archive = write_store(&frames, &[], &[], &opts).unwrap();
+    let server =
+        Server::bind(StoreReader::open(archive).unwrap(), "127.0.0.1:0", ServerConfig::default())
+            .unwrap();
+    let addr = server.local_addr().unwrap();
+    let handle = server.handle().unwrap();
+    let join = std::thread::spawn(move || server.run().unwrap());
+
+    // 16 frames of 8 atoms are a 3097-byte GET body; an INFO reply fits.
+    let mut client = Client::connect(addr).unwrap().with_max_response_bytes(1000);
+    let deadline = Some(Duration::from_secs(10));
+    client.set_timeouts(deadline, deadline).unwrap();
+    match client.get(0..16) {
+        Err(ClientError::Protocol(_)) => {}
+        other => panic!("expected Protocol, got {other:?}"),
+    }
+    match client.info() {
+        Err(ClientError::Io(_)) => {}
+        other => panic!("expected Io after the refused response, got {other:?}"),
+    }
+    handle.shutdown();
     join.join().unwrap();
 }

@@ -3,17 +3,18 @@
 //! `golden/store_*.mdz` are version-2 archives of the frames in
 //! `support/golden.rs`: ADP, VQ and MT, each in `f64` and `f32`, written by
 //! [`write_store`], plus `store_adp_f64_appended.mdz`, extended by
-//! [`append_store`]. They were written at commit cc0daa5 by the serial
-//! writer (one compressor per axis, encoding buffer after buffer on the
-//! caller's thread) with
+//! [`append_store`]. They were written with
 //!
 //! ```text
 //! MDZ_BLESS=1 cargo test -p mdz-store --test golden_archives
 //! ```
 //!
-//! A writer that splits the work differently must still reproduce them, on
-//! any number of cores. Regenerate them only together with an intentional
-//! format change.
+//! after the writer began keeping each axis stream's level grid and ADP
+//! candidate across epoch anchors; the `archive.rs` unit tests check that
+//! its records equal those of one compressor per axis fed every buffer in
+//! stream order. A writer that splits the work differently must still
+//! reproduce them, on any number of cores. Regenerate them only together
+//! with an intentional change to the format or to the encoder's decisions.
 
 use std::path::PathBuf;
 

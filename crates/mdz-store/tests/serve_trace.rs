@@ -2,12 +2,13 @@
 //!
 //! [`script`] covers every verb, every typed error path, and APPEND under a
 //! live sink. `golden/serve_trace.bin` holds the response to each of its
-//! non-METRICS requests — a 4-byte little-endian length, then the body —
-//! as the threaded engine answered them; that engine was the byte-identity
-//! oracle for the reactor until the reactor became the only engine. The
-//! file was written from a checkout of commit 6d0790c, the last with the
-//! threaded engine, with this file added and [`trace_config`] selecting
-//! that engine (its `engine` field set to `Threads`), by
+//! non-METRICS requests — a 4-byte little-endian length, then the body.
+//! The threaded engine first wrote it, as the byte-identity oracle for the
+//! reactor until the reactor became the only engine. When the archive
+//! writer began keeping each axis stream's decisions across epoch anchors,
+//! the archive's bytes and so the GET bodies moved; the reactor rewrote
+//! the file, whose GET responses were checked bit for bit against a
+//! sequential decode of the same archive, by
 //!
 //! ```text
 //! cargo test -p mdz-store --test serve_trace -- --ignored write_golden_trace --nocapture

@@ -37,16 +37,18 @@ cargo test --release --offline --quiet --manifest-path benchmark/Cargo.toml
 echo "==> fuzz smoke (MDZ_FUZZ_ITERS=${MDZ_FUZZ_ITERS:-5000})"
 MDZ_FUZZ_ITERS="${MDZ_FUZZ_ITERS:-5000}" cargo test -p mdz-fuzz --release --quiet
 
-# Parallel gate: the store writer's bytes against golden archives written
-# by the serial writer, through the public API and for 1-4 workers; the
-# decision oracle, which checks that appended blocks code with the
-# decisions one create_store gives them; then a 1-repetition throughput
-# smoke whose JSON artifact is schema-checked by the same validator
-# EXPERIMENTS.md's numbers went through.
-echo "==> parallel determinism (golden store archives, workers 1-4, append decisions)"
+# Parallel gate: the store writer's bytes against the golden archives,
+# through the public API and for 1-4 workers, and against the serial
+# oracle of the decision rule (one compressor per axis fed every buffer in
+# stream order) for 1-4 workers; the append oracle, which checks that
+# appended blocks code with the decisions one create_store gives them;
+# then a 1-repetition throughput smoke whose JSON artifact is
+# schema-checked by the same validator EXPERIMENTS.md's numbers went
+# through.
+echo "==> parallel determinism (golden store archives, serial oracle, workers 1-4, append decisions)"
 cargo test -p mdz-store --release --quiet --test golden_archives
 cargo test -p mdz-store --release --quiet --test append_decisions
-cargo test -p mdz-store --release --quiet --lib golden
+cargo test -p mdz-store --release --quiet --lib every_worker_count
 
 echo "==> throughput smoke (1 rep, JSON schema check)"
 tmp_out="$(mktemp -d)"
