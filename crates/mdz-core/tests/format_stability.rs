@@ -300,6 +300,42 @@ fn golden_adaptive_bit_adaptive_candidates() {
 }
 
 #[test]
+fn golden_vq_range_coded() {
+    // VQ under range coding: the only fixture with a non-empty J (level
+    // index) stream through the range coder.
+    let buffers = lattice_stream();
+    let bytes = stream_bytes(cfg(Method::Vq).with_entropy(EntropyStage::Range), &buffers);
+    check_decodes(&bytes, &buffers, 1e-3);
+    check_golden("vq_lattice_range", &bytes);
+}
+
+#[test]
+fn golden_vq_bit_adaptive() {
+    // A bit-packed B stream beside a Huffman-coded J stream.
+    let buffers = lattice_stream();
+    let bytes = stream_bytes(
+        cfg(Method::Vq).with_quantizer(QuantizerKind::BitAdaptive { chunk: 16 }),
+        &buffers,
+    );
+    check_decodes(&bytes, &buffers, 1e-3);
+    check_golden("vq_lattice_bit_adaptive", &bytes);
+}
+
+#[test]
+fn golden_vq_range_coded_bit_adaptive() {
+    // A bit-packed B stream beside a range-coded J stream.
+    let buffers = lattice_stream();
+    let bytes = stream_bytes(
+        cfg(Method::Vq)
+            .with_entropy(EntropyStage::Range)
+            .with_quantizer(QuantizerKind::BitAdaptive { chunk: 16 }),
+        &buffers,
+    );
+    check_decodes(&bytes, &buffers, 1e-3);
+    check_golden("vq_lattice_range_bit_adaptive", &bytes);
+}
+
+#[test]
 fn golden_vqt_no_seq2_relative_bound() {
     // Value-range-relative bound resolves to a per-buffer absolute eps; the
     // resolved value is part of the header and must stay stable too.

@@ -192,6 +192,26 @@ fn fixture_configs() -> Vec<FixtureArm> {
             false,
         ),
         (
+            "vq_lattice_range",
+            abs(Method::Vq).with_entropy(EntropyStage::Range),
+            lattice_stream(),
+            false,
+        ),
+        (
+            "vq_lattice_bit_adaptive",
+            abs(Method::Vq).with_quantizer(QuantizerKind::BitAdaptive { chunk: 16 }),
+            lattice_stream(),
+            false,
+        ),
+        (
+            "vq_lattice_range_bit_adaptive",
+            abs(Method::Vq)
+                .with_entropy(EntropyStage::Range)
+                .with_quantizer(QuantizerKind::BitAdaptive { chunk: 16 }),
+            lattice_stream(),
+            false,
+        ),
+        (
             "adp_spread_bit_adaptive",
             MdzConfig::new(ErrorBound::Absolute(1e-3)).with_bit_adaptive_candidates(true),
             spread_stream(),
@@ -253,5 +273,5 @@ fn golden_fixtures_decode_bit_identically_both_ways() {
         assert_eq!(auto, scalar, "{path:?}: SIMD decode diverged from the scalar oracle");
         checked += 1;
     }
-    assert!(checked >= 12, "expected the full golden fixture set, found {checked}");
+    assert!(checked >= 15, "expected the full golden fixture set, found {checked}");
 }
