@@ -2,7 +2,7 @@
 //! packing, and small header helpers.
 
 use mdz_core::quant::Quantized;
-use mdz_core::Quantizer;
+use mdz_core::LinearQuantizer;
 use mdz_entropy::{
     huffman::huffman_decode_at, huffman_encode, read_uvarint, write_uvarint, EntropyError,
 };
@@ -91,11 +91,10 @@ impl CodeSink {
         Self { codes: Vec::with_capacity(n), escapes: Vec::new() }
     }
 
-    /// Quantizes `value` against `prediction` through any
-    /// [`Quantizer`] stage, recording code or escape, and returns the
-    /// reconstruction.
+    /// Quantizes `value` against `prediction`, recording code or escape,
+    /// and returns the reconstruction.
     #[inline]
-    pub fn push(&mut self, quant: &impl Quantizer, value: f64, prediction: f64) -> f64 {
+    pub fn push(&mut self, quant: &LinearQuantizer, value: f64, prediction: f64) -> f64 {
         let mut recon = 0.0;
         match quant.quantize(value, prediction, &mut recon) {
             Quantized::Code(c) => self.codes.push(c),
@@ -169,10 +168,9 @@ impl CodeSource {
         Ok(Self { codes, escapes })
     }
 
-    /// Reconstructs the value at flat position `i` given its prediction,
-    /// through any [`Quantizer`] stage.
+    /// Reconstructs the value at flat position `i` given its prediction.
     #[inline]
-    pub fn reconstruct(&self, quant: &impl Quantizer, i: usize, prediction: f64) -> Result<f64> {
+    pub fn reconstruct(&self, quant: &LinearQuantizer, i: usize, prediction: f64) -> Result<f64> {
         let code = self.codes[i];
         if code == 0 {
             self.escapes.get(&i).copied().ok_or(BaselineError::Corrupt("missing escape value"))
@@ -220,7 +218,6 @@ pub const RADIUS: u32 = 512;
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mdz_core::LinearQuantizer;
 
     #[test]
     fn sink_source_round_trip() {

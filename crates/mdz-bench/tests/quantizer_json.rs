@@ -65,11 +65,11 @@ fn validate(doc: &Json) {
             .unwrap_or_else(|| panic!("missing {dataset} entry (ba = {ba})"))
             .2
     };
-    let gas_linear = find("Gas", false);
-    let gas_ba = find("Gas", true);
+    let linear_gas = find("Gas", false);
+    let ba_gas = find("Gas", true);
     assert!(
-        gas_ba > gas_linear,
-        "bit-adaptive candidates did not improve the gas ratio: {gas_ba} <= {gas_linear}"
+        ba_gas > linear_gas,
+        "bit-adaptive candidates did not improve the gas ratio: {ba_gas} <= {linear_gas}"
     );
     // And on the crystal corpus the enlarged candidate space must never
     // hurt: the linear candidate is still in the trial set.

@@ -7,8 +7,8 @@
 //! uses an interval of 50, keeping the evaluation overhead under 6 %.
 //!
 //! The paper's candidate space is the three concrete methods (VQ, VQT, MT)
-//! over the fixed-scale quantizer. With the stage-composition refactor a
-//! candidate is a [`Candidate`] — a (method, quantizer) pair — so enabling
+//! over the fixed-scale quantizer. Here a candidate is a [`Candidate`] — a
+//! (method, quantizer kind) pair — so enabling
 //! [`crate::MdzConfig::bit_adaptive_candidates`] (or
 //! `extended_candidates`) enlarges the product space ADP ranks without
 //! touching the selector logic.
@@ -16,13 +16,13 @@
 use crate::format::Method;
 use crate::QuantizerKind;
 
-/// One point of the composition space ADP selects over: a concrete method
-/// paired with a quantizer stage.
+/// One point of the candidate space ADP selects over: a concrete method
+/// paired with a quantizer kind.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Candidate {
     /// Concrete prediction method (never [`Method::Adaptive`]).
     pub method: Method,
-    /// Quantizer stage coding the residuals.
+    /// How the residuals are quantized and their codes stored.
     pub quantizer: QuantizerKind,
 }
 
@@ -44,7 +44,7 @@ impl std::fmt::Display for Candidate {
 
 /// Selector state carried by a [`crate::Compressor`].
 #[derive(Debug, Clone, Default)]
-pub struct AdaptiveState {
+pub(crate) struct AdaptiveState {
     /// Buffers compressed since the last trial.
     since_trial: u32,
     /// Winner of the most recent trial.

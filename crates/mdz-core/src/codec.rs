@@ -7,7 +7,6 @@
 //! bound, while streaming callers forward their configured bound buffer by
 //! buffer.
 
-use crate::adaptive::Candidate;
 use crate::format::Method;
 use crate::{Compressor, DecodeLimits, Decompressor};
 use crate::{ErrorBound, MdzConfig, QuantizerKind, Result};
@@ -65,7 +64,7 @@ pub struct MdzCodec {
 
 impl MdzCodec {
     /// Wraps a configuration, deriving the display name from its method and
-    /// quantizer stage (a `+BA` tag marks bit-adaptive compositions).
+    /// quantizer kind (a `+BA` tag marks bit-adaptive configurations).
     pub fn from_config(cfg: MdzConfig) -> Self {
         let ba = matches!(cfg.quantizer, QuantizerKind::BitAdaptive { .. })
             || (cfg.method == Method::Adaptive && cfg.bit_adaptive_candidates);
@@ -91,21 +90,10 @@ impl MdzCodec {
         Self { name, comp: Compressor::new(cfg.clone()), dec: Decompressor::new(), template: cfg }
     }
 
-    /// The template configuration this codec was built from.
-    pub fn config(&self) -> &MdzConfig {
-        &self.template
-    }
-
     /// The concrete method the adaptive selector is currently using, if any
     /// trial has run yet.
     pub fn current_adaptive_choice(&self) -> Option<Method> {
         self.comp.current_adaptive_choice()
-    }
-
-    /// The full (method, quantizer) composition the adaptive selector is
-    /// currently using, if any trial has run yet.
-    pub fn current_adaptive_candidate(&self) -> Option<Candidate> {
-        self.comp.current_adaptive_candidate()
     }
 
     /// Installs a decode budget on the decompression side; blocks whose

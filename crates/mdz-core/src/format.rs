@@ -51,8 +51,8 @@ pub const FLAG_RANGE_CODED: u8 = 1 << 3;
 /// The source data was `f32`; decompress with
 /// [`crate::Decompressor::decompress_block_f32`] to recover it.
 pub const FLAG_F32: u8 = 1 << 4;
-/// The `B` code stream is bit-adaptive: packed with per-chunk bit widths by
-/// [`crate::BitAdaptiveQuantizer`] instead of entropy-coded over the fixed
+/// The `B` code stream is bit-adaptive ([`crate::QuantizerKind::BitAdaptive`]):
+/// packed with per-chunk bit widths instead of entropy-coded over the fixed
 /// `[1, 2·radius)` alphabet. Implies (and requires) the block version byte
 /// [`VERSION_BIT_ADAPTIVE`].
 pub const FLAG_BIT_ADAPTIVE: u8 = 1 << 5;

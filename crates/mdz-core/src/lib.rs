@@ -44,6 +44,7 @@
 //! independent (epoch, axis) streams on separate cores.
 
 #![deny(missing_docs)]
+#![deny(unsafe_op_in_unsafe_fn, clippy::undocumented_unsafe_blocks)]
 
 pub mod adaptive;
 pub mod bound;
@@ -54,20 +55,18 @@ pub(crate) mod pipeline;
 pub mod quant;
 pub mod seq;
 pub(crate) mod simd;
-pub mod stage;
 pub mod traj;
 
 pub use mdz_entropy::kernel;
 
-pub use adaptive::{AdaptiveState, Candidate};
+pub use adaptive::Candidate;
 pub use bound::ErrorBound;
 pub use codec::{Codec, MdzCodec};
 pub use format::Method;
 pub use mdz_obs::{Obs, Recorder};
 pub use pipeline::parallel::fan_out;
 pub use pipeline::{BlockInfo, Compressor, Decisions, DecodeLimits, Decompressor};
-pub use quant::{BitAdaptiveQuantizer, LinearQuantizer};
-pub use stage::{HuffmanStage, Quantizer, RangeStage};
+pub use quant::LinearQuantizer;
 pub use traj::Frame;
 
 use mdz_entropy::EntropyError;
@@ -184,15 +183,19 @@ pub struct MdzConfig {
     pub bit_adaptive_candidates: bool,
 }
 
-/// Which quantizer stage a [`Compressor`] composes into its pipeline.
+/// How a [`Compressor`] quantizes residuals and stores their codes.
+///
+/// Both kinds quantize with one [`LinearQuantizer`]; they differ in its
+/// radius and in the form of the B (residual code) stream.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum QuantizerKind {
-    /// Fixed `[1, 2·radius)` linear scale ([`LinearQuantizer`]; default).
+    /// The configured `[1, 2·radius)` linear scale, its codes entropy-coded
+    /// (default).
     #[default]
     Linear,
-    /// Per-chunk bit widths sized to local residual magnitude
-    /// ([`BitAdaptiveQuantizer`]), serialized behind
-    /// [`format::FLAG_BIT_ADAPTIVE`].
+    /// A 2²³-step radius, its codes packed with per-chunk bit widths sized
+    /// to the local residual magnitude, behind
+    /// [`format::FLAG_BIT_ADAPTIVE`] (FORMAT.md §4.5).
     BitAdaptive {
         /// Codes per width region in the wire format.
         chunk: usize,
@@ -202,7 +205,7 @@ pub enum QuantizerKind {
 impl QuantizerKind {
     /// Bit-adaptive quantization with the default chunk size.
     pub const BIT_ADAPTIVE_DEFAULT: QuantizerKind =
-        QuantizerKind::BitAdaptive { chunk: BitAdaptiveQuantizer::DEFAULT_CHUNK };
+        QuantizerKind::BitAdaptive { chunk: quant::DEFAULT_CHUNK };
 }
 
 impl std::fmt::Display for QuantizerKind {
@@ -274,7 +277,7 @@ impl MdzConfig {
         self
     }
 
-    /// Overrides the quantizer stage.
+    /// Overrides the quantizer kind.
     pub fn with_quantizer(mut self, quantizer: QuantizerKind) -> Self {
         self.quantizer = quantizer;
         self
@@ -295,17 +298,12 @@ impl MdzConfig {
             return Err(MdzError::BadConfig("adapt_interval must be positive"));
         }
         if let QuantizerKind::BitAdaptive { chunk } = self.quantizer {
-            if !(1..=BitAdaptiveQuantizer::MAX_CHUNK).contains(&chunk) {
+            if !(1..=quant::MAX_CHUNK).contains(&chunk) {
                 return Err(MdzError::BadConfig("bit-adaptive chunk must be in [1, 2^20]"));
             }
         }
         self.bound.validate()
     }
-}
-
-/// One-shot compression of a single buffer with a fresh [`Compressor`].
-pub fn compress(snapshots: &[Vec<f64>], cfg: MdzConfig) -> Result<Vec<u8>> {
-    Compressor::new(cfg).compress_buffer(snapshots)
 }
 
 /// One-shot decompression of a single block with a fresh [`Decompressor`].

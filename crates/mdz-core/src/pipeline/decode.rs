@@ -2,21 +2,22 @@
 //!
 //! Mirrors the encode stage exactly — per-snapshot modes are re-derived from
 //! the block header and every prediction goes through the shared
-//! [`Predictor`], so encoder and decoder cannot drift apart. The quantizer
-//! and entropy stages are rebuilt from the header flags ([`HeaderQuantizer`],
-//! [`HeaderEntropy`]) and the body is generic over
-//! [`Quantizer`](crate::stage::Quantizer), so linear and bit-adaptive blocks
-//! share one reconstruction path. Every decode, the random access of one
-//! VQ snapshot included, runs through [`decode_inner`] and reuses
+//! [`Predictor`], so encoder and decoder cannot drift apart. Every value is
+//! reconstructed by one [`LinearQuantizer`] built from the header's `eps`
+//! and `radius`; the header flags say how each code stream is stored
+//! ([`FLAG_BIT_ADAPTIVE`]: a bit-packed B stream; [`FLAG_RANGE_CODED`]:
+//! range- rather than Huffman-coded). Every decode, the random access of
+//! one VQ snapshot included, runs through [`decode_inner`] and reuses
 //! [`DecodeScratch`].
 
 use crate::format::{
     BlockHeader, Method, FLAG_BIT_ADAPTIVE, FLAG_FIRST_LORENZO, FLAG_RANGE_CODED, FLAG_SEQ2,
 };
-use crate::quant::{BitAdaptiveQuantizer, LinearQuantizer};
+use crate::quant::{read_bit_adaptive, LinearQuantizer};
 use crate::seq::from_seq2_into;
-use crate::stage::{EntropyStage, HuffmanStage, Quantizer, RangeStage};
 use crate::{MdzError, Result};
+use mdz_entropy::huffman::huffman_decode_at_into_limited;
+use mdz_entropy::range::range_decode_at_into_limited;
 use mdz_entropy::{read_uvarint, zigzag_decode, StreamLimits};
 use mdz_kmeans::LevelGrid;
 use std::collections::HashMap;
@@ -43,59 +44,23 @@ pub(crate) struct DecodeScratch {
     extrapolated: Vec<f64>,
 }
 
-/// The quantizer stage a parsed header declares, rebuilt decoder-side.
-///
-/// Dispatching once here keeps the per-value reconstruction loops
-/// monomorphized over the concrete quantizer instead of paying a virtual
-/// call per value.
-enum HeaderQuantizer {
-    /// Classic fixed `[1, 2·radius)` scale (format version 1).
-    Linear(LinearQuantizer),
-    /// Per-chunk bit widths (format version 2; the chunk size itself
-    /// travels inside the B stream, so the header only fixes `eps` and the
-    /// escape radius).
-    BitAdaptive(BitAdaptiveQuantizer),
-}
-
-impl HeaderQuantizer {
-    fn from_header(header: &BlockHeader) -> Self {
-        if header.flags & FLAG_BIT_ADAPTIVE != 0 {
-            // The chunk size passed here is irrelevant: `decode_codes` reads
-            // the authoritative chunk size from the stream itself.
-            HeaderQuantizer::BitAdaptive(BitAdaptiveQuantizer::with_wire_radius(
-                header.eps,
-                header.radius,
-                BitAdaptiveQuantizer::DEFAULT_CHUNK,
-            ))
-        } else {
-            HeaderQuantizer::Linear(LinearQuantizer::new(header.eps, header.radius))
-        }
+/// Decodes one entropy-coded code stream from `data` at `*pos` (advancing
+/// it), replacing the contents of `out`: range-coded when `range_coded`,
+/// Huffman-coded otherwise. Declared counts are checked against `limits`
+/// before any proportional allocation.
+fn decode_codes(
+    range_coded: bool,
+    data: &[u8],
+    pos: &mut usize,
+    out: &mut Vec<u32>,
+    limits: &StreamLimits,
+) -> Result<()> {
+    if range_coded {
+        range_decode_at_into_limited(data, pos, out, limits)?;
+    } else {
+        huffman_decode_at_into_limited(data, pos, out, limits)?;
     }
-}
-
-/// The entropy stage a parsed header declares.
-enum HeaderEntropy {
-    /// Canonical Huffman coding.
-    Huffman(HuffmanStage),
-    /// Static range coding ([`FLAG_RANGE_CODED`]).
-    Range(RangeStage),
-}
-
-impl HeaderEntropy {
-    fn from_header(header: &BlockHeader) -> Self {
-        if header.flags & FLAG_RANGE_CODED != 0 {
-            HeaderEntropy::Range(RangeStage::default())
-        } else {
-            HeaderEntropy::Huffman(HuffmanStage::default())
-        }
-    }
-
-    fn as_dyn(&mut self) -> &mut dyn EntropyStage {
-        match self {
-            HeaderEntropy::Huffman(s) => s,
-            HeaderEntropy::Range(s) => s,
-        }
-    }
+    Ok(())
 }
 
 /// Rejects quantization codes outside the quantizer's code space.
@@ -103,8 +68,8 @@ impl HeaderEntropy {
 /// Valid codes live in `[0, space)` — 0 is the escape marker, everything
 /// else maps to an in-bound residual. A code past the space can only come
 /// from corruption; reconstructing from it would silently violate the error
-/// bound. The space comes from [`Quantizer::code_space`], never re-derived
-/// from the raw header radius.
+/// bound. The space comes from [`LinearQuantizer::code_space`], never
+/// re-derived from the raw header radius.
 fn check_codes(codes: &[u32], space: u64) -> Result<()> {
     if codes.iter().any(|&c| u64::from(c) >= space) {
         return Err(MdzError::Corrupt { what: "quantization code out of range" });
@@ -131,19 +96,6 @@ pub(crate) fn decode_inner(
     reference: Option<&[f64]>,
     scratch: &mut DecodeScratch,
 ) -> Result<Vec<Vec<f64>>> {
-    match HeaderQuantizer::from_header(header) {
-        HeaderQuantizer::Linear(q) => decode_inner_with(header, reference, scratch, &q),
-        HeaderQuantizer::BitAdaptive(q) => decode_inner_with(header, reference, scratch, &q),
-    }
-}
-
-/// [`decode_inner`] monomorphized over the header's quantizer stage.
-fn decode_inner_with<Q: Quantizer>(
-    header: &BlockHeader,
-    reference: Option<&[f64]>,
-    scratch: &mut DecodeScratch,
-    quant: &Q,
-) -> Result<Vec<Vec<f64>>> {
     let DecodeScratch {
         inner,
         modes,
@@ -158,10 +110,15 @@ fn decode_inner_with<Q: Quantizer>(
     let m = header.n_snapshots;
     let n = header.n_values;
     let stream_limits = StreamLimits::with_max_items(m * n);
-    let mut entropy = HeaderEntropy::from_header(header);
+    let quant = LinearQuantizer::new(header.eps, header.radius);
+    let range_coded = header.flags & FLAG_RANGE_CODED != 0;
     let mut pos = 0;
-    quant.decode_codes(inner, &mut pos, entropy.as_dyn(), b_ordered, &stream_limits)?;
-    entropy.as_dyn().decode_at_into(inner, &mut pos, j_ordered, &stream_limits)?;
+    if header.flags & FLAG_BIT_ADAPTIVE != 0 {
+        read_bit_adaptive(inner, &mut pos, &quant, b_ordered, &stream_limits)?;
+    } else {
+        decode_codes(range_coded, inner, &mut pos, b_ordered, &stream_limits)?;
+    }
+    decode_codes(range_coded, inner, &mut pos, j_ordered, &stream_limits)?;
     if b_ordered.len() != m * n {
         return Err(MdzError::Corrupt { what: "quantization code count mismatch" });
     }

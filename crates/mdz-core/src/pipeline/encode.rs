@@ -2,26 +2,29 @@
 //! and block assembly, writing into caller-owned buffers.
 //!
 //! The only entry point is [`encode_buffer_into`], which encodes one buffer
-//! with a concrete (method, quantizer) composition and reports the state
+//! with a concrete (method, quantizer) choice and reports the state
 //! transition as a [`StateDelta`] for the caller to commit (adaptive trials
-//! discard the deltas of losing candidates). The pipeline is assembled from
-//! the stage traits in [`crate::stage`] — the quantizer is a generic
-//! [`Quantizer`] parameter (monomorphized, so the fixed-scale hot loop costs
-//! nothing), the entropy stages are the trait objects owned by
-//! [`EncodeScratch`], and the LZ77 coder is called directly with the LZ77
-//! scratch it owns. All intermediate storage lives in [`EncodeScratch`],
-//! so a warmed-up compressor re-encoding same-shaped buffers performs no
-//! heap allocation here (bit-adaptive width tables excepted).
+//! discard the deltas of losing candidates). Every value is quantized by
+//! one [`LinearQuantizer`]; the quantizer choice only sets its radius and
+//! whether the B stream is bit-packed ([`write_bit_adaptive`]) or
+//! entropy-coded like every other code stream, by the coder `cfg.entropy`
+//! names. The LZ77 coder is called directly. All intermediate storage,
+//! the coders' scratch included, lives in [`EncodeScratch`], so a warmed-up
+//! compressor re-encoding same-shaped buffers performs no heap allocation
+//! here (bit-adaptive width tables excepted).
 
 use crate::format::{
-    BlockHeader, Method, FLAG_FIRST_LORENZO, FLAG_GRID, FLAG_RANGE_CODED, FLAG_SEQ2,
+    BlockHeader, Method, FLAG_BIT_ADAPTIVE, FLAG_FIRST_LORENZO, FLAG_GRID, FLAG_RANGE_CODED,
+    FLAG_SEQ2,
 };
-use crate::quant::{BitAdaptiveQuantizer, LinearQuantizer, Quantized};
+use crate::quant::{write_bit_adaptive, LinearQuantizer, Quantized, BIT_ADAPTIVE_RADIUS};
 use crate::seq::to_seq2_into;
-use crate::stage::{HuffmanStage, Quantizer, RangeStage};
 use crate::{EntropyStage, MdzConfig, QuantizerKind, Result};
 use mdz_entropy::kernel::SimdLevel;
-use mdz_entropy::{write_uvarint, zigzag_encode};
+use mdz_entropy::range::range_encode_into;
+use mdz_entropy::{
+    huffman_encode_into, write_uvarint, zigzag_encode, HuffmanScratch, RangeScratch,
+};
 use mdz_kmeans::{detect_levels, LevelGrid, SelectConfig};
 use mdz_lossless::lz77;
 use mdz_obs::Obs;
@@ -37,8 +40,8 @@ const MAX_LEVEL_MAG: f64 = (1u64 << 40) as f64;
 ///
 /// Every vector is cleared (never shrunk) between buffers, so steady-state
 /// compression of same-shaped buffers runs allocation-free; the
-/// `alloc_free` integration test locks this in. The entropy stages live
-/// here too, carrying their own scratch, next to the LZ77 scratch.
+/// `alloc_free` integration test locks this in. The Huffman, range and
+/// LZ77 coders' scratch lives here too.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct EncodeScratch {
     modes: Vec<SnapshotMode>,
@@ -58,8 +61,8 @@ pub(crate) struct EncodeScratch {
     extrapolated: Vec<f64>,
     inner: Vec<u8>,
     payload: Vec<u8>,
-    huffman: HuffmanStage,
-    range: RangeStage,
+    huffman: HuffmanScratch,
+    range: RangeScratch,
     lz77: lz77::Lz77Scratch,
 }
 
@@ -90,7 +93,7 @@ fn resolve_eps<S: AsRef<[f64]>>(cfg: &MdzConfig, snapshots: &[S]) -> f64 {
     }
 }
 
-/// Encodes one buffer with a concrete (method, quantizer) composition into
+/// Encodes one buffer with a concrete (method, quantizer) choice into
 /// `out` (cleared first), returning the state transition for the caller to
 /// commit.
 ///
@@ -109,32 +112,6 @@ pub(crate) fn encode_buffer_into<S: AsRef<[f64]>>(
     state: &CoreState,
     method: Method,
     quantizer: QuantizerKind,
-    snapshots: &[S],
-    detected: &mut Option<Option<LevelGrid>>,
-    out: &mut Vec<u8>,
-    scratch: &mut EncodeScratch,
-    obs: &Obs,
-) -> Result<StateDelta> {
-    let eps = resolve_eps(cfg, snapshots);
-    match quantizer {
-        QuantizerKind::Linear => {
-            let quant = LinearQuantizer::new(eps, cfg.radius);
-            encode_with(cfg, state, method, &quant, snapshots, detected, out, scratch, obs)
-        }
-        QuantizerKind::BitAdaptive { chunk } => {
-            let quant = BitAdaptiveQuantizer::new(eps, chunk);
-            encode_with(cfg, state, method, &quant, snapshots, detected, out, scratch, obs)
-        }
-    }
-}
-
-/// The composition body, monomorphized per quantizer.
-#[allow(clippy::too_many_arguments)]
-fn encode_with<Q: Quantizer, S: AsRef<[f64]>>(
-    cfg: &MdzConfig,
-    state: &CoreState,
-    method: Method,
-    quant: &Q,
     snapshots: &[S],
     detected: &mut Option<Option<LevelGrid>>,
     out: &mut Vec<u8>,
@@ -164,23 +141,24 @@ fn encode_with<Q: Quantizer, S: AsRef<[f64]>>(
         lz77: lz77_scratch,
     } = scratch;
     let mut delta = StateDelta::default();
-    let eps = quant.eps();
+    let eps = resolve_eps(cfg, snapshots);
+    let radius = match quantizer {
+        QuantizerKind::Linear => cfg.radius,
+        QuantizerKind::BitAdaptive { .. } => BIT_ADAPTIVE_RADIUS,
+    };
+    let quant = &LinearQuantizer::new(eps, radius);
 
     // SIMD dispatch, captured once per buffer so a concurrent force-scalar
     // toggle cannot split one buffer across strategies. The vector kernels
-    // need a per-value linear quantizer and a radius the packed i32
-    // conversion handles exactly; anything else keeps the scalar oracle.
-    let simd = crate::kernel::active_level();
-    let lin: Option<LinearQuantizer> = if simd == crate::kernel::SimdLevel::Scalar {
-        None
-    } else {
-        quant.as_linear().filter(crate::simd::eligible)
-    };
+    // need a radius the packed i32 conversion handles exactly; anything
+    // else keeps the scalar oracle.
+    let kernel = Some(crate::kernel::active_level())
+        .filter(|&level| level != SimdLevel::Scalar && crate::simd::eligible(quant));
     obs.incr(
-        match (simd, lin.is_some()) {
-            (crate::kernel::SimdLevel::Avx2, true) => "core.encode.kernel.avx2",
-            (crate::kernel::SimdLevel::Sse41, true) => "core.encode.kernel.sse41",
-            (crate::kernel::SimdLevel::Neon, true) => "core.encode.kernel.neon",
+        match kernel {
+            Some(SimdLevel::Avx2) => "core.encode.kernel.avx2",
+            Some(SimdLevel::Sse41) => "core.encode.kernel.sse41",
+            Some(SimdLevel::Neon) => "core.encode.kernel.neon",
             _ => "core.encode.kernel.scalar",
         },
         1,
@@ -238,7 +216,7 @@ fn encode_with<Q: Quantizer, S: AsRef<[f64]>>(
                     escapes,
                     recon_cur,
                     (lf, vq_pred),
-                    (lin, simd),
+                    kernel,
                 )
             }
             SnapshotMode::Lorenzo => encode_predicted_snapshot(
@@ -249,7 +227,7 @@ fn encode_with<Q: Quantizer, S: AsRef<[f64]>>(
                 b_codes,
                 escapes,
                 recon_cur,
-                (lin, simd),
+                kernel,
             ),
             SnapshotMode::TimePrev => encode_predicted_snapshot(
                 quant,
@@ -259,7 +237,7 @@ fn encode_with<Q: Quantizer, S: AsRef<[f64]>>(
                 b_codes,
                 escapes,
                 recon_cur,
-                (lin, simd),
+                kernel,
             ),
             SnapshotMode::TimePrev2 => {
                 extrapolated.clear();
@@ -273,7 +251,7 @@ fn encode_with<Q: Quantizer, S: AsRef<[f64]>>(
                     b_codes,
                     escapes,
                     recon_cur,
-                    (lin, simd),
+                    kernel,
                 )
             }
             SnapshotMode::TimeRef => encode_predicted_snapshot(
@@ -284,7 +262,7 @@ fn encode_with<Q: Quantizer, S: AsRef<[f64]>>(
                 b_codes,
                 escapes,
                 recon_cur,
-                (lin, simd),
+                kernel,
             ),
         }
         if s_idx == 0 {
@@ -321,17 +299,19 @@ fn encode_with<Q: Quantizer, S: AsRef<[f64]>>(
     };
 
     inner.clear();
-    let entropy_stage: &mut dyn crate::stage::EntropyStage = match cfg.entropy {
-        EntropyStage::Huffman => huffman,
-        EntropyStage::Range => range,
+    let mut entropy_code = |codes: &[u32], inner: &mut Vec<u8>| match cfg.entropy {
+        EntropyStage::Huffman => huffman_encode_into(codes, inner, huffman),
+        EntropyStage::Range => range_encode_into(codes, inner, range),
     };
     let entropy = obs.span("core.encode.entropy_seconds");
-    // The quantizer owns the wire representation of its code stream: the
-    // fixed-scale quantizer routes through the entropy stage unchanged, the
-    // bit-adaptive one writes its width-table packing instead. The J stream
-    // (level-index deltas) is always entropy-coded.
-    quant.encode_codes(b_ord, entropy_stage, inner);
-    entropy_stage.encode_into(j_ord, inner);
+    // A bit-adaptive B stream is packed with per-chunk widths; every other
+    // code stream, the J stream (level-index deltas) always, is
+    // entropy-coded.
+    match quantizer {
+        QuantizerKind::Linear => entropy_code(b_ord, inner),
+        QuantizerKind::BitAdaptive { chunk } => write_bit_adaptive(b_ord, quant, chunk, inner),
+    }
+    entropy_code(j_ord, inner);
     entropy.finish();
     write_uvarint(inner, escapes.len() as u64);
     let mut prev_idx = 0u64;
@@ -347,7 +327,10 @@ fn encode_with<Q: Quantizer, S: AsRef<[f64]>>(
         let _t = obs.span("core.encode.lossless_seconds");
         lz77::compress_into(inner, lz77::Level::Default, payload, lz77_scratch);
     }
-    let mut flags = quant.wire_flags();
+    let mut flags = 0;
+    if matches!(quantizer, QuantizerKind::BitAdaptive { .. }) {
+        flags |= FLAG_BIT_ADAPTIVE;
+    }
     let grid_used = matches!(method, Method::Vq | Method::Vqt) && grid.is_some();
     if grid_used {
         flags |= FLAG_GRID;
@@ -367,7 +350,7 @@ fn encode_with<Q: Quantizer, S: AsRef<[f64]>>(
         n_snapshots: m,
         n_values: n,
         eps,
-        radius: quant.wire_radius(),
+        radius,
         grid: grid_used.then(|| {
             let g = grid.expect("grid_used implies grid");
             (g.mu, g.lambda)
@@ -383,26 +366,26 @@ fn encode_with<Q: Quantizer, S: AsRef<[f64]>>(
 /// Encodes a snapshot under value prediction, writing codes/escapes and the
 /// reconstruction.
 ///
-/// `kernel` is the `(linear quantizer, dispatch level)` pair captured once
-/// per buffer: when the quantizer is per-value linear and the predictions
-/// are a precomputed slice (every time predictor; Lorenzo's serial
-/// `recon[i-1]` chain is inherently scalar), the vectorized sweep runs and
-/// the escape list is rebuilt from its in-band zero codes. Output is
-/// byte-identical either way.
+/// `kernel` is the vector dispatch level captured once per buffer (`None`
+/// keeps the scalar loop): when it is set and the predictions are a
+/// precomputed slice (every time predictor; Lorenzo's serial `recon[i-1]`
+/// chain is inherently scalar), the vectorized sweep runs and the escape
+/// list is rebuilt from its in-band zero codes. Output is byte-identical
+/// either way.
 #[allow(clippy::too_many_arguments)]
-fn encode_predicted_snapshot<Q: Quantizer>(
-    quant: &Q,
+fn encode_predicted_snapshot(
+    quant: &LinearQuantizer,
     snap: &[f64],
     flat_base: usize,
     source: Predictor<'_>,
     b_codes: &mut Vec<u32>,
     escapes: &mut Vec<(usize, f64)>,
     recon: &mut [f64],
-    kernel: (Option<LinearQuantizer>, SimdLevel),
+    kernel: Option<SimdLevel>,
 ) {
-    if let (Some(lin), &Predictor::Slice(preds)) = (kernel.0, &source) {
+    if let (Some(level), &Predictor::Slice(preds)) = (kernel, &source) {
         let start = b_codes.len();
-        crate::simd::quantize_predicted(&lin, snap, preds, b_codes, recon, kernel.1);
+        crate::simd::quantize_predicted(quant, snap, preds, b_codes, recon, level);
         for (i, &c) in b_codes[start..].iter().enumerate() {
             if c == 0 {
                 escapes.push((flat_base + i, snap[i]));
@@ -424,14 +407,14 @@ fn encode_predicted_snapshot<Q: Quantizer>(
 
 /// Encodes a snapshot with VQ level prediction, emitting level-delta codes.
 ///
-/// With a usable kernel the float work (level rounding, level prediction,
+/// With a vector `kernel` the float work (level rounding, level prediction,
 /// quantization) runs vectorized into per-value arrays, and a scalar sweep
 /// then replays the serial integer chain — zigzag level deltas against
 /// `prev_level`, which only advances on non-escaped values — exactly as the
 /// fused scalar loop would. Output is byte-identical either way.
 #[allow(clippy::too_many_arguments)]
-fn encode_vq_snapshot<Q: Quantizer>(
-    quant: &Q,
+fn encode_vq_snapshot(
+    quant: &LinearQuantizer,
     grid: &LevelGrid,
     snap: &[f64],
     flat_base: usize,
@@ -440,18 +423,18 @@ fn encode_vq_snapshot<Q: Quantizer>(
     escapes: &mut Vec<(usize, f64)>,
     recon: &mut [f64],
     scratch: (&mut Vec<f64>, &mut Vec<f64>),
-    kernel: (Option<LinearQuantizer>, SimdLevel),
+    kernel: Option<SimdLevel>,
 ) {
-    if let Some(lin) = kernel.0 {
+    if let Some(level) = kernel {
         let (lf_scratch, pred_scratch) = scratch;
         let n = snap.len();
         lf_scratch.clear();
         lf_scratch.resize(n, 0.0);
         pred_scratch.clear();
         pred_scratch.resize(n, 0.0);
-        crate::simd::vq_levels(grid.mu, grid.lambda, snap, lf_scratch, pred_scratch, kernel.1);
+        crate::simd::vq_levels(grid.mu, grid.lambda, snap, lf_scratch, pred_scratch, level);
         let start = b_codes.len();
-        crate::simd::quantize_predicted(&lin, snap, pred_scratch, b_codes, recon, kernel.1);
+        crate::simd::quantize_predicted(quant, snap, pred_scratch, b_codes, recon, level);
         let codes = &mut b_codes[start..];
         let mut prev_level = 0i64;
         for i in 0..n {

@@ -41,7 +41,8 @@ use crate::format::{
     BlockHeader, Method, FLAGS_OFFSET, FLAG_BIT_ADAPTIVE, FLAG_F32, FLAG_RANGE_CODED, FLAG_SEQ2,
     MAGIC,
 };
-use crate::{BitAdaptiveQuantizer, ErrorBound, MdzConfig, MdzError, QuantizerKind, Result};
+use crate::quant::MAX_CHUNK;
+use crate::{ErrorBound, MdzConfig, MdzError, QuantizerKind, Result};
 use decode::{decode_inner, DecodeScratch};
 use encode::{encode_buffer_into, EncodeScratch};
 use mdz_entropy::{read_uvarint, StreamLimits};
@@ -191,21 +192,10 @@ impl Compressor {
         self.obs = obs;
     }
 
-    /// The configured method (possibly [`Method::Adaptive`]).
-    pub fn method(&self) -> Method {
-        self.cfg.method
-    }
-
     /// The concrete method the adaptive selector is currently using, if any
     /// trial has run yet.
     pub fn current_adaptive_choice(&self) -> Option<Method> {
         self.adaptive.current().map(|c| c.method)
-    }
-
-    /// The full (method, quantizer) composition the adaptive selector is
-    /// currently using, if any trial has run yet.
-    pub fn current_adaptive_candidate(&self) -> Option<Candidate> {
-        self.adaptive.current()
     }
 
     /// Replaces the error bound applied to subsequent buffers.
@@ -349,7 +339,7 @@ impl Compressor {
         Ok(())
     }
 
-    /// The quantizer stages ADP trials: the configured one first (so the
+    /// The quantizer kinds ADP trials: the configured one first (so the
     /// candidate ordering — and therefore every tie-break — is unchanged
     /// when the bit-adaptive pool is off), then the extra pool members.
     fn trial_quantizers(&self) -> Vec<QuantizerKind> {
@@ -474,7 +464,7 @@ fn bit_adaptive_chunk(block: &[u8]) -> Result<usize> {
     let mut inner = Vec::new();
     lz77::decompress_into_limited(payload(block, pos)?, &mut inner, &budget)?;
     let chunk = read_uvarint(&inner, &mut 0)? as usize;
-    if !(1..=BitAdaptiveQuantizer::MAX_CHUNK).contains(&chunk) {
+    if !(1..=MAX_CHUNK).contains(&chunk) {
         return Err(MdzError::Corrupt { what: "bit-adaptive chunk size out of range" });
     }
     Ok(chunk)
@@ -500,7 +490,7 @@ fn adp_win_counter(method: Method) -> &'static str {
     }
 }
 
-/// The ADP winner counter for a quantizer stage.
+/// The ADP winner counter for a quantizer kind.
 fn adp_quant_win_counter(quantizer: QuantizerKind) -> &'static str {
     match quantizer {
         QuantizerKind::Linear => "core.adp.win.quant.linear",

@@ -1,5 +1,5 @@
-//! Error-bounded quantizers: the classic fixed linear scale and the
-//! bit-adaptive variant.
+//! The error-bounded linear quantizer every block codes through, and the
+//! bit-adaptive packing of its code stream.
 //!
 //! Given a prediction `p` for value `d` and absolute bound `eps`, the
 //! quantization code is `q = round((d − p) / (2·eps))`, reconstructed as
@@ -9,17 +9,18 @@
 //! (the paper's "quantization scale" tuning, §VI-C1) and handles wild
 //! outliers and non-finite values.
 //!
-//! [`LinearQuantizer`] fixes `R` globally (the paper's 1024-code scale with
-//! the default radius 512). [`BitAdaptiveQuantizer`] keeps the identical
-//! step/bound arithmetic but widens the escape radius to 2²³ steps and packs
-//! codes with per-chunk bit widths sized to the local residual magnitude —
-//! the right trade for non-crystal particle data whose residuals span orders
-//! of magnitude. Both implement the [`crate::stage::Quantizer`] trait the
-//! pipeline composes over.
+//! [`LinearQuantizer`] is that arithmetic for one `(eps, R)`. Classic blocks
+//! use the configured radius (the paper's 1024-code scale with the default
+//! radius 512) and entropy-code the codes. Bit-adaptive blocks keep the
+//! identical step/bound arithmetic but widen the escape radius to 2²³
+//! steps, and `write_bit_adaptive`/`read_bit_adaptive` store their codes
+//! with per-chunk bit widths sized to the local residual magnitude — the
+//! right trade for non-crystal particle data whose residuals span orders of
+//! magnitude. Bit-adaptivity changes how codes are stored, not how they are
+//! computed.
 
 use mdz_entropy::{read_uvarint, write_uvarint, BitReader, BitWriter, EntropyError, StreamLimits};
 
-use crate::stage::{EntropyStage, Quantizer};
 use crate::{MdzError, Result};
 
 /// Stateless quantizer for one `(eps, radius)` setting.
@@ -59,6 +60,13 @@ impl LinearQuantizer {
     #[inline]
     pub fn radius(&self) -> u32 {
         self.radius
+    }
+
+    /// Exclusive upper bound of the code alphabet: valid codes are
+    /// `0 <= code < 2·radius`, with 0 reserved for escapes. The decoder
+    /// checks code streams against this, never against a re-derived bound.
+    pub(crate) fn code_space(&self) -> u64 {
+        2 * u64::from(self.radius)
     }
 
     /// The precomputed `0.5 / eps` multiplier, exposed so the SIMD kernels
@@ -104,216 +112,137 @@ impl LinearQuantizer {
     }
 }
 
-impl Quantizer for LinearQuantizer {
-    fn eps(&self) -> f64 {
-        LinearQuantizer::eps(self)
-    }
+/// Escape radius of bit-adaptive blocks: residuals up to ±(2²³ − 1) steps
+/// stay in-code, and the widest per-chunk code is [`MAX_CODE_BITS`] bits.
+pub(crate) const BIT_ADAPTIVE_RADIUS: u32 = 1 << 23;
+/// Largest per-chunk code width the format permits.
+const MAX_CODE_BITS: u8 = 24;
+/// Default codes per width region, used by configs and ADP trial candidates.
+pub(crate) const DEFAULT_CHUNK: usize = 64;
+/// Largest chunk size a well-formed stream may declare.
+pub(crate) const MAX_CHUNK: usize = 1 << 20;
 
-    fn wire_radius(&self) -> u32 {
-        self.radius
-    }
-
-    #[inline]
-    fn quantize(&self, value: f64, prediction: f64, reconstructed: &mut f64) -> Quantized {
-        LinearQuantizer::quantize(self, value, prediction, reconstructed)
-    }
-
-    #[inline]
-    fn reconstruct(&self, code: u32, prediction: f64) -> f64 {
-        LinearQuantizer::reconstruct(self, code, prediction)
-    }
-
-    fn as_linear(&self) -> Option<LinearQuantizer> {
-        Some(*self)
+/// Bits needed to store residual `q` as a local chunk symbol (sign
+/// included); `0` for an exact prediction.
+fn width_of(q: i64) -> u8 {
+    let mag = q.unsigned_abs();
+    if mag == 0 {
+        0
+    } else {
+        (64 - mag.leading_zeros() + 1) as u8
     }
 }
 
-/// Quantizer whose wire representation packs codes with per-chunk bit
-/// widths sized to the local residual magnitude.
-///
-/// The step arithmetic is [`LinearQuantizer`]'s exactly (same `2·eps` step,
-/// same bound guard), but the escape radius is widened to
-/// [`BitAdaptiveQuantizer::CAP_RADIUS`] = 2²³ steps, so residuals the fixed
-/// 1024-code scale would spill into 9-byte escapes stay in-code. The size
-/// win comes from the wire format: the ordered code stream is cut into
-/// fixed-size chunks and each chunk stores its codes in exactly the bits the
-/// largest local residual needs (see [`crate::format::FLAG_BIT_ADAPTIVE`]).
+/// Appends the bit-adaptive form of `quant`'s code stream `codes` to `out`
+/// (FORMAT.md §4.5): the stream is cut into chunks of `chunk` codes, and
+/// each chunk stores its codes in exactly the bits its largest residual
+/// needs.
 ///
 /// Per chunk with width `b`: local symbol `0` is the escape, and a residual
 /// `q` is stored as `q + 2^(b−1)` in `[1, 2^b − 1]`. `b = 0` marks a chunk
 /// whose every residual is exactly `0` (no bits stored at all).
-#[derive(Debug, Clone, Copy)]
-pub struct BitAdaptiveQuantizer {
-    inner: LinearQuantizer,
-    /// Codes per width region in the wire format.
+pub(crate) fn write_bit_adaptive(
+    codes: &[u32],
+    quant: &LinearQuantizer,
     chunk: usize,
+    out: &mut Vec<u8>,
+) {
+    let cap = i64::from(quant.radius());
+    write_uvarint(out, chunk as u64);
+    write_uvarint(out, codes.len() as u64);
+    // Pass 1: one width byte per chunk — the max over its residuals,
+    // with escapes forcing at least 1 bit (local symbol 0).
+    let widths: Vec<u8> = codes
+        .chunks(chunk)
+        .map(|region| {
+            region
+                .iter()
+                .map(|&c| if c == 0 { 1 } else { width_of(i64::from(c) - cap) })
+                .max()
+                .unwrap_or(0)
+        })
+        .collect();
+    out.extend_from_slice(&widths);
+    // Pass 2: pack each chunk's local symbols MSB-first.
+    let mut bits = BitWriter::new();
+    for (region, &w) in codes.chunks(chunk).zip(&widths) {
+        if w == 0 {
+            continue;
+        }
+        let bias = 1i64 << (w - 1);
+        for &c in region {
+            let local = if c == 0 { 0 } else { i64::from(c) - cap + bias };
+            debug_assert!((0..(1i64 << w)).contains(&local));
+            bits.write_bits(local as u64, u32::from(w));
+        }
+    }
+    out.extend_from_slice(bits.flush());
 }
 
-impl BitAdaptiveQuantizer {
-    /// Escape radius: residuals up to ±(2²³ − 1) steps stay in-code, and the
-    /// widest per-chunk code is [`BitAdaptiveQuantizer::MAX_CODE_BITS`] bits.
-    pub const CAP_RADIUS: u32 = 1 << 23;
-    /// Largest per-chunk code width the format permits.
-    pub const MAX_CODE_BITS: u8 = 24;
-    /// Default codes-per-chunk used by configs and ADP trial candidates.
-    pub const DEFAULT_CHUNK: usize = 64;
-    /// Largest chunk size a well-formed stream may declare.
-    pub const MAX_CHUNK: usize = 1 << 20;
-
-    /// Creates a quantizer for `eps` with `chunk` codes per width region.
-    pub fn new(eps: f64, chunk: usize) -> Self {
-        Self::with_wire_radius(eps, Self::CAP_RADIUS, chunk)
+/// Parses a code stream written by [`write_bit_adaptive`] from `data` at
+/// `*pos`, replacing the contents of `out` with codes of `quant`'s code
+/// space. The chunk size is read from the stream itself; the declared code
+/// count is checked against `limits` before anything is reserved.
+pub(crate) fn read_bit_adaptive(
+    data: &[u8],
+    pos: &mut usize,
+    quant: &LinearQuantizer,
+    out: &mut Vec<u32>,
+    limits: &StreamLimits,
+) -> Result<()> {
+    let cap = i64::from(quant.radius());
+    let space = quant.code_space() as i64;
+    let chunk = read_uvarint(data, pos)? as usize;
+    if !(1..=MAX_CHUNK).contains(&chunk) {
+        return Err(MdzError::Corrupt { what: "bit-adaptive chunk size out of range" });
     }
-
-    /// Decoder-side constructor from header fields: the wire `radius` of a
-    /// hostile block need not equal [`BitAdaptiveQuantizer::CAP_RADIUS`],
-    /// and reconstruction must stay consistent with whatever was declared.
-    pub(crate) fn with_wire_radius(eps: f64, radius: u32, chunk: usize) -> Self {
-        debug_assert!((1..=Self::MAX_CHUNK).contains(&chunk));
-        Self { inner: LinearQuantizer::new(eps, radius), chunk }
-    }
-
-    /// Codes per width region.
-    pub fn chunk(&self) -> usize {
-        self.chunk
-    }
-
-    /// Bits needed to store residual `q` as a local chunk symbol (sign
-    /// included); `0` for an exact prediction.
-    fn width_of(q: i64) -> u8 {
-        let mag = q.unsigned_abs();
-        if mag == 0 {
-            0
-        } else {
-            (64 - mag.leading_zeros() + 1) as u8
+    let count = read_uvarint(data, pos)? as usize;
+    limits.check_items(count, "bit-adaptive code count").map_err(MdzError::from)?;
+    let n_chunks = count.div_ceil(chunk);
+    let widths =
+        data.get(*pos..*pos + n_chunks).ok_or(MdzError::from(EntropyError::UnexpectedEof))?;
+    *pos += n_chunks;
+    let mut total_bits = 0u64;
+    for (ci, &w) in widths.iter().enumerate() {
+        if w > MAX_CODE_BITS {
+            return Err(MdzError::Corrupt { what: "bit-adaptive width exceeds 24 bits" });
         }
+        let len = chunk.min(count - ci * chunk);
+        total_bits += u64::from(w) * len as u64;
     }
-}
-
-impl Quantizer for BitAdaptiveQuantizer {
-    fn eps(&self) -> f64 {
-        self.inner.eps()
-    }
-
-    fn wire_radius(&self) -> u32 {
-        self.inner.radius()
-    }
-
-    fn wire_flags(&self) -> u8 {
-        crate::format::FLAG_BIT_ADAPTIVE
-    }
-
-    #[inline]
-    fn quantize(&self, value: f64, prediction: f64, reconstructed: &mut f64) -> Quantized {
-        self.inner.quantize(value, prediction, reconstructed)
-    }
-
-    #[inline]
-    fn reconstruct(&self, code: u32, prediction: f64) -> f64 {
-        self.inner.reconstruct(code, prediction)
-    }
-
-    fn as_linear(&self) -> Option<LinearQuantizer> {
-        // The adaptivity is all in the wire format (`encode_codes`); the
-        // per-value arithmetic is the inner linear quantizer verbatim.
-        Some(self.inner)
-    }
-
-    fn encode_codes(&self, codes: &[u32], _entropy: &mut dyn EntropyStage, out: &mut Vec<u8>) {
-        let cap = i64::from(self.wire_radius());
-        write_uvarint(out, self.chunk as u64);
-        write_uvarint(out, codes.len() as u64);
-        // Pass 1: one width byte per chunk — the max over its residuals,
-        // with escapes forcing at least 1 bit (local symbol 0).
-        let widths: Vec<u8> = codes
-            .chunks(self.chunk)
-            .map(|chunk| {
-                chunk
-                    .iter()
-                    .map(|&c| if c == 0 { 1 } else { Self::width_of(i64::from(c) - cap) })
-                    .max()
-                    .unwrap_or(0)
-            })
-            .collect();
-        out.extend_from_slice(&widths);
-        // Pass 2: pack each chunk's local symbols MSB-first.
-        let mut bits = BitWriter::new();
-        for (chunk, &w) in codes.chunks(self.chunk).zip(&widths) {
-            if w == 0 {
+    let packed_len = total_bits.div_ceil(8) as usize;
+    let packed =
+        data.get(*pos..*pos + packed_len).ok_or(MdzError::from(EntropyError::UnexpectedEof))?;
+    *pos += packed_len;
+    let mut bits = BitReader::new(packed);
+    out.clear();
+    out.reserve(count);
+    for (ci, &w) in widths.iter().enumerate() {
+        let len = chunk.min(count - ci * chunk);
+        if w == 0 {
+            // An all-exact chunk: every residual is 0.
+            let fill_to = out.len() + len;
+            out.resize(fill_to, cap as u32);
+            continue;
+        }
+        let bias = 1i64 << (w - 1);
+        for _ in 0..len {
+            let local = bits.read_bits(u32::from(w))? as i64;
+            if local == 0 {
+                out.push(0); // escape
                 continue;
             }
-            let bias = 1i64 << (w - 1);
-            for &c in chunk {
-                let local = if c == 0 { 0 } else { i64::from(c) - cap + bias };
-                debug_assert!((0..(1i64 << w)).contains(&local));
-                bits.write_bits(local as u64, u32::from(w));
+            let code = local - bias + cap;
+            // A declared width wider than the declared radius allows
+            // can place codes outside [1, 2·radius); reject rather
+            // than wrap.
+            if !(1..space).contains(&code) {
+                return Err(MdzError::Corrupt { what: "quantization code out of range" });
             }
+            out.push(code as u32);
         }
-        out.extend_from_slice(bits.flush());
     }
-
-    fn decode_codes(
-        &self,
-        data: &[u8],
-        pos: &mut usize,
-        _entropy: &mut dyn EntropyStage,
-        out: &mut Vec<u32>,
-        limits: &StreamLimits,
-    ) -> Result<()> {
-        let cap = i64::from(self.wire_radius());
-        let space = self.code_space() as i64;
-        let chunk = read_uvarint(data, pos)? as usize;
-        if !(1..=Self::MAX_CHUNK).contains(&chunk) {
-            return Err(MdzError::Corrupt { what: "bit-adaptive chunk size out of range" });
-        }
-        let count = read_uvarint(data, pos)? as usize;
-        limits.check_items(count, "bit-adaptive code count").map_err(MdzError::from)?;
-        let n_chunks = count.div_ceil(chunk);
-        let widths =
-            data.get(*pos..*pos + n_chunks).ok_or(MdzError::from(EntropyError::UnexpectedEof))?;
-        *pos += n_chunks;
-        let mut total_bits = 0u64;
-        for (ci, &w) in widths.iter().enumerate() {
-            if w > Self::MAX_CODE_BITS {
-                return Err(MdzError::Corrupt { what: "bit-adaptive width exceeds 24 bits" });
-            }
-            let len = chunk.min(count - ci * chunk);
-            total_bits += u64::from(w) * len as u64;
-        }
-        let packed_len = total_bits.div_ceil(8) as usize;
-        let packed =
-            data.get(*pos..*pos + packed_len).ok_or(MdzError::from(EntropyError::UnexpectedEof))?;
-        *pos += packed_len;
-        let mut bits = BitReader::new(packed);
-        out.clear();
-        out.reserve(count);
-        for (ci, &w) in widths.iter().enumerate() {
-            let len = chunk.min(count - ci * chunk);
-            if w == 0 {
-                // An all-exact chunk: every residual is 0.
-                let fill_to = out.len() + len;
-                out.resize(fill_to, cap as u32);
-                continue;
-            }
-            let bias = 1i64 << (w - 1);
-            for _ in 0..len {
-                let local = bits.read_bits(u32::from(w))? as i64;
-                if local == 0 {
-                    out.push(0); // escape
-                    continue;
-                }
-                let code = local - bias + cap;
-                // A declared width wider than the declared radius allows
-                // can place codes outside [1, 2·radius); reject rather
-                // than wrap.
-                if !(1..space).contains(&code) {
-                    return Err(MdzError::Corrupt { what: "quantization code out of range" });
-                }
-                out.push(code as u32);
-            }
-        }
-        Ok(())
-    }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -402,6 +331,7 @@ mod tests {
     #[test]
     fn reconstruct_inverts_code_space() {
         let q = LinearQuantizer::new(0.25, 16);
+        assert_eq!(q.code_space(), 32);
         for code in 1..32u32 {
             let v = q.reconstruct(code, 10.0);
             let mut recon = 0.0;
@@ -410,27 +340,17 @@ mod tests {
         }
     }
 
-    #[test]
-    fn trait_surface_matches_inherent_contract() {
-        let q = LinearQuantizer::new(1e-3, 512);
-        assert_eq!(Quantizer::code_space(&q), 1024);
-        assert_eq!(Quantizer::wire_radius(&q), 512);
-        assert_eq!(Quantizer::wire_flags(&q), 0);
-        assert_eq!(Quantizer::eps(&q), 1e-3);
-        let ba = BitAdaptiveQuantizer::new(1e-3, 64);
-        assert_eq!(ba.wire_radius(), BitAdaptiveQuantizer::CAP_RADIUS);
-        assert_eq!(ba.code_space(), 1 << 24);
-        assert_eq!(ba.wire_flags(), crate::format::FLAG_BIT_ADAPTIVE);
+    fn bit_adaptive() -> LinearQuantizer {
+        LinearQuantizer::new(1e-3, BIT_ADAPTIVE_RADIUS)
     }
 
     fn ba_round_trip(chunk: usize, codes: &[u32]) -> Vec<u8> {
-        let ba = BitAdaptiveQuantizer::new(1e-3, chunk);
-        let mut entropy = crate::stage::HuffmanStage::default();
+        let ba = bit_adaptive();
         let mut bytes = Vec::new();
-        ba.encode_codes(codes, &mut entropy, &mut bytes);
+        write_bit_adaptive(codes, &ba, chunk, &mut bytes);
         let mut pos = 0;
         let mut back = Vec::new();
-        ba.decode_codes(&bytes, &mut pos, &mut entropy, &mut back, &StreamLimits::default())
+        read_bit_adaptive(&bytes, &mut pos, &ba, &mut back, &StreamLimits::default())
             .expect("round trip");
         assert_eq!(back, codes);
         assert_eq!(pos, bytes.len());
@@ -439,7 +359,7 @@ mod tests {
 
     #[test]
     fn bit_adaptive_codes_round_trip() {
-        let cap = BitAdaptiveQuantizer::CAP_RADIUS;
+        let cap = BIT_ADAPTIVE_RADIUS;
         // Mixed magnitudes, escapes, exact predictions, chunk-boundary
         // straddles, and a final partial chunk.
         let mut codes = Vec::new();
@@ -465,7 +385,7 @@ mod tests {
 
     #[test]
     fn all_exact_chunks_store_zero_bits() {
-        let cap = BitAdaptiveQuantizer::CAP_RADIUS;
+        let cap = BIT_ADAPTIVE_RADIUS;
         let codes = vec![cap; 1024];
         let bytes = ba_round_trip(64, &codes);
         // chunk uvarint (1) + count uvarint (2) + 16 zero width bytes; no
@@ -475,17 +395,15 @@ mod tests {
 
     #[test]
     fn hostile_bit_adaptive_streams_are_rejected() {
-        let ba = BitAdaptiveQuantizer::new(1e-3, 64);
-        let mut entropy = crate::stage::HuffmanStage::default();
-        let cap = BitAdaptiveQuantizer::CAP_RADIUS;
+        let ba = bit_adaptive();
+        let cap = BIT_ADAPTIVE_RADIUS;
         let codes: Vec<u32> = (0..100).map(|i| cap + i % 50).collect();
         let mut valid = Vec::new();
-        ba.encode_codes(&codes, &mut entropy, &mut valid);
+        write_bit_adaptive(&codes, &ba, 64, &mut valid);
 
         let decode = |bytes: &[u8], limits: &StreamLimits| {
             let mut out = Vec::new();
-            let mut entropy = crate::stage::HuffmanStage::default();
-            ba.decode_codes(bytes, &mut 0, &mut entropy, &mut out, limits)
+            read_bit_adaptive(bytes, &mut 0, &ba, &mut out, limits)
         };
         let limits = StreamLimits::default();
 
@@ -494,7 +412,7 @@ mod tests {
         bad[0] = 0;
         assert!(decode(&bad, &limits).is_err());
         let mut bad = Vec::new();
-        write_uvarint(&mut bad, (BitAdaptiveQuantizer::MAX_CHUNK + 1) as u64);
+        write_uvarint(&mut bad, (MAX_CHUNK + 1) as u64);
         write_uvarint(&mut bad, 1);
         bad.push(1);
         bad.push(0);
@@ -520,14 +438,14 @@ mod tests {
         ));
 
         // A width wide enough to escape a small declared radius is caught.
-        let small = BitAdaptiveQuantizer::with_wire_radius(1e-3, 4, 8);
+        let small = LinearQuantizer::new(1e-3, 4);
         let mut bad = Vec::new();
         write_uvarint(&mut bad, 8); // chunk
         write_uvarint(&mut bad, 1); // count
         bad.push(24); // width far beyond radius 4
         bad.extend_from_slice(&[0xFF, 0xFF, 0xFF]); // local = 2^24 - 1
         let mut out = Vec::new();
-        let err = small.decode_codes(&bad, &mut 0, &mut entropy, &mut out, &limits).unwrap_err();
+        let err = read_bit_adaptive(&bad, &mut 0, &small, &mut out, &limits).unwrap_err();
         assert!(matches!(err, MdzError::Corrupt { .. }));
     }
 
@@ -538,12 +456,12 @@ mod tests {
         // reconstruction; beyond the fixed radius it keeps coding while the
         // fixed scale escapes.
         let lin = LinearQuantizer::new(1e-3, 512);
-        let ba = BitAdaptiveQuantizer::new(1e-3, 64);
+        let ba = bit_adaptive();
         for i in -4000..4000i64 {
             let value = i as f64 * 7.3e-4;
             let (mut r_lin, mut r_ba) = (0.0, 0.0);
             let q_lin = lin.quantize(value, 0.0, &mut r_lin);
-            let q_ba = Quantizer::quantize(&ba, value, 0.0, &mut r_ba);
+            let q_ba = ba.quantize(value, 0.0, &mut r_ba);
             match q_ba {
                 Quantized::Code(_) => assert!((r_ba - value).abs() <= 1e-3),
                 Quantized::Escape => assert_eq!(r_ba.to_bits(), value.to_bits()),
@@ -556,7 +474,7 @@ mod tests {
         // in-code bit-adaptively.
         let (mut r_lin, mut r_ba) = (0.0, 0.0);
         assert_eq!(lin.quantize(3.0, 0.0, &mut r_lin), Quantized::Escape);
-        assert!(matches!(Quantizer::quantize(&ba, 3.0, 0.0, &mut r_ba), Quantized::Code(_)));
+        assert!(matches!(ba.quantize(3.0, 0.0, &mut r_ba), Quantized::Code(_)));
         assert!((r_ba - 3.0).abs() <= 1e-3);
     }
 }

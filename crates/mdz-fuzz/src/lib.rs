@@ -25,6 +25,8 @@
 //! live in the repository's `corpus/` directory and are replayed by
 //! `tests/corpus_regressions.rs`.
 
+#![deny(unsafe_op_in_unsafe_fn, clippy::undocumented_unsafe_blocks)]
+
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -301,7 +303,9 @@ impl CountingAlloc {
 // bookkeeping and never affect pointer validity.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        let p = System.alloc(layout);
+        // SAFETY: the caller upholds `GlobalAlloc::alloc`'s contract for
+        // `layout`, which is passed through unchanged.
+        let p = unsafe { System.alloc(layout) };
         if !p.is_null() {
             let live = LIVE.fetch_add(layout.size(), Ordering::Relaxed) + layout.size();
             PEAK.fetch_max(live, Ordering::Relaxed);
@@ -311,11 +315,15 @@ unsafe impl GlobalAlloc for CountingAlloc {
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
         LIVE.fetch_sub(layout.size(), Ordering::Relaxed);
-        System.dealloc(ptr, layout);
+        // SAFETY: `ptr` was allocated by this allocator, hence by `System`,
+        // with `layout`, as `GlobalAlloc::dealloc`'s caller guarantees.
+        unsafe { System.dealloc(ptr, layout) };
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        let p = System.realloc(ptr, layout, new_size);
+        // SAFETY: `ptr` was allocated by `System` with `layout`, and the
+        // caller upholds `GlobalAlloc::realloc`'s contract for `new_size`.
+        let p = unsafe { System.realloc(ptr, layout, new_size) };
         if !p.is_null() {
             if new_size >= layout.size() {
                 let grow = new_size - layout.size();

@@ -57,7 +57,7 @@
 //! ```
 
 #![deny(missing_docs)]
-#![deny(clippy::undocumented_unsafe_blocks)]
+#![deny(unsafe_op_in_unsafe_fn, clippy::undocumented_unsafe_blocks)]
 
 pub mod archive;
 pub mod client;

@@ -46,6 +46,9 @@ impl std::fmt::Display for XyzError {
 
 impl std::error::Error for XyzError {}
 
+/// Fewest bytes one atom row takes: `e x y z` and its line break.
+const MIN_ROW_BYTES: usize = 8;
+
 /// Parses a (possibly multi-frame) XYZ document.
 pub fn parse(text: &str) -> Result<XyzTrajectory, XyzError> {
     let mut lines = text.lines().enumerate().peekable();
@@ -60,9 +63,15 @@ pub fn parse(text: &str) -> Result<XyzTrajectory, XyzError> {
         let n: usize = line.trim().parse().map_err(|_| XyzError::BadCount(lineno + 1))?;
         lines.next();
         let comment = lines.next().ok_or(XyzError::Truncated)?.1.to_string();
-        let mut frame_elements = Vec::with_capacity(n);
-        let mut frame =
-            Frame { x: Vec::with_capacity(n), y: Vec::with_capacity(n), z: Vec::with_capacity(n) };
+        // Reserve no more rows than the text can hold, so a forged count
+        // ends in `Truncated` instead of an allocation failure.
+        let rows = n.min(text.len() / MIN_ROW_BYTES);
+        let mut frame_elements = Vec::with_capacity(rows);
+        let mut frame = Frame {
+            x: Vec::with_capacity(rows),
+            y: Vec::with_capacity(rows),
+            z: Vec::with_capacity(rows),
+        };
         for _ in 0..n {
             let (rowno, row) = lines.next().ok_or(XyzError::Truncated)?;
             let mut parts = row.split_whitespace();
@@ -159,6 +168,15 @@ O  0.5 -0.24 3.26
         assert_eq!(parse("1\nc\nH a b c\n"), Err(XyzError::BadRow(3)));
         let inconsistent = "1\nc\nH 1 2 3\n1\nc\nHe 1 2 3\n";
         assert_eq!(parse(inconsistent), Err(XyzError::InconsistentAtoms(1)));
+    }
+
+    #[test]
+    fn forged_atom_counts_are_truncated_not_reserved() {
+        // 2^62 rows overflowed the up-front reservation (a panic); 10^12
+        // made the allocator fail (an abort). Both are short files.
+        for n in ["4611686018427387904", "1000000000000"] {
+            assert_eq!(parse(&format!("{n}\ncomment\nCu 0 0 0\n")), Err(XyzError::Truncated));
+        }
     }
 
     #[test]
