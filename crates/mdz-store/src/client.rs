@@ -23,8 +23,9 @@ use mdz_obs::{MetricsSnapshot, Obs};
 
 use crate::archive::Precision;
 use crate::protocol::{
-    parse_append_ack, parse_frames, parse_info, parse_metrics, parse_stats, read_message,
-    write_message, AppendAck, Request, Status, StoreInfo,
+    encode_append, frames_len, parse_append_ack, parse_frames, parse_info, parse_metrics,
+    parse_stats, read_message, write_message, AppendAck, Request, Status, StoreInfo,
+    GET_HEADER_LEN,
 };
 use crate::reader::StatsSnapshot;
 
@@ -433,8 +434,8 @@ impl Client {
         Ok(())
     }
 
-    fn round_trip(&mut self, req: &Request) -> Result<Vec<u8>, ClientError> {
-        write_message(&mut self.stream, &req.encode())?;
+    fn round_trip(&mut self, request: &[u8]) -> Result<Vec<u8>, ClientError> {
+        write_message(&mut self.stream, request)?;
         let body = read_message(&mut self.stream, self.max_response_bytes)
             .map_err(|e| match e.kind() {
                 // `read_message` refuses a body past the budget with
@@ -473,8 +474,8 @@ impl Client {
     /// # Ok::<(), mdz_store::ClientError>(())
     /// ```
     pub fn get(&mut self, range: Range<usize>) -> Result<Vec<Frame>, ClientError> {
-        let body =
-            self.round_trip(&Request::Get { start: range.start as u64, end: range.end as u64 })?;
+        let request = Request::Get { start: range.start as u64, end: range.end as u64 };
+        let body = self.round_trip(&request.encode())?;
         let (start, frames) = parse_frames(&body).map_err(ClientError::Protocol)?;
         if start != range.start as u64 || frames.len() != range.len() {
             return Err(ClientError::Protocol("response range disagrees with request"));
@@ -494,7 +495,7 @@ impl Client {
     /// # Ok::<(), mdz_store::ClientError>(())
     /// ```
     pub fn stats(&mut self) -> Result<StatsSnapshot, ClientError> {
-        let body = self.round_trip(&Request::Stats)?;
+        let body = self.round_trip(&Request::Stats.encode())?;
         parse_stats(&body).map_err(ClientError::Protocol)
     }
 
@@ -514,7 +515,7 @@ impl Client {
     /// # Ok::<(), mdz_store::ClientError>(())
     /// ```
     pub fn info(&mut self) -> Result<StoreInfo, ClientError> {
-        let body = self.round_trip(&Request::Info)?;
+        let body = self.round_trip(&Request::Info.encode())?;
         parse_info(&body).map_err(ClientError::Protocol)
     }
 
@@ -535,7 +536,7 @@ impl Client {
     /// # Ok::<(), mdz_store::ClientError>(())
     /// ```
     pub fn metrics(&mut self) -> Result<MetricsSnapshot, ClientError> {
-        let body = self.round_trip(&Request::Metrics)?;
+        let body = self.round_trip(&Request::Metrics.encode())?;
         parse_metrics(&body).map_err(ClientError::Protocol)
     }
 
@@ -567,7 +568,7 @@ impl Client {
         frames: &[Frame],
         precision: Precision,
     ) -> Result<AppendAck, ClientError> {
-        let body = self.round_trip(&Request::Append { precision, frames: frames.to_vec() })?;
+        let body = self.round_trip(&encode_append(precision, frames))?;
         parse_append_ack(&body).map_err(ClientError::Protocol)
     }
 
@@ -636,12 +637,13 @@ impl Client {
 const FOLLOW_MAX_BATCH: usize = 4096;
 
 /// How many frames of `n_atoms` atoms one GET may ask for so that its
-/// response body (25 header bytes, then 24 bytes per atom per frame) fits
-/// a client's `max_response_bytes`: at least 1, at most
+/// response body (the GET header, then each frame's f64 payload) fits a
+/// client's `max_response_bytes`: at least 1, at most
 /// [`FOLLOW_MAX_BATCH`]. A frame too large for the budget is still asked
 /// for, and the refusal surfaces as an error.
 fn follow_batch(max_response_bytes: usize, n_atoms: usize) -> usize {
-    let fits = max_response_bytes.saturating_sub(25).checked_div(n_atoms.saturating_mul(24));
+    let frame = frames_len(1, n_atoms, Precision::F64).unwrap_or(usize::MAX);
+    let fits = max_response_bytes.saturating_sub(GET_HEADER_LEN).checked_div(frame);
     fits.unwrap_or(FOLLOW_MAX_BATCH).clamp(1, FOLLOW_MAX_BATCH)
 }
 

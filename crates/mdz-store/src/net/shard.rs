@@ -504,7 +504,7 @@ impl<'a> Shard<'a> {
     /// is impossible. The input is drained (bounded by `read_timeout`)
     /// meanwhile, so the kernel does not reset the answer off the wire.
     fn malformed(&mut self, fd: RawFd) {
-        self.reader.record_failed_request();
+        self.obs.incr("store.requests", 1);
         self.obs.incr("server.requests.bad", 1);
         self.obs.incr(status_counter(Status::BadRequest as u8), 1);
         if let Some(conn) = self.conns.get_mut(&fd) {

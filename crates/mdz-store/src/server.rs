@@ -299,7 +299,8 @@ pub(crate) fn serve_request(
     obs.incr("store.bytes_in", body.len() as u64);
     obs.incr(op_counter, 1);
     obs.incr(status_counter(response.first().copied().unwrap_or(Status::Internal as u8)), 1);
-    reader.record_request(response.len() as u64);
+    obs.incr("store.requests", 1);
+    obs.incr("store.bytes_out", response.len() as u64);
     response
 }
 
