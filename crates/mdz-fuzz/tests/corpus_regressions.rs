@@ -68,7 +68,7 @@ fn replay(name: &str, bytes: &[u8]) -> bool {
         // The container is the record of a one-frame archive; the store's
         // epoch decoder, which decodes the three axes of a whole epoch on
         // threads of their own, must reject it.
-        let opts = ReaderOptions { cache_epochs: 2, limits: tight_limits() };
+        let opts = ReaderOptions { limits: tight_limits() };
         StoreReader::with_options(ContainerArchive::new(1, 1).wrap(bytes), opts)
             .and_then(|r| r.read_frames(0..1))
             .is_err()
@@ -76,7 +76,7 @@ fn replay(name: &str, bytes: &[u8]) -> bool {
         // Torn-append seeds carry a dual obligation: the strict open must
         // reject the file, AND the recovery scan must find the last valid
         // footer and read every frame it published.
-        let opts = ReaderOptions { cache_epochs: 2, limits: tight_limits() };
+        let opts = ReaderOptions { limits: tight_limits() };
         let strict_rejects = StoreReader::with_options(bytes.to_vec(), opts)
             .and_then(|r| {
                 let n = r.index().n_frames;
@@ -97,7 +97,7 @@ fn replay(name: &str, bytes: &[u8]) -> bool {
         // that recovered the image and then *refreshes* from the very same
         // hostile bytes must see a no-op — never a regression, never an
         // error, and every published frame must decode.
-        let opts = ReaderOptions { cache_epochs: 2, limits: tight_limits() };
+        let opts = ReaderOptions { limits: tight_limits() };
         let strict_rejects = StoreReader::with_options(bytes.to_vec(), opts)
             .and_then(|r| {
                 let n = r.index().n_frames;
@@ -145,7 +145,7 @@ fn replay(name: &str, bytes: &[u8]) -> bool {
         // Open parses the header + footer index; the read walks the block
         // records (FNV oracle) and the epoch decoder, so seeds may fail at
         // either stage.
-        let opts = ReaderOptions { cache_epochs: 2, limits: tight_limits() };
+        let opts = ReaderOptions { limits: tight_limits() };
         StoreReader::with_options(bytes.to_vec(), opts)
             .and_then(|r| {
                 let n = r.index().n_frames;
