@@ -7,7 +7,6 @@
 //! buffer falls back to in-snapshot Lorenzo prediction. Residuals go
 //! through the standard quantization + Huffman + LZ tail.
 
-use crate::common::resolve_eps;
 use crate::common::{read_header, write_header, BaselineError, CodeSink, CodeSource, RADIUS};
 use mdz_core::LinearQuantizer;
 use mdz_core::{Codec, ErrorBound};
@@ -37,7 +36,7 @@ impl Codec for Asn {
         snapshots: &[Vec<f64>],
         bound: ErrorBound,
     ) -> mdz_core::Result<Vec<u8>> {
-        Ok(self.compress(snapshots, resolve_eps(bound, snapshots)))
+        Ok(self.compress(snapshots, bound.absolute_for(snapshots)))
     }
 
     fn decompress_buffer(&mut self, data: &[u8]) -> mdz_core::Result<Vec<Vec<f64>>> {

@@ -46,35 +46,6 @@ impl From<BaselineError> for mdz_core::MdzError {
 /// Result alias.
 pub type Result<T> = std::result::Result<T, BaselineError>;
 
-/// Resolves a per-call [`mdz_core::ErrorBound`] to the absolute `eps` the
-/// baseline coders operate in, scanning the buffer's value range for
-/// relative bounds (the same resolution MDZ applies internally).
-pub fn resolve_eps(bound: mdz_core::ErrorBound, snapshots: &[Vec<f64>]) -> f64 {
-    match bound {
-        mdz_core::ErrorBound::Absolute(e) => e,
-        mdz_core::ErrorBound::ValueRangeRelative(r) => {
-            let mut lo = f64::INFINITY;
-            let mut hi = f64::NEG_INFINITY;
-            for s in snapshots {
-                for &v in s {
-                    if v < lo {
-                        lo = v;
-                    }
-                    if v > hi {
-                        hi = v;
-                    }
-                }
-            }
-            let range = hi - lo;
-            if range > 0.0 && range.is_finite() {
-                r * range
-            } else {
-                f64::MIN_POSITIVE.max(1e-300)
-            }
-        }
-    }
-}
-
 /// Encoder-side accumulator for the classic SZ tail: quantization codes +
 /// escape list, Huffman-coded then LZ-compressed.
 #[derive(Debug, Default)]

@@ -11,7 +11,6 @@
 //! anchor, and the slope grid is `eps/(4·len)` so the quantized line stays
 //! within `eps/2 + eps/4 < eps` of every point.
 
-use crate::common::resolve_eps;
 use crate::common::{read_header, write_header, BaselineError};
 use mdz_core::{Codec, ErrorBound};
 use mdz_entropy::{read_ivarint, read_uvarint, write_ivarint, write_uvarint};
@@ -115,7 +114,7 @@ impl Codec for Hrtc {
         snapshots: &[Vec<f64>],
         bound: ErrorBound,
     ) -> mdz_core::Result<Vec<u8>> {
-        Ok(self.compress(snapshots, resolve_eps(bound, snapshots)))
+        Ok(self.compress(snapshots, bound.absolute_for(snapshots)))
     }
 
     fn decompress_buffer(&mut self, data: &[u8]) -> mdz_core::Result<Vec<Vec<f64>>> {

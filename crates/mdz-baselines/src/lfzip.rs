@@ -11,7 +11,6 @@
 //! The stream is traversed particle-major (each particle's time series
 //! contiguously), which is how a time-series compressor sees MD data.
 
-use crate::common::resolve_eps;
 use crate::common::{read_header, write_header, BaselineError, CodeSink, CodeSource, RADIUS};
 use mdz_core::LinearQuantizer;
 use mdz_core::{Codec, ErrorBound};
@@ -104,7 +103,7 @@ impl Codec for Lfzip {
         snapshots: &[Vec<f64>],
         bound: ErrorBound,
     ) -> mdz_core::Result<Vec<u8>> {
-        Ok(self.compress(snapshots, resolve_eps(bound, snapshots)))
+        Ok(self.compress(snapshots, bound.absolute_for(snapshots)))
     }
 
     fn decompress_buffer(&mut self, data: &[u8]) -> mdz_core::Result<Vec<Vec<f64>>> {

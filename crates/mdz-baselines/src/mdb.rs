@@ -9,7 +9,6 @@
 //! parameters are emitted directly as varints/raw bits, which is exactly
 //! why its compression ratios collapse on MD data (Fig. 12's 1–6×).
 
-use crate::common::resolve_eps;
 use crate::common::{read_header, write_header, BaselineError};
 use mdz_core::{Codec, ErrorBound};
 use mdz_entropy::{read_ivarint, read_uvarint, write_ivarint, write_uvarint};
@@ -152,7 +151,7 @@ impl Codec for Mdb {
         snapshots: &[Vec<f64>],
         bound: ErrorBound,
     ) -> mdz_core::Result<Vec<u8>> {
-        Ok(self.compress(snapshots, resolve_eps(bound, snapshots)))
+        Ok(self.compress(snapshots, bound.absolute_for(snapshots)))
     }
 
     fn decompress_buffer(&mut self, data: &[u8]) -> mdz_core::Result<Vec<Vec<f64>>> {

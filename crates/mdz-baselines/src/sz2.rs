@@ -9,7 +9,6 @@
 //!   and time continuity at once. The paper's Table IV shows 2-D beating
 //!   1-D by up to ~200 % on MD data, and uses 2-D in the evaluation.
 
-use crate::common::resolve_eps;
 use crate::common::{read_header, write_header, BaselineError, CodeSink, CodeSource, RADIUS};
 use mdz_core::LinearQuantizer;
 use mdz_core::{Codec, ErrorBound};
@@ -53,7 +52,7 @@ impl Codec for Sz2 {
         snapshots: &[Vec<f64>],
         bound: ErrorBound,
     ) -> mdz_core::Result<Vec<u8>> {
-        Ok(self.compress(snapshots, resolve_eps(bound, snapshots)))
+        Ok(self.compress(snapshots, bound.absolute_for(snapshots)))
     }
 
     fn decompress_buffer(&mut self, data: &[u8]) -> mdz_core::Result<Vec<Vec<f64>>> {

@@ -12,7 +12,6 @@
 //! per-snapshot (space) or per-particle (time) — trying both and keeping
 //! the smaller output, which mirrors SZ3's dimension auto-tuning.
 
-use crate::common::resolve_eps;
 use crate::common::{read_header, write_header, BaselineError, CodeSink, CodeSource, RADIUS};
 use mdz_core::LinearQuantizer;
 use mdz_core::{Codec, ErrorBound};
@@ -156,7 +155,7 @@ impl Codec for Sz3 {
         snapshots: &[Vec<f64>],
         bound: ErrorBound,
     ) -> mdz_core::Result<Vec<u8>> {
-        Ok(self.compress(snapshots, resolve_eps(bound, snapshots)))
+        Ok(self.compress(snapshots, bound.absolute_for(snapshots)))
     }
 
     fn decompress_buffer(&mut self, data: &[u8]) -> mdz_core::Result<Vec<Vec<f64>>> {

@@ -8,7 +8,6 @@
 //! stage. The error bound maps to the fixed-point step: `step = 2·eps`
 //! guarantees `|d − d'| ≤ eps`.
 
-use crate::common::resolve_eps;
 use crate::common::{read_header, write_header, BaselineError};
 use mdz_core::{Codec, ErrorBound};
 use mdz_entropy::{read_uvarint, write_ivarint, write_uvarint, zigzag_decode, zigzag_encode};
@@ -41,7 +40,7 @@ impl Codec for Tng {
         snapshots: &[Vec<f64>],
         bound: ErrorBound,
     ) -> mdz_core::Result<Vec<u8>> {
-        Ok(self.compress(snapshots, resolve_eps(bound, snapshots)))
+        Ok(self.compress(snapshots, bound.absolute_for(snapshots)))
     }
 
     fn decompress_buffer(&mut self, data: &[u8]) -> mdz_core::Result<Vec<Vec<f64>>> {

@@ -17,30 +17,45 @@ pub enum ErrorBound {
 }
 
 impl ErrorBound {
-    /// Resolves to an absolute bound for a concrete buffer.
+    /// Resolves to an absolute bound for one buffer's snapshots: the one
+    /// rule the MDZ encoder and every baseline use.
     ///
-    /// A value-range bound on constant data (range 0) degenerates to a tiny
-    /// positive epsilon so quantization stays well-defined (and trivially
-    /// satisfied, since the data is constant).
-    pub fn absolute_for(&self, data: &[f64]) -> f64 {
+    /// An absolute bound is returned without reading the data. A
+    /// value-range bound scales the range of every value in the buffer
+    /// (NaNs are skipped); on constant data (range 0), or when the range is
+    /// infinite, it degenerates to 1e-300 so quantization stays
+    /// well-defined (and trivially satisfied for constant data).
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use mdz_core::ErrorBound;
+    ///
+    /// let buffer = [vec![0.0, 4.0], vec![10.0, 2.0]];
+    /// assert_eq!(ErrorBound::ValueRangeRelative(0.25).absolute_for(&buffer), 2.5);
+    /// assert_eq!(ErrorBound::Absolute(0.5).absolute_for(&buffer), 0.5);
+    /// ```
+    pub fn absolute_for<S: AsRef<[f64]>>(&self, snapshots: &[S]) -> f64 {
         match *self {
             ErrorBound::Absolute(e) => e,
             ErrorBound::ValueRangeRelative(r) => {
                 let mut min = f64::INFINITY;
                 let mut max = f64::NEG_INFINITY;
-                for &v in data {
-                    if v < min {
-                        min = v;
-                    }
-                    if v > max {
-                        max = v;
+                for s in snapshots {
+                    for &v in s.as_ref() {
+                        if v < min {
+                            min = v;
+                        }
+                        if v > max {
+                            max = v;
+                        }
                     }
                 }
                 let range = max - min;
                 if range > 0.0 && range.is_finite() {
                     r * range
                 } else {
-                    f64::MIN_POSITIVE.max(1e-300)
+                    1e-300
                 }
             }
         }
@@ -65,20 +80,22 @@ mod tests {
 
     #[test]
     fn absolute_passthrough() {
-        assert_eq!(ErrorBound::Absolute(0.5).absolute_for(&[1.0, 100.0]), 0.5);
+        assert_eq!(ErrorBound::Absolute(0.5).absolute_for(&[[1.0, 100.0]]), 0.5);
     }
 
     #[test]
     fn relative_scales_with_range() {
         let b = ErrorBound::ValueRangeRelative(1e-3);
-        assert!((b.absolute_for(&[0.0, 10.0]) - 0.01).abs() < 1e-15);
-        assert!((b.absolute_for(&[-5.0, 5.0]) - 0.01).abs() < 1e-15);
+        assert!((b.absolute_for(&[[0.0, 10.0]]) - 0.01).abs() < 1e-15);
+        assert!((b.absolute_for(&[[-5.0, 5.0]]) - 0.01).abs() < 1e-15);
+        // The range spans every snapshot of the buffer.
+        assert!((b.absolute_for(&[[-5.0, 0.0], [0.0, 5.0]]) - 0.01).abs() < 1e-15);
     }
 
     #[test]
     fn relative_on_constant_data_is_positive() {
         let b = ErrorBound::ValueRangeRelative(1e-3);
-        assert!(b.absolute_for(&[7.0, 7.0, 7.0]) > 0.0);
+        assert_eq!(b.absolute_for(&[[7.0, 7.0, 7.0]]), 1e-300);
     }
 
     #[test]

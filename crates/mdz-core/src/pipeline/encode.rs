@@ -66,33 +66,6 @@ pub(crate) struct EncodeScratch {
     lz77: lz77::Lz77Scratch,
 }
 
-/// Resolves the configured error bound against one buffer's value range.
-fn resolve_eps<S: AsRef<[f64]>>(cfg: &MdzConfig, snapshots: &[S]) -> f64 {
-    let mut all_min = f64::INFINITY;
-    let mut all_max = f64::NEG_INFINITY;
-    for s in snapshots {
-        for &v in s.as_ref() {
-            if v < all_min {
-                all_min = v;
-            }
-            if v > all_max {
-                all_max = v;
-            }
-        }
-    }
-    match cfg.bound {
-        crate::ErrorBound::Absolute(e) => e,
-        crate::ErrorBound::ValueRangeRelative(r) => {
-            let range = all_max - all_min;
-            if range > 0.0 && range.is_finite() {
-                r * range
-            } else {
-                1e-300
-            }
-        }
-    }
-}
-
 /// Encodes one buffer with a concrete (method, quantizer) choice into
 /// `out` (cleared first), returning the state transition for the caller to
 /// commit.
@@ -141,7 +114,7 @@ pub(crate) fn encode_buffer_into<S: AsRef<[f64]>>(
         lz77: lz77_scratch,
     } = scratch;
     let mut delta = StateDelta::default();
-    let eps = resolve_eps(cfg, snapshots);
+    let eps = cfg.bound.absolute_for(snapshots);
     let radius = match quantizer {
         QuantizerKind::Linear => cfg.radius,
         QuantizerKind::BitAdaptive { .. } => BIT_ADAPTIVE_RADIUS,

@@ -729,11 +729,7 @@ mod tests {
     use crate::ErrorBound;
 
     fn check_round_trip(snapshots: &[Vec<f64>], cfg: MdzConfig) -> (usize, Vec<Vec<f64>>) {
-        let eps_for = |buf: &[Vec<f64>]| {
-            let flat: Vec<f64> = buf.iter().flatten().copied().collect();
-            cfg.bound.absolute_for(&flat)
-        };
-        let eps = eps_for(snapshots);
+        let eps = cfg.bound.absolute_for(snapshots);
         let mut c = Compressor::new(cfg);
         let block = c.compress_buffer(snapshots).unwrap();
         let mut d = Decompressor::new();

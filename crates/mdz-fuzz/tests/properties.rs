@@ -95,8 +95,7 @@ fn mdz_blocks_hold_an_absolute_bound_for_every_method_and_stage() {
 fn mdz_blocks_hold_a_value_range_relative_bound() {
     check("relative bound", 64, |rng| {
         let snaps = any_buffer(rng, 4);
-        let flat: Vec<f64> = snaps.iter().flatten().copied().collect();
-        let eps = ErrorBound::ValueRangeRelative(1e-3).absolute_for(&flat);
+        let eps = ErrorBound::ValueRangeRelative(1e-3).absolute_for(&snaps);
         let cfg =
             MdzConfig::new(ErrorBound::ValueRangeRelative(1e-3)).with_method(METHODS[rng.index(5)]);
         let block = Compressor::new(cfg).compress_buffer(&snaps).unwrap();
