@@ -66,13 +66,19 @@ pub fn parse(text: &str) -> Result<XyzTrajectory, XyzError> {
         // Reserve no more rows than the text can hold, so a forged count
         // ends in `Truncated` instead of an allocation failure.
         let rows = n.min(text.len() / MIN_ROW_BYTES);
-        let mut frame_elements = Vec::with_capacity(rows);
+        let first = frames.is_empty();
+        if first {
+            elements.reserve(rows);
+        }
+        // A later frame's names are compared with frame 0's in place; a
+        // mismatch is reported only once the frame's own rows have parsed.
+        let mut same_atoms = first || n == elements.len();
         let mut frame = Frame {
             x: Vec::with_capacity(rows),
             y: Vec::with_capacity(rows),
             z: Vec::with_capacity(rows),
         };
-        for _ in 0..n {
+        for i in 0..n {
             let (rowno, row) = lines.next().ok_or(XyzError::Truncated)?;
             let mut parts = row.split_whitespace();
             let el = parts.next().ok_or(XyzError::BadRow(rowno + 1))?;
@@ -84,11 +90,13 @@ pub fn parse(text: &str) -> Result<XyzTrajectory, XyzError> {
             frame.x.push(coord(parts.next())?);
             frame.y.push(coord(parts.next())?);
             frame.z.push(coord(parts.next())?);
-            frame_elements.push(el.to_string());
+            if first {
+                elements.push(el.to_string());
+            } else {
+                same_atoms &= elements.get(i).is_some_and(|name| name == el);
+            }
         }
-        if frames.is_empty() {
-            elements = frame_elements;
-        } else if frame_elements != elements {
+        if !same_atoms {
             return Err(XyzError::InconsistentAtoms(frames.len()));
         }
         comments.push(comment);
@@ -168,6 +176,22 @@ O  0.5 -0.24 3.26
         assert_eq!(parse("1\nc\nH a b c\n"), Err(XyzError::BadRow(3)));
         let inconsistent = "1\nc\nH 1 2 3\n1\nc\nHe 1 2 3\n";
         assert_eq!(parse(inconsistent), Err(XyzError::InconsistentAtoms(1)));
+    }
+
+    #[test]
+    fn later_frame_with_another_atom_count_is_inconsistent() {
+        let more = "1\nc\nH 1 2 3\n2\nc\nH 1 2 3\nH 4 5 6\n";
+        assert_eq!(parse(more), Err(XyzError::InconsistentAtoms(1)));
+        let fewer = "2\nc\nH 1 2 3\nO 4 5 6\n1\nc\nH 1 2 3\n";
+        assert_eq!(parse(fewer), Err(XyzError::InconsistentAtoms(1)));
+    }
+
+    #[test]
+    fn a_malformed_row_outranks_an_earlier_element_mismatch() {
+        // Row 7's element differs from frame 0's and row 8 is malformed:
+        // the frame's rows parse first, so the bad row is what is reported.
+        let text = "2\nc\nH 1 2 3\nO 4 5 6\n2\nc\nHe 1 2 3\nO 4 5\n";
+        assert_eq!(parse(text), Err(XyzError::BadRow(8)));
     }
 
     #[test]
