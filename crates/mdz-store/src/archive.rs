@@ -1200,6 +1200,50 @@ mod tests {
         assert!(ArchiveIndex::parse(short).is_err());
     }
 
+    /// `data` with its footer rewritten in the legacy version-1 layout:
+    /// `n_blocks` and the offset deltas, no frame count or epoch list.
+    fn with_v1_footer(data: &[u8], n_blocks: usize, offsets: &[usize]) -> Vec<u8> {
+        let n = data.len();
+        let payload_len = u64::from_le_bytes(data[n - 13..n - 5].try_into().unwrap()) as usize;
+        let mut payload = Vec::new();
+        write_uvarint(&mut payload, n_blocks as u64);
+        let mut prev = 0;
+        for &off in offsets {
+            write_uvarint(&mut payload, (off - prev) as u64);
+            prev = off;
+        }
+        let mut out = data[..n - FOOTER_TRAILER_LEN - payload_len].to_vec();
+        out.extend_from_slice(&payload);
+        out.extend_from_slice(&crc32(&payload).to_le_bytes());
+        out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
+        out.push(FOOTER_VERSION);
+        out.extend_from_slice(&FOOTER_MAGIC);
+        out
+    }
+
+    #[test]
+    fn legacy_v1_footer_reads_like_the_v2_footer() {
+        let data = write_store(&frames(19, 6), &[], &[], &opts()).unwrap();
+        let idx = ArchiveIndex::parse(&data).unwrap();
+        let offsets: Vec<usize> = idx.blocks.iter().map(|b| b.offset).collect();
+        let v1 = with_v1_footer(&data, offsets.len(), &offsets);
+        let legacy = ArchiveIndex::parse(&v1).unwrap();
+        assert_eq!(legacy.blocks, idx.blocks);
+        assert_eq!(legacy.epoch_starts, idx.epoch_starts);
+        assert_eq!(legacy.n_frames, idx.n_frames);
+        let read = |bytes| crate::StoreReader::open(bytes).unwrap().read_frames(0..19).unwrap();
+        assert_eq!(read(v1), read(data.clone()));
+        // The header's 19 frames make 5 blocks; a v1 footer claiming
+        // another count is refused.
+        for n_blocks in [4, 6] {
+            let bad = with_v1_footer(&data, n_blocks, &offsets[..n_blocks.min(5)]);
+            assert!(matches!(
+                ArchiveIndex::parse(&bad),
+                Err(MdzError::Corrupt { what: "footer block count disagrees with frame count" })
+            ));
+        }
+    }
+
     #[test]
     fn record_checksum_mismatch_is_detected() {
         let data = write_store(&frames(10, 6), &[], &[], &opts()).unwrap();
