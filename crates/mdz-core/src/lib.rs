@@ -44,7 +44,7 @@
 //! independent (epoch, axis) streams on separate cores.
 
 #![deny(missing_docs)]
-#![deny(unsafe_op_in_unsafe_fn, clippy::undocumented_unsafe_blocks)]
+#![deny(unsafe_code, unsafe_op_in_unsafe_fn, clippy::undocumented_unsafe_blocks)]
 
 pub mod adaptive;
 pub mod bound;
@@ -54,6 +54,9 @@ pub mod format;
 pub(crate) mod pipeline;
 pub mod quant;
 pub mod seq;
+// The lane loops' `#[target_feature]` wrappers and their calls are the
+// only `unsafe` code this library allows (DESIGN.md §7).
+#[allow(unsafe_code)]
 pub(crate) mod simd;
 pub mod traj;
 

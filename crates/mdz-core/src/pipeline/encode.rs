@@ -122,11 +122,8 @@ pub(crate) fn encode_buffer_into<S: AsRef<[f64]>>(
     let quant = &LinearQuantizer::new(eps, radius);
 
     // SIMD dispatch, captured once per buffer so a concurrent force-scalar
-    // toggle cannot split one buffer across strategies. The vector kernels
-    // need a radius the packed i32 conversion handles exactly; anything
-    // else keeps the scalar oracle.
-    let kernel = Some(crate::kernel::active_level())
-        .filter(|&level| level != SimdLevel::Scalar && crate::simd::eligible(quant));
+    // toggle cannot split one buffer across strategies.
+    let kernel = Some(crate::kernel::active_level()).filter(|&level| level != SimdLevel::Scalar);
     obs.incr(
         match kernel {
             Some(SimdLevel::Avx2) => "core.encode.kernel.avx2",

@@ -4,27 +4,34 @@
 //! The encode hot loop — subtract prediction, scale by `1/(2ε)`, round half
 //! away from zero, range-check, reconstruct, bound-check — is lane-parallel
 //! whenever the predictor is a precomputed slice (the time predictors and
-//! the VQ grid; Lorenzo's `recon[i-1]` chain stays scalar). The kernels here
-//! run that sweep 2 or 4 doubles at a time under the dispatch levels of
-//! [`mdz_entropy::kernel`], with the *scalar quantizer itself* as the tail
-//! handler and differential oracle.
+//! the VQ grid; Lorenzo's `recon[i-1]` chain stays scalar). Each kernel is
+//! one portable, branch-free lane loop ([`quantize_lanes`] and
+//! [`vq_levels_tail`]) that the compiler vectorizes, and the dispatch level
+//! of [`mdz_entropy::kernel`] picks the instruction set it runs compiled
+//! for:
 //!
-//! Byte-identity is not approximate; three details make it exact:
+//! * x86_64: one `#[target_feature]` wrapper per level detection reports,
+//!   AVX2 and SSE4.1. Both lower `f64::round` to packed `roundpd`; at the
+//!   SSE2 baseline it is a libm call per value. Each call re-checks the
+//!   host feature, so no level a caller passes can run an instruction the
+//!   host lacks. The wrappers and their calls are the only code mdz-core's
+//!   crate root allows to be `unsafe`.
+//! * aarch64: the loops are called directly. NEON is the baseline there,
+//!   and `round` lowers to `frinta`.
+//! * [`SimdLevel::Scalar`]: the scalar quantizer itself, the differential
+//!   oracle.
 //!
-//! * **Rounding.** `f64::round` rounds half away from zero, vector rounding
-//!   primitives round half to even. The kernels compute `re = roundeven(x)`
-//!   and `frac = x − re` (exact, since `re` is within a factor of two of
-//!   `x` or zero) and correct by `±1` only when `frac == ±0.5` with the
-//!   matching sign of `x` — i.e. exactly when roundeven broke the tie toward
-//!   zero and `round` would not.
+//! Byte-identity holds because the lanes run the scalar arithmetic in the
+//! same order, with the escape branches turned into selects. Two steps are
+//! spelled differently but compute the same bits:
+//!
 //! * **Signed zero.** The scalar path reconstructs with `q as i64 as f64`,
-//!   which turns `-0.0` into `+0.0`; the kernels canonicalize `qf + 0.0`
-//!   before the multiply so `prediction + (-0.0) * step` cannot diverge.
-//! * **Code conversion.** Scalar code conversion is `(q + radius as i64) as
-//!   u32`; packed conversions saturate instead of wrapping, so the kernels
-//!   only engage when `radius ≤ 2³⁰` ([`MAX_SIMD_RADIUS`]), which keeps
-//!   every non-escape code strictly inside `i32` range where both agree.
-//!   (The default radius 512 and the bit-adaptive cap 2²³ both qualify.)
+//!   which turns `-0.0` into `+0.0`; the lanes add `+0.0` to the rounded
+//!   float at the same point.
+//! * **Code conversion.** An in-range code `qf + radius` is an integer
+//!   below 2³³. Adding 2⁵² leaves it exactly in the low mantissa bits, so
+//!   the low 32 bits of the sum equal the scalar `(q + radius) as u32` for
+//!   every `u32` radius. A saturating `as i32` would not vectorize.
 //!
 //! Escapes are encoded in-band: a lane that escapes for any reason (non-
 //! finite residual, out-of-range code, bound-check failure) gets code `0`
@@ -35,21 +42,12 @@
 use crate::quant::{LinearQuantizer, Quantized};
 use mdz_entropy::kernel::SimdLevel;
 
-/// Largest wire radius the vector kernels accept.
-///
-/// In-range codes are `qf + radius < 2·radius`; keeping that below `2³¹`
-/// means the packed double→i32 conversion is exact and cannot hit its
-/// saturating edge (the scalar path wraps via `as u32` instead — the two
-/// only agree when neither limit is reachable).
-pub(crate) const MAX_SIMD_RADIUS: u32 = 1 << 30;
+/// 2⁵²: adding it to an integer-valued `f64` in `[0, 2⁵²)` leaves the
+/// integer in the low bits of the sum's bit pattern.
+const MANTISSA_SHIFT: f64 = 4_503_599_627_370_496.0;
 
-/// Whether the vector kernels may run for this quantizer's parameters.
-pub(crate) fn eligible(quant: &LinearQuantizer) -> bool {
-    quant.radius() <= MAX_SIMD_RADIUS
-}
-
-/// Scalar fallback and vector-tail handler: the real quantizer, verbatim,
-/// writing in-band escape codes.
+/// Scalar oracle: the real quantizer, verbatim, writing in-band escape
+/// codes.
 fn quantize_tail(
     quant: &LinearQuantizer,
     values: &[f64],
@@ -65,12 +63,39 @@ fn quantize_tail(
     }
 }
 
+/// [`LinearQuantizer::quantize`] as one branch-free lane loop: the same
+/// arithmetic in the same order, its three escape tests folded into one
+/// select per lane.
+#[inline(always)]
+#[cfg_attr(not(any(target_arch = "x86_64", target_arch = "aarch64")), allow(dead_code))]
+fn quantize_lanes(
+    quant: &LinearQuantizer,
+    values: &[f64],
+    preds: &[f64],
+    codes: &mut [u32],
+    recon: &mut [f64],
+) {
+    let inv = quant.inv_step();
+    let eps = quant.eps();
+    let step2 = 2.0 * eps;
+    let radius = f64::from(quant.radius());
+    for (((&v, &p), code), rec_out) in values.iter().zip(preds).zip(codes).zip(recon) {
+        let diff = v - p;
+        let qf = (diff * inv).round();
+        let rec = p + step2 * (qf + 0.0);
+        let ok = diff.is_finite() & (qf.abs() < radius) & ((rec - v).abs() <= eps);
+        *rec_out = if ok { rec } else { v };
+        let codef = if ok { qf + radius } else { 0.0 };
+        *code = (codef + MANTISSA_SHIFT).to_bits() as u32;
+    }
+}
+
 /// Fused quantize of `values` against per-lane predictions `preds`.
 ///
 /// Appends exactly `values.len()` codes to `codes_out` (0 = escape) and
 /// fills `recon[..values.len()]` with the decoder-visible reconstructions
-/// (the original value on escape). Callers must have checked [`eligible`];
-/// `level` is the dispatch level captured once by the caller.
+/// (the original value on escape). `level` is the dispatch level captured
+/// once by the caller; a level the host lacks runs the scalar oracle.
 pub(crate) fn quantize_predicted(
     quant: &LinearQuantizer,
     values: &[f64],
@@ -80,20 +105,23 @@ pub(crate) fn quantize_predicted(
     level: SimdLevel,
 ) {
     debug_assert_eq!(values.len(), preds.len());
-    debug_assert!(values.len() <= recon.len());
-    debug_assert!(eligible(quant));
     let start = codes_out.len();
     codes_out.resize(start + values.len(), 0);
     let codes = &mut codes_out[start..];
+    let recon = &mut recon[..values.len()];
     match level {
         #[cfg(target_arch = "x86_64")]
-        // SAFETY: dispatched only when runtime detection reported AVX2.
-        SimdLevel::Avx2 => unsafe { quantize_avx2(quant, values, preds, codes, recon) },
+        // SAFETY: the guard has just detected AVX2 on this host.
+        SimdLevel::Avx2 if is_x86_feature_detected!("avx2") => unsafe {
+            x86::quantize_avx2(quant, values, preds, codes, recon)
+        },
         #[cfg(target_arch = "x86_64")]
-        // SAFETY: dispatched only when runtime detection reported SSE4.1.
-        SimdLevel::Sse41 => unsafe { quantize_sse41(quant, values, preds, codes, recon) },
+        // SAFETY: the guard has just detected SSE4.1 on this host.
+        SimdLevel::Sse41 if is_x86_feature_detected!("sse4.1") => unsafe {
+            x86::quantize_sse41(quant, values, preds, codes, recon)
+        },
         #[cfg(target_arch = "aarch64")]
-        SimdLevel::Neon => quantize_neon(quant, values, preds, codes, recon),
+        SimdLevel::Neon => quantize_lanes(quant, values, preds, codes, recon),
         _ => quantize_tail(quant, values, preds, codes, recon),
     }
 }
@@ -116,32 +144,40 @@ pub(crate) fn vq_levels(
     debug_assert_eq!(values.len(), pred_out.len());
     match level {
         #[cfg(target_arch = "x86_64")]
-        // SAFETY: dispatched only when runtime detection reported AVX2.
-        SimdLevel::Avx2 => unsafe { vq_levels_avx2(mu, lambda, values, lf_out, pred_out) },
+        // SAFETY: the guard has just detected AVX2 on this host.
+        SimdLevel::Avx2 if is_x86_feature_detected!("avx2") => unsafe {
+            x86::vq_levels_avx2(mu, lambda, values, lf_out, pred_out)
+        },
         #[cfg(target_arch = "x86_64")]
-        // SAFETY: dispatched only when runtime detection reported SSE4.1.
-        SimdLevel::Sse41 => unsafe { vq_levels_sse41(mu, lambda, values, lf_out, pred_out) },
-        #[cfg(target_arch = "aarch64")]
-        SimdLevel::Neon => vq_levels_neon(mu, lambda, values, lf_out, pred_out),
+        // SAFETY: the guard has just detected SSE4.1 on this host.
+        SimdLevel::Sse41 if is_x86_feature_detected!("sse4.1") => unsafe {
+            x86::vq_levels_sse41(mu, lambda, values, lf_out, pred_out)
+        },
         _ => vq_levels_tail(mu, lambda, values, lf_out, pred_out),
     }
 }
 
-/// Scalar form of [`vq_levels`], also the vector tail.
+/// Scalar form of [`vq_levels`], already branch-free: the lane loop every
+/// level runs.
+#[inline(always)]
 fn vq_levels_tail(mu: f64, lambda: f64, values: &[f64], lf_out: &mut [f64], pred_out: &mut [f64]) {
-    for i in 0..values.len() {
-        let lf = ((values[i] - mu) / lambda).round();
-        lf_out[i] = lf;
-        pred_out[i] = mu + lambda * (lf + 0.0);
+    for ((&d, lf_slot), pred_slot) in values.iter().zip(lf_out).zip(pred_out) {
+        let lf = ((d - mu) / lambda).round();
+        *lf_slot = lf;
+        *pred_slot = mu + lambda * (lf + 0.0);
     }
 }
 
+/// The lane loops compiled once per x86_64 level.
 #[cfg(target_arch = "x86_64")]
 mod x86 {
-    use super::*;
-    use std::arch::x86_64::*;
+    use super::{quantize_lanes, vq_levels_tail, LinearQuantizer};
 
-    /// Shared lane math for one 256-bit block. Caller guarantees AVX2.
+    /// [`quantize_lanes`] compiled for AVX2 (4 lanes).
+    ///
+    /// # Safety
+    ///
+    /// The host must support AVX2.
     #[target_feature(enable = "avx2")]
     pub(super) unsafe fn quantize_avx2(
         quant: &LinearQuantizer,
@@ -150,63 +186,14 @@ mod x86 {
         codes: &mut [u32],
         recon: &mut [f64],
     ) {
-        let n = values.len();
-        let inv = _mm256_set1_pd(quant.inv_step());
-        let eps = _mm256_set1_pd(quant.eps());
-        let step2 = _mm256_set1_pd(2.0 * quant.eps());
-        let radiusf = _mm256_set1_pd(f64::from(quant.radius()));
-        let fmax = _mm256_set1_pd(f64::MAX);
-        let half = _mm256_set1_pd(0.5);
-        let nhalf = _mm256_set1_pd(-0.5);
-        let one = _mm256_set1_pd(1.0);
-        let zero = _mm256_setzero_pd();
-        let abs_mask = _mm256_castsi256_pd(_mm256_set1_epi64x(0x7fff_ffff_ffff_ffff));
-        let mut i = 0;
-        while i + 4 <= n {
-            // SAFETY: `i + 4 <= n` keeps every unaligned load/store in
-            // bounds of its slice (`preds.len() == n`, `recon.len() >= n`,
-            // `codes.len() == n`).
-            unsafe {
-                let vv = _mm256_loadu_pd(values.as_ptr().add(i));
-                let pp = _mm256_loadu_pd(preds.as_ptr().add(i));
-                let diff = _mm256_sub_pd(vv, pp);
-                // `!diff.is_finite()` ⇔ |diff| ≤ f64::MAX fails (NaN, ±inf).
-                let finite = _mm256_cmp_pd::<_CMP_LE_OQ>(_mm256_and_pd(diff, abs_mask), fmax);
-                let x = _mm256_mul_pd(diff, inv);
-                let re = _mm256_round_pd::<{ _MM_FROUND_TO_NEAREST_INT | _MM_FROUND_NO_EXC }>(x);
-                // Exact tie residue; ±0.5 only at true ties (see module doc).
-                let frac = _mm256_sub_pd(x, re);
-                let tie_pos = _mm256_and_pd(
-                    _mm256_cmp_pd::<_CMP_EQ_OQ>(frac, half),
-                    _mm256_cmp_pd::<_CMP_GT_OQ>(x, zero),
-                );
-                let tie_neg = _mm256_and_pd(
-                    _mm256_cmp_pd::<_CMP_EQ_OQ>(frac, nhalf),
-                    _mm256_cmp_pd::<_CMP_LT_OQ>(x, zero),
-                );
-                // Blend (not add): an unconditional `re + 0.0` would turn the
-                // -0.0 that round() produces for x in (-0.5, -0.0] into +0.0.
-                let qf = _mm256_blendv_pd(re, _mm256_add_pd(re, one), tie_pos);
-                let qf = _mm256_blendv_pd(qf, _mm256_sub_pd(re, one), tie_neg);
-                let in_range = _mm256_cmp_pd::<_CMP_LT_OQ>(_mm256_and_pd(qf, abs_mask), radiusf);
-                // Canonicalize -0.0 → +0.0 like the scalar `q as i64 as f64`.
-                let qfz = _mm256_add_pd(qf, zero);
-                let rec = _mm256_add_pd(pp, _mm256_mul_pd(step2, qfz));
-                let err = _mm256_and_pd(_mm256_sub_pd(rec, vv), abs_mask);
-                let bound_ok = _mm256_cmp_pd::<_CMP_LE_OQ>(err, eps);
-                let ok = _mm256_and_pd(_mm256_and_pd(finite, in_range), bound_ok);
-                _mm256_storeu_pd(recon.as_mut_ptr().add(i), _mm256_blendv_pd(vv, rec, ok));
-                // Escape lanes are masked to +0.0 before conversion → code 0.
-                let codef = _mm256_and_pd(_mm256_add_pd(qf, radiusf), ok);
-                _mm_storeu_si128(codes.as_mut_ptr().add(i).cast(), _mm256_cvtpd_epi32(codef));
-            }
-            i += 4;
-        }
-        quantize_tail(quant, &values[i..], &preds[i..], &mut codes[i..], &mut recon[i..]);
+        quantize_lanes(quant, values, preds, codes, recon)
     }
 
-    /// 2-lane SSE4.1 variant of [`quantize_avx2`]. Caller guarantees SSE4.1
-    /// (needed for `_mm_round_pd` / `_mm_blendv_pd`).
+    /// [`quantize_lanes`] compiled for SSE4.1 (2 lanes).
+    ///
+    /// # Safety
+    ///
+    /// The host must support SSE4.1.
     #[target_feature(enable = "sse4.1")]
     pub(super) unsafe fn quantize_sse41(
         quant: &LinearQuantizer,
@@ -215,51 +202,14 @@ mod x86 {
         codes: &mut [u32],
         recon: &mut [f64],
     ) {
-        let n = values.len();
-        let inv = _mm_set1_pd(quant.inv_step());
-        let eps = _mm_set1_pd(quant.eps());
-        let step2 = _mm_set1_pd(2.0 * quant.eps());
-        let radiusf = _mm_set1_pd(f64::from(quant.radius()));
-        let fmax = _mm_set1_pd(f64::MAX);
-        let half = _mm_set1_pd(0.5);
-        let nhalf = _mm_set1_pd(-0.5);
-        let one = _mm_set1_pd(1.0);
-        let zero = _mm_setzero_pd();
-        let abs_mask = _mm_castsi128_pd(_mm_set1_epi64x(0x7fff_ffff_ffff_ffff));
-        let mut i = 0;
-        while i + 2 <= n {
-            // SAFETY: `i + 2 <= n` keeps every unaligned load/store in
-            // bounds of its slice.
-            unsafe {
-                let vv = _mm_loadu_pd(values.as_ptr().add(i));
-                let pp = _mm_loadu_pd(preds.as_ptr().add(i));
-                let diff = _mm_sub_pd(vv, pp);
-                let finite = _mm_cmple_pd(_mm_and_pd(diff, abs_mask), fmax);
-                let x = _mm_mul_pd(diff, inv);
-                let re = _mm_round_pd::<{ _MM_FROUND_TO_NEAREST_INT | _MM_FROUND_NO_EXC }>(x);
-                let frac = _mm_sub_pd(x, re);
-                let tie_pos = _mm_and_pd(_mm_cmpeq_pd(frac, half), _mm_cmpgt_pd(x, zero));
-                let tie_neg = _mm_and_pd(_mm_cmpeq_pd(frac, nhalf), _mm_cmplt_pd(x, zero));
-                // Blend (not add) to preserve round()'s -0.0 for x in (-0.5, -0.0].
-                let qf = _mm_blendv_pd(re, _mm_add_pd(re, one), tie_pos);
-                let qf = _mm_blendv_pd(qf, _mm_sub_pd(re, one), tie_neg);
-                let in_range = _mm_cmplt_pd(_mm_and_pd(qf, abs_mask), radiusf);
-                let qfz = _mm_add_pd(qf, zero);
-                let rec = _mm_add_pd(pp, _mm_mul_pd(step2, qfz));
-                let err = _mm_and_pd(_mm_sub_pd(rec, vv), abs_mask);
-                let bound_ok = _mm_cmple_pd(err, eps);
-                let ok = _mm_and_pd(_mm_and_pd(finite, in_range), bound_ok);
-                _mm_storeu_pd(recon.as_mut_ptr().add(i), _mm_blendv_pd(vv, rec, ok));
-                let codef = _mm_and_pd(_mm_add_pd(qf, radiusf), ok);
-                // Two i32 codes land in the low 8 bytes.
-                _mm_storel_epi64(codes.as_mut_ptr().add(i).cast(), _mm_cvtpd_epi32(codef));
-            }
-            i += 2;
-        }
-        quantize_tail(quant, &values[i..], &preds[i..], &mut codes[i..], &mut recon[i..]);
+        quantize_lanes(quant, values, preds, codes, recon)
     }
 
-    /// 4-lane level rounding for [`vq_levels`]. Caller guarantees AVX2.
+    /// [`vq_levels_tail`] compiled for AVX2 (4 lanes).
+    ///
+    /// # Safety
+    ///
+    /// The host must support AVX2.
     #[target_feature(enable = "avx2")]
     pub(super) unsafe fn vq_levels_avx2(
         mu: f64,
@@ -268,44 +218,14 @@ mod x86 {
         lf_out: &mut [f64],
         pred_out: &mut [f64],
     ) {
-        let n = values.len();
-        let muv = _mm256_set1_pd(mu);
-        let lamv = _mm256_set1_pd(lambda);
-        let half = _mm256_set1_pd(0.5);
-        let nhalf = _mm256_set1_pd(-0.5);
-        let one = _mm256_set1_pd(1.0);
-        let zero = _mm256_setzero_pd();
-        let mut i = 0;
-        while i + 4 <= n {
-            // SAFETY: `i + 4 <= n` keeps every unaligned load/store in
-            // bounds (both outputs are length `n`).
-            unsafe {
-                let d = _mm256_loadu_pd(values.as_ptr().add(i));
-                let x = _mm256_div_pd(_mm256_sub_pd(d, muv), lamv);
-                let re = _mm256_round_pd::<{ _MM_FROUND_TO_NEAREST_INT | _MM_FROUND_NO_EXC }>(x);
-                let frac = _mm256_sub_pd(x, re);
-                let tie_pos = _mm256_and_pd(
-                    _mm256_cmp_pd::<_CMP_EQ_OQ>(frac, half),
-                    _mm256_cmp_pd::<_CMP_GT_OQ>(x, zero),
-                );
-                let tie_neg = _mm256_and_pd(
-                    _mm256_cmp_pd::<_CMP_EQ_OQ>(frac, nhalf),
-                    _mm256_cmp_pd::<_CMP_LT_OQ>(x, zero),
-                );
-                // Blend (not add) to preserve round()'s -0.0 for x in (-0.5, -0.0].
-                let lf = _mm256_blendv_pd(re, _mm256_add_pd(re, one), tie_pos);
-                let lf = _mm256_blendv_pd(lf, _mm256_sub_pd(re, one), tie_neg);
-                _mm256_storeu_pd(lf_out.as_mut_ptr().add(i), lf);
-                let lfz = _mm256_add_pd(lf, zero);
-                let pred = _mm256_add_pd(muv, _mm256_mul_pd(lamv, lfz));
-                _mm256_storeu_pd(pred_out.as_mut_ptr().add(i), pred);
-            }
-            i += 4;
-        }
-        vq_levels_tail(mu, lambda, &values[i..], &mut lf_out[i..], &mut pred_out[i..]);
+        vq_levels_tail(mu, lambda, values, lf_out, pred_out)
     }
 
-    /// 2-lane SSE4.1 variant of [`vq_levels_avx2`].
+    /// [`vq_levels_tail`] compiled for SSE4.1 (2 lanes).
+    ///
+    /// # Safety
+    ///
+    /// The host must support SSE4.1.
     #[target_feature(enable = "sse4.1")]
     pub(super) unsafe fn vq_levels_sse41(
         mu: f64,
@@ -314,127 +234,7 @@ mod x86 {
         lf_out: &mut [f64],
         pred_out: &mut [f64],
     ) {
-        let n = values.len();
-        let muv = _mm_set1_pd(mu);
-        let lamv = _mm_set1_pd(lambda);
-        let half = _mm_set1_pd(0.5);
-        let nhalf = _mm_set1_pd(-0.5);
-        let one = _mm_set1_pd(1.0);
-        let zero = _mm_setzero_pd();
-        let mut i = 0;
-        while i + 2 <= n {
-            // SAFETY: `i + 2 <= n` keeps every unaligned load/store in
-            // bounds (both outputs are length `n`).
-            unsafe {
-                let d = _mm_loadu_pd(values.as_ptr().add(i));
-                let x = _mm_div_pd(_mm_sub_pd(d, muv), lamv);
-                let re = _mm_round_pd::<{ _MM_FROUND_TO_NEAREST_INT | _MM_FROUND_NO_EXC }>(x);
-                let frac = _mm_sub_pd(x, re);
-                let tie_pos = _mm_and_pd(_mm_cmpeq_pd(frac, half), _mm_cmpgt_pd(x, zero));
-                let tie_neg = _mm_and_pd(_mm_cmpeq_pd(frac, nhalf), _mm_cmplt_pd(x, zero));
-                // Blend (not add) to preserve round()'s -0.0 for x in (-0.5, -0.0].
-                let lf = _mm_blendv_pd(re, _mm_add_pd(re, one), tie_pos);
-                let lf = _mm_blendv_pd(lf, _mm_sub_pd(re, one), tie_neg);
-                _mm_storeu_pd(lf_out.as_mut_ptr().add(i), lf);
-                let lfz = _mm_add_pd(lf, zero);
-                let pred = _mm_add_pd(muv, _mm_mul_pd(lamv, lfz));
-                _mm_storeu_pd(pred_out.as_mut_ptr().add(i), pred);
-            }
-            i += 2;
-        }
-        vq_levels_tail(mu, lambda, &values[i..], &mut lf_out[i..], &mut pred_out[i..]);
-    }
-}
-
-#[cfg(target_arch = "x86_64")]
-use x86::{quantize_avx2, quantize_sse41, vq_levels_avx2, vq_levels_sse41};
-
-/// 2-lane NEON variant of the fused quantize (aarch64 baseline — safe to
-/// call unconditionally on that arch).
-#[cfg(target_arch = "aarch64")]
-fn quantize_neon(
-    quant: &LinearQuantizer,
-    values: &[f64],
-    preds: &[f64],
-    codes: &mut [u32],
-    recon: &mut [f64],
-) {
-    use std::arch::aarch64::*;
-    let n = values.len();
-    // SAFETY: NEON is mandatory on aarch64; all loads/stores below stay in
-    // bounds because `i + 2 <= n` and every slice has length ≥ n.
-    unsafe {
-        let inv = vdupq_n_f64(quant.inv_step());
-        let eps = vdupq_n_f64(quant.eps());
-        let step2 = vdupq_n_f64(2.0 * quant.eps());
-        let radiusf = vdupq_n_f64(f64::from(quant.radius()));
-        let fmax = vdupq_n_f64(f64::MAX);
-        let half = vdupq_n_f64(0.5);
-        let nhalf = vdupq_n_f64(-0.5);
-        let one = vdupq_n_f64(1.0);
-        let zero = vdupq_n_f64(0.0);
-        let mut i = 0;
-        while i + 2 <= n {
-            let vv = vld1q_f64(values.as_ptr().add(i));
-            let pp = vld1q_f64(preds.as_ptr().add(i));
-            let diff = vsubq_f64(vv, pp);
-            let finite = vcleq_f64(vabsq_f64(diff), fmax);
-            let x = vmulq_f64(diff, inv);
-            let re = vrndnq_f64(x);
-            let frac = vsubq_f64(x, re);
-            let tie_pos = vandq_u64(vceqq_f64(frac, half), vcgtq_f64(x, zero));
-            let tie_neg = vandq_u64(vceqq_f64(frac, nhalf), vcltq_f64(x, zero));
-            // Blend (not add) to preserve round()'s -0.0 for x in (-0.5, -0.0].
-            let qf = vbslq_f64(tie_pos, vaddq_f64(re, one), re);
-            let qf = vbslq_f64(tie_neg, vsubq_f64(re, one), qf);
-            let in_range = vcltq_f64(vabsq_f64(qf), radiusf);
-            let qfz = vaddq_f64(qf, zero);
-            let rec = vaddq_f64(pp, vmulq_f64(step2, qfz));
-            let bound_ok = vcleq_f64(vabsq_f64(vsubq_f64(rec, vv)), eps);
-            let ok = vandq_u64(vandq_u64(finite, in_range), bound_ok);
-            vst1q_f64(recon.as_mut_ptr().add(i), vbslq_f64(ok, rec, vv));
-            let codef =
-                vreinterpretq_f64_u64(vandq_u64(vreinterpretq_u64_f64(vaddq_f64(qf, radiusf)), ok));
-            // Values are exact non-negative integers < 2³¹; truncation is exact.
-            let code64 = vcvtq_s64_f64(codef);
-            codes[i] = vgetq_lane_s64::<0>(code64) as u32;
-            codes[i + 1] = vgetq_lane_s64::<1>(code64) as u32;
-            i += 2;
-        }
-        quantize_tail(quant, &values[i..], &preds[i..], &mut codes[i..], &mut recon[i..]);
-    }
-}
-
-/// 2-lane NEON variant of [`vq_levels`].
-#[cfg(target_arch = "aarch64")]
-fn vq_levels_neon(mu: f64, lambda: f64, values: &[f64], lf_out: &mut [f64], pred_out: &mut [f64]) {
-    use std::arch::aarch64::*;
-    let n = values.len();
-    // SAFETY: NEON is mandatory on aarch64; all loads/stores stay in bounds.
-    unsafe {
-        let muv = vdupq_n_f64(mu);
-        let lamv = vdupq_n_f64(lambda);
-        let half = vdupq_n_f64(0.5);
-        let nhalf = vdupq_n_f64(-0.5);
-        let one = vdupq_n_f64(1.0);
-        let zero = vdupq_n_f64(0.0);
-        let mut i = 0;
-        while i + 2 <= n {
-            let d = vld1q_f64(values.as_ptr().add(i));
-            let x = vdivq_f64(vsubq_f64(d, muv), lamv);
-            let re = vrndnq_f64(x);
-            let frac = vsubq_f64(x, re);
-            let tie_pos = vandq_u64(vceqq_f64(frac, half), vcgtq_f64(x, zero));
-            let tie_neg = vandq_u64(vceqq_f64(frac, nhalf), vcltq_f64(x, zero));
-            // Blend (not add) to preserve round()'s -0.0 for x in (-0.5, -0.0].
-            let lf = vbslq_f64(tie_pos, vaddq_f64(re, one), re);
-            let lf = vbslq_f64(tie_neg, vsubq_f64(re, one), lf);
-            vst1q_f64(lf_out.as_mut_ptr().add(i), lf);
-            let lfz = vaddq_f64(lf, zero);
-            vst1q_f64(pred_out.as_mut_ptr().add(i), vaddq_f64(muv, vmulq_f64(lamv, lfz)));
-            i += 2;
-        }
-        vq_levels_tail(mu, lambda, &values[i..], &mut lf_out[i..], &mut pred_out[i..]);
+        vq_levels_tail(mu, lambda, values, lf_out, pred_out)
     }
 }
 
@@ -455,6 +255,46 @@ mod tests {
             SimdLevel::Scalar => {}
         }
         levels
+    }
+
+    fn bits(values: &[f64]) -> Vec<u64> {
+        values.iter().map(|f| f.to_bits()).collect()
+    }
+
+    /// The scalar oracle's codes and reconstruction bits.
+    fn quantize_oracle(
+        quant: &LinearQuantizer,
+        values: &[f64],
+        preds: &[f64],
+    ) -> (Vec<u32>, Vec<u64>) {
+        let mut codes = vec![0; values.len()];
+        let mut recon = vec![0.0; values.len()];
+        quantize_tail(quant, values, preds, &mut codes, &mut recon);
+        (codes, bits(&recon))
+    }
+
+    /// Codes and reconstruction bits from every runnable level, then from
+    /// the lane loop at the build's baseline features (the code aarch64
+    /// runs), each labelled.
+    fn quantize_arms(
+        quant: &LinearQuantizer,
+        values: &[f64],
+        preds: &[f64],
+    ) -> Vec<(String, Vec<u32>, Vec<u64>)> {
+        let mut arms: Vec<_> = runnable_levels()
+            .into_iter()
+            .map(|lv| {
+                let mut codes = Vec::new();
+                let mut recon = vec![0.0; values.len()];
+                quantize_predicted(quant, values, preds, &mut codes, &mut recon, lv);
+                (format!("{lv:?}"), codes, bits(&recon))
+            })
+            .collect();
+        let mut codes = vec![0; values.len()];
+        let mut recon = vec![0.0; values.len()];
+        quantize_lanes(quant, values, preds, &mut codes, &mut recon);
+        arms.push(("baseline lanes".to_string(), codes, bits(&recon)));
+        arms
     }
 
     fn lcg(state: &mut u64) -> u64 {
@@ -499,29 +339,15 @@ mod tests {
     #[test]
     fn quantize_kernels_match_scalar_bit_for_bit() {
         for eps in [1e-3, 1e-6, 0.25, 1e3] {
-            for radius in [512u32, 1 << 23, MAX_SIMD_RADIUS] {
+            // 2²⁴ is the largest radius `MdzConfig::validate` admits;
+            // `u32::MAX` checks that the code conversion is exact for any radius.
+            for radius in [512u32, 1 << 23, 1 << 24, u32::MAX] {
                 let quant = LinearQuantizer::new(eps, radius);
                 let (values, preds) = test_pairs(eps, 257, 0x00D1_CE00 + radius as u64);
-                let mut want_codes = Vec::new();
-                let mut want_recon = vec![0.0; values.len()];
-                quantize_tail(
-                    &quant,
-                    &values,
-                    &preds,
-                    {
-                        want_codes.resize(values.len(), 0);
-                        &mut want_codes[..]
-                    },
-                    &mut want_recon,
-                );
-                for &lv in &runnable_levels() {
-                    let mut codes = Vec::new();
-                    let mut recon = vec![0.0; values.len()];
-                    quantize_predicted(&quant, &values, &preds, &mut codes, &mut recon, lv);
-                    assert_eq!(codes, want_codes, "codes {lv:?} eps {eps} radius {radius}");
-                    let want_bits: Vec<u64> = want_recon.iter().map(|f| f.to_bits()).collect();
-                    let got_bits: Vec<u64> = recon.iter().map(|f| f.to_bits()).collect();
-                    assert_eq!(got_bits, want_bits, "recon {lv:?} eps {eps} radius {radius}");
+                let (want_codes, want_bits) = quantize_oracle(&quant, &values, &preds);
+                for (arm, codes, got_bits) in quantize_arms(&quant, &values, &preds) {
+                    assert_eq!(codes, want_codes, "codes {arm} eps {eps} radius {radius}");
+                    assert_eq!(got_bits, want_bits, "recon {arm} eps {eps} radius {radius}");
                 }
             }
         }
@@ -547,18 +373,28 @@ mod tests {
             .collect();
         values.push(mu); // exact level 0
         let n = values.len();
-        let mut want_lf = vec![0.0; n];
-        let mut want_pred = vec![0.0; n];
-        vq_levels_tail(mu, lambda, &values, &mut want_lf, &mut want_pred);
-        for &lv in &runnable_levels() {
-            let mut lf = vec![0.0; n];
-            let mut pred = vec![0.0; n];
-            vq_levels(mu, lambda, &values, &mut lf, &mut pred, lv);
+        // The oracle is the scalar per-value expression, written out.
+        let want_lf: Vec<f64> = values.iter().map(|&d| ((d - mu) / lambda).round()).collect();
+        let want_pred: Vec<f64> = want_lf.iter().map(|&lf| mu + lambda * (lf + 0.0)).collect();
+        let mut arms: Vec<(String, Vec<f64>, Vec<f64>)> = runnable_levels()
+            .into_iter()
+            .map(|lv| {
+                let mut lf = vec![0.0; n];
+                let mut pred = vec![0.0; n];
+                vq_levels(mu, lambda, &values, &mut lf, &mut pred, lv);
+                (format!("{lv:?}"), lf, pred)
+            })
+            .collect();
+        let mut lf = vec![0.0; n];
+        let mut pred = vec![0.0; n];
+        vq_levels_tail(mu, lambda, &values, &mut lf, &mut pred);
+        arms.push(("baseline lanes".to_string(), lf, pred));
+        for (arm, lf, pred) in arms {
             for i in 0..n {
                 assert_eq!(
                     lf[i].to_bits(),
                     want_lf[i].to_bits(),
-                    "lf {lv:?} lane {i}: value {:?} got {:?} want {:?}",
+                    "lf {arm} lane {i}: value {:?} got {:?} want {:?}",
                     values[i],
                     lf[i],
                     want_lf[i]
@@ -566,7 +402,7 @@ mod tests {
                 assert_eq!(
                     pred[i].to_bits(),
                     want_pred[i].to_bits(),
-                    "pred {lv:?} lane {i}: value {:?} got {:?} want {:?}",
+                    "pred {arm} lane {i}: value {:?} got {:?} want {:?}",
                     values[i],
                     pred[i],
                     want_pred[i]
@@ -576,24 +412,17 @@ mod tests {
     }
 
     #[test]
-    fn rounding_correction_handles_all_tie_signs() {
-        // Distilled from the design analysis: round() vs roundeven() on the
-        // half-integers, driven through the full kernel.
+    fn ties_round_half_away_from_zero_in_every_arm() {
         let quant = LinearQuantizer::new(0.5, 512); // inv_step = 1, step2 = 1
         let values = [0.5, 1.5, 2.5, -0.5, -1.5, -2.5, 3.5, -3.5];
         let preds = [0.0; 8];
-        let mut want_codes = vec![0u32; 8];
-        let mut want_recon = vec![0.0; 8];
-        quantize_tail(&quant, &values, &preds, &mut want_codes, &mut want_recon);
+        let (want_codes, want_bits) = quantize_oracle(&quant, &values, &preds);
         // Sanity-check the oracle itself: f64::round is half-away-from-zero.
         let q: Vec<i64> = want_codes.iter().map(|&c| i64::from(c) - 512).collect();
         assert_eq!(q, vec![1, 2, 3, -1, -2, -3, 4, -4]);
-        for &lv in &runnable_levels() {
-            let mut codes = Vec::new();
-            let mut recon = vec![0.0; 8];
-            quantize_predicted(&quant, &values, &preds, &mut codes, &mut recon, lv);
-            assert_eq!(codes, want_codes, "{lv:?}");
-            assert_eq!(recon, want_recon, "{lv:?}");
+        for (arm, codes, got_bits) in quantize_arms(&quant, &values, &preds) {
+            assert_eq!(codes, want_codes, "{arm}");
+            assert_eq!(got_bits, want_bits, "{arm}");
         }
     }
 
@@ -601,20 +430,13 @@ mod tests {
     fn negative_zero_prediction_reconstructs_identically() {
         let quant = LinearQuantizer::new(1e-3, 512);
         // diff rounds to q = 0 with pred = -0.0: scalar yields -0.0 + +0.0
-        // = +0.0; an uncanonicalized kernel would produce -0.0.
+        // = +0.0; a lane without the `+ 0.0` would produce -0.0.
         let values = [1e-5, -1e-5, 0.0, -0.0];
         let preds = [-0.0, -0.0, -0.0, -0.0];
-        let mut want_codes = vec![0u32; 4];
-        let mut want_recon = vec![0.0; 4];
-        quantize_tail(&quant, &values, &preds, &mut want_codes, &mut want_recon);
-        for &lv in &runnable_levels() {
-            let mut codes = Vec::new();
-            let mut recon = vec![0.0; 4];
-            quantize_predicted(&quant, &values, &preds, &mut codes, &mut recon, lv);
-            assert_eq!(codes, want_codes, "{lv:?}");
-            let wb: Vec<u64> = want_recon.iter().map(|f| f.to_bits()).collect();
-            let gb: Vec<u64> = recon.iter().map(|f| f.to_bits()).collect();
-            assert_eq!(gb, wb, "{lv:?}");
+        let (want_codes, want_bits) = quantize_oracle(&quant, &values, &preds);
+        for (arm, codes, got_bits) in quantize_arms(&quant, &values, &preds) {
+            assert_eq!(codes, want_codes, "{arm}");
+            assert_eq!(got_bits, want_bits, "{arm}");
         }
     }
 }
