@@ -489,7 +489,7 @@ pub fn huffman_decode_at_into_limited(
             // actually yields that many symbols (a forged header must not
             // OOM us).
             out.reserve(count.min(1 << 20));
-            if crate::kernel::accelerated() {
+            if !crate::kernel::force_scalar() {
                 dec.decode_batched(&mut bits, count, out)?;
             } else {
                 // Scalar oracle: one LUT peek (or canonical scan) per symbol.

@@ -1,12 +1,14 @@
 //! Runtime SIMD kernel dispatch shared by the whole pipeline.
 //!
 //! Two hot-path stages ship both a scalar implementation and a faster
-//! kernel: mdz-core's fused predict/quantize, with `core::arch` intrinsics
-//! per instruction set, and the batched Huffman decode in
-//! [`crate::huffman`], a portable wide-window table decode. Which one runs
-//! is decided here, once, from runtime CPU-feature detection — never from
-//! compile-time flags — so a single binary is correct everywhere and fast
-//! where the hardware allows.
+//! kernel: mdz-core's fused predict/quantize, portable lane loops compiled
+//! once per instruction set, and the batched Huffman decode in
+//! [`crate::huffman`], a portable wide-window table decode. Which
+//! instruction set the lane loops run on is decided here, once, from
+//! runtime CPU-feature detection — never from compile-time flags — so a
+//! single binary is correct everywhere and fast where the hardware allows.
+//! The batched decode needs no instruction set and runs unless the scalar
+//! oracle is pinned.
 //!
 //! Two invariants govern every kernel behind this dispatcher:
 //!
@@ -124,11 +126,6 @@ pub fn active_level() -> SimdLevel {
     }
 }
 
-/// True when the active level is anything above the scalar oracle.
-pub fn accelerated() -> bool {
-    active_level() != SimdLevel::Scalar
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -140,7 +137,6 @@ mod tests {
         let was_forced = force_scalar();
         set_force_scalar(true);
         assert_eq!(active_level(), SimdLevel::Scalar);
-        assert!(!accelerated());
         set_force_scalar(false);
         assert_eq!(active_level(), detected_level());
         set_force_scalar(was_forced);
