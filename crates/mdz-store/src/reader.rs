@@ -533,9 +533,9 @@ impl StoreReader {
             .map(|b| record_at(&snap.data, b.offset))
             .collect::<Result<Vec<&[u8]>>>()?;
 
-        let decode_axis = |axis: usize| -> Result<Vec<(usize, Vec<Vec<f64>>)>> {
+        let decode_axis = |axis: usize, obs: &Obs| -> Result<Vec<(usize, Vec<Vec<f64>>)>> {
             let mut dec = Decompressor::with_limits(self.opts.limits);
-            dec.set_obs(self.shared.obs.clone());
+            dec.set_obs(obs.clone());
             let mut decoded = Vec::new();
             for (block, container) in (anchor..).zip(&containers) {
                 let part = split_container(container)?[axis];
@@ -568,16 +568,19 @@ impl StoreReader {
         // short-lived axis threads scatter the cached buffers across
         // allocator arenas. Serving two closed-loop clients on a 2-vCPU
         // host, per-request axis threads cost ~15% of the GET throughput
-        // and ~25 MB of peak RSS.
+        // and ~25 MB of peak RSS. The fanned-out axes record their decode
+        // spans as shares of the read's wall time (DESIGN.md §11).
         let (x, y, z) = if wanted.len() == idx.epoch_blocks(epoch).len() {
+            let obs = self.shared.obs.share(3);
             std::thread::scope(|s| {
-                let hy = s.spawn(|| decode_axis(1));
-                let hz = s.spawn(|| decode_axis(2));
-                let x = decode_axis(0);
+                let hy = s.spawn(|| decode_axis(1, &obs));
+                let hz = s.spawn(|| decode_axis(2, &obs));
+                let x = decode_axis(0, &obs);
                 (x, join_axis(hy.join()), join_axis(hz.join()))
             })
         } else {
-            (decode_axis(0), decode_axis(1), decode_axis(2))
+            let obs = &self.shared.obs;
+            (decode_axis(0, obs), decode_axis(1, obs), decode_axis(2, obs))
         };
         let (x, y, z) = (x?, y?, z?);
 
@@ -861,6 +864,27 @@ mod tests {
         // registry: 3 axes × 2 buffers.
         assert_eq!(registry.counter("core.decode.blocks"), 6);
         assert!(reader.metrics().histogram("core.decode.reconstruct_seconds").is_some());
+    }
+
+    #[test]
+    fn whole_epoch_decode_seconds_fit_in_the_read() {
+        let registry = Arc::new(Registry::new());
+        let data = write_store(&frames(8, 16000), &[], &[], &store_opts()).unwrap();
+        let reader =
+            StoreReader::with_registry(data, ReaderOptions::default(), Arc::clone(&registry))
+                .unwrap();
+        // Frames 0..8 are the whole first epoch (bs 4, K 2): the three
+        // axes decode on their own threads.
+        let start = std::time::Instant::now();
+        reader.read_frames(0..8).unwrap();
+        let elapsed = start.elapsed().as_secs_f64();
+        let snap = registry.snapshot();
+        let decode: f64 = ["core.decode.lossless_seconds", "core.decode.reconstruct_seconds"]
+            .iter()
+            .map(|name| snap.histogram(name).map_or(0.0, |h| h.sum))
+            .sum();
+        assert_eq!(snap.counter("core.decode.blocks"), 6);
+        assert!(decode > 0.0 && decode <= elapsed, "decode {decode} s in a {elapsed} s read");
     }
 
     fn store_opts() -> StoreOptions {
