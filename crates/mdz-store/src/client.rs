@@ -108,9 +108,6 @@ pub struct RetryPolicy {
     pub base: Duration,
     /// Upper bound on any single backoff sleep.
     pub cap: Duration,
-    /// Whether a [`Status::Busy`] response is retried (default true — the
-    /// server shed load, backing off is exactly what it asked for).
-    pub retry_busy: bool,
     /// Seed for the jitter PRNG, making backoff sequences reproducible in
     /// tests. [`RetryPolicy::default`] derives one from the process.
     pub seed: u64,
@@ -128,7 +125,6 @@ impl Default for RetryPolicy {
             max_retries: 3,
             base: Duration::from_millis(25),
             cap: Duration::from_secs(1),
-            retry_busy: true,
             seed: (u64::from(std::process::id()) << 32) ^ nanos,
         }
     }
@@ -172,10 +168,11 @@ impl RetryPolicy {
     /// Whether `err`, surfaced at `stage`, is worth retrying.
     ///
     /// Retryable: any connect-stage I/O error, timeouts at either stage,
-    /// and BUSY (if `retry_busy`). Never retried: application errors
-    /// (`Server` with any other status), protocol violations, and
-    /// request-stage I/O errors such as a mid-response disconnect — the
-    /// server may have already acted on the request.
+    /// and BUSY (the server shed load; backing off is what it asked for).
+    /// Never retried: application errors (`Server` with any other status),
+    /// protocol violations, and request-stage I/O errors such as a
+    /// mid-response disconnect — the server may have already acted on the
+    /// request.
     ///
     /// # Examples
     ///
@@ -189,9 +186,8 @@ impl RetryPolicy {
     /// ```
     pub fn should_retry(&self, err: &ClientError, stage: RetryStage) -> bool {
         match err {
-            ClientError::Timeout(_) => true,
+            ClientError::Timeout(_) | ClientError::Server { status: Status::Busy, .. } => true,
             ClientError::Io(_) => stage == RetryStage::Connect,
-            ClientError::Server { status: Status::Busy, .. } => self.retry_busy,
             ClientError::Server { .. } | ClientError::Protocol(_) => false,
         }
     }
@@ -866,8 +862,6 @@ mod tests {
         assert!(policy.should_retry(&busy, RetryStage::Request));
         assert!(!policy.should_retry(&corrupt, RetryStage::Request));
         assert!(!policy.should_retry(&ClientError::Protocol("x"), RetryStage::Request));
-        let no_busy = RetryPolicy { retry_busy: false, ..RetryPolicy::default() };
-        assert!(!no_busy.should_retry(&busy, RetryStage::Request));
     }
 
     #[test]
@@ -896,7 +890,6 @@ mod tests {
             max_retries: 8,
             base: Duration::from_millis(2),
             cap: Duration::from_millis(50),
-            retry_busy: true,
             seed: 0x6d64_7a00,
         };
         let sleeps: Vec<Duration> = {
@@ -929,7 +922,6 @@ mod tests {
             max_retries: 5,
             base: Duration::from_millis(1),
             cap: Duration::from_millis(2),
-            retry_busy: true,
             seed: 7,
         };
         // Two transient failures, then success.

@@ -15,12 +15,11 @@ use mdz_store::{
     RetryPolicy, RetryStage, Server, ServerConfig, Status, StoreOptions, StoreReader,
 };
 
-fn test_policy(max_retries: u32, retry_busy: bool) -> RetryPolicy {
+fn test_policy(max_retries: u32) -> RetryPolicy {
     RetryPolicy {
         max_retries,
         base: Duration::from_millis(1),
         cap: Duration::from_millis(5),
-        retry_busy,
         seed: 0xc11e47,
     }
 }
@@ -66,7 +65,7 @@ fn connection_refused_is_io_and_retried_at_connect_stage() {
     // transient, so every allowed retry is spent (and counted).
     let registry = Arc::new(Registry::new());
     let obs = Obs::new(Arc::clone(&registry) as Arc<dyn mdz_obs::Recorder>);
-    let policy = test_policy(2, true);
+    let policy = test_policy(2);
     match connect_with_retry(addr, &policy, &obs) {
         Err(ClientError::Io(_)) => {}
         other => panic!("expected Io after retries, got {:?}", other.err()),
@@ -88,7 +87,7 @@ fn mid_response_disconnect_is_io_and_never_retried() {
         let _ = stream.write_all(&[0u8; 10]);
     });
 
-    let err = get_with_retry(addr, 0..4, &test_policy(3, true), &Obs::noop())
+    let err = get_with_retry(addr, 0..4, &test_policy(3), &Obs::noop())
         .expect_err("truncated response must fail");
     match err {
         ClientError::Io(_) => {}
@@ -106,10 +105,10 @@ fn busy_response_is_typed_and_retried_only_when_the_policy_allows() {
         let _ = write_message(stream, &encode_error(Status::Busy, "shed"));
     };
 
-    // retry_busy = false: exactly one attempt, typed BUSY error out.
+    // No retries: exactly one attempt, typed BUSY error out.
     let (addr, accepts, join) = fake_server(1, busy);
-    let err = get_with_retry(addr, 0..4, &test_policy(3, false), &Obs::noop())
-        .expect_err("BUSY must surface");
+    let err =
+        get_with_retry(addr, 0..4, &test_policy(0), &Obs::noop()).expect_err("BUSY must surface");
     match &err {
         ClientError::Server { status: Status::Busy, .. } => {}
         other => panic!("expected BUSY, got {other:?}"),
@@ -117,13 +116,13 @@ fn busy_response_is_typed_and_retried_only_when_the_policy_allows() {
     assert_eq!(accepts.load(Ordering::SeqCst), 1);
     join.join().unwrap();
 
-    // retry_busy = true: the policy spends every retry (1 + 2 attempts)
+    // BUSY is retried: the policy spends every retry (1 + 2 attempts)
     // before giving up on a persistently busy server.
     let (addr, accepts, join) = fake_server(3, busy);
     let registry = Arc::new(Registry::new());
     let obs = Obs::new(Arc::clone(&registry) as Arc<dyn mdz_obs::Recorder>);
-    let err = get_with_retry(addr, 0..4, &test_policy(2, true), &obs)
-        .expect_err("still busy after retries");
+    let err =
+        get_with_retry(addr, 0..4, &test_policy(2), &obs).expect_err("still busy after retries");
     assert!(matches!(err, ClientError::Server { status: Status::Busy, .. }));
     assert_eq!(accepts.load(Ordering::SeqCst), 3);
     assert_eq!(registry.counter("client.retries"), 2);
@@ -150,7 +149,7 @@ fn request_deadline_surfaces_a_typed_timeout() {
         other => panic!("expected Timeout, got {other:?}"),
     }
     // Timeouts are transient at every stage: the policy may retry them.
-    let policy = test_policy(1, false);
+    let policy = test_policy(1);
     assert!(policy.should_retry(&err, RetryStage::Connect));
     assert!(policy.should_retry(&err, RetryStage::Request));
     drop(client);

@@ -199,7 +199,6 @@ fn connection_cap_sheds_busy_then_recovers_when_a_slot_frees() {
         max_retries: 10,
         base: Duration::from_millis(20),
         cap: Duration::from_millis(200),
-        retry_busy: true,
         seed: 42,
     };
     let frames = mdz_store::get_with_retry(addr, 0..8, &policy, &mdz_store::Obs::noop())
