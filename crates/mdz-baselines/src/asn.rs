@@ -7,9 +7,9 @@
 //! buffer falls back to in-snapshot Lorenzo prediction. Residuals go
 //! through the standard quantization + Huffman + LZ tail.
 
-use crate::common::{read_header, write_header, BaselineError, CodeSink, CodeSource, RADIUS};
+use crate::common::{read_header, write_header, CodeSink, CodeSource, RADIUS};
 use mdz_core::LinearQuantizer;
-use mdz_core::{Codec, ErrorBound};
+use mdz_core::{Codec, ErrorBound, Result};
 
 const MAGIC: &[u8; 4] = b"BASN";
 
@@ -40,7 +40,7 @@ impl Codec for Asn {
     }
 
     fn decompress_buffer(&mut self, data: &[u8]) -> mdz_core::Result<Vec<Vec<f64>>> {
-        Ok(self.decompress(data)?)
+        self.decompress(data)
     }
 }
 
@@ -73,7 +73,7 @@ impl Asn {
         out
     }
 
-    fn decompress(&mut self, data: &[u8]) -> Result<Vec<Vec<f64>>, BaselineError> {
+    fn decompress(&mut self, data: &[u8]) -> Result<Vec<Vec<f64>>> {
         let mut pos = 0;
         let (m, n, eps) = read_header(data, &mut pos, MAGIC)?;
         let quant = LinearQuantizer::new(eps, RADIUS);

@@ -1,50 +1,13 @@
-//! Shared plumbing for baseline compressors: error type, code/escape blob
-//! packing, and small header helpers.
+//! Shared plumbing for baseline compressors: code/escape blob packing and
+//! small header helpers. Every baseline reports errors as
+//! [`mdz_core::MdzError`].
 
 use mdz_core::quant::Quantized;
-use mdz_core::LinearQuantizer;
+use mdz_core::{LinearQuantizer, MdzError, Result};
 use mdz_entropy::{
     huffman::huffman_decode_at, huffman_encode, read_uvarint, write_uvarint, EntropyError,
 };
 use mdz_lossless::lz77;
-
-/// Error type shared by all baselines.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum BaselineError {
-    /// Underlying stream was malformed.
-    Stream(EntropyError),
-    /// Header/body structure invalid.
-    Corrupt(&'static str),
-}
-
-impl From<EntropyError> for BaselineError {
-    fn from(e: EntropyError) -> Self {
-        BaselineError::Stream(e)
-    }
-}
-
-impl std::fmt::Display for BaselineError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            BaselineError::Stream(e) => write!(f, "stream error: {e}"),
-            BaselineError::Corrupt(w) => write!(f, "corrupt stream: {w}"),
-        }
-    }
-}
-
-impl std::error::Error for BaselineError {}
-
-impl From<BaselineError> for mdz_core::MdzError {
-    fn from(e: BaselineError) -> Self {
-        match e {
-            BaselineError::Stream(s) => mdz_core::MdzError::Stream(s),
-            BaselineError::Corrupt(w) => mdz_core::MdzError::BadHeader(w),
-        }
-    }
-}
-
-/// Result alias.
-pub type Result<T> = std::result::Result<T, BaselineError>;
 
 /// Encoder-side accumulator for the classic SZ tail: quantization codes +
 /// escape list, Huffman-coded then LZ-compressed.
@@ -109,17 +72,17 @@ impl CodeSource {
         let end = pos
             .checked_add(payload_len)
             .filter(|&e| e <= data.len())
-            .ok_or(BaselineError::Corrupt("truncated payload"))?;
+            .ok_or(MdzError::Corrupt { what: "truncated payload" })?;
         let inner = lz77::decompress(&data[*pos..end])?;
         *pos = end;
         let mut ipos = 0;
         let codes = huffman_decode_at(&inner, &mut ipos)?;
         if codes.len() != expected_codes {
-            return Err(BaselineError::Corrupt("code count mismatch"));
+            return Err(MdzError::Corrupt { what: "code count mismatch" });
         }
         let n_escapes = read_uvarint(&inner, &mut ipos)? as usize;
         if n_escapes > codes.len() {
-            return Err(BaselineError::Corrupt("escape count exceeds codes"));
+            return Err(MdzError::Corrupt { what: "escape count exceeds codes" });
         }
         let mut escapes = std::collections::HashMap::with_capacity(n_escapes.min(1 << 20));
         let mut idx = 0u64;
@@ -128,11 +91,10 @@ impl CodeSource {
             idx = if i == 0 {
                 delta
             } else {
-                idx.checked_add(delta).ok_or(BaselineError::Corrupt("escape index overflow"))?
+                idx.checked_add(delta).ok_or(MdzError::Corrupt { what: "escape index overflow" })?
             };
-            let bytes = inner
-                .get(ipos..ipos + 8)
-                .ok_or(BaselineError::Stream(EntropyError::UnexpectedEof))?;
+            let bytes =
+                inner.get(ipos..ipos + 8).ok_or(MdzError::Stream(EntropyError::UnexpectedEof))?;
             ipos += 8;
             escapes.insert(idx as usize, f64::from_le_bytes(bytes.try_into().unwrap()));
         }
@@ -144,7 +106,7 @@ impl CodeSource {
     pub fn reconstruct(&self, quant: &LinearQuantizer, i: usize, prediction: f64) -> Result<f64> {
         let code = self.codes[i];
         if code == 0 {
-            self.escapes.get(&i).copied().ok_or(BaselineError::Corrupt("missing escape value"))
+            self.escapes.get(&i).copied().ok_or(MdzError::Corrupt { what: "missing escape value" })
         } else {
             Ok(quant.reconstruct(code, prediction))
         }
@@ -161,9 +123,9 @@ pub fn write_header(out: &mut Vec<u8>, magic: &[u8; 4], m: usize, n: usize, eps:
 
 /// Reads a baseline header, validating the magic.
 pub fn read_header(data: &[u8], pos: &mut usize, magic: &[u8; 4]) -> Result<(usize, usize, f64)> {
-    let got = data.get(*pos..*pos + 4).ok_or(BaselineError::Corrupt("truncated magic"))?;
+    let got = data.get(*pos..*pos + 4).ok_or(MdzError::Corrupt { what: "truncated magic" })?;
     if got != magic {
-        return Err(BaselineError::Corrupt("magic mismatch"));
+        return Err(MdzError::Corrupt { what: "magic mismatch" });
     }
     *pos += 4;
     let m = read_uvarint(data, pos)? as usize;
@@ -172,13 +134,13 @@ pub fn read_header(data: &[u8], pos: &mut usize, magic: &[u8; 4]) -> Result<(usi
     // allocate O(m·n) buffers, so a forged header must stay cheap. 2^24
     // values comfortably covers every harness configuration.
     if m == 0 || n == 0 || m.checked_mul(n).is_none_or(|p| p > (1 << 24)) {
-        return Err(BaselineError::Corrupt("implausible dimensions"));
+        return Err(MdzError::Corrupt { what: "implausible dimensions" });
     }
-    let eps_bytes = data.get(*pos..*pos + 8).ok_or(BaselineError::Corrupt("truncated eps"))?;
+    let eps_bytes = data.get(*pos..*pos + 8).ok_or(MdzError::Corrupt { what: "truncated eps" })?;
     *pos += 8;
     let eps = f64::from_le_bytes(eps_bytes.try_into().unwrap());
     if !(eps > 0.0 && eps.is_finite()) {
-        return Err(BaselineError::Corrupt("invalid eps"));
+        return Err(MdzError::Corrupt { what: "invalid eps" });
     }
     Ok((m, n, eps))
 }
@@ -189,6 +151,7 @@ pub const RADIUS: u32 = 512;
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mdz_core::{Codec, ErrorBound};
 
     #[test]
     fn sink_source_round_trip() {
@@ -242,5 +205,14 @@ mod tests {
             let _ = CodeSource::parse(&blob[..cut], &mut 0, 10);
         }
         assert!(CodeSource::parse(&blob, &mut 0, 11).is_err());
+
+        // Through the `Codec` boundary a truncated payload still reports
+        // itself as corrupt, not as a bad header.
+        let mut asn = crate::asn::Asn::new();
+        let blob = asn.compress_buffer(&[vec![0.5; 10]], ErrorBound::Absolute(0.01)).unwrap();
+        assert_eq!(
+            asn.decompress_buffer(&blob[..blob.len() - 1]),
+            Err(MdzError::Corrupt { what: "truncated payload" })
+        );
     }
 }

@@ -11,8 +11,8 @@
 //! anchor, and the slope grid is `eps/(4·len)` so the quantized line stays
 //! within `eps/2 + eps/4 < eps` of every point.
 
-use crate::common::{read_header, write_header, BaselineError};
-use mdz_core::{Codec, ErrorBound};
+use crate::common::{read_header, write_header};
+use mdz_core::{Codec, ErrorBound, MdzError, Result};
 use mdz_entropy::{read_ivarint, read_uvarint, write_ivarint, write_uvarint};
 use mdz_lossless::lz77;
 
@@ -118,7 +118,7 @@ impl Codec for Hrtc {
     }
 
     fn decompress_buffer(&mut self, data: &[u8]) -> mdz_core::Result<Vec<Vec<f64>>> {
-        Ok(self.decompress(data)?)
+        self.decompress(data)
     }
 }
 
@@ -161,7 +161,7 @@ impl Hrtc {
     }
 
     #[allow(clippy::needless_range_loop)] // p indexes a column across rows
-    fn decompress(&mut self, data: &[u8]) -> Result<Vec<Vec<f64>>, BaselineError> {
+    fn decompress(&mut self, data: &[u8]) -> Result<Vec<Vec<f64>>> {
         let mut pos = 0;
         let (m, n, eps) = read_header(data, &mut pos, MAGIC)?;
         let anchor_grid = eps / 4.0;
@@ -169,14 +169,14 @@ impl Hrtc {
         let end = pos
             .checked_add(payload_len)
             .filter(|&e| e <= data.len())
-            .ok_or(BaselineError::Corrupt("truncated payload"))?;
+            .ok_or(MdzError::Corrupt { what: "truncated payload" })?;
         let inner = lz77::decompress(&data[pos..end])?;
         let mut ipos = 0;
         let mut out = vec![vec![0.0f64; n]; m];
         for p in 0..n {
             let n_segs = read_uvarint(&inner, &mut ipos)? as usize;
             if n_segs > m {
-                return Err(BaselineError::Corrupt("too many segments"));
+                return Err(MdzError::Corrupt { what: "too many segments" });
             }
             let mut t = 0usize;
             for _ in 0..n_segs {
@@ -184,12 +184,12 @@ impl Hrtc {
                 let raw = tag & 1 == 1;
                 let len = (tag >> 1) as usize;
                 if len == 0 || t + len > m {
-                    return Err(BaselineError::Corrupt("segment overruns series"));
+                    return Err(MdzError::Corrupt { what: "segment overruns series" });
                 }
                 if raw {
                     let bytes = inner
                         .get(ipos..ipos + 8)
-                        .ok_or(BaselineError::Corrupt("truncated raw segment"))?;
+                        .ok_or(MdzError::Corrupt { what: "truncated raw segment" })?;
                     ipos += 8;
                     out[t][p] = f64::from_le_bytes(bytes.try_into().unwrap());
                     t += 1;
@@ -210,7 +210,7 @@ impl Hrtc {
                 }
             }
             if t != m {
-                return Err(BaselineError::Corrupt("segments do not cover series"));
+                return Err(MdzError::Corrupt { what: "segments do not cover series" });
             }
         }
         Ok(out)

@@ -11,9 +11,9 @@
 //! The stream is traversed particle-major (each particle's time series
 //! contiguously), which is how a time-series compressor sees MD data.
 
-use crate::common::{read_header, write_header, BaselineError, CodeSink, CodeSource, RADIUS};
+use crate::common::{read_header, write_header, CodeSink, CodeSource, RADIUS};
 use mdz_core::LinearQuantizer;
-use mdz_core::{Codec, ErrorBound};
+use mdz_core::{Codec, ErrorBound, Result};
 
 const MAGIC: &[u8; 4] = b"LFZP";
 /// Filter order (LFZip default: 32; shortened to fit MD buffer depths).
@@ -107,7 +107,7 @@ impl Codec for Lfzip {
     }
 
     fn decompress_buffer(&mut self, data: &[u8]) -> mdz_core::Result<Vec<Vec<f64>>> {
-        Ok(self.decompress(data)?)
+        self.decompress(data)
     }
 }
 
@@ -133,7 +133,7 @@ impl Lfzip {
         out
     }
 
-    fn decompress(&mut self, data: &[u8]) -> Result<Vec<Vec<f64>>, BaselineError> {
+    fn decompress(&mut self, data: &[u8]) -> Result<Vec<Vec<f64>>> {
         let mut pos = 0;
         let (m, n, eps) = read_header(data, &mut pos, MAGIC)?;
         let quant = LinearQuantizer::new(eps, RADIUS);

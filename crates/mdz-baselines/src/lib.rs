@@ -36,7 +36,6 @@ pub mod sz2;
 pub mod sz3;
 pub mod tng;
 
-pub use common::BaselineError;
 pub use mdz_core::Codec;
 
 /// All six baselines, boxed for harness iteration.

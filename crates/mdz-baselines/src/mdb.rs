@@ -9,8 +9,8 @@
 //! parameters are emitted directly as varints/raw bits, which is exactly
 //! why its compression ratios collapse on MD data (Fig. 12's 1–6×).
 
-use crate::common::{read_header, write_header, BaselineError};
-use mdz_core::{Codec, ErrorBound};
+use crate::common::{read_header, write_header};
+use mdz_core::{Codec, ErrorBound, MdzError, Result};
 use mdz_entropy::{read_ivarint, read_uvarint, write_ivarint, write_uvarint};
 
 const MAGIC: &[u8; 4] = b"BMDB";
@@ -155,7 +155,7 @@ impl Codec for Mdb {
     }
 
     fn decompress_buffer(&mut self, data: &[u8]) -> mdz_core::Result<Vec<Vec<f64>>> {
-        Ok(self.decompress(data)?)
+        self.decompress(data)
     }
 }
 
@@ -195,7 +195,7 @@ impl Mdb {
     }
 
     #[allow(clippy::needless_range_loop)] // p indexes a column across rows
-    fn decompress(&mut self, data: &[u8]) -> Result<Vec<Vec<f64>>, BaselineError> {
+    fn decompress(&mut self, data: &[u8]) -> Result<Vec<Vec<f64>>> {
         let mut pos = 0;
         let (m, n, eps) = read_header(data, &mut pos, MAGIC)?;
         let const_grid = eps * 0.25;
@@ -203,7 +203,7 @@ impl Mdb {
         for p in 0..n {
             let n_segs = read_uvarint(data, &mut pos)? as usize;
             if n_segs > m {
-                return Err(BaselineError::Corrupt("too many segments"));
+                return Err(MdzError::Corrupt { what: "too many segments" });
             }
             let mut t = 0usize;
             for _ in 0..n_segs {
@@ -211,7 +211,7 @@ impl Mdb {
                 let kind = tag & 3;
                 let len = (tag >> 2) as usize;
                 if len == 0 || t + len > m {
-                    return Err(BaselineError::Corrupt("segment overruns series"));
+                    return Err(MdzError::Corrupt { what: "segment overruns series" });
                 }
                 match kind {
                     0 => {
@@ -234,16 +234,16 @@ impl Mdb {
                     2 => {
                         let bytes = data
                             .get(pos..pos + 8)
-                            .ok_or(BaselineError::Corrupt("truncated raw value"))?;
+                            .ok_or(MdzError::Corrupt { what: "truncated raw value" })?;
                         pos += 8;
                         out[t][p] = f64::from_le_bytes(bytes.try_into().unwrap());
                     }
-                    _ => return Err(BaselineError::Corrupt("unknown segment kind")),
+                    _ => return Err(MdzError::Corrupt { what: "unknown segment kind" }),
                 }
                 t += len;
             }
             if t != m {
-                return Err(BaselineError::Corrupt("segments do not cover series"));
+                return Err(MdzError::Corrupt { what: "segments do not cover series" });
             }
         }
         Ok(out)

@@ -9,9 +9,9 @@
 //!   and time continuity at once. The paper's Table IV shows 2-D beating
 //!   1-D by up to ~200 % on MD data, and uses 2-D in the evaluation.
 
-use crate::common::{read_header, write_header, BaselineError, CodeSink, CodeSource, RADIUS};
+use crate::common::{read_header, write_header, CodeSink, CodeSource, RADIUS};
 use mdz_core::LinearQuantizer;
-use mdz_core::{Codec, ErrorBound};
+use mdz_core::{Codec, ErrorBound, MdzError, Result};
 
 const MAGIC: &[u8; 4] = b"BSZ2";
 
@@ -56,7 +56,7 @@ impl Codec for Sz2 {
     }
 
     fn decompress_buffer(&mut self, data: &[u8]) -> mdz_core::Result<Vec<Vec<f64>>> {
-        Ok(self.decompress(data)?)
+        self.decompress(data)
     }
 }
 
@@ -100,13 +100,13 @@ impl Sz2 {
         out
     }
 
-    fn decompress(&mut self, data: &[u8]) -> Result<Vec<Vec<f64>>, BaselineError> {
+    fn decompress(&mut self, data: &[u8]) -> Result<Vec<Vec<f64>>> {
         let mut pos = 0;
         let (m, n, eps) = read_header(data, &mut pos, MAGIC)?;
         let mode = match data.get(pos).copied() {
             Some(1) => Sz2Mode::OneD,
             Some(2) => Sz2Mode::TwoD,
-            _ => return Err(BaselineError::Corrupt("bad mode byte")),
+            _ => return Err(MdzError::Corrupt { what: "bad mode byte" }),
         };
         pos += 1;
         let quant = LinearQuantizer::new(eps, RADIUS);

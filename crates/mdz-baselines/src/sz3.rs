@@ -12,9 +12,9 @@
 //! per-snapshot (space) or per-particle (time) — trying both and keeping
 //! the smaller output, which mirrors SZ3's dimension auto-tuning.
 
-use crate::common::{read_header, write_header, BaselineError, CodeSink, CodeSource, RADIUS};
+use crate::common::{read_header, write_header, CodeSink, CodeSource, RADIUS};
 use mdz_core::LinearQuantizer;
-use mdz_core::{Codec, ErrorBound};
+use mdz_core::{Codec, ErrorBound, MdzError, Result};
 
 const MAGIC: &[u8; 4] = b"BSZ3";
 
@@ -83,7 +83,7 @@ fn decode_series(
     quant: &LinearQuantizer,
     src: &CodeSource,
     out: &mut [f64],
-) -> Result<(), BaselineError> {
+) -> Result<()> {
     let mut k = 0usize;
     let mut err = None;
     visit_levels(n, |i, left, right| {
@@ -159,7 +159,7 @@ impl Codec for Sz3 {
     }
 
     fn decompress_buffer(&mut self, data: &[u8]) -> mdz_core::Result<Vec<Vec<f64>>> {
-        Ok(self.decompress(data)?)
+        self.decompress(data)
     }
 }
 
@@ -175,13 +175,13 @@ impl Sz3 {
         }
     }
 
-    fn decompress(&mut self, data: &[u8]) -> Result<Vec<Vec<f64>>, BaselineError> {
+    fn decompress(&mut self, data: &[u8]) -> Result<Vec<Vec<f64>>> {
         let mut pos = 0;
         let (m, n, eps) = read_header(data, &mut pos, MAGIC)?;
         let axis = match data.get(pos).copied() {
             Some(0) => Axis::Space,
             Some(1) => Axis::Time,
-            _ => return Err(BaselineError::Corrupt("bad axis byte")),
+            _ => return Err(MdzError::Corrupt { what: "bad axis byte" }),
         };
         pos += 1;
         let quant = LinearQuantizer::new(eps, RADIUS);

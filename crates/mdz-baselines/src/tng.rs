@@ -8,8 +8,8 @@
 //! stage. The error bound maps to the fixed-point step: `step = 2·eps`
 //! guarantees `|d − d'| ≤ eps`.
 
-use crate::common::{read_header, write_header, BaselineError};
-use mdz_core::{Codec, ErrorBound};
+use crate::common::{read_header, write_header};
+use mdz_core::{Codec, ErrorBound, MdzError, Result};
 use mdz_entropy::{read_uvarint, write_ivarint, write_uvarint, zigzag_decode, zigzag_encode};
 use mdz_lossless::lz77;
 
@@ -44,7 +44,7 @@ impl Codec for Tng {
     }
 
     fn decompress_buffer(&mut self, data: &[u8]) -> mdz_core::Result<Vec<Vec<f64>>> {
-        Ok(self.decompress(data)?)
+        self.decompress(data)
     }
 }
 
@@ -86,7 +86,7 @@ impl Tng {
         out
     }
 
-    fn decompress(&mut self, data: &[u8]) -> Result<Vec<Vec<f64>>, BaselineError> {
+    fn decompress(&mut self, data: &[u8]) -> Result<Vec<Vec<f64>>> {
         let mut pos = 0;
         let (m, n, eps) = read_header(data, &mut pos, MAGIC)?;
         let step = 2.0 * eps;
@@ -94,7 +94,7 @@ impl Tng {
         let end = pos
             .checked_add(payload_len)
             .filter(|&e| e <= data.len())
-            .ok_or(BaselineError::Corrupt("truncated payload"))?;
+            .ok_or(MdzError::Corrupt { what: "truncated payload" })?;
         let inner = lz77::decompress(&data[pos..end])?;
         let mut ipos = 0;
         // First pass: read the delta stream.
@@ -106,7 +106,7 @@ impl Tng {
         }
         let n_escapes = read_uvarint(&inner, &mut ipos)? as usize;
         if n_escapes > m * n {
-            return Err(BaselineError::Corrupt("escape count exceeds block"));
+            return Err(MdzError::Corrupt { what: "escape count exceeds block" });
         }
         let mut escapes = std::collections::HashMap::with_capacity(n_escapes.min(1 << 20));
         let mut idx = 0u64;
@@ -115,10 +115,10 @@ impl Tng {
             idx = if k == 0 {
                 delta
             } else {
-                idx.checked_add(delta).ok_or(BaselineError::Corrupt("escape index overflow"))?
+                idx.checked_add(delta).ok_or(MdzError::Corrupt { what: "escape index overflow" })?
             };
             let bytes =
-                inner.get(ipos..ipos + 8).ok_or(BaselineError::Corrupt("truncated escape"))?;
+                inner.get(ipos..ipos + 8).ok_or(MdzError::Corrupt { what: "truncated escape" })?;
             ipos += 8;
             escapes.insert(idx as usize, f64::from_le_bytes(bytes.try_into().unwrap()));
         }

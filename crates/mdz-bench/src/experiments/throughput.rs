@@ -43,16 +43,6 @@ const SIMD_STAGES: &[(&str, &str)] = &[
     ("decode.reconstruct", "core.decode.reconstruct_seconds"),
 ];
 
-/// One kernel arm of the scalar-vs-SIMD breakdown.
-struct SimdArm {
-    /// Accumulated per-stage span seconds, in [`SIMD_STAGES`] order.
-    seconds: Vec<f64>,
-    /// Concatenated block bytes from the first repetition.
-    bytes: Vec<u8>,
-    /// FNV-1a hash over the reconstruction bit patterns.
-    decoded_hash: u64,
-}
-
 /// One per-stage row of the breakdown table / JSON.
 struct StageRow {
     stage: &'static str,
@@ -70,64 +60,68 @@ impl StageRow {
     }
 }
 
-/// Compresses and decodes the stream once per repetition on the plain
-/// single-core pipeline with the force-scalar override set to `force`,
-/// collecting per-stage span sums from a private registry.
-fn run_simd_arm(force: bool, cfg: &MdzConfig, buffers: &[Vec<Vec<f64>>], reps: usize) -> SimdArm {
-    let prev = kernel::force_scalar();
+/// Compresses and decodes the stream once on the plain single-core
+/// pipeline with the force-scalar override set to `force`, recording
+/// per-stage spans through `obs`. Returns the concatenated blocks and an
+/// FNV-1a hash over the reconstruction bit patterns.
+fn run_simd_arm(
+    force: bool,
+    cfg: &MdzConfig,
+    buffers: &[Vec<Vec<f64>>],
+    obs: &Obs,
+) -> (Vec<u8>, u64) {
     kernel::set_force_scalar(force);
-    let registry = Arc::new(Registry::new());
-    let obs = Obs::new(registry.clone());
-    let mut bytes = Vec::new();
-    let mut decoded_hash = 0u64;
-    for rep in 0..reps {
-        let mut comp = Compressor::new(cfg.clone());
-        comp.set_obs(obs.clone());
-        let blocks: Vec<Vec<u8>> =
-            buffers.iter().map(|buf| comp.compress_buffer(buf).expect("compress")).collect();
-        let mut dec = Decompressor::new();
-        dec.set_obs(obs.clone());
-        let mut hash = 0xcbf2_9ce4_8422_2325u64;
-        for block in &blocks {
-            for snap in dec.decompress_block(block).expect("decompress") {
-                for v in snap {
-                    hash = (hash ^ v.to_bits()).wrapping_mul(0x100_0000_01b3);
-                }
+    let mut comp = Compressor::new(cfg.clone());
+    comp.set_obs(obs.clone());
+    let blocks: Vec<Vec<u8>> =
+        buffers.iter().map(|buf| comp.compress_buffer(buf).expect("compress")).collect();
+    let mut dec = Decompressor::new();
+    dec.set_obs(obs.clone());
+    let mut hash = 0xcbf2_9ce4_8422_2325u64;
+    for block in &blocks {
+        for snap in dec.decompress_block(block).expect("decompress") {
+            for v in snap {
+                hash = (hash ^ v.to_bits()).wrapping_mul(0x100_0000_01b3);
             }
         }
-        if rep == 0 {
-            bytes = blocks.concat();
-            decoded_hash = hash;
-        }
     }
-    kernel::set_force_scalar(prev);
-    let snap = registry.snapshot();
-    let seconds = SIMD_STAGES
-        .iter()
-        .map(|&(_, metric)| snap.histogram(metric).map_or(0.0, |h| h.sum))
-        .collect();
-    SimdArm { seconds, bytes, decoded_hash }
+    (blocks.concat(), hash)
 }
 
-/// Runs the scalar oracle and the auto-dispatched kernels over the same
-/// stream, asserting byte-identical blocks and bit-identical decodes
-/// before reporting per-stage timings.
+/// Runs the auto-dispatched kernels and the scalar oracle over the same
+/// stream, repetition by repetition, asserting byte-identical blocks and
+/// bit-identical decodes in every repetition before reporting per-stage
+/// timings. Each arm sums its spans into its own registry, and the arms
+/// alternate which runs first, so a change in host load falls on both
+/// alike instead of reading as a speedup.
 fn simd_breakdown(buffers: &[Vec<Vec<f64>>], reps: usize) -> Vec<StageRow> {
     let cfg = MdzConfig::new(ErrorBound::ValueRangeRelative(1e-3)).with_method(Method::Adaptive);
-    let auto = run_simd_arm(false, &cfg, buffers, reps);
-    let scalar = run_simd_arm(true, &cfg, buffers, reps);
-    assert_eq!(auto.bytes, scalar.bytes, "SIMD encode diverged from the scalar oracle");
-    assert_eq!(
-        auto.decoded_hash, scalar.decoded_hash,
-        "SIMD decode diverged from the scalar oracle"
-    );
+    let prev = kernel::force_scalar();
+    // Indexed by the arm's force-scalar flag: 0 auto-dispatched, 1 scalar.
+    let registries = [Arc::new(Registry::new()), Arc::new(Registry::new())];
+    for rep in 0..reps {
+        let order = if rep % 2 == 0 { [false, true] } else { [true, false] };
+        let [first, second] = order.map(|force| {
+            run_simd_arm(force, &cfg, buffers, &Obs::new(registries[usize::from(force)].clone()))
+        });
+        assert_eq!(first.0, second.0, "SIMD encode diverged from the scalar oracle");
+        assert_eq!(first.1, second.1, "SIMD decode diverged from the scalar oracle");
+    }
+    kernel::set_force_scalar(prev);
+    let [auto, scalar] = registries.map(|registry| {
+        let snap = registry.snapshot();
+        SIMD_STAGES
+            .iter()
+            .map(|&(_, metric)| snap.histogram(metric).map_or(0.0, |h| h.sum))
+            .collect::<Vec<f64>>()
+    });
     SIMD_STAGES
         .iter()
         .enumerate()
         .map(|(i, &(stage, _))| StageRow {
             stage,
-            scalar_seconds: scalar.seconds[i],
-            simd_seconds: auto.seconds[i],
+            scalar_seconds: scalar[i],
+            simd_seconds: auto[i],
         })
         .collect()
 }

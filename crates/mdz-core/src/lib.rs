@@ -46,7 +46,6 @@
 #![deny(missing_docs)]
 #![deny(unsafe_code, unsafe_op_in_unsafe_fn, clippy::undocumented_unsafe_blocks)]
 
-pub mod adaptive;
 pub mod bound;
 pub mod checksum;
 pub mod codec;
@@ -62,13 +61,12 @@ pub mod traj;
 
 pub use mdz_entropy::kernel;
 
-pub use adaptive::Candidate;
 pub use bound::ErrorBound;
 pub use codec::{Codec, MdzCodec};
 pub use format::Method;
 pub use mdz_obs::{Obs, Recorder};
 pub use pipeline::parallel::fan_out;
-pub use pipeline::{BlockInfo, Compressor, Decisions, DecodeLimits, Decompressor};
+pub use pipeline::{BlockInfo, Candidate, Compressor, Decisions, DecodeLimits, Decompressor};
 pub use quant::LinearQuantizer;
 pub use traj::Frame;
 

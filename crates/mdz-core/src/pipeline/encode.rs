@@ -2,7 +2,7 @@
 //! and block assembly, writing into caller-owned buffers.
 //!
 //! The only entry point is [`encode_buffer_into`], which encodes one buffer
-//! with a concrete (method, quantizer) choice and reports the state
+//! with a concrete (method, quantizer) [`Candidate`] and reports the state
 //! transition as a [`StateDelta`] for the caller to commit (adaptive trials
 //! discard the deltas of losing candidates). Every value is quantized by
 //! one [`LinearQuantizer`]; the quantizer choice only sets its radius and
@@ -30,7 +30,7 @@ use mdz_lossless::lz77;
 use mdz_obs::Obs;
 
 use super::predict::{snapshot_modes_into, Predictor, SnapshotMode};
-use super::{CoreState, StateDelta};
+use super::{Candidate, StateDelta};
 
 /// Level indices beyond this magnitude escape (guards λ → 0 blowups).
 const MAX_LEVEL_MAG: f64 = (1u64 << 40) as f64;
@@ -66,9 +66,13 @@ pub(crate) struct EncodeScratch {
     lz77: lz77::Lz77Scratch,
 }
 
-/// Encodes one buffer with a concrete (method, quantizer) choice into
+/// Encodes one buffer with a concrete (method, quantizer) `candidate` into
 /// `out` (cleared first), returning the state transition for the caller to
 /// commit.
+///
+/// `grid` is the stream's decided level grid `(μ, λ)` (`None` until a
+/// VQ-family encode detects it, `Some(None)` when there is none) and
+/// `reference` its MT reference, if established.
 ///
 /// Snapshots are borrowed as slices (`Vec<f64>`, `&[f64]`, …), so callers
 /// holding their data elsewhere encode it without copying.
@@ -82,9 +86,9 @@ pub(crate) struct EncodeScratch {
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn encode_buffer_into<S: AsRef<[f64]>>(
     cfg: &MdzConfig,
-    state: &CoreState,
-    method: Method,
-    quantizer: QuantizerKind,
+    grid: Option<Option<(f64, f64)>>,
+    reference: Option<&[f64]>,
+    Candidate { method, quantizer }: Candidate,
     snapshots: &[S],
     detected: &mut Option<Option<LevelGrid>>,
     out: &mut Vec<u8>,
@@ -137,22 +141,21 @@ pub(crate) fn encode_buffer_into<S: AsRef<[f64]>>(
     // Level grid: detect once per stream, from the first snapshot seen by a
     // VQ-family method (the paper computes F once, on the first snapshot),
     // and at most once per buffer however many candidates need it.
-    let grid: Option<LevelGrid> =
-        if matches!(method, Method::Vq | Method::Vqt) && state.grid.is_none() {
-            let grid = *detected.get_or_insert_with(|| {
-                let grid = detect_levels(snapshots[0].as_ref(), &SelectConfig::default());
-                obs.incr("core.grid.detect_runs", 1);
-                if grid.is_some() {
-                    obs.incr("core.grid.detected", 1);
-                }
-                grid
-            });
-            delta.grid = Some(grid);
+    let grid: Option<LevelGrid> = if matches!(method, Method::Vq | Method::Vqt) && grid.is_none() {
+        let grid = *detected.get_or_insert_with(|| {
+            let grid = detect_levels(snapshots[0].as_ref(), &SelectConfig::default());
+            obs.incr("core.grid.detect_runs", 1);
+            if grid.is_some() {
+                obs.incr("core.grid.detected", 1);
+            }
             grid
-        } else {
-            state.grid.flatten()
-        };
-    let have_ref = state.reference.as_ref().is_some_and(|r| r.len() == n);
+        });
+        delta.grid = Some(grid);
+        grid
+    } else {
+        grid.flatten().map(|(mu, lambda)| LevelGrid { mu, lambda, k: 0, fit_error: 0.0 })
+    };
+    let have_ref = reference.is_some_and(|r| r.len() == n);
     snapshot_modes_into(method, m, grid.is_some(), have_ref, modes);
 
     b_codes.clear();
@@ -228,7 +231,7 @@ pub(crate) fn encode_buffer_into<S: AsRef<[f64]>>(
                 quant,
                 snap,
                 s_idx * n,
-                Predictor::Slice(state.reference.as_deref().expect("mode implies ref")),
+                Predictor::Slice(reference.expect("mode implies ref")),
                 b_codes,
                 escapes,
                 recon_cur,
@@ -248,7 +251,7 @@ pub(crate) fn encode_buffer_into<S: AsRef<[f64]>>(
 
     // Reference-update rule (mirrored by the decompressor). The clone
     // happens at most once per stream — steady state stays allocation-free.
-    if state.reference.as_ref().is_none_or(|r| r.len() != n) {
+    if reference.is_none_or(|r| r.len() != n) {
         delta.reference = Some(recon_first.clone());
     }
 

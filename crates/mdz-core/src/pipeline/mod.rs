@@ -36,7 +36,6 @@ pub(crate) mod encode;
 pub(crate) mod parallel;
 pub(crate) mod predict;
 
-use crate::adaptive::{AdaptiveState, Candidate};
 use crate::format::{
     BlockHeader, Method, FLAGS_OFFSET, FLAG_BIT_ADAPTIVE, FLAG_F32, FLAG_RANGE_CODED, FLAG_SEQ2,
     MAGIC,
@@ -119,21 +118,11 @@ impl DecodeLimits {
     }
 }
 
-/// Cross-buffer state shared (by construction) between both endpoints.
-#[derive(Debug, Clone, Default)]
-pub(crate) struct CoreState {
-    /// Level grid: `None` = not yet attempted, `Some(None)` = attempted and
-    /// absent (data not level-structured), `Some(Some(g))` = detected.
-    grid: Option<Option<LevelGrid>>,
-    /// Reconstruction of the stream's first snapshot (the MT reference).
-    reference: Option<Vec<f64>>,
-}
-
 /// The state transition produced by encoding one buffer.
 ///
-/// Committing is the caller's decision: adaptive trials encode with several
-/// methods against the *same* starting state and apply only the winner's
-/// delta, without cloning [`CoreState`] per candidate.
+/// Committing is the caller's decision (`Compressor::apply`): an ADP
+/// trial encodes every candidate against the *same* starting state and
+/// applies only the winner's delta.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct StateDelta {
     /// `Some(outcome)` when level detection ran this buffer.
@@ -142,23 +131,16 @@ pub(crate) struct StateDelta {
     reference: Option<Vec<f64>>,
 }
 
-impl CoreState {
-    fn apply(&mut self, delta: StateDelta) {
-        if let Some(g) = delta.grid {
-            self.grid = Some(g);
-        }
-        if let Some(r) = delta.reference {
-            self.reference = Some(r);
-        }
-    }
-}
-
 /// Stateful MDZ compressor for one axis stream.
 #[derive(Debug, Clone)]
 pub struct Compressor {
     cfg: MdzConfig,
-    state: CoreState,
-    adaptive: AdaptiveState,
+    /// What the stream has decided: its level grid and ADP candidate.
+    decisions: Decisions,
+    /// Buffers coded since the last ADP trial, that trial's included.
+    since_trial: u32,
+    /// Reconstruction of the stream's first snapshot (the MT reference).
+    reference: Option<Vec<f64>>,
     scratch: EncodeScratch,
     /// Best candidate block of the current adaptive trial.
     trial_best: Vec<u8>,
@@ -175,8 +157,9 @@ impl Compressor {
     pub fn new(cfg: MdzConfig) -> Self {
         Self {
             cfg,
-            state: CoreState::default(),
-            adaptive: AdaptiveState::new(),
+            decisions: Decisions::default(),
+            since_trial: 0,
+            reference: None,
             scratch: EncodeScratch::default(),
             trial_best: Vec::new(),
             trial_cur: Vec::new(),
@@ -195,7 +178,7 @@ impl Compressor {
     /// The concrete method the adaptive selector is currently using, if any
     /// trial has run yet.
     pub fn current_adaptive_choice(&self) -> Option<Method> {
-        self.adaptive.current().map(|c| c.method)
+        self.decisions.candidate.map(|c| c.method)
     }
 
     /// Replaces the error bound applied to subsequent buffers.
@@ -209,22 +192,19 @@ impl Compressor {
 
     /// Anchors the stream: drops the MT reference, so the next buffer
     /// decodes standalone, as the first of a fresh stream does. The
-    /// configuration, scratch storage and the stream's [`Decisions`] (level
-    /// grid, ADP candidate and trial cadence) are kept: the decoder never
-    /// needs them.
+    /// configuration, scratch storage, the stream's [`Decisions`] (level
+    /// grid and ADP candidate) and its trial cadence are kept: the decoder
+    /// never needs them.
     ///
     /// This is the keyframe re-anchoring hook the `mdz-store` epoch layer is
     /// built on; [`Decompressor::reset_stream`] is its mirror.
     pub fn reset_stream(&mut self) {
-        self.state.reference = None;
+        self.reference = None;
     }
 
     /// The decisions this stream has made so far.
     pub fn decisions(&self) -> Decisions {
-        Decisions {
-            grid: self.state.grid.map(|grid| grid.map(|g| (g.mu, g.lambda))),
-            candidate: self.adaptive.current(),
-        }
+        self.decisions
     }
 
     /// Anchors the stream ([`reset_stream`](Self::reset_stream)) and takes
@@ -248,13 +228,11 @@ impl Compressor {
     /// assert_eq!(resumed.compress_buffer(&buffer).unwrap(), first); // no trial
     /// ```
     pub fn resume(&mut self, decisions: &Decisions) {
-        self.state = CoreState {
-            grid: decisions.grid.map(|grid| {
-                grid.map(|(mu, lambda)| LevelGrid { mu, lambda, k: 0, fit_error: 0.0 })
-            }),
-            reference: None,
-        };
-        self.adaptive = AdaptiveState::resume(decisions.candidate);
+        self.decisions = *decisions;
+        // The next buffer stands for the trial that chose the candidate:
+        // coding it takes the counter to 1, where a trial leaves it.
+        self.since_trial = 0;
+        self.reference = None;
     }
 
     /// Compresses one buffer of snapshots into a self-describing block.
@@ -274,6 +252,11 @@ impl Compressor {
     /// encoded without copying it. With a reused output vector,
     /// steady-state compression of same-shaped buffers performs no heap
     /// allocation.
+    ///
+    /// Under [`Method::Adaptive`] (ADP, paper §VI-D) the buffer is a trial
+    /// when no candidate has won yet or `adapt_interval` buffers have
+    /// passed since the last trial; every other buffer codes with the
+    /// candidate in force.
     pub fn compress_buffer_into<S: AsRef<[f64]>>(
         &mut self,
         snapshots: &[S],
@@ -281,23 +264,37 @@ impl Compressor {
     ) -> Result<()> {
         self.cfg.validate()?;
         validate_shape(snapshots)?;
-        match self.cfg.method {
-            Method::Adaptive => self.compress_adaptive_into(snapshots, out),
-            m => {
-                let delta = encode_buffer_into(
-                    &self.cfg,
-                    &self.state,
-                    m,
-                    self.cfg.quantizer,
-                    snapshots,
-                    &mut None,
-                    out,
-                    &mut self.scratch,
-                    &self.obs,
-                )?;
-                self.state.apply(delta);
-                Ok(())
+        let candidate = match (self.cfg.method, self.decisions.candidate) {
+            (Method::Adaptive, Some(c)) if self.since_trial < self.cfg.adapt_interval => {
+                self.since_trial += 1;
+                c
             }
+            (Method::Adaptive, _) => return self.trial_into(snapshots, out),
+            (method, _) => Candidate { method, quantizer: self.cfg.quantizer },
+        };
+        let delta = encode_buffer_into(
+            &self.cfg,
+            self.decisions.grid,
+            self.reference.as_deref(),
+            candidate,
+            snapshots,
+            &mut None,
+            out,
+            &mut self.scratch,
+            &self.obs,
+        )?;
+        self.apply(delta);
+        Ok(())
+    }
+
+    /// Commits an encode's [`StateDelta`]: a detected grid is stored as
+    /// `(μ, λ)`, and an established MT reference replaces the old one.
+    fn apply(&mut self, delta: StateDelta) {
+        if let Some(grid) = delta.grid {
+            self.decisions.grid = Some(grid.map(|g| (g.mu, g.lambda)));
+        }
+        if let Some(reference) = delta.reference {
+            self.reference = Some(reference);
         }
     }
 
@@ -354,71 +351,82 @@ impl Compressor {
         quantizers
     }
 
-    /// ADP: every `adapt_interval` buffers, compress with all candidate
-    /// compositions (method × quantizer) and keep the smallest; in between,
-    /// reuse the last winner.
-    fn compress_adaptive_into<S: AsRef<[f64]>>(
-        &mut self,
-        snapshots: &[S],
-        out: &mut Vec<u8>,
-    ) -> Result<()> {
-        if self.adaptive.trial_due(self.cfg.adapt_interval) {
-            let methods: &[Method] =
-                if self.cfg.extended_candidates { &Method::EXTENDED } else { &Method::CONCRETE };
-            let quantizers = self.trial_quantizers();
-            let mut best: Option<(StateDelta, Candidate)> = None;
-            let mut detected = None;
-            for &m in methods {
-                for &q in &quantizers {
-                    let delta = encode_buffer_into(
-                        &self.cfg,
-                        &self.state,
-                        m,
-                        q,
-                        snapshots,
-                        &mut detected,
-                        &mut self.trial_cur,
-                        &mut self.scratch,
-                        &self.obs,
-                    )?;
-                    if best.is_none() || self.trial_cur.len() < self.trial_best.len() {
-                        std::mem::swap(&mut self.trial_best, &mut self.trial_cur);
-                        best = Some((delta, Candidate { method: m, quantizer: q }));
-                    }
+    /// An ADP trial: compresses the buffer with every candidate composition
+    /// (method × quantizer) from the same starting state, keeps the
+    /// smallest block, and commits its winner and its state delta.
+    ///
+    /// Data patterns are stable over short horizons but drift over long
+    /// ones (paper Fig. 10), so a trial every `adapt_interval` buffers
+    /// ranks the candidates on live data; the paper's 50 keeps the
+    /// evaluation overhead under 6 %.
+    fn trial_into<S: AsRef<[f64]>>(&mut self, snapshots: &[S], out: &mut Vec<u8>) -> Result<()> {
+        let methods: &[Method] =
+            if self.cfg.extended_candidates { &Method::EXTENDED } else { &Method::CONCRETE };
+        let quantizers = self.trial_quantizers();
+        let mut best: Option<(StateDelta, Candidate)> = None;
+        let mut detected = None;
+        for &method in methods {
+            for &quantizer in &quantizers {
+                let candidate = Candidate { method, quantizer };
+                let delta = encode_buffer_into(
+                    &self.cfg,
+                    self.decisions.grid,
+                    self.reference.as_deref(),
+                    candidate,
+                    snapshots,
+                    &mut detected,
+                    &mut self.trial_cur,
+                    &mut self.scratch,
+                    &self.obs,
+                )?;
+                if best.is_none() || self.trial_cur.len() < self.trial_best.len() {
+                    std::mem::swap(&mut self.trial_best, &mut self.trial_cur);
+                    best = Some((delta, candidate));
                 }
             }
-            let (delta, winner) = best.expect("candidates evaluated");
-            self.state.apply(delta);
-            self.adaptive.record_winner(winner);
-            self.obs.incr("core.adp.trials", 1);
-            self.obs.incr(adp_win_counter(winner.method), 1);
-            self.obs.incr(adp_quant_win_counter(winner.quantizer), 1);
-            out.clear();
-            out.extend_from_slice(&self.trial_best);
-            Ok(())
-        } else {
-            let c = self.adaptive.current().expect("winner recorded at first trial");
-            self.adaptive.tick();
-            let delta = encode_buffer_into(
-                &self.cfg,
-                &self.state,
-                c.method,
-                c.quantizer,
-                snapshots,
-                &mut None,
-                out,
-                &mut self.scratch,
-                &self.obs,
-            )?;
-            self.state.apply(delta);
-            Ok(())
+        }
+        let (delta, winner) = best.expect("candidates evaluated");
+        self.apply(delta);
+        self.decisions.candidate = Some(winner);
+        self.since_trial = 1;
+        self.obs.incr("core.adp.trials", 1);
+        self.obs.incr(adp_win_counter(winner.method), 1);
+        self.obs.incr(adp_quant_win_counter(winner.quantizer), 1);
+        out.clear();
+        out.extend_from_slice(&self.trial_best);
+        Ok(())
+    }
+}
+
+/// One point of the candidate space ADP selects over: a concrete method
+/// paired with a quantizer kind.
+///
+/// The paper's candidates are the three concrete methods (VQ, VQT, MT)
+/// over the fixed-scale quantizer; [`MdzConfig::extended_candidates`] and
+/// [`MdzConfig::bit_adaptive_candidates`] enlarge the product space a
+/// trial ranks.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct Candidate {
+    /// Concrete prediction method (never [`Method::Adaptive`]).
+    pub method: Method,
+    /// How the residuals are quantized and their codes stored.
+    pub quantizer: QuantizerKind,
+}
+
+impl std::fmt::Display for Candidate {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self.quantizer {
+            QuantizerKind::Linear => write!(f, "{}", self.method),
+            QuantizerKind::BitAdaptive { .. } => write!(f, "{}+BA", self.method),
         }
     }
 }
 
 /// What an axis stream has decided, as opposed to what its decoder needs:
-/// the level grid VQ and VQT code with, and the ADP candidate in force. An
-/// epoch anchor ([`Compressor::reset_stream`]) keeps them.
+/// the level grid VQ and VQT code with, and the ADP candidate in force. A
+/// [`Compressor`] keeps them as its state, beside the MT reference and the
+/// buffers coded since the last trial; an epoch anchor
+/// ([`Compressor::reset_stream`]) keeps them.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct Decisions {
     /// The level grid `(μ, λ)`: `None` until a VQ or VQT encode detects it
@@ -1308,7 +1316,8 @@ mod tests {
         }
 
         // A compressor resumed from the decisions in force for a buffer
-        // codes it alike, with no trial and no grid detection.
+        // codes it alike, with no trial and no grid detection, and runs its
+        // next trial `adapt_interval` buffers after it.
         for (b, (block, decisions, _)) in stream.iter().enumerate() {
             let registry = Arc::new(Registry::new());
             let mut resumed = Compressor::new(cfg.clone());
@@ -1317,6 +1326,12 @@ mod tests {
             assert_eq!(&resumed.compress_buffer(&buffers[b]).unwrap(), block, "buffer {b}");
             let snap = registry.snapshot();
             assert_eq!(snap.counter("core.adp.trials") + snap.counter("core.grid.detect_runs"), 0);
+            let next_trial = (b + 1..buffers.len()).find(|&later| {
+                resumed.reset_stream();
+                resumed.compress_buffer(&buffers[later]).unwrap();
+                registry.snapshot().counter("core.adp.trials") > 0
+            });
+            assert_eq!(next_trial, Some(b + 3).filter(|&t| t < buffers.len()), "buffer {b}");
         }
 
         // The trial blocks' headers record the decisions in force.
@@ -1325,6 +1340,14 @@ mod tests {
             read.update(&stream[b].0).unwrap();
         }
         assert_eq!(read, stream[6].1);
+    }
+
+    #[test]
+    fn candidate_display_tags_quantizer() {
+        let linear = Candidate { method: Method::Vqt, quantizer: QuantizerKind::Linear };
+        assert_eq!(linear.to_string(), "VQT");
+        let ba = Candidate { method: Method::Mt, quantizer: QuantizerKind::BIT_ADAPTIVE_DEFAULT };
+        assert_eq!(ba.to_string(), "MT+BA");
     }
 
     #[test]

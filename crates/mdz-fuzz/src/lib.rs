@@ -12,7 +12,9 @@
 //!   from its (seed, iteration) pair alone.
 //! * [`CountingAlloc`] — a global-allocator wrapper that tracks live and
 //!   peak heap bytes, letting campaigns assert "decoding hostile input
-//!   never allocates more than its budget", not just "never panics".
+//!   never allocates more than its budget", not just "never panics", and
+//!   counts allocation calls, letting `tests/alloc_free.rs` assert that
+//!   steady-state compression never calls the allocator.
 //! * [`default_iters`] — the per-campaign iteration budget, tunable via
 //!   the `MDZ_FUZZ_ITERS` environment variable so CI can run deep
 //!   campaigns while a local `cargo test` stays fast.
@@ -266,10 +268,12 @@ impl Mutator {
 
 static LIVE: AtomicUsize = AtomicUsize::new(0);
 static PEAK: AtomicUsize = AtomicUsize::new(0);
+static CALLS: AtomicUsize = AtomicUsize::new(0);
 
 /// A [`System`]-backed global allocator that tracks live and peak heap
 /// bytes, so campaigns can assert allocation stays within a budget while
-/// decoding hostile input.
+/// decoding hostile input, and counts allocation calls, so a test can
+/// assert that a warm code path does not allocate at all.
 ///
 /// Install in a test binary with:
 ///
@@ -297,12 +301,19 @@ impl CountingAlloc {
     pub fn reset_peak() {
         PEAK.store(LIVE.load(Ordering::Relaxed), Ordering::Relaxed);
     }
+
+    /// Allocation calls so far: every `alloc` (`alloc_zeroed` goes through
+    /// it) and every `realloc`.
+    pub fn calls() -> usize {
+        CALLS.load(Ordering::Relaxed)
+    }
 }
 
 // SAFETY: defers all allocation to `System`; the counters are advisory
 // bookkeeping and never affect pointer validity.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        CALLS.fetch_add(1, Ordering::Relaxed);
         // SAFETY: the caller upholds `GlobalAlloc::alloc`'s contract for
         // `layout`, which is passed through unchanged.
         let p = unsafe { System.alloc(layout) };
@@ -321,6 +332,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        CALLS.fetch_add(1, Ordering::Relaxed);
         // SAFETY: `ptr` was allocated by `System` with `layout`, and the
         // caller upholds `GlobalAlloc::realloc`'s contract for `new_size`.
         let p = unsafe { System.realloc(ptr, layout, new_size) };
