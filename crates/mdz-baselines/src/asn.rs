@@ -31,21 +31,8 @@ impl Codec for Asn {
 
     fn reset(&mut self) {}
 
-    fn compress_buffer(
-        &mut self,
-        snapshots: &[Vec<f64>],
-        bound: ErrorBound,
-    ) -> mdz_core::Result<Vec<u8>> {
-        Ok(self.compress(snapshots, bound.absolute_for(snapshots)))
-    }
-
-    fn decompress_buffer(&mut self, data: &[u8]) -> mdz_core::Result<Vec<Vec<f64>>> {
-        self.decompress(data)
-    }
-}
-
-impl Asn {
-    fn compress(&mut self, snapshots: &[Vec<f64>], eps: f64) -> Vec<u8> {
+    fn compress_buffer(&mut self, snapshots: &[Vec<f64>], bound: ErrorBound) -> Result<Vec<u8>> {
+        let eps = bound.absolute_for(snapshots);
         let m = snapshots.len();
         let n = snapshots[0].len();
         let quant = LinearQuantizer::new(eps, RADIUS);
@@ -70,10 +57,10 @@ impl Asn {
             std::mem::swap(&mut prev_recon, &mut cur_recon);
         }
         sink.finish(&mut out);
-        out
+        Ok(out)
     }
 
-    fn decompress(&mut self, data: &[u8]) -> Result<Vec<Vec<f64>>> {
+    fn decompress_buffer(&mut self, data: &[u8]) -> Result<Vec<Vec<f64>>> {
         let mut pos = 0;
         let (m, n, eps) = read_header(data, &mut pos, MAGIC)?;
         let quant = LinearQuantizer::new(eps, RADIUS);
@@ -130,7 +117,8 @@ mod tests {
     #[test]
     fn corrupt_input_errors() {
         let mut c = Asn::new();
-        let blob = c.compress(&lattice_buffer(3, 30, 0.0, 45), 1e-3);
-        assert!(c.decompress(&blob[..blob.len() / 2]).is_err());
+        let blob =
+            c.compress_buffer(&lattice_buffer(3, 30, 0.0, 45), ErrorBound::Absolute(1e-3)).unwrap();
+        assert!(c.decompress_buffer(&blob[..blob.len() / 2]).is_err());
     }
 }

@@ -1,12 +1,14 @@
-//! Shared plumbing for baseline compressors: code/escape blob packing and
-//! small header helpers. Every baseline reports errors as
-//! [`mdz_core::MdzError`].
+//! Shared plumbing for baseline compressors: code/escape blob packing, the
+//! LZ77 payload frame and small header helpers. The escape list is MDZ's
+//! own ([`mdz_core::quant::write_escapes`]/[`read_escapes`]), so a baseline
+//! rejects a forged list wherever the MDZ decoder does. Every baseline
+//! reports errors as [`mdz_core::MdzError`].
 
-use mdz_core::quant::Quantized;
+use std::collections::HashMap;
+
+use mdz_core::quant::{read_escapes, write_escapes, Quantized};
 use mdz_core::{LinearQuantizer, MdzError, Result};
-use mdz_entropy::{
-    huffman::huffman_decode_at, huffman_encode, read_uvarint, write_uvarint, EntropyError,
-};
+use mdz_entropy::{huffman::huffman_decode_at, huffman_encode, read_uvarint, write_uvarint};
 use mdz_lossless::lz77;
 
 /// Encoder-side accumulator for the classic SZ tail: quantization codes +
@@ -43,17 +45,8 @@ impl CodeSink {
     /// Serializes codes + escapes, Huffman + LZ compressed, appending to `out`.
     pub fn finish(self, out: &mut Vec<u8>) {
         let mut inner = huffman_encode(&self.codes);
-        write_uvarint(&mut inner, self.escapes.len() as u64);
-        let mut prev = 0u64;
-        for (i, &(idx, v)) in self.escapes.iter().enumerate() {
-            let delta = if i == 0 { idx as u64 } else { idx as u64 - prev };
-            write_uvarint(&mut inner, delta);
-            inner.extend_from_slice(&v.to_le_bytes());
-            prev = idx as u64;
-        }
-        let payload = lz77::compress(&inner, lz77::Level::Default);
-        write_uvarint(out, payload.len() as u64);
-        out.extend_from_slice(&payload);
+        write_escapes(&mut inner, &self.escapes);
+        write_payload(out, &inner);
     }
 }
 
@@ -62,42 +55,20 @@ impl CodeSink {
 pub struct CodeSource {
     /// Decoded quantization codes (0 = escape marker).
     pub codes: Vec<u32>,
-    escapes: std::collections::HashMap<usize, f64>,
+    escapes: HashMap<usize, f64>,
 }
 
 impl CodeSource {
     /// Parses a [`CodeSink::finish`] blob from `data` at `*pos`.
     pub fn parse(data: &[u8], pos: &mut usize, expected_codes: usize) -> Result<Self> {
-        let payload_len = read_uvarint(data, pos)? as usize;
-        let end = pos
-            .checked_add(payload_len)
-            .filter(|&e| e <= data.len())
-            .ok_or(MdzError::Corrupt { what: "truncated payload" })?;
-        let inner = lz77::decompress(&data[*pos..end])?;
-        *pos = end;
+        let inner = read_payload(data, pos)?;
         let mut ipos = 0;
         let codes = huffman_decode_at(&inner, &mut ipos)?;
         if codes.len() != expected_codes {
             return Err(MdzError::Corrupt { what: "code count mismatch" });
         }
-        let n_escapes = read_uvarint(&inner, &mut ipos)? as usize;
-        if n_escapes > codes.len() {
-            return Err(MdzError::Corrupt { what: "escape count exceeds codes" });
-        }
-        let mut escapes = std::collections::HashMap::with_capacity(n_escapes.min(1 << 20));
-        let mut idx = 0u64;
-        for i in 0..n_escapes {
-            let delta = read_uvarint(&inner, &mut ipos)?;
-            idx = if i == 0 {
-                delta
-            } else {
-                idx.checked_add(delta).ok_or(MdzError::Corrupt { what: "escape index overflow" })?
-            };
-            let bytes =
-                inner.get(ipos..ipos + 8).ok_or(MdzError::Stream(EntropyError::UnexpectedEof))?;
-            ipos += 8;
-            escapes.insert(idx as usize, f64::from_le_bytes(bytes.try_into().unwrap()));
-        }
+        let mut escapes = HashMap::new();
+        read_escapes(&inner, &mut ipos, codes.len(), &mut escapes)?;
         Ok(Self { codes, escapes })
     }
 
@@ -111,6 +82,27 @@ impl CodeSource {
             Ok(quant.reconstruct(code, prediction))
         }
     }
+}
+
+/// Appends `inner` to `out` as a baseline payload: LZ77-compressed, after
+/// its compressed length as a varint.
+pub fn write_payload(out: &mut Vec<u8>, inner: &[u8]) {
+    let payload = lz77::compress(inner, lz77::Level::Default);
+    write_uvarint(out, payload.len() as u64);
+    out.extend_from_slice(&payload);
+}
+
+/// Reads a [`write_payload`] frame from `data` at `*pos`, advancing past
+/// it, and returns the decompressed bytes.
+pub fn read_payload(data: &[u8], pos: &mut usize) -> Result<Vec<u8>> {
+    let len = read_uvarint(data, pos)? as usize;
+    let end = pos
+        .checked_add(len)
+        .filter(|&e| e <= data.len())
+        .ok_or(MdzError::Corrupt { what: "truncated payload" })?;
+    let inner = lz77::decompress(&data[*pos..end])?;
+    *pos = end;
+    Ok(inner)
 }
 
 /// Writes the standard baseline header `(magic, m, n, eps)`.
@@ -180,6 +172,24 @@ mod tests {
         let r = sink.push(&quant, 1000.0, 0.0);
         assert_eq!(r, 1000.0); // escaped verbatim
         assert_eq!(sink.escapes.len(), 1);
+    }
+
+    #[test]
+    fn escape_index_past_the_codes_is_corrupt() {
+        // Ten in-range codes, and an escape list naming index 10: one past
+        // the last code, so no code ever reads it.
+        let mut inner = huffman_encode(&[RADIUS; 10]);
+        write_uvarint(&mut inner, 1);
+        write_uvarint(&mut inner, 10);
+        inner.extend_from_slice(&1.0f64.to_le_bytes());
+        let mut blob = Vec::new();
+        write_header(&mut blob, b"BASN", 1, 10, 0.01);
+        write_payload(&mut blob, &inner);
+        let corrupt = Some(MdzError::Corrupt { what: "escape index out of range" });
+        let mut pos = 0;
+        read_header(&blob, &mut pos, b"BASN").unwrap();
+        assert_eq!(CodeSource::parse(&blob, &mut pos, 10).err(), corrupt);
+        assert_eq!(crate::asn::Asn::new().decompress_buffer(&blob).err(), corrupt);
     }
 
     #[test]

@@ -11,10 +11,9 @@
 //! anchor, and the slope grid is `eps/(4·len)` so the quantized line stays
 //! within `eps/2 + eps/4 < eps` of every point.
 
-use crate::common::{read_header, write_header};
+use crate::common::{read_header, read_payload, write_header, write_payload};
 use mdz_core::{Codec, ErrorBound, MdzError, Result};
 use mdz_entropy::{read_ivarint, read_uvarint, write_ivarint, write_uvarint};
-use mdz_lossless::lz77;
 
 const MAGIC: &[u8; 4] = b"HRTC";
 /// Anchor grid indices beyond this escape to raw segments.
@@ -109,21 +108,8 @@ impl Codec for Hrtc {
 
     fn reset(&mut self) {}
 
-    fn compress_buffer(
-        &mut self,
-        snapshots: &[Vec<f64>],
-        bound: ErrorBound,
-    ) -> mdz_core::Result<Vec<u8>> {
-        Ok(self.compress(snapshots, bound.absolute_for(snapshots)))
-    }
-
-    fn decompress_buffer(&mut self, data: &[u8]) -> mdz_core::Result<Vec<Vec<f64>>> {
-        self.decompress(data)
-    }
-}
-
-impl Hrtc {
-    fn compress(&mut self, snapshots: &[Vec<f64>], eps: f64) -> Vec<u8> {
+    fn compress_buffer(&mut self, snapshots: &[Vec<f64>], bound: ErrorBound) -> Result<Vec<u8>> {
+        let eps = bound.absolute_for(snapshots);
         let m = snapshots.len();
         let n = snapshots[0].len();
         let mut out = Vec::new();
@@ -154,23 +140,16 @@ impl Hrtc {
                 }
             }
         }
-        let payload = lz77::compress(&inner, lz77::Level::Default);
-        write_uvarint(&mut out, payload.len() as u64);
-        out.extend_from_slice(&payload);
-        out
+        write_payload(&mut out, &inner);
+        Ok(out)
     }
 
     #[allow(clippy::needless_range_loop)] // p indexes a column across rows
-    fn decompress(&mut self, data: &[u8]) -> Result<Vec<Vec<f64>>> {
+    fn decompress_buffer(&mut self, data: &[u8]) -> Result<Vec<Vec<f64>>> {
         let mut pos = 0;
         let (m, n, eps) = read_header(data, &mut pos, MAGIC)?;
         let anchor_grid = eps / 4.0;
-        let payload_len = read_uvarint(data, &mut pos)? as usize;
-        let end = pos
-            .checked_add(payload_len)
-            .filter(|&e| e <= data.len())
-            .ok_or(MdzError::Corrupt { what: "truncated payload" })?;
-        let inner = lz77::decompress(&data[pos..end])?;
+        let inner = read_payload(data, &mut pos)?;
         let mut ipos = 0;
         let mut out = vec![vec![0.0f64; n]; m];
         for p in 0..n {
@@ -283,9 +262,10 @@ mod tests {
     #[test]
     fn corrupt_input_errors() {
         let mut c = Hrtc::new();
-        let blob = c.compress(&lattice_buffer(5, 30, 0.0, 34), 1e-3);
+        let blob =
+            c.compress_buffer(&lattice_buffer(5, 30, 0.0, 34), ErrorBound::Absolute(1e-3)).unwrap();
         for cut in [0, 7, blob.len() / 2] {
-            assert!(c.decompress(&blob[..cut]).is_err());
+            assert!(c.decompress_buffer(&blob[..cut]).is_err());
         }
     }
 }

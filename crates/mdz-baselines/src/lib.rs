@@ -38,7 +38,7 @@ pub mod tng;
 
 pub use mdz_core::Codec;
 
-/// All six baselines, boxed for harness iteration.
+/// All seven baselines, boxed for harness iteration.
 pub fn all_baselines() -> Vec<Box<dyn Codec>> {
     vec![
         Box::new(sz2::Sz2::new(sz2::Sz2Mode::TwoD)),

@@ -146,21 +146,8 @@ impl Codec for Mdb {
 
     fn reset(&mut self) {}
 
-    fn compress_buffer(
-        &mut self,
-        snapshots: &[Vec<f64>],
-        bound: ErrorBound,
-    ) -> mdz_core::Result<Vec<u8>> {
-        Ok(self.compress(snapshots, bound.absolute_for(snapshots)))
-    }
-
-    fn decompress_buffer(&mut self, data: &[u8]) -> mdz_core::Result<Vec<Vec<f64>>> {
-        self.decompress(data)
-    }
-}
-
-impl Mdb {
-    fn compress(&mut self, snapshots: &[Vec<f64>], eps: f64) -> Vec<u8> {
+    fn compress_buffer(&mut self, snapshots: &[Vec<f64>], bound: ErrorBound) -> Result<Vec<u8>> {
+        let eps = bound.absolute_for(snapshots);
         let m = snapshots.len();
         let n = snapshots[0].len();
         let mut out = Vec::new();
@@ -191,11 +178,11 @@ impl Mdb {
                 }
             }
         }
-        out
+        Ok(out)
     }
 
     #[allow(clippy::needless_range_loop)] // p indexes a column across rows
-    fn decompress(&mut self, data: &[u8]) -> Result<Vec<Vec<f64>>> {
+    fn decompress_buffer(&mut self, data: &[u8]) -> Result<Vec<Vec<f64>>> {
         let mut pos = 0;
         let (m, n, eps) = read_header(data, &mut pos, MAGIC)?;
         let const_grid = eps * 0.25;
@@ -300,9 +287,10 @@ mod tests {
     #[test]
     fn corrupt_input_errors() {
         let mut c = Mdb::new();
-        let blob = c.compress(&lattice_buffer(4, 30, 0.0, 54), 1e-3);
+        let blob =
+            c.compress_buffer(&lattice_buffer(4, 30, 0.0, 54), ErrorBound::Absolute(1e-3)).unwrap();
         for cut in [0, 6, blob.len() / 3] {
-            assert!(c.decompress(&blob[..cut]).is_err());
+            assert!(c.decompress_buffer(&blob[..cut]).is_err());
         }
     }
 }

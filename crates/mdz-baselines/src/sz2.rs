@@ -47,21 +47,8 @@ impl Codec for Sz2 {
 
     fn reset(&mut self) {}
 
-    fn compress_buffer(
-        &mut self,
-        snapshots: &[Vec<f64>],
-        bound: ErrorBound,
-    ) -> mdz_core::Result<Vec<u8>> {
-        Ok(self.compress(snapshots, bound.absolute_for(snapshots)))
-    }
-
-    fn decompress_buffer(&mut self, data: &[u8]) -> mdz_core::Result<Vec<Vec<f64>>> {
-        self.decompress(data)
-    }
-}
-
-impl Sz2 {
-    fn compress(&mut self, snapshots: &[Vec<f64>], eps: f64) -> Vec<u8> {
+    fn compress_buffer(&mut self, snapshots: &[Vec<f64>], bound: ErrorBound) -> Result<Vec<u8>> {
+        let eps = bound.absolute_for(snapshots);
         let m = snapshots.len();
         let n = snapshots[0].len();
         let quant = LinearQuantizer::new(eps, RADIUS);
@@ -97,10 +84,10 @@ impl Sz2 {
             }
         }
         sink.finish(&mut out);
-        out
+        Ok(out)
     }
 
-    fn decompress(&mut self, data: &[u8]) -> Result<Vec<Vec<f64>>> {
+    fn decompress_buffer(&mut self, data: &[u8]) -> Result<Vec<Vec<f64>>> {
         let mut pos = 0;
         let (m, n, eps) = read_header(data, &mut pos, MAGIC)?;
         let mode = match data.get(pos).copied() {
@@ -181,9 +168,10 @@ mod tests {
     #[test]
     fn corrupt_input_errors() {
         let mut c = Sz2::new(Sz2Mode::TwoD);
-        let blob = c.compress(&lattice_buffer(3, 50, 0.0, 5), 1e-3);
+        let blob =
+            c.compress_buffer(&lattice_buffer(3, 50, 0.0, 5), ErrorBound::Absolute(1e-3)).unwrap();
         for cut in [0, 3, blob.len() / 2] {
-            assert!(c.decompress(&blob[..cut]).is_err());
+            assert!(c.decompress_buffer(&blob[..cut]).is_err());
         }
     }
 }

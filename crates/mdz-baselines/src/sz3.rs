@@ -150,32 +150,15 @@ impl Codec for Sz3 {
 
     fn reset(&mut self) {}
 
-    fn compress_buffer(
-        &mut self,
-        snapshots: &[Vec<f64>],
-        bound: ErrorBound,
-    ) -> mdz_core::Result<Vec<u8>> {
-        Ok(self.compress(snapshots, bound.absolute_for(snapshots)))
-    }
-
-    fn decompress_buffer(&mut self, data: &[u8]) -> mdz_core::Result<Vec<Vec<f64>>> {
-        self.decompress(data)
-    }
-}
-
-impl Sz3 {
-    fn compress(&mut self, snapshots: &[Vec<f64>], eps: f64) -> Vec<u8> {
+    fn compress_buffer(&mut self, snapshots: &[Vec<f64>], bound: ErrorBound) -> Result<Vec<u8>> {
+        let eps = bound.absolute_for(snapshots);
         // Dimension auto-tuning: try both interpolation axes, keep smaller.
         let a = compress_with_axis(snapshots, eps, Axis::Space);
         let b = compress_with_axis(snapshots, eps, Axis::Time);
-        if a.len() <= b.len() {
-            a
-        } else {
-            b
-        }
+        Ok(if a.len() <= b.len() { a } else { b })
     }
 
-    fn decompress(&mut self, data: &[u8]) -> Result<Vec<Vec<f64>>> {
+    fn decompress_buffer(&mut self, data: &[u8]) -> Result<Vec<Vec<f64>>> {
         let mut pos = 0;
         let (m, n, eps) = read_header(data, &mut pos, MAGIC)?;
         let axis = match data.get(pos).copied() {
@@ -276,7 +259,7 @@ mod tests {
         let space = compress_with_axis(&snaps, 1e-4, Axis::Space);
         let time = compress_with_axis(&snaps, 1e-4, Axis::Time);
         assert!(time.len() < space.len(), "time {} vs space {}", time.len(), space.len());
-        let auto = Sz3::new().compress(&snaps, 1e-4);
+        let auto = Sz3::new().compress_buffer(&snaps, ErrorBound::Absolute(1e-4)).unwrap();
         assert_eq!(auto.len(), time.len());
     }
 
@@ -290,9 +273,10 @@ mod tests {
     #[test]
     fn corrupt_input_errors() {
         let mut c = Sz3::new();
-        let blob = c.compress(&lattice_buffer(4, 40, 0.0, 75), 1e-3);
+        let blob =
+            c.compress_buffer(&lattice_buffer(4, 40, 0.0, 75), ErrorBound::Absolute(1e-3)).unwrap();
         for cut in [0, 6, blob.len() / 2] {
-            assert!(c.decompress(&blob[..cut]).is_err());
+            assert!(c.decompress_buffer(&blob[..cut]).is_err());
         }
     }
 }

@@ -8,10 +8,12 @@
 //! stage. The error bound maps to the fixed-point step: `step = 2·eps`
 //! guarantees `|d − d'| ≤ eps`.
 
-use crate::common::{read_header, write_header};
-use mdz_core::{Codec, ErrorBound, MdzError, Result};
-use mdz_entropy::{read_uvarint, write_ivarint, write_uvarint, zigzag_decode, zigzag_encode};
-use mdz_lossless::lz77;
+use std::collections::HashMap;
+
+use crate::common::{read_header, read_payload, write_header, write_payload};
+use mdz_core::quant::{read_escapes, write_escapes};
+use mdz_core::{Codec, ErrorBound, Result};
+use mdz_entropy::{read_uvarint, write_ivarint, zigzag_decode, zigzag_encode};
 
 const MAGIC: &[u8; 4] = b"BTNG";
 /// Fixed-point integers beyond this escape to raw storage.
@@ -35,21 +37,8 @@ impl Codec for Tng {
 
     fn reset(&mut self) {}
 
-    fn compress_buffer(
-        &mut self,
-        snapshots: &[Vec<f64>],
-        bound: ErrorBound,
-    ) -> mdz_core::Result<Vec<u8>> {
-        Ok(self.compress(snapshots, bound.absolute_for(snapshots)))
-    }
-
-    fn decompress_buffer(&mut self, data: &[u8]) -> mdz_core::Result<Vec<Vec<f64>>> {
-        self.decompress(data)
-    }
-}
-
-impl Tng {
-    fn compress(&mut self, snapshots: &[Vec<f64>], eps: f64) -> Vec<u8> {
+    fn compress_buffer(&mut self, snapshots: &[Vec<f64>], bound: ErrorBound) -> Result<Vec<u8>> {
+        let eps = bound.absolute_for(snapshots);
         let m = snapshots.len();
         let n = snapshots[0].len();
         let step = 2.0 * eps;
@@ -72,30 +61,16 @@ impl Tng {
                 prev = q;
             }
         }
-        write_uvarint(&mut inner, escapes.len() as u64);
-        let mut prev_idx = 0u64;
-        for (k, &(idx, v)) in escapes.iter().enumerate() {
-            let delta = if k == 0 { idx as u64 } else { idx as u64 - prev_idx };
-            write_uvarint(&mut inner, delta);
-            inner.extend_from_slice(&v.to_le_bytes());
-            prev_idx = idx as u64;
-        }
-        let payload = lz77::compress(&inner, lz77::Level::Default);
-        write_uvarint(&mut out, payload.len() as u64);
-        out.extend_from_slice(&payload);
-        out
+        write_escapes(&mut inner, &escapes);
+        write_payload(&mut out, &inner);
+        Ok(out)
     }
 
-    fn decompress(&mut self, data: &[u8]) -> Result<Vec<Vec<f64>>> {
+    fn decompress_buffer(&mut self, data: &[u8]) -> Result<Vec<Vec<f64>>> {
         let mut pos = 0;
         let (m, n, eps) = read_header(data, &mut pos, MAGIC)?;
         let step = 2.0 * eps;
-        let payload_len = read_uvarint(data, &mut pos)? as usize;
-        let end = pos
-            .checked_add(payload_len)
-            .filter(|&e| e <= data.len())
-            .ok_or(MdzError::Corrupt { what: "truncated payload" })?;
-        let inner = lz77::decompress(&data[pos..end])?;
+        let inner = read_payload(data, &mut pos)?;
         let mut ipos = 0;
         // First pass: read the delta stream.
         // Capped eager allocation: the loop hits UnexpectedEof long before
@@ -104,24 +79,8 @@ impl Tng {
         for _ in 0..m * n {
             deltas.push(zigzag_decode(read_uvarint(&inner, &mut ipos)?));
         }
-        let n_escapes = read_uvarint(&inner, &mut ipos)? as usize;
-        if n_escapes > m * n {
-            return Err(MdzError::Corrupt { what: "escape count exceeds block" });
-        }
-        let mut escapes = std::collections::HashMap::with_capacity(n_escapes.min(1 << 20));
-        let mut idx = 0u64;
-        for k in 0..n_escapes {
-            let delta = read_uvarint(&inner, &mut ipos)?;
-            idx = if k == 0 {
-                delta
-            } else {
-                idx.checked_add(delta).ok_or(MdzError::Corrupt { what: "escape index overflow" })?
-            };
-            let bytes =
-                inner.get(ipos..ipos + 8).ok_or(MdzError::Corrupt { what: "truncated escape" })?;
-            ipos += 8;
-            escapes.insert(idx as usize, f64::from_le_bytes(bytes.try_into().unwrap()));
-        }
+        let mut escapes = HashMap::new();
+        read_escapes(&inner, &mut ipos, m * n, &mut escapes)?;
         let mut out = Vec::with_capacity(m);
         for t in 0..m {
             let mut snap = Vec::with_capacity(n);
@@ -180,9 +139,10 @@ mod tests {
     #[test]
     fn corrupt_input_errors() {
         let mut c = Tng::new();
-        let blob = c.compress(&lattice_buffer(3, 40, 0.0, 9), 1e-3);
+        let blob =
+            c.compress_buffer(&lattice_buffer(3, 40, 0.0, 9), ErrorBound::Absolute(1e-3)).unwrap();
         for cut in [0, 5, blob.len() - 1] {
-            assert!(c.decompress(&blob[..cut]).is_err());
+            assert!(c.decompress_buffer(&blob[..cut]).is_err());
         }
     }
 }

@@ -41,7 +41,7 @@ pub fn mdz_extended_codec() -> MdzCodec {
     MdzCodec::with_name("MDZ+", cfg)
 }
 
-/// The evaluation's standard line-up: MDZ (ADP) plus the six baselines.
+/// The evaluation's standard line-up: MDZ (ADP) plus the seven baselines.
 pub fn standard_codecs() -> Vec<Box<dyn Codec>> {
     vec![
         Box::new(mdz_codec(Method::Adaptive)),

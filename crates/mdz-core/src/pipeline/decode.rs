@@ -13,21 +13,16 @@
 use crate::format::{
     BlockHeader, Method, FLAG_BIT_ADAPTIVE, FLAG_FIRST_LORENZO, FLAG_RANGE_CODED, FLAG_SEQ2,
 };
-use crate::quant::{read_bit_adaptive, LinearQuantizer};
+use crate::quant::{read_bit_adaptive, read_escapes, LinearQuantizer};
 use crate::seq::from_seq2_into;
 use crate::{MdzError, Result};
 use mdz_entropy::huffman::huffman_decode_at_into_limited;
 use mdz_entropy::range::range_decode_at_into_limited;
-use mdz_entropy::{read_uvarint, zigzag_decode, StreamLimits};
+use mdz_entropy::{zigzag_decode, StreamLimits};
 use mdz_kmeans::LevelGrid;
 use std::collections::HashMap;
 
-use super::predict::{snapshot_modes_into, Predictor, SnapshotMode};
-
-/// Bytes one serialized escape costs at minimum: a ≥1-byte index delta
-/// varint plus the 8-byte raw `f64` value. Bounds the escape count by the
-/// remaining input.
-const MIN_ESCAPE_BYTES: usize = 9;
+use super::predict::{reference_fits, snapshot_modes_into, Predictor, SnapshotMode};
 
 /// Reusable decode-side working storage, owned by a
 /// [`Decompressor`](super::Decompressor).
@@ -77,19 +72,6 @@ fn check_codes(codes: &[u32], space: u64) -> Result<()> {
     Ok(())
 }
 
-/// Rejects escape counts the block could not legitimately contain: more
-/// escapes than block values, or more than the remaining input bytes could
-/// serialize (each escape costs ≥ [`MIN_ESCAPE_BYTES`]).
-fn check_escape_count(count: usize, block_values: usize, remaining: usize) -> Result<()> {
-    if count > block_values {
-        return Err(MdzError::Corrupt { what: "escape count exceeds block size" });
-    }
-    if count > remaining / MIN_ESCAPE_BYTES {
-        return Err(MdzError::Corrupt { what: "escape count exceeds input size" });
-    }
-    Ok(())
-}
-
 /// Decodes the inner payload (`scratch.inner`) into snapshots.
 pub(crate) fn decode_inner(
     header: &BlockHeader,
@@ -123,29 +105,7 @@ pub(crate) fn decode_inner(
         return Err(MdzError::Corrupt { what: "quantization code count mismatch" });
     }
     check_codes(b_ordered, quant.code_space())?;
-    let escape_count = read_uvarint(inner, &mut pos)? as usize;
-    check_escape_count(escape_count, m * n, inner.len().saturating_sub(pos))?;
-    // The count is now input-proportional, so this reservation is bounded by
-    // the (already decompressed) inner payload size.
-    escapes.clear();
-    escapes.reserve(escape_count.min(1 << 20));
-    let mut idx = 0u64;
-    for i in 0..escape_count {
-        let delta = read_uvarint(inner, &mut pos)?;
-        idx = if i == 0 {
-            delta
-        } else {
-            idx.checked_add(delta).ok_or(MdzError::Corrupt { what: "escape index overflow" })?
-        };
-        if idx >= (m * n) as u64 {
-            return Err(MdzError::Corrupt { what: "escape index out of range" });
-        }
-        let bytes = inner
-            .get(pos..pos + 8)
-            .ok_or(MdzError::Stream(mdz_entropy::EntropyError::UnexpectedEof))?;
-        pos += 8;
-        escapes.insert(idx as usize, f64::from_le_bytes(bytes.try_into().unwrap()));
-    }
+    read_escapes(inner, &mut pos, m * n, escapes)?;
 
     let seq2 = header.flags & FLAG_SEQ2 != 0;
     let b_codes: &[u32] = if seq2 {
@@ -155,7 +115,7 @@ pub(crate) fn decode_inner(
         b_ordered
     };
     let grid = header.grid.map(|(mu, lambda)| LevelGrid { mu, lambda, k: 0, fit_error: 0.0 });
-    let have_ref = reference.is_some_and(|r| r.len() == n);
+    let have_ref = reference_fits(reference, n);
     let first_lorenzo = header.flags & FLAG_FIRST_LORENZO != 0;
     // Reconstruct per-snapshot modes exactly as the encoder chose them.
     match header.method {
@@ -186,6 +146,8 @@ pub(crate) fn decode_inner(
         j_ordered
     };
 
+    let escaped =
+        |i: usize| escapes.get(&i).copied().ok_or(MdzError::BadHeader("missing escape value"));
     let mut out: Vec<Vec<f64>> = Vec::with_capacity(m);
     let mut j_row = 0usize;
     for (s_idx, &mode) in modes.iter().enumerate() {
@@ -201,45 +163,25 @@ pub(crate) fn decode_inner(
                     level = level.wrapping_add(zigzag_decode(u64::from(j[i])));
                     let code = b_codes[flat_base + i];
                     snap[i] = if code == 0 {
-                        *escapes
-                            .get(&(flat_base + i))
-                            .ok_or(MdzError::BadHeader("missing escape value"))?
+                        escaped(flat_base + i)?
                     } else {
                         quant.reconstruct(code, g.value_of(level))
                     };
                 }
             }
             _ => {
-                if mode == SnapshotMode::TimePrev2 {
-                    // SAFETY of expect/index: `snapshot_modes_into` assigns
-                    // TimePrev2 only from the third snapshot on, so two
-                    // reconstructed predecessors always exist regardless of
-                    // the block bytes.
-                    let a = out.last().expect("TimePrev2 needs two predecessors");
-                    let b = &out[out.len() - 2];
-                    extrapolated.clear();
-                    extrapolated.extend(a.iter().zip(b.iter()).map(|(&x, &y)| 2.0 * x - y));
-                }
-                let pred = match mode {
-                    SnapshotMode::Lorenzo => Predictor::Lorenzo,
-                    SnapshotMode::TimePrev => {
-                        // SAFETY of expect: `snapshot_modes_into` never
-                        // assigns TimePrev to snapshot 0.
-                        Predictor::Slice(out.last().expect("TimePrev never on first snapshot"))
-                    }
-                    SnapshotMode::TimePrev2 => Predictor::Slice(extrapolated.as_slice()),
-                    // SAFETY of expect: TimeRef is only planned when
-                    // `have_ref` held above, which requires `reference` to be
-                    // `Some` with matching length.
-                    SnapshotMode::TimeRef => Predictor::Slice(reference.expect("checked above")),
-                    SnapshotMode::VqGrid => unreachable!("handled above"),
-                };
+                let prev2 = out.len().checked_sub(2).map(|i| out[i].as_slice());
+                let pred = Predictor::for_mode(
+                    mode,
+                    out.last().map(Vec::as_slice),
+                    prev2,
+                    reference,
+                    extrapolated,
+                );
                 for i in 0..n {
                     let code = b_codes[flat_base + i];
                     snap[i] = if code == 0 {
-                        *escapes
-                            .get(&(flat_base + i))
-                            .ok_or(MdzError::BadHeader("missing escape value"))?
+                        escaped(flat_base + i)?
                     } else {
                         quant.reconstruct(code, pred.predict(&snap, i))
                     };

@@ -17,7 +17,9 @@ use crate::format::{
     BlockHeader, Method, FLAG_BIT_ADAPTIVE, FLAG_FIRST_LORENZO, FLAG_GRID, FLAG_RANGE_CODED,
     FLAG_SEQ2,
 };
-use crate::quant::{write_bit_adaptive, LinearQuantizer, Quantized, BIT_ADAPTIVE_RADIUS};
+use crate::quant::{
+    write_bit_adaptive, write_escapes, LinearQuantizer, Quantized, BIT_ADAPTIVE_RADIUS,
+};
 use crate::seq::to_seq2_into;
 use crate::{EntropyStage, MdzConfig, QuantizerKind, Result};
 use mdz_entropy::kernel::SimdLevel;
@@ -29,7 +31,7 @@ use mdz_kmeans::{detect_levels, LevelGrid, SelectConfig};
 use mdz_lossless::lz77;
 use mdz_obs::Obs;
 
-use super::predict::{snapshot_modes_into, Predictor, SnapshotMode};
+use super::predict::{reference_fits, snapshot_modes_into, Predictor, SnapshotMode};
 use super::{Candidate, StateDelta};
 
 /// Level indices beyond this magnitude escape (guards λ → 0 blowups).
@@ -155,7 +157,7 @@ pub(crate) fn encode_buffer_into<S: AsRef<[f64]>>(
     } else {
         grid.flatten().map(|(mu, lambda)| LevelGrid { mu, lambda, k: 0, fit_error: 0.0 })
     };
-    let have_ref = reference.is_some_and(|r| r.len() == n);
+    let have_ref = reference_fits(reference, n);
     snapshot_modes_into(method, m, grid.is_some(), have_ref, modes);
 
     b_codes.clear();
@@ -175,8 +177,7 @@ pub(crate) fn encode_buffer_into<S: AsRef<[f64]>>(
     // prediction), so they are timed as a single stage.
     let predict_quantize = obs.span("core.encode.predict_quantize_seconds");
     for (s_idx, snap) in snapshots.iter().map(AsRef::as_ref).enumerate() {
-        let mode = modes[s_idx];
-        match mode {
+        match modes[s_idx] {
             SnapshotMode::VqGrid => {
                 let g = grid.expect("mode implies grid");
                 encode_vq_snapshot(
@@ -192,46 +193,17 @@ pub(crate) fn encode_buffer_into<S: AsRef<[f64]>>(
                     kernel,
                 )
             }
-            SnapshotMode::Lorenzo => encode_predicted_snapshot(
+            mode => encode_predicted_snapshot(
                 quant,
                 snap,
                 s_idx * n,
-                Predictor::Lorenzo,
-                b_codes,
-                escapes,
-                recon_cur,
-                kernel,
-            ),
-            SnapshotMode::TimePrev => encode_predicted_snapshot(
-                quant,
-                snap,
-                s_idx * n,
-                Predictor::Slice(recon_prev.as_slice()),
-                b_codes,
-                escapes,
-                recon_cur,
-                kernel,
-            ),
-            SnapshotMode::TimePrev2 => {
-                extrapolated.clear();
-                extrapolated
-                    .extend(recon_prev.iter().zip(recon_prev2.iter()).map(|(&a, &b)| 2.0 * a - b));
-                encode_predicted_snapshot(
-                    quant,
-                    snap,
-                    s_idx * n,
-                    Predictor::Slice(extrapolated.as_slice()),
-                    b_codes,
-                    escapes,
-                    recon_cur,
-                    kernel,
-                )
-            }
-            SnapshotMode::TimeRef => encode_predicted_snapshot(
-                quant,
-                snap,
-                s_idx * n,
-                Predictor::Slice(reference.expect("mode implies ref")),
+                Predictor::for_mode(
+                    mode,
+                    Some(recon_prev.as_slice()),
+                    Some(recon_prev2.as_slice()),
+                    reference,
+                    extrapolated,
+                ),
                 b_codes,
                 escapes,
                 recon_cur,
@@ -249,9 +221,9 @@ pub(crate) fn encode_buffer_into<S: AsRef<[f64]>>(
     obs.incr("core.encode.values", (m * n) as u64);
     obs.incr("core.encode.escapes", escapes.len() as u64);
 
-    // Reference-update rule (mirrored by the decompressor). The clone
-    // happens at most once per stream — steady state stays allocation-free.
-    if reference.is_none_or(|r| r.len() != n) {
+    // The reference rule the decompressor follows too. The clone happens at
+    // most once per stream — steady state stays allocation-free.
+    if !have_ref {
         delta.reference = Some(recon_first.clone());
     }
 
@@ -286,14 +258,7 @@ pub(crate) fn encode_buffer_into<S: AsRef<[f64]>>(
     }
     entropy_code(j_ord, inner);
     entropy.finish();
-    write_uvarint(inner, escapes.len() as u64);
-    let mut prev_idx = 0u64;
-    for (i, &(idx, v)) in escapes.iter().enumerate() {
-        let delta_idx = if i == 0 { idx as u64 } else { idx as u64 - prev_idx };
-        write_uvarint(inner, delta_idx);
-        inner.extend_from_slice(&v.to_le_bytes());
-        prev_idx = idx as u64;
-    }
+    write_escapes(inner, escapes);
 
     payload.clear();
     {

@@ -3,8 +3,9 @@
 //! A *buffer* is `M` snapshots × `N` values of one coordinate axis. The
 //! pipeline is split by stage:
 //!
-//! * [`predict`] — the per-snapshot mode plan and the [`predict::Predictor`]
-//!   shared by both directions (the prediction-parity invariant lives here);
+//! * [`predict`] — the per-snapshot mode plan, the MT reference rule and
+//!   the [`predict::Predictor`] of each mode, shared by both directions (the
+//!   prediction-parity invariant lives here);
 //! * [`encode`] — prediction → quantization → Seq-2 interleaving → entropy
 //!   coding → LZ77 → block assembly, all into reusable scratch buffers;
 //! * [`decode`] — the exact mirror, re-deriving the mode plan from the block
@@ -48,6 +49,7 @@ use mdz_entropy::{read_uvarint, StreamLimits};
 use mdz_kmeans::LevelGrid;
 use mdz_lossless::lz77;
 use mdz_obs::Obs;
+use predict::reference_fits;
 
 /// Decode-side resource budget enforced before any header-driven allocation.
 ///
@@ -466,11 +468,8 @@ impl Decisions {
 /// The chunk size a bit-adaptive block's code stream declares in its first
 /// bytes: the one quantizer parameter the block header does not carry.
 fn bit_adaptive_chunk(block: &[u8]) -> Result<usize> {
-    let mut pos = 0;
-    let header = BlockHeader::read(block, &mut pos)?;
-    let budget = DecodeLimits::default().inner_budget(header.n_snapshots * header.n_values);
     let mut inner = Vec::new();
-    lz77::decompress_into_limited(payload(block, pos)?, &mut inner, &budget)?;
+    inflate(block, &DecodeLimits::default(), &mut inner, &Obs::noop())?;
     let chunk = read_uvarint(&inner, &mut 0)? as usize;
     if !(1..=MAX_CHUNK).contains(&chunk) {
         return Err(MdzError::Corrupt { what: "bit-adaptive chunk size out of range" });
@@ -478,12 +477,28 @@ fn bit_adaptive_chunk(block: &[u8]) -> Result<usize> {
     Ok(chunk)
 }
 
-/// The LZ77-compressed payload that follows a block header ending at `pos`.
-fn payload(block: &[u8], mut pos: usize) -> Result<&[u8]> {
+/// Undoes a block's lossless stage: parses its header, checks it against
+/// `limits` and LZ77-decodes the payload into `inner` (cleared first),
+/// under the budget those limits give its value count. `obs` times the
+/// LZ77 call alone (`core.decode.lossless_seconds`).
+fn inflate(
+    block: &[u8],
+    limits: &DecodeLimits,
+    inner: &mut Vec<u8>,
+    obs: &Obs,
+) -> Result<BlockHeader> {
+    let mut pos = 0;
+    let header = BlockHeader::read(block, &mut pos)?;
+    limits.check(&header)?;
     let len = read_uvarint(block, &mut pos)? as usize;
-    pos.checked_add(len)
+    let payload = pos
+        .checked_add(len)
         .and_then(|end| block.get(pos..end))
-        .ok_or(MdzError::BadHeader("truncated payload"))
+        .ok_or(MdzError::BadHeader("truncated payload"))?;
+    let budget = limits.inner_budget(header.n_snapshots * header.n_values);
+    let _t = obs.span("core.decode.lossless_seconds");
+    lz77::decompress_into_limited(payload, inner, &budget)?;
+    Ok(header)
 }
 
 /// The ADP winner counter for a concrete method.
@@ -604,14 +619,8 @@ impl Decompressor {
     /// assert!(dec.keeps_state(&second));
     /// ```
     pub fn keeps_state(&self, block: &[u8]) -> bool {
-        let mut pos = 0;
-        BlockHeader::read(block, &mut pos).is_ok_and(|h| self.reference_fits(h.n_values))
-    }
-
-    /// The reference-update rule, mirroring the compressor's: a block of
-    /// `n_values` keeps the reference iff one exists with that length.
-    fn reference_fits(&self, n_values: usize) -> bool {
-        self.reference.as_ref().is_some_and(|r| r.len() == n_values)
+        BlockHeader::read(block, &mut 0)
+            .is_ok_and(|h| reference_fits(self.reference.as_deref(), h.n_values))
     }
 
     /// Decompresses a single snapshot from a pure-VQ block — the paper's
@@ -697,20 +706,12 @@ impl Decompressor {
 
     /// Decompresses one block into its snapshots.
     pub fn decompress_block(&mut self, block: &[u8]) -> Result<Vec<Vec<f64>>> {
-        let mut pos = 0;
-        let header = BlockHeader::read(block, &mut pos)?;
-        self.limits.check(&header)?;
-        let payload = payload(block, pos)?;
-        let budget = self.limits.inner_budget(header.n_snapshots * header.n_values);
-        {
-            let _t = self.obs.span("core.decode.lossless_seconds");
-            lz77::decompress_into_limited(payload, &mut self.scratch.inner, &budget)?;
-        }
+        let header = inflate(block, &self.limits, &mut self.scratch.inner, &self.obs)?;
         let reconstruct = self.obs.span("core.decode.reconstruct_seconds");
         let snapshots = decode_inner(&header, self.reference.as_deref(), &mut self.scratch)?;
         reconstruct.finish();
         self.obs.incr("core.decode.blocks", 1);
-        if !self.reference_fits(header.n_values) {
+        if !reference_fits(self.reference.as_deref(), header.n_values) {
             self.reference = Some(snapshots[0].clone());
         }
         Ok(snapshots)

@@ -1,15 +1,15 @@
-//! Snapshot prediction: the mode plan and the value predictor shared by the
-//! encode and decode stages.
+//! Snapshot prediction: the mode plan, the per-mode predictor and the MT
+//! reference rule, shared by the encode and decode stages.
 //!
 //! ## Prediction-parity invariant
 //!
 //! The encoder and decoder must compute *bit-identical* predictions, or the
-//! error bound silently breaks. Both sides therefore funnel every non-VQ
-//! prediction through [`Predictor::predict`]: the encoder hands it the
-//! in-progress reconstruction, the decoder hands it the snapshot being
-//! rebuilt, and the arithmetic (including the two-step extrapolation for
-//! [`SnapshotMode::TimePrev2`], which is materialized into a slice before
-//! prediction on both sides) lives in exactly one place.
+//! error bound silently breaks. Both sides therefore plan modes with
+//! [`snapshot_modes_into`] and [`reference_fits`], take each plain
+//! snapshot's predictor from [`Predictor::for_mode`] and predict through
+//! [`Predictor::predict`] (the encoder from its reconstructions, the decoder
+//! from the snapshots it rebuilt), so each rule, MT2's two-step
+//! extrapolation included, lives in exactly one place.
 
 use crate::format::Method;
 
@@ -42,7 +42,36 @@ pub(crate) enum Predictor<'a> {
     Slice(&'a [f64]),
 }
 
-impl Predictor<'_> {
+impl<'a> Predictor<'a> {
+    /// The predictor of a plain snapshot coded in `mode`, given the
+    /// reconstructions one and two snapshots back and the stream reference;
+    /// MT2's `2·x₋₁ − x₋₂` is written into `extrapolated`. Panics on
+    /// `VqGrid` or a missing input. Neither occurs, whatever a block's bytes
+    /// say: a plan puts `TimePrev` after one snapshot, `TimePrev2` after two
+    /// and `TimeRef` only where the reference fits.
+    pub(crate) fn for_mode(
+        mode: SnapshotMode,
+        prev: Option<&'a [f64]>,
+        prev2: Option<&'a [f64]>,
+        reference: Option<&'a [f64]>,
+        extrapolated: &'a mut Vec<f64>,
+    ) -> Self {
+        match mode {
+            SnapshotMode::Lorenzo => Predictor::Lorenzo,
+            SnapshotMode::TimePrev => Predictor::Slice(prev.expect("TimePrev follows a snapshot")),
+            SnapshotMode::TimePrev2 => {
+                let (a, b) = prev.zip(prev2).expect("TimePrev2 follows two snapshots");
+                extrapolated.clear();
+                extrapolated.extend(a.iter().zip(b).map(|(&x, &y)| 2.0 * x - y));
+                Predictor::Slice(extrapolated)
+            }
+            SnapshotMode::TimeRef => {
+                Predictor::Slice(reference.expect("TimeRef implies a fitting reference"))
+            }
+            SnapshotMode::VqGrid => unreachable!("VQ snapshots predict from the level grid"),
+        }
+    }
+
     /// The prediction for value `i` of the current snapshot.
     #[inline]
     pub(crate) fn predict(&self, recon: &[f64], i: usize) -> f64 {
@@ -57,6 +86,13 @@ impl Predictor<'_> {
             Predictor::Slice(s) => s[i],
         }
     }
+}
+
+/// The MT reference rule: an MT or MT2 buffer of `n_values` values predicts
+/// from `reference`, and a buffer of any method keeps it, iff it has that
+/// length; otherwise the buffer's first reconstruction becomes the reference.
+pub(crate) fn reference_fits(reference: Option<&[f64]>, n_values: usize) -> bool {
+    reference.is_some_and(|r| r.len() == n_values)
 }
 
 /// Resolves the per-snapshot prediction modes for a buffer, writing into a

@@ -18,6 +18,12 @@
 //! right trade for non-crystal particle data whose residuals span orders of
 //! magnitude. Bit-adaptivity changes how codes are stored, not how they are
 //! computed.
+//!
+//! Escaped values travel in an escape list with one writer and one reader,
+//! [`write_escapes`] and [`read_escapes`], shared by MDZ blocks and the
+//! baselines, so every decoder rejects a forged list the same way.
+
+use std::collections::HashMap;
 
 use mdz_entropy::{read_uvarint, write_uvarint, BitReader, BitWriter, EntropyError, StreamLimits};
 
@@ -110,6 +116,66 @@ impl LinearQuantizer {
         let q = code as i64 - self.radius as i64;
         prediction + 2.0 * self.eps * q as f64
     }
+}
+
+/// Bytes one serialized escape costs at minimum: a ≥1-byte index delta
+/// varint plus the 8-byte raw `f64` value. Bounds the escape count by the
+/// remaining input.
+const MIN_ESCAPE_BYTES: usize = 9;
+
+/// Appends the escape list `escapes` (flat index, verbatim value; indices
+/// ascending) to `out` (FORMAT.md §4.1): the count, then per escape the
+/// varint gap from the previous index (the first index itself) and the
+/// value's 8 little-endian bytes.
+pub fn write_escapes(out: &mut Vec<u8>, escapes: &[(usize, f64)]) {
+    write_uvarint(out, escapes.len() as u64);
+    let mut prev = 0;
+    for &(idx, value) in escapes {
+        write_uvarint(out, (idx - prev) as u64);
+        out.extend_from_slice(&value.to_le_bytes());
+        prev = idx;
+    }
+}
+
+/// Parses an escape list written by [`write_escapes`] from `data` at `*pos`
+/// (advancing it) into `out` (cleared first), for a stream of `n_values`
+/// codes. A count beyond `n_values` or what the remaining input can hold
+/// (checked before reserving), an index gap that overflows and an index
+/// past `n_values` are [`MdzError::Corrupt`]; a truncated value is
+/// [`EntropyError::UnexpectedEof`].
+pub fn read_escapes(
+    data: &[u8],
+    pos: &mut usize,
+    n_values: usize,
+    out: &mut HashMap<usize, f64>,
+) -> Result<()> {
+    let count = read_uvarint(data, pos)? as usize;
+    if count > n_values {
+        return Err(MdzError::Corrupt { what: "escape count exceeds block size" });
+    }
+    if count > data.len().saturating_sub(*pos) / MIN_ESCAPE_BYTES {
+        return Err(MdzError::Corrupt { what: "escape count exceeds input size" });
+    }
+    // The count is now input-proportional, so this reservation is bounded
+    // by the input size.
+    out.clear();
+    out.reserve(count.min(1 << 20));
+    let mut idx = 0u64;
+    for _ in 0..count {
+        idx = idx
+            .checked_add(read_uvarint(data, pos)?)
+            .ok_or(MdzError::Corrupt { what: "escape index overflow" })?;
+        if idx >= n_values as u64 {
+            return Err(MdzError::Corrupt { what: "escape index out of range" });
+        }
+        let value: [u8; 8] = data
+            .get(*pos..*pos + 8)
+            .and_then(|bytes| bytes.try_into().ok())
+            .ok_or(MdzError::Stream(EntropyError::UnexpectedEof))?;
+        *pos += 8;
+        out.insert(idx as usize, f64::from_le_bytes(value));
+    }
+    Ok(())
 }
 
 /// Escape radius of bit-adaptive blocks: residuals up to ±(2²³ − 1) steps
@@ -338,6 +404,71 @@ mod tests {
             assert_eq!(q.quantize(v, 10.0, &mut recon), Quantized::Code(code));
             assert_eq!(recon, v);
         }
+    }
+
+    fn escapes_round_trip(n_values: usize, escapes: &[(usize, f64)]) {
+        let mut bytes = vec![0xAB];
+        write_escapes(&mut bytes, escapes);
+        bytes.push(0xCD);
+        let mut pos = 1;
+        let mut back = HashMap::from([(7, 7.0)]);
+        read_escapes(&bytes, &mut pos, n_values, &mut back).expect("round trip");
+        assert_eq!(pos, bytes.len() - 1);
+        assert_eq!(back.len(), escapes.len());
+        for &(idx, value) in escapes {
+            assert_eq!(back[&idx].to_bits(), value.to_bits(), "index {idx}");
+        }
+    }
+
+    #[test]
+    fn escape_lists_round_trip() {
+        escapes_round_trip(10, &[]);
+        escapes_round_trip(10, &[(0, 1.5)]);
+        escapes_round_trip(10, &[(3, f64::NAN), (4, -0.0), (5, f64::INFINITY)]);
+        escapes_round_trip(10, &[(0, 2.0), (9, f64::MAX)]);
+        escapes_round_trip(1 << 20, &[(300, 1e300), ((1 << 20) - 1, -7.25)]);
+    }
+
+    #[test]
+    fn hostile_escape_lists_are_rejected() {
+        let read = |bytes: &[u8], n_values: usize| {
+            read_escapes(bytes, &mut 0, n_values, &mut HashMap::new())
+        };
+        let corrupt = |what| Err(MdzError::Corrupt { what });
+
+        // More escapes than values, however much input follows.
+        let mut bytes = Vec::new();
+        write_escapes(&mut bytes, &[(0, 1.0), (1, 2.0), (2, 3.0)]);
+        assert_eq!(read(&bytes, 2), corrupt("escape count exceeds block size"));
+        assert_eq!(read(&bytes, 3), Ok(()));
+
+        // More escapes than the remaining bytes could hold at 9 bytes each.
+        let mut bytes = Vec::new();
+        write_uvarint(&mut bytes, 2);
+        bytes.extend_from_slice(&[0; 17]);
+        assert_eq!(read(&bytes, 100), corrupt("escape count exceeds input size"));
+
+        // An index at or past the value count.
+        let mut bytes = Vec::new();
+        write_escapes(&mut bytes, &[(4, 1.0), (10, 2.0)]);
+        assert_eq!(read(&bytes, 10), corrupt("escape index out of range"));
+        assert_eq!(read(&bytes, 11), Ok(()));
+
+        // An index gap that overflows u64.
+        let mut bytes = Vec::new();
+        write_uvarint(&mut bytes, 2);
+        write_uvarint(&mut bytes, 1);
+        bytes.extend_from_slice(&1.0f64.to_le_bytes());
+        write_uvarint(&mut bytes, u64::MAX);
+        bytes.extend_from_slice(&2.0f64.to_le_bytes());
+        assert_eq!(read(&bytes, usize::MAX), corrupt("escape index overflow"));
+
+        // A truncated value (its 2-byte index gap keeps the count within
+        // the input check).
+        let mut bytes = Vec::new();
+        write_escapes(&mut bytes, &[(0, 1.0), (1000, 2.0)]);
+        let cut = &bytes[..bytes.len() - 1];
+        assert_eq!(read(cut, 1001), Err(MdzError::Stream(EntropyError::UnexpectedEof)));
     }
 
     fn bit_adaptive() -> LinearQuantizer {

@@ -328,12 +328,8 @@ pub fn range_encode_into(symbols: &[u32], out: &mut Vec<u8>, scratch: &mut Range
     out.extend_from_slice(payload);
 }
 
-/// Decodes a stream produced by [`range_encode`], advancing `*pos`.
-pub fn range_decode_at(data: &[u8], pos: &mut usize) -> Result<Vec<u32>> {
-    range_decode_at_limited(data, pos, &StreamLimits::default())
-}
-
-/// [`range_decode_at`] with a caller-supplied decode budget.
+/// Decodes a stream produced by [`range_encode`] from `data` at `*pos`
+/// (advancing it), under a caller-supplied decode budget.
 pub fn range_decode_at_limited(
     data: &[u8],
     pos: &mut usize,
@@ -401,8 +397,7 @@ pub fn range_decode_at_into_limited(
 
 /// Decodes a stream produced by [`range_encode`].
 pub fn range_decode(data: &[u8]) -> Result<Vec<u32>> {
-    let mut pos = 0;
-    range_decode_at(data, &mut pos)
+    range_decode_at_limited(data, &mut 0, &StreamLimits::default())
 }
 
 #[cfg(test)]
@@ -592,8 +587,9 @@ mod tests {
         let mut buf = range_encode(&a);
         buf.extend(range_encode(&b));
         let mut pos = 0;
-        assert_eq!(range_decode_at(&buf, &mut pos).unwrap(), a);
-        assert_eq!(range_decode_at(&buf, &mut pos).unwrap(), b);
+        let limits = StreamLimits::default();
+        assert_eq!(range_decode_at_limited(&buf, &mut pos, &limits).unwrap(), a);
+        assert_eq!(range_decode_at_limited(&buf, &mut pos, &limits).unwrap(), b);
         assert_eq!(pos, buf.len());
     }
 }

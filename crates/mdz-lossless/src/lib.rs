@@ -41,14 +41,6 @@ pub fn f64s_to_bytes(data: &[f64]) -> Vec<u8> {
     out
 }
 
-/// Parses little-endian bytes back into `f64`s.
-pub fn bytes_to_f64s(data: &[u8]) -> Result<Vec<f64>> {
-    if !data.len().is_multiple_of(8) {
-        return Err(mdz_entropy::EntropyError::Corrupt("byte length not a multiple of 8"));
-    }
-    Ok(data.chunks_exact(8).map(|c| f64::from_le_bytes(c.try_into().unwrap())).collect())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -56,11 +48,10 @@ mod tests {
     #[test]
     fn f64_byte_round_trip() {
         let v = vec![0.0, -1.5, f64::MAX, f64::MIN_POSITIVE, std::f64::consts::PI];
-        assert_eq!(bytes_to_f64s(&f64s_to_bytes(&v)).unwrap(), v);
-    }
-
-    #[test]
-    fn misaligned_bytes_error() {
-        assert!(bytes_to_f64s(&[1, 2, 3]).is_err());
+        let bytes = f64s_to_bytes(&v);
+        assert_eq!(bytes.len(), 8 * v.len());
+        let back: Vec<f64> =
+            bytes.chunks_exact(8).map(|c| f64::from_le_bytes(c.try_into().unwrap())).collect();
+        assert_eq!(back, v);
     }
 }

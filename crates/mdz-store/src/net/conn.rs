@@ -39,11 +39,10 @@ pub(crate) struct Conn {
     pub(crate) decoder: FrameDecoder,
     /// Responses waiting for the socket.
     out: OutQueue,
-    /// Whether this connection holds an admission slot (shed connections
-    /// do not; they only exist to deliver a BUSY response).
+    /// Whether this connection holds an admission slot. A connection shed
+    /// at accept time does not: it answers BUSY to its first request, then
+    /// closes.
     pub(crate) admitted: bool,
-    /// Shed at accept time: answer BUSY to the first request, then close.
-    pub(crate) shed: bool,
     /// Close once the write queue drains (BUSY shed, malformed framing).
     pub(crate) close_after_flush: bool,
     /// Input is read and discarded instead of decoded — the bounded drain
@@ -85,7 +84,6 @@ impl Conn {
             decoder: FrameDecoder::new(max_body),
             out: OutQueue::default(),
             admitted,
-            shed: !admitted,
             close_after_flush: false,
             discard_input: false,
             peer_eof: false,

@@ -444,12 +444,12 @@ impl<'a> Shard<'a> {
                     break;
                 }
                 Ok(Some(body)) => {
-                    let shed = {
+                    let admitted = {
                         let conn = self.conns.get_mut(&fd).expect("checked above");
                         conn.last_activity = Instant::now();
-                        conn.shed
+                        conn.admitted
                     };
-                    if shed {
+                    if !admitted {
                         self.shed_reply(fd);
                         break;
                     }
@@ -534,7 +534,7 @@ impl<'a> Shard<'a> {
                     continue;
                 }
             }
-            if conn.shed {
+            if !conn.admitted {
                 // A shed connection that never completed a request still
                 // gets its BUSY answer after the read deadline.
                 if !conn.close_after_flush

@@ -156,30 +156,32 @@ impl BufferCache {
     }
 }
 
-/// The swappable part of the store: archive bytes plus the parsed index.
+/// The swappable part of the store: archive bytes, the parsed index and
+/// the cache capacity derived from it.
 ///
-/// [`StoreReader::refresh`] replaces both atomically under the write lock;
-/// readers snapshot the two `Arc`s once per call and never observe a torn
-/// mix of old bytes with a new index.
+/// [`StoreReader::refresh`] swaps in a new `Arc` under the write lock; a
+/// read clones the `Arc` once per call and never observes a torn mix of
+/// old bytes with a new index.
 struct ArchiveState {
-    data: Arc<Vec<u8>>,
+    data: Vec<u8>,
     index: Arc<ArchiveIndex>,
-    /// Buffers in the index's longest epoch: the cache's unit of capacity.
-    longest_epoch: usize,
+    /// `CACHE_EPOCHS` × the index's longest epoch, in buffers (at least 1).
+    cache_cap: usize,
 }
 
 impl ArchiveState {
-    fn new(data: Vec<u8>, index: ArchiveIndex) -> Self {
+    fn new(data: Vec<u8>, index: ArchiveIndex) -> Arc<Self> {
         let longest_epoch =
             (0..index.n_epochs()).map(|e| index.epoch_blocks(e).len()).max().unwrap_or(0);
-        Self { data: Arc::new(data), index: Arc::new(index), longest_epoch }
+        let cache_cap = (CACHE_EPOCHS * longest_epoch).max(1);
+        Arc::new(Self { data, index: Arc::new(index), cache_cap })
     }
 }
 
 /// State every handle onto one archive shares: the swappable bytes/index
 /// pair, the buffer cache, and the metrics registry.
 struct Shared {
-    state: RwLock<ArchiveState>,
+    state: RwLock<Arc<ArchiveState>>,
     cache: Mutex<BufferCache>,
     /// Shared metrics registry: the reader's `store.*` counters land here
     /// alongside whatever the serving layer and the core pipeline record.
@@ -393,14 +395,9 @@ impl StoreReader {
         Ok(out)
     }
 
-    /// Clones the current `(data, index)` pair under the read lock.
-    fn snapshot(&self) -> Snapshot {
-        let state = self.shared.state.read().unwrap();
-        Snapshot {
-            data: Arc::clone(&state.data),
-            index: Arc::clone(&state.index),
-            cache_cap: (CACHE_EPOCHS * state.longest_epoch).max(1),
-        }
+    /// The current archive state, cloned under the read lock.
+    fn snapshot(&self) -> Arc<ArchiveState> {
+        Arc::clone(&self.shared.state.read().unwrap())
     }
 
     /// Returns the decoded frames of `blocks` (all in `epoch`), from cache
@@ -421,7 +418,7 @@ impl StoreReader {
     /// performed.
     fn epoch_buffers(
         &self,
-        snap: &Snapshot,
+        snap: &ArchiveState,
         epoch: usize,
         blocks: Range<usize>,
     ) -> Result<Vec<Arc<Vec<Frame>>>> {
@@ -521,7 +518,7 @@ impl StoreReader {
     /// concurrently.
     fn decode_from_anchor(
         &self,
-        snap: &Snapshot,
+        snap: &ArchiveState,
         epoch: usize,
         wanted: &[usize],
     ) -> Result<Vec<(usize, Arc<Vec<Frame>>)>> {
@@ -598,15 +595,6 @@ impl StoreReader {
         self.shared.obs.incr("store.buffers_decoded", out.len() as u64);
         Ok(out)
     }
-}
-
-/// A consistent `(data, index)` pair taken once per read, with the cache
-/// capacity derived from that index.
-struct Snapshot {
-    data: Arc<Vec<u8>>,
-    index: Arc<ArchiveIndex>,
-    /// `CACHE_EPOCHS` × the longest epoch, in buffers (at least 1).
-    cache_cap: usize,
 }
 
 /// Checks that `new` extends `old` without rewriting anything a reader may
