@@ -16,7 +16,7 @@
 //!   (core counters also surface as a [`StatsSnapshot`]).
 //! * **Serving** ([`server`], [`client`], [`protocol`]) — the server answers
 //!   GET/STATS/INFO/METRICS requests over a length-prefixed binary
-//!   protocol on TCP from a sharded epoll/kqueue event loop, with
+//!   protocol on TCP from a sharded `poll(2)` event loop, with
 //!   per-request decode budgets; no dependency beyond `std` and the
 //!   platform C library. METRICS returns the full registry snapshot
 //!   ([`MetricsSnapshot`]): request/cache/error counters plus per-request
@@ -57,7 +57,7 @@
 //! ```
 
 #![deny(missing_docs)]
-#![deny(unsafe_op_in_unsafe_fn, clippy::undocumented_unsafe_blocks)]
+#![deny(unsafe_code, unsafe_op_in_unsafe_fn, clippy::undocumented_unsafe_blocks)]
 
 pub mod archive;
 pub mod client;

@@ -13,10 +13,9 @@ use std::time::Instant;
 
 use crate::protocol::FrameDecoder;
 
-use super::sys::Poller;
-
 /// Per-read scratch cap: one `read` call per slot, bounded so a firehose
-/// peer cannot monopolize a shard tick (level-triggered polling re-arms).
+/// peer cannot monopolize a shard tick (the next tick's poll reports the
+/// rest).
 const MAX_READS_PER_TICK: usize = 16;
 
 /// Chunks gathered into one `write_vectored` call (well under `IOV_MAX`).
@@ -64,14 +63,10 @@ pub(crate) struct Conn {
     /// Since when the connection has been lingering after `shutdown(Write)`
     /// waiting for the peer's EOF (bounded by the read deadline).
     pub(crate) dying_since: Option<Instant>,
-    registered_read: bool,
-    registered_write: bool,
 }
 
 impl Conn {
     /// Wraps an accepted stream; the socket is switched to non-blocking.
-    /// New connections are registered read-only, matching
-    /// (`registered_read`, `registered_write`) = (true, false).
     pub(crate) fn new(stream: TcpStream, max_body: usize, admitted: bool) -> std::io::Result<Conn> {
         stream.set_nonblocking(true)?;
         // Responses are written whole; Nagle + delayed ACK would park small
@@ -93,12 +88,10 @@ impl Conn {
             partial_since: None,
             write_blocked_since: None,
             dying_since: None,
-            registered_read: true,
-            registered_write: false,
         })
     }
 
-    /// The socket's fd — the poller token for this connection.
+    /// The socket's fd, the connection's key in its shard.
     pub(crate) fn fd(&self) -> RawFd {
         self.stream.as_raw_fd()
     }
@@ -174,16 +167,11 @@ impl Conn {
         Ok(if any { ReadOutcome::Progress } else { ReadOutcome::Blocked })
     }
 
-    /// Reconciles the poller registration with the interest set this
-    /// connection currently needs (no-op when unchanged — the common case).
-    pub(crate) fn sync_interest(&mut self, poller: &Poller) {
-        let (read, write) = (!self.reading_paused, !self.queue_empty());
-        if (read != self.registered_read || write != self.registered_write)
-            && poller.modify(self.fd(), read, write).is_ok()
-        {
-            self.registered_read = read;
-            self.registered_write = write;
-        }
+    /// What the shard polls this connection for, as (read, write): input
+    /// only while it can be served (not paused by backpressure, no EOF
+    /// yet), output only while responses are queued.
+    pub(crate) fn interest(&self) -> (bool, bool) {
+        (!self.reading_paused && !self.peer_eof, !self.queue_empty())
     }
 }
 
@@ -329,6 +317,22 @@ mod tests {
             std::thread::sleep(std::time::Duration::from_millis(1));
         }
         assert!(conn.write_blocked_since.is_none());
+    }
+
+    #[test]
+    fn interest_reads_while_input_can_be_served_and_writes_while_queued() {
+        let (_client, server) = pair();
+        let mut conn = Conn::new(server, 1 << 20, true).unwrap();
+        assert_eq!(conn.interest(), (true, false));
+        conn.enqueue(vec![7u8; 10]);
+        assert_eq!(conn.interest(), (true, true));
+        conn.reading_paused = true;
+        assert_eq!(conn.interest(), (false, true), "no read while paused");
+        conn.reading_paused = false;
+        conn.peer_eof = true;
+        assert_eq!(conn.interest(), (false, true), "no read after the peer's EOF");
+        conn.flush().unwrap();
+        assert_eq!(conn.interest(), (false, false), "no write once the queue drains");
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //!
 //! # Shard ownership
 //!
-//! `cfg.threads` shards each run their own poller and connection map. All
+//! `cfg.threads` shards each run their own poll loop and connection map. All
 //! of them share one [`StoreReader`] clone, so one buffer cache and one
 //! table of in-flight decodes: a shard that finds a buffer being decoded by
 //! another shard waits for that decode instead of repeating it. A
@@ -28,6 +28,14 @@
 //! connection is therefore `O(max_write_buffer + one frame)` by
 //! construction.
 //!
+//! # The poll set
+//!
+//! Each tick a shard rebuilds its [`PollSet`] from its own state: its wake
+//! channel, the listener while it has one, then every connection with the
+//! interest [`Conn::interest`] gives it. A connection that is paused or
+//! has seen its peer's EOF is not polled for input, so a half-closed peer
+//! that stops reading costs nothing until a deadline cuts it.
+//!
 //! # Shutdown
 //!
 //! On the stop flag shard 0 closes the listener (dropping the global
@@ -52,7 +60,7 @@ use crate::server::{
 };
 
 use super::conn::{Conn, ReadOutcome};
-use super::sys::{Event, Poller, WakePipe};
+use super::sys::{PollSet, Wake};
 
 /// State shared by every shard of one server.
 struct SharedState {
@@ -67,7 +75,7 @@ struct SharedState {
     /// Freshly accepted, already-admitted connections shard 0 handed to
     /// each shard.
     inboxes: Vec<Mutex<VecDeque<TcpStream>>>,
-    wakes: Vec<WakePipe>,
+    wakes: Vec<Wake>,
 }
 
 /// Runs a [`Server`] until shutdown. Entry point for [`Server::run`].
@@ -77,7 +85,7 @@ pub(crate) fn run(server: Server) -> std::io::Result<()> {
     let mut wakes = Vec::with_capacity(shards);
     let mut inboxes = Vec::with_capacity(shards);
     for _ in 0..shards {
-        wakes.push(WakePipe::new()?);
+        wakes.push(Wake::new()?);
         inboxes.push(Mutex::new(VecDeque::new()));
     }
     let shared = SharedState {
@@ -166,7 +174,6 @@ struct Shard<'a> {
     sink: Option<&'a AppendSink>,
     shared: &'a SharedState,
     obs: Obs,
-    poller: Poller,
     conns: HashMap<RawFd, Conn>,
     scratch: Vec<u8>,
     body_budget: usize,
@@ -186,12 +193,9 @@ impl<'a> Shard<'a> {
         sink: Option<&'a AppendSink>,
         shared: &'a SharedState,
     ) -> std::io::Result<Shard<'a>> {
-        let poller = Poller::new()?;
         if let Some(l) = &listener {
             l.set_nonblocking(true)?;
-            poller.add(l.as_raw_fd(), true, false)?;
         }
-        poller.add(shared.wakes[id].read_fd(), true, false)?;
         let obs = Obs::new(reader.recorder());
         let body_budget = body_budget(sink.is_some());
         Ok(Shard {
@@ -203,7 +207,6 @@ impl<'a> Shard<'a> {
             sink,
             shared,
             obs,
-            poller,
             conns: HashMap::new(),
             scratch: vec![0u8; 64 << 10],
             body_budget,
@@ -213,28 +216,37 @@ impl<'a> Shard<'a> {
     }
 
     fn run(&mut self) -> std::io::Result<()> {
-        let mut events: Vec<Event> = Vec::new();
-        let wake_fd = self.shared.wakes[self.id].read_fd();
+        let mut set = PollSet::default();
+        let wake_fd = self.shared.wakes[self.id].fd();
         loop {
-            self.poller.wait(&mut events, DRAIN_POLL)?;
+            // The listener precedes the connections, so every accept of a
+            // dispatch runs before any of its closes and never reuses the fd
+            // of an entry still to come.
+            set.clear();
+            set.push(wake_fd, true, false);
+            if let Some(l) = &self.listener {
+                set.push(l.as_raw_fd(), true, false);
+            }
+            for (&fd, conn) in &self.conns {
+                let (read, write) = conn.interest();
+                set.push(fd, read, write);
+            }
+            set.wait(DRAIN_POLL)?;
             if !self.draining && self.shared.stop.load(Ordering::SeqCst) {
                 self.start_drain();
             }
             self.drain_inbox();
             let listener_fd = self.listener.as_ref().map(|l| l.as_raw_fd());
-            for &ev in &events {
-                if ev.fd == wake_fd {
+            for (fd, readable, writable) in set.ready() {
+                if fd == wake_fd {
                     self.shared.wakes[self.id].drain();
-                } else if Some(ev.fd) == listener_fd {
+                } else if Some(fd) == listener_fd {
                     self.accept_ready();
                 } else {
-                    self.conn_event(ev);
+                    self.conn_event(fd, readable, writable);
                 }
             }
             self.sweep();
-            for conn in self.conns.values_mut() {
-                conn.sync_interest(&self.poller);
-            }
             let admitted = self.shared.admitted.load(Ordering::SeqCst);
             if self.reported_connections != Some(admitted) {
                 self.obs.gauge("server.net.connections", admitted as u64);
@@ -250,9 +262,7 @@ impl<'a> Shard<'a> {
     /// slot. Runs once, on the first tick that observes the stop flag.
     fn start_drain(&mut self) {
         self.draining = true;
-        if let Some(listener) = self.listener.take() {
-            let _ = self.poller.remove(listener.as_raw_fd());
-            drop(listener);
+        if self.listener.take().is_some() {
             self.shared.accepting.fetch_sub(1, Ordering::SeqCst);
         }
     }
@@ -314,14 +324,10 @@ impl<'a> Shard<'a> {
         match Conn::new(stream, self.body_budget, admitted) {
             Ok(conn) => {
                 let fd = conn.fd();
-                if self.poller.add(fd, true, false).is_ok() {
-                    self.conns.insert(fd, conn);
-                    // The peer may have sent its request before we
-                    // registered; treat the install as a readable event.
-                    self.conn_event(Event { fd, readable: true, writable: false });
-                } else if admitted {
-                    self.shared.admitted.fetch_sub(1, Ordering::SeqCst);
-                }
+                self.conns.insert(fd, conn);
+                // The peer may have sent its request already; this tick's
+                // poll set predates the connection, so read it now.
+                self.conn_event(fd, true, false);
             }
             Err(_) => {
                 if admitted {
@@ -331,12 +337,12 @@ impl<'a> Shard<'a> {
         }
     }
 
-    fn conn_event(&mut self, ev: Event) {
-        if ev.writable {
-            self.flush_conn(ev.fd);
+    fn conn_event(&mut self, fd: RawFd, readable: bool, writable: bool) {
+        if writable {
+            self.flush_conn(fd);
         }
-        if ev.readable {
-            self.read_conn(ev.fd);
+        if readable {
+            self.read_conn(fd);
         }
     }
 
@@ -574,7 +580,6 @@ impl<'a> Shard<'a> {
 
     fn close(&mut self, fd: RawFd, counter: Option<&'static str>) {
         if let Some(conn) = self.conns.remove(&fd) {
-            let _ = self.poller.remove(fd);
             if let Some(name) = counter {
                 self.obs.incr(name, 1);
             }

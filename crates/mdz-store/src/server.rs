@@ -1,6 +1,6 @@
-//! The serving layer behind `mdz serve`: a sharded epoll (Linux) / kqueue
-//! (macOS) reactor — the `net` module — in front of one request-to-response
-//! path, `serve_request`.
+//! The serving layer behind `mdz serve`: a sharded `poll(2)` loop — the
+//! `net` module — in front of one request-to-response path,
+//! `serve_request`.
 //!
 //! [`ServerConfig::threads`] event shards each run a non-blocking poll
 //! loop. Shard 0 owns the one listener and hands accepted connections
@@ -12,7 +12,7 @@
 //! would decode past that budget is refused with [`Status::LimitExceeded`]
 //! rather than letting one client monopolize memory.
 //!
-//! Serving needs epoll or kqueue: on any other target [`Server::run`]
+//! The server runs on Linux and macOS: on any other target [`Server::run`]
 //! returns [`std::io::ErrorKind::Unsupported`].
 //!
 //! # Degradation under hostile load
@@ -144,9 +144,11 @@ pub struct AppendSink {
 
 impl AppendSink {
     /// Wraps the storage backing the served archive. `opts` configures the
-    /// server-side compressor (error bound, method, precision); the
-    /// archive's own geometry (buffer size, epoch stride) wins over
+    /// server-side compressor (error bound, method); the archive's own
+    /// geometry (buffer size, epoch stride) wins over
     /// `opts.buffer_size`/`opts.epoch_interval` as in [`crate::append_store`].
+    /// `opts.precision` is not read: each APPEND carries its own precision,
+    /// which must match the archive's.
     pub fn new(io: Box<dyn StoreIo>, opts: StoreOptions) -> Self {
         Self { io: Mutex::new(io), opts }
     }
@@ -242,8 +244,8 @@ impl Server {
     /// Serves connections until [`ServerHandle::shutdown`] is called.
     /// Returns once in-flight requests have finished (deadline-bounded) and
     /// the shards have joined. Fails with
-    /// [`Unsupported`](std::io::ErrorKind::Unsupported) on targets without
-    /// epoll or kqueue.
+    /// [`Unsupported`](std::io::ErrorKind::Unsupported) on targets other
+    /// than Linux and macOS.
     pub fn run(self) -> std::io::Result<()> {
         #[cfg(any(target_os = "linux", target_os = "macos"))]
         return crate::net::run(self);
@@ -252,7 +254,7 @@ impl Server {
             drop(self);
             Err(std::io::Error::new(
                 std::io::ErrorKind::Unsupported,
-                "serving needs epoll (Linux) or kqueue (macOS)",
+                "serving runs on Linux and macOS only",
             ))
         }
     }

@@ -14,7 +14,7 @@
 //! mdz recover    <archive.mdz>
 //! mdz get        <in.mdz> <start..end>
 //! mdz serve      <in.mdz> <addr> [--threads N] [--max-conns N] [--read-timeout-ms N]
-//!                [--write-timeout-ms N] [--idle-timeout-ms N] [--live [bound/method flags] [--f32]]
+//!                [--write-timeout-ms N] [--idle-timeout-ms N] [--live [bound/method flags]]
 //! mdz query      <addr> <start..end> [--retries N]
 //! mdz follow     <addr> [from] [--until N] [--poll-ms N]
 //! mdz stats      <addr> [--metrics [--json]]
@@ -46,8 +46,11 @@
 //! decorrelated-jitter backoff. `serve` opens the archive through the
 //! crash-recovery scan, so an archive with a torn append still serves its
 //! published frames (the file itself is only repaired by `recover`, or by
-//! the first APPEND of a `--live` server). It runs the sharded epoll/kqueue
-//! event loop with `--threads` shards; other targets cannot serve.
+//! the first APPEND of a `--live` server). It runs the sharded `poll(2)`
+//! loop with `--threads` shards on Linux and macOS; other targets cannot
+//! serve. A `--live` server compresses each APPEND at the precision the
+//! APPEND carries, which must match the archive's, so `--f32` does not
+//! apply to `serve`.
 
 #![forbid(unsafe_code)]
 
@@ -524,9 +527,7 @@ fn main() {
             if o.live {
                 let io =
                     FileIo::open(input).unwrap_or_else(|e| fail(&format!("opening {input}: {e}")));
-                let mut opts =
-                    StoreOptions::new(MdzConfig::new(bound_from(&o)).with_method(o.method));
-                opts.precision = if o.f32 { Precision::F32 } else { Precision::F64 };
+                let opts = StoreOptions::new(MdzConfig::new(bound_from(&o)).with_method(o.method));
                 server = server.with_append_sink(mdz::store::AppendSink::new(Box::new(io), opts));
             }
             let local = server.local_addr().unwrap_or_else(|e| fail(&format!("local addr: {e}")));
