@@ -7,7 +7,8 @@
 //! n_snapshots uvarint · n_values uvarint
 //! eps f64 (LE) · radius uvarint
 //! [mu f64 · lambda f64]            — if FLAG_GRID
-//! payload_len uvarint · payload    — LZ77-compressed inner streams
+//! payload_len uvarint · payload    — the inner streams, LZ77-compressed
+//!                                    or, with FLAG_STORED, as they are
 //! ```
 //!
 //! The inner payload holds the Huffman-coded quantization codes (`B`), the
@@ -33,6 +34,13 @@ pub const VERSION: u8 = 1;
 /// stripped flag on a version-2 block) fails header validation instead of
 /// reaching the payload parser.
 pub const VERSION_BIT_ADAPTIVE: u8 = 2;
+/// Format version of blocks carrying [`FLAG_STORED`], bit-adaptive or not.
+///
+/// A stored payload is the inner bytes themselves, which an LZ77 decoder
+/// would misread, so readers that predate the flag must reject the block
+/// as an unsupported version. The version byte and the flag cross-check
+/// each other as they do for [`VERSION_BIT_ADAPTIVE`].
+pub const VERSION_STORED: u8 = 3;
 
 /// Byte offset of the flags byte within a serialized block: right after the
 /// magic, the version byte, and the method byte. The `f32` tagging path
@@ -54,8 +62,11 @@ pub const FLAG_F32: u8 = 1 << 4;
 /// The `B` code stream is bit-adaptive ([`crate::QuantizerKind::BitAdaptive`]):
 /// packed with per-chunk bit widths instead of entropy-coded over the fixed
 /// `[1, 2·radius)` alphabet. Implies (and requires) the block version byte
-/// [`VERSION_BIT_ADAPTIVE`].
+/// [`VERSION_BIT_ADAPTIVE`], unless [`FLAG_STORED`] sets version 3.
 pub const FLAG_BIT_ADAPTIVE: u8 = 1 << 5;
+/// The payload is the inner streams as they are, not LZ77-compressed.
+/// Implies (and requires) the block version byte [`VERSION_STORED`].
+pub const FLAG_STORED: u8 = 1 << 6;
 
 /// MDZ compression method.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
@@ -145,7 +156,13 @@ impl BlockHeader {
     /// Serializes the header into `out`.
     pub fn write(&self, out: &mut Vec<u8>) {
         out.extend_from_slice(&MAGIC);
-        out.push(if self.flags & FLAG_BIT_ADAPTIVE != 0 { VERSION_BIT_ADAPTIVE } else { VERSION });
+        out.push(if self.flags & FLAG_STORED != 0 {
+            VERSION_STORED
+        } else if self.flags & FLAG_BIT_ADAPTIVE != 0 {
+            VERSION_BIT_ADAPTIVE
+        } else {
+            VERSION
+        });
         out.push(self.method.to_wire());
         out.push(self.flags);
         write_uvarint(out, self.n_snapshots as u64);
@@ -170,7 +187,7 @@ impl BlockHeader {
         *pos += 4;
         let version = *data.get(*pos).ok_or(MdzError::BadHeader("truncated version"))?;
         *pos += 1;
-        if version != VERSION && version != VERSION_BIT_ADAPTIVE {
+        if !(VERSION..=VERSION_STORED).contains(&version) {
             return Err(MdzError::BadHeader("unsupported version"));
         }
         let method =
@@ -178,10 +195,14 @@ impl BlockHeader {
         *pos += 1;
         let flags = *data.get(*pos).ok_or(MdzError::BadHeader("truncated flags"))?;
         *pos += 1;
-        // The version byte and the bit-adaptive flag must agree; a mismatch
-        // means the block was tampered with or mis-assembled.
-        let expect_ba = version == VERSION_BIT_ADAPTIVE;
-        if (flags & FLAG_BIT_ADAPTIVE != 0) != expect_ba {
+        // The version byte and the stored and bit-adaptive flags must agree
+        // (version 3 iff stored, else version 2 iff bit-adaptive); a
+        // mismatch means the block was tampered with or mis-assembled.
+        let stored = flags & FLAG_STORED != 0;
+        if stored != (version == VERSION_STORED) {
+            return Err(MdzError::BadHeader("version/flag mismatch for stored payload"));
+        }
+        if !stored && (flags & FLAG_BIT_ADAPTIVE != 0) != (version == VERSION_BIT_ADAPTIVE) {
             return Err(MdzError::BadHeader("version/flag mismatch for bit-adaptive stream"));
         }
         let n_snapshots = read_uvarint(data, pos)? as usize;
@@ -341,14 +362,50 @@ mod tests {
             .write(&mut buf);
         buf[FLAGS_OFFSET] &= !FLAG_BIT_ADAPTIVE;
         assert!(BlockHeader::read(&buf, &mut 0).is_err());
+        // The stored flag forged on a version-1 and a version-2 block.
+        for flags in [0, FLAG_BIT_ADAPTIVE] {
+            let mut buf = Vec::new();
+            BlockHeader { flags, grid: None, method: Method::Mt, ..sample_header() }
+                .write(&mut buf);
+            buf[FLAGS_OFFSET] |= FLAG_STORED;
+            assert_eq!(
+                BlockHeader::read(&buf, &mut 0).map(|h| h.flags).unwrap_err(),
+                MdzError::BadHeader("version/flag mismatch for stored payload")
+            );
+        }
+        // The stored flag stripped from a version-3 block, bit-adaptive or not.
+        for flags in [FLAG_STORED, FLAG_STORED | FLAG_BIT_ADAPTIVE] {
+            let mut buf = Vec::new();
+            BlockHeader { flags, grid: None, method: Method::Mt, ..sample_header() }
+                .write(&mut buf);
+            assert_eq!(buf[4], VERSION_STORED);
+            buf[FLAGS_OFFSET] &= !FLAG_STORED;
+            assert_eq!(
+                BlockHeader::read(&buf, &mut 0).map(|h| h.flags).unwrap_err(),
+                MdzError::BadHeader("version/flag mismatch for stored payload")
+            );
+        }
         // Unknown future versions stay rejected.
         let mut buf = Vec::new();
         sample_header().write(&mut buf);
-        buf[4] = 3;
+        buf[4] = 4;
         assert_eq!(
             BlockHeader::read(&buf, &mut 0).map(|h| h.flags).unwrap_err(),
             MdzError::BadHeader("unsupported version")
         );
+    }
+
+    #[test]
+    fn stored_header_uses_version_three() {
+        for flags in [FLAG_STORED | FLAG_SEQ2, FLAG_STORED | FLAG_BIT_ADAPTIVE] {
+            let h = BlockHeader { flags, grid: None, method: Method::Mt, ..sample_header() };
+            let mut buf = Vec::new();
+            h.write(&mut buf);
+            assert_eq!(buf[4], VERSION_STORED);
+            let mut pos = 0;
+            assert_eq!(BlockHeader::read(&buf, &mut pos).unwrap().flags, flags);
+            assert_eq!(pos, buf.len());
+        }
     }
 
     #[test]

@@ -8,14 +8,16 @@
 //! one [`LinearQuantizer`]; the quantizer choice only sets its radius and
 //! whether the B stream is bit-packed ([`write_bit_adaptive`]) or
 //! entropy-coded like every other code stream, by the coder `cfg.entropy`
-//! names. The LZ77 coder is called directly. All intermediate storage,
-//! the coders' scratch included, lives in [`EncodeScratch`], so a warmed-up
-//! compressor re-encoding same-shaped buffers performs no heap allocation
-//! here (bit-adaptive width tables excepted).
+//! names. The payload is the LZ77 stream of the inner bytes, or the inner
+//! bytes as they are when the candidate stores them ([`FLAG_STORED`]); the
+//! LZ77 coder is called directly. All intermediate storage, the coders'
+//! scratch included, lives in [`EncodeScratch`], so a warmed-up compressor
+//! re-encoding same-shaped buffers performs no heap allocation here
+//! (bit-adaptive width tables excepted).
 
 use crate::format::{
     BlockHeader, Method, FLAG_BIT_ADAPTIVE, FLAG_FIRST_LORENZO, FLAG_GRID, FLAG_RANGE_CODED,
-    FLAG_SEQ2,
+    FLAG_SEQ2, FLAG_STORED,
 };
 use crate::quant::{
     write_bit_adaptive, write_escapes, LinearQuantizer, Quantized, BIT_ADAPTIVE_RADIUS,
@@ -68,9 +70,14 @@ pub(crate) struct EncodeScratch {
     lz77: lz77::Lz77Scratch,
 }
 
-/// Encodes one buffer with a concrete (method, quantizer) `candidate` into
-/// `out` (cleared first), returning the state transition for the caller to
-/// commit.
+/// Encodes one buffer with a concrete `candidate` into `out` (cleared
+/// first), returning the state transition for the caller to commit and the
+/// candidate as coded.
+///
+/// An ADP trial's encode (`trial`) LZ77-codes the inner bytes and keeps
+/// whichever of that stream and the inner bytes is smaller (LZ77 on a tie),
+/// and the returned candidate's `stored` says which; any other encode
+/// stores them exactly when `candidate.stored`, and then never runs LZ77.
 ///
 /// `grid` is the stream's decided level grid `(μ, λ)` (`None` until a
 /// VQ-family encode detects it, `Some(None)` when there is none) and
@@ -90,13 +97,15 @@ pub(crate) fn encode_buffer_into<S: AsRef<[f64]>>(
     cfg: &MdzConfig,
     grid: Option<Option<(f64, f64)>>,
     reference: Option<&[f64]>,
-    Candidate { method, quantizer }: Candidate,
+    candidate: Candidate,
+    trial: bool,
     snapshots: &[S],
     detected: &mut Option<Option<LevelGrid>>,
     out: &mut Vec<u8>,
     scratch: &mut EncodeScratch,
     obs: &Obs,
-) -> Result<StateDelta> {
+) -> Result<(StateDelta, Candidate)> {
+    let Candidate { method, quantizer, stored } = candidate;
     let m = snapshots.len();
     let n = snapshots[0].as_ref().len();
     let EncodeScratch {
@@ -260,12 +269,21 @@ pub(crate) fn encode_buffer_into<S: AsRef<[f64]>>(
     entropy.finish();
     write_escapes(inner, escapes);
 
-    payload.clear();
-    {
+    // A stored candidate skips LZ77 outside a trial; a trial runs it and
+    // keeps the smaller form, LZ77 on a tie.
+    let stored = if stored && !trial {
+        true
+    } else {
+        payload.clear();
         let _t = obs.span("core.encode.lossless_seconds");
         lz77::compress_into(inner, lz77::Level::Default, payload, lz77_scratch);
-    }
+        trial && inner.len() < payload.len()
+    };
+    let payload: &[u8] = if stored { inner } else { payload };
     let mut flags = 0;
+    if stored {
+        flags |= FLAG_STORED;
+    }
     if matches!(quantizer, QuantizerKind::BitAdaptive { .. }) {
         flags |= FLAG_BIT_ADAPTIVE;
     }
@@ -298,7 +316,7 @@ pub(crate) fn encode_buffer_into<S: AsRef<[f64]>>(
     header.write(out);
     write_uvarint(out, payload.len() as u64);
     out.extend_from_slice(payload);
-    Ok(delta)
+    Ok((delta, Candidate { stored, ..candidate }))
 }
 
 /// Encodes a snapshot under value prediction, writing codes/escapes and the

@@ -7,7 +7,8 @@
 //!   the [`predict::Predictor`] of each mode, shared by both directions (the
 //!   prediction-parity invariant lives here);
 //! * [`encode`] — prediction → quantization → Seq-2 interleaving → entropy
-//!   coding → LZ77 → block assembly, all into reusable scratch buffers;
+//!   coding → LZ77 (unless the payload is stored) → block assembly, all
+//!   into reusable scratch buffers;
 //! * [`decode`] — the exact mirror, re-deriving the mode plan from the block
 //!   header.
 //!
@@ -39,7 +40,7 @@ pub(crate) mod predict;
 
 use crate::format::{
     BlockHeader, Method, FLAGS_OFFSET, FLAG_BIT_ADAPTIVE, FLAG_F32, FLAG_RANGE_CODED, FLAG_SEQ2,
-    MAGIC,
+    FLAG_STORED, MAGIC,
 };
 use crate::quant::MAX_CHUNK;
 use crate::{ErrorBound, MdzConfig, MdzError, QuantizerKind, Result};
@@ -70,8 +71,8 @@ pub struct DecodeLimits {
     pub max_values_per_snapshot: usize,
     /// Maximum total values (`M·N`) one block may declare.
     pub max_total_values: usize,
-    /// Maximum decompressed inner-payload bytes (the LZ77 output holding
-    /// the entropy streams and escape list).
+    /// Maximum inner-payload bytes (the LZ77 output, or the stored
+    /// payload, holding the entropy streams and escape list).
     pub max_inner_bytes: usize,
 }
 
@@ -111,9 +112,9 @@ impl DecodeLimits {
         Ok(())
     }
 
-    /// Budget for the LZ77-decompressed inner payload of a block with
-    /// `total` values: what a worst-case legitimate block could need (codes,
-    /// tables, and a full escape list), capped by `max_inner_bytes`.
+    /// Budget for the inner payload of a block with `total` values: what a
+    /// worst-case legitimate block could need (codes, tables, and a full
+    /// escape list), capped by `max_inner_bytes`.
     fn inner_budget(&self, total: usize) -> StreamLimits {
         let organic = total.saturating_mul(40).saturating_add(4096);
         StreamLimits::with_max_items(organic.min(self.max_inner_bytes))
@@ -272,13 +273,14 @@ impl Compressor {
                 c
             }
             (Method::Adaptive, _) => return self.trial_into(snapshots, out),
-            (method, _) => Candidate { method, quantizer: self.cfg.quantizer },
+            (method, _) => Candidate { method, quantizer: self.cfg.quantizer, stored: false },
         };
-        let delta = encode_buffer_into(
+        let (delta, _) = encode_buffer_into(
             &self.cfg,
             self.decisions.grid,
             self.reference.as_deref(),
             candidate,
+            false,
             snapshots,
             &mut None,
             out,
@@ -354,8 +356,9 @@ impl Compressor {
     }
 
     /// An ADP trial: compresses the buffer with every candidate composition
-    /// (method × quantizer) from the same starting state, keeps the
-    /// smallest block, and commits its winner and its state delta.
+    /// (method × quantizer, each with the smaller of its LZ77 and stored
+    /// payloads) from the same starting state, keeps the smallest block,
+    /// and commits its winner and its state delta.
     ///
     /// Data patterns are stable over short horizons but drift over long
     /// ones (paper Fig. 10), so a trial every `adapt_interval` buffers
@@ -369,12 +372,13 @@ impl Compressor {
         let mut detected = None;
         for &method in methods {
             for &quantizer in &quantizers {
-                let candidate = Candidate { method, quantizer };
-                let delta = encode_buffer_into(
+                let candidate = Candidate { method, quantizer, stored: false };
+                let (delta, coded) = encode_buffer_into(
                     &self.cfg,
                     self.decisions.grid,
                     self.reference.as_deref(),
                     candidate,
+                    true,
                     snapshots,
                     &mut detected,
                     &mut self.trial_cur,
@@ -383,7 +387,7 @@ impl Compressor {
                 )?;
                 if best.is_none() || self.trial_cur.len() < self.trial_best.len() {
                     std::mem::swap(&mut self.trial_best, &mut self.trial_cur);
-                    best = Some((delta, candidate));
+                    best = Some((delta, coded));
                 }
             }
         }
@@ -394,6 +398,14 @@ impl Compressor {
         self.obs.incr("core.adp.trials", 1);
         self.obs.incr(adp_win_counter(winner.method), 1);
         self.obs.incr(adp_quant_win_counter(winner.quantizer), 1);
+        self.obs.incr(
+            if winner.stored {
+                "core.adp.win.lossless.stored"
+            } else {
+                "core.adp.win.lossless.lz77"
+            },
+            1,
+        );
         out.clear();
         out.extend_from_slice(&self.trial_best);
         Ok(())
@@ -401,34 +413,43 @@ impl Compressor {
 }
 
 /// One point of the candidate space ADP selects over: a concrete method
-/// paired with a quantizer kind.
+/// paired with a quantizer kind and a payload form.
 ///
 /// The paper's candidates are the three concrete methods (VQ, VQT, MT)
 /// over the fixed-scale quantizer; [`MdzConfig::extended_candidates`] and
 /// [`MdzConfig::bit_adaptive_candidates`] enlarge the product space a
-/// trial ranks.
+/// trial ranks. A trial codes each composition once and stores its inner
+/// bytes wherever LZ77 would make them larger.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Candidate {
     /// Concrete prediction method (never [`Method::Adaptive`]).
     pub method: Method,
     /// How the residuals are quantized and their codes stored.
     pub quantizer: QuantizerKind,
+    /// Whether the payload is the inner bytes as they are
+    /// ([`FLAG_STORED`]) rather than their LZ77 stream. A fixed method
+    /// never stores.
+    pub stored: bool,
 }
 
 impl std::fmt::Display for Candidate {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self.quantizer {
-            QuantizerKind::Linear => write!(f, "{}", self.method),
-            QuantizerKind::BitAdaptive { .. } => write!(f, "{}+BA", self.method),
+        write!(f, "{}", self.method)?;
+        if matches!(self.quantizer, QuantizerKind::BitAdaptive { .. }) {
+            write!(f, "+BA")?;
         }
+        if self.stored {
+            write!(f, "+stored")?;
+        }
+        Ok(())
     }
 }
 
 /// What an axis stream has decided, as opposed to what its decoder needs:
-/// the level grid VQ and VQT code with, and the ADP candidate in force. A
-/// [`Compressor`] keeps them as its state, beside the MT reference and the
-/// buffers coded since the last trial; an epoch anchor
-/// ([`Compressor::reset_stream`]) keeps them.
+/// the level grid VQ and VQT code with, and the ADP candidate in force
+/// (its method, quantizer and payload form). A [`Compressor`] keeps them
+/// as its state, beside the MT reference and the buffers coded since the
+/// last trial; an epoch anchor ([`Compressor::reset_stream`]) keeps them.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct Decisions {
     /// The level grid `(μ, λ)`: `None` until a VQ or VQT encode detects it
@@ -443,9 +464,9 @@ impl Decisions {
     /// Takes up what `block`, the next of a stream's blocks in stream
     /// order, records in its header: a VQ or VQT block sets the grid when
     /// none is set yet (absent when the block has none), and every block
-    /// sets the candidate to its method and quantizer. Only the blocks
-    /// where the stream decided need be given: the grid's first VQ-family
-    /// block and the last ADP trial's.
+    /// sets the candidate to its method, quantizer and payload form (the
+    /// stored flag). Only the blocks where the stream decided need be
+    /// given: the grid's first VQ-family block and the last ADP trial's.
     ///
     /// All of it comes from the header, except the chunk size of a
     /// bit-adaptive block, which is read from the front of its code stream
@@ -460,7 +481,7 @@ impl Decisions {
         } else {
             QuantizerKind::Linear
         };
-        self.candidate = Some(Candidate { method: info.method, quantizer });
+        self.candidate = Some(Candidate { method: info.method, quantizer, stored: info.stored });
         Ok(())
     }
 }
@@ -479,8 +500,9 @@ fn bit_adaptive_chunk(block: &[u8]) -> Result<usize> {
 
 /// Undoes a block's lossless stage: parses its header, checks it against
 /// `limits` and LZ77-decodes the payload into `inner` (cleared first),
-/// under the budget those limits give its value count. `obs` times the
-/// LZ77 call alone (`core.decode.lossless_seconds`).
+/// under the budget those limits give its value count, or copies a stored
+/// payload there once its length is within that budget. `obs` times the
+/// decode or the copy alone (`core.decode.lossless_seconds`).
 fn inflate(
     block: &[u8],
     limits: &DecodeLimits,
@@ -491,13 +513,22 @@ fn inflate(
     let header = BlockHeader::read(block, &mut pos)?;
     limits.check(&header)?;
     let len = read_uvarint(block, &mut pos)? as usize;
+    let budget = limits.inner_budget(header.n_snapshots * header.n_values);
+    let stored = header.flags & FLAG_STORED != 0;
+    if stored {
+        budget.check_items(len, "stored payload length")?;
+    }
     let payload = pos
         .checked_add(len)
         .and_then(|end| block.get(pos..end))
         .ok_or(MdzError::BadHeader("truncated payload"))?;
-    let budget = limits.inner_budget(header.n_snapshots * header.n_values);
     let _t = obs.span("core.decode.lossless_seconds");
-    lz77::decompress_into_limited(payload, inner, &budget)?;
+    if stored {
+        inner.clear();
+        inner.extend_from_slice(payload);
+    } else {
+        lz77::decompress_into_limited(payload, inner, &budget)?;
+    }
     Ok(header)
 }
 
@@ -550,8 +581,11 @@ pub struct BlockInfo {
     /// Whether the entropy stage was the range coder.
     pub range_coded: bool,
     /// Whether residual codes use bit-adaptive (per-chunk width)
-    /// quantization — a format-version-2 block.
+    /// quantization — a format-version-2 block, or version 3 when stored.
     pub bit_adaptive: bool,
+    /// Whether the payload is the inner bytes as they are, not
+    /// LZ77-compressed — a format-version-3 block.
+    pub stored: bool,
     /// Whether the source data was `f32` (decompress with
     /// [`Decompressor::decompress_block_f32`]).
     pub source_f32: bool,
@@ -672,6 +706,7 @@ impl Decompressor {
             seq2: header.flags & FLAG_SEQ2 != 0,
             range_coded: header.flags & FLAG_RANGE_CODED != 0,
             bit_adaptive: header.flags & FLAG_BIT_ADAPTIVE != 0,
+            stored: header.flags & FLAG_STORED != 0,
             source_f32: header.flags & FLAG_F32 != 0,
             payload_bytes: payload_len,
         })
@@ -1345,10 +1380,16 @@ mod tests {
 
     #[test]
     fn candidate_display_tags_quantizer() {
-        let linear = Candidate { method: Method::Vqt, quantizer: QuantizerKind::Linear };
+        let linear =
+            Candidate { method: Method::Vqt, quantizer: QuantizerKind::Linear, stored: false };
         assert_eq!(linear.to_string(), "VQT");
-        let ba = Candidate { method: Method::Mt, quantizer: QuantizerKind::BIT_ADAPTIVE_DEFAULT };
+        let ba = Candidate {
+            method: Method::Mt,
+            quantizer: QuantizerKind::BIT_ADAPTIVE_DEFAULT,
+            stored: false,
+        };
         assert_eq!(ba.to_string(), "MT+BA");
+        assert_eq!(Candidate { stored: true, ..ba }.to_string(), "MT+BA+stored");
     }
 
     #[test]

@@ -20,7 +20,9 @@
 //!   campaigns while a local `cargo test` stays fast.
 //!
 //! [`ContainerArchive`] carries hostile trajectory containers into the one
-//! decoder that reads them, `mdz_store::StoreReader`.
+//! decoder that reads them, `mdz_store::StoreReader`, and [`stored_block`]
+//! is a stored-payload block for the campaigns to mutate and the corpus to
+//! forge from.
 //!
 //! The campaigns themselves live in this crate's integration tests
 //! (`tests/fuzz_campaigns.rs`); seeded regression inputs from past runs
@@ -33,7 +35,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use mdz_core::checksum::fnv1a64;
-use mdz_core::{ErrorBound, Frame, MdzConfig};
+use mdz_core::{Compressor, Decompressor, ErrorBound, Frame, MdzConfig};
 use mdz_entropy::write_uvarint;
 use mdz_store::archive::record_at;
 use mdz_store::{write_store, ArchiveIndex, StoreOptions};
@@ -55,6 +57,27 @@ pub fn default_iters() -> usize {
             }
         }
     }
+}
+
+/// A valid ADP block whose payload is stored (version 3): thermal noise
+/// on a lattice leaves LZ77 nothing to gain on its code streams.
+pub fn stored_block() -> Vec<u8> {
+    let mut state = 0x5707_ED00_u64;
+    let snaps: Vec<Vec<f64>> = (0..6)
+        .map(|_| {
+            (0..200)
+                .map(|i| {
+                    state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
+                    (i % 10) as f64 * 2.5 + (state >> 11) as f64 / (1u64 << 53) as f64 * 0.05
+                })
+                .collect()
+        })
+        .collect();
+    let block = Compressor::new(MdzConfig::new(ErrorBound::Absolute(1e-4)))
+        .compress_buffer(&snaps)
+        .expect("a valid buffer compresses");
+    assert!(Decompressor::inspect(&block).is_ok_and(|info| info.stored), "LZ77 paid");
+    block
 }
 
 /// A valid one-block store archive of `n_frames` frames of `n_atoms`

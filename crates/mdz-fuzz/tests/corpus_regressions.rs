@@ -16,15 +16,16 @@ use std::fs;
 use std::path::{Path, PathBuf};
 
 use mdz_core::checksum::{crc32, fnv1a64};
-use mdz_core::format::{FLAGS_OFFSET, FLAG_BIT_ADAPTIVE, MAGIC};
+use mdz_core::format::{BlockHeader, FLAGS_OFFSET, FLAG_BIT_ADAPTIVE, FLAG_STORED, MAGIC};
 use mdz_core::{
-    Compressor, DecodeLimits, Decompressor, ErrorBound, Frame, MdzConfig, Method, QuantizerKind,
+    Compressor, DecodeLimits, Decompressor, ErrorBound, Frame, MdzConfig, MdzError, Method,
+    QuantizerKind,
 };
 use mdz_entropy::{
     huffman_decode_at_limited, huffman_encode, range_decode_at_limited, range_encode, read_uvarint,
     write_uvarint, StreamLimits,
 };
-use mdz_fuzz::{ContainerArchive, CountingAlloc};
+use mdz_fuzz::{stored_block, ContainerArchive, CountingAlloc};
 use mdz_lossless::lz77;
 use mdz_store::{
     append_store, write_store, ArchiveIndex, FaultIo, FaultMode, FaultPlan, FrameDecoder, MemIo,
@@ -157,6 +158,25 @@ fn replay(name: &str, bytes: &[u8]) -> bool {
     }
 }
 
+/// A stored block of one value whose 5000-byte payload is longer than the
+/// inner budget of one value (40 + 4096 bytes).
+fn over_budget_stored_block() -> Vec<u8> {
+    let mut blk = Vec::new();
+    BlockHeader {
+        method: Method::Vq,
+        flags: FLAG_STORED,
+        n_snapshots: 1,
+        n_values: 1,
+        eps: 1e-3,
+        radius: 512,
+        grid: None,
+    }
+    .write(&mut blk);
+    write_uvarint(&mut blk, 5000);
+    blk.resize(blk.len() + 5000, 0x5A);
+    blk
+}
+
 /// Writes the seed corpus. Each entry is deterministic, so blessing twice
 /// produces byte-identical files.
 fn bless(dir: &Path) {
@@ -258,7 +278,8 @@ fn bless(dir: &Path) {
     // A v1 block with the bit-adaptive flag forged on: the version/flag
     // cross-check must reject it before any stage trusts the flag.
     let v1_cfg = MdzConfig::new(ErrorBound::Absolute(1e-4)).with_method(Method::Vq);
-    let mut forged = Compressor::new(v1_cfg).compress_buffer(&snaps).unwrap();
+    let v1 = Compressor::new(v1_cfg).compress_buffer(&snaps).unwrap();
+    let mut forged = v1.clone();
     forged[FLAGS_OFFSET] |= FLAG_BIT_ADAPTIVE;
     put("block_ba_forged_flag.bin", forged);
 
@@ -268,13 +289,34 @@ fn bless(dir: &Path) {
     stripped[FLAGS_OFFSET] &= !FLAG_BIT_ADAPTIVE;
     put("block_ba_stripped_flag.bin", stripped);
 
-    // Version bumped past the known range on an otherwise valid BA block.
+    // A BA block re-stamped version 3, which means "stored": without the
+    // stored flag it fails the stored cross-check.
     let mut vers = ba.clone();
     vers[MAGIC.len()] = 3;
     put("block_ba_wrong_version.bin", vers);
 
     // Truncated mid-payload: the width table / packed codes run dry.
     put("block_ba_truncated.bin", ba[..ba.len() * 3 / 4].to_vec());
+
+    // --- Stored (version 3) blocks: the payload is the inner bytes as they
+    // are, so the version/flag cross-check and the inner budget are all
+    // that stand between a forged block and the stream parsers.
+    let mut forged = v1.clone();
+    forged[FLAGS_OFFSET] |= FLAG_STORED;
+    put("block_stored_forged_flag.bin", forged);
+
+    let mut stripped = stored_block();
+    stripped[FLAGS_OFFSET] &= !FLAG_STORED;
+    put("block_stored_stripped_flag.bin", stripped);
+
+    // One value allows 4136 inner bytes; this payload is all there and
+    // longer, so only the budget can reject it, before copying it.
+    put("block_stored_over_budget.bin", over_budget_stored_block());
+
+    // A version no reader knows, on an otherwise valid v1 block.
+    let mut unknown = v1;
+    unknown[MAGIC.len()] = 4;
+    put("block_unknown_version.bin", unknown);
 
     // A trajectory container whose first axis length points past the end.
     let mut b = b"MDZT".to_vec();
@@ -498,4 +540,16 @@ fn corpus_seeds_all_error_within_budget() {
         assert!(errored, "{name}: crafted hostile input decoded successfully");
         assert!(used <= BUDGET, "{name}: replay allocated {used} bytes (budget {BUDGET})");
     }
+
+    // The over-budget stored payload is refused by the budget itself,
+    // before the decoder copies (or allocates room for) its 5000 bytes:
+    // the replay allocates nothing past the 4136-byte budget.
+    let bytes = fs::read(dir.join("block_stored_over_budget.bin")).unwrap();
+    assert_eq!(bytes, over_budget_stored_block());
+    let live_before = CountingAlloc::live();
+    CountingAlloc::reset_peak();
+    let got = Decompressor::with_limits(tight_limits()).decompress_block(&bytes);
+    let used = CountingAlloc::peak().saturating_sub(live_before);
+    assert_eq!(got, Err(MdzError::LimitExceeded { what: "stored payload length", limit: 4136 }));
+    assert!(used <= 4136, "the decoder allocated {used} bytes before refusing the payload");
 }

@@ -22,7 +22,7 @@ use mdz_core::{
 use mdz_entropy::{
     huffman_decode_at_limited, huffman_encode, range_decode_at_limited, range_encode, StreamLimits,
 };
-use mdz_fuzz::{default_iters, ContainerArchive, CountingAlloc, Mutator};
+use mdz_fuzz::{default_iters, stored_block, ContainerArchive, CountingAlloc, Mutator};
 use mdz_lossless::lz77;
 use mdz_store::archive::record_at;
 use mdz_store::protocol::{
@@ -202,6 +202,7 @@ fn fuzz_block_decode_f64() {
         block(Method::Mt2, EntropyStage::Huffman),
         block(Method::Vq, EntropyStage::Range),
         f32_block(),
+        stored_block(),
     ];
     let limits = tight_limits();
     // First-in-stream blocks of every method decode with a fresh decompressor.

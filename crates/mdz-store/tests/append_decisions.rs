@@ -1,7 +1,7 @@
 //! The decision oracle: an archive grown by appends codes every block with
-//! the method, level grid and quantizer that one `create_store` over the
-//! same frames gives it, for every method, both precisions and any
-//! `adapt_interval`.
+//! the method, level grid, quantizer and payload form (LZ77 or stored)
+//! that one `create_store` over the same frames gives it, for every
+//! method, both precisions and any `adapt_interval`.
 //!
 //! An axis stream decides only at its decision blocks: under ADP its
 //! trials, on the first block of every ⌈`adapt_interval` /
@@ -107,6 +107,9 @@ struct Seen {
     gridless_vq: usize,
     mt: usize,
     bit_adaptive: usize,
+    stored: usize,
+    /// ADP blocks that kept LZ77: a fixed method always does.
+    adp_lz77: usize,
 }
 
 /// Grows a `base_blocks` archive of `source` by [`APPENDS`] and checks it
@@ -157,8 +160,8 @@ fn check(
             let g = Decompressor::inspect(got[axis]).unwrap();
             let w = Decompressor::inspect(want[axis]).unwrap();
             assert_eq!(
-                (g.method, g.grid, g.bit_adaptive),
-                (w.method, w.grid, w.bit_adaptive),
+                (g.method, g.grid, g.bit_adaptive, g.stored),
+                (w.method, w.grid, w.bit_adaptive, w.stored),
                 "{label}: block {b} axis {axis}"
             );
             if matches!(g.method, Method::Vq | Method::Vqt) {
@@ -169,6 +172,8 @@ fn check(
                 seen.gridless_vq += usize::from(g.method == Method::Vq && g.grid.is_none());
                 seen.mt += usize::from(g.method == Method::Mt);
                 seen.bit_adaptive += usize::from(g.bit_adaptive);
+                seen.stored += usize::from(g.stored);
+                seen.adp_lz77 += usize::from(cfg.method == Method::Adaptive && !g.stored);
             }
         }
     }
@@ -220,4 +225,6 @@ fn appended_blocks_keep_the_decisions_create_store_makes() {
     assert!(seen.gridless_vq > 0, "no appended VQ block found its grid absent");
     assert!(seen.mt > 0, "no appended MT block");
     assert!(seen.bit_adaptive > 0, "no appended bit-adaptive block");
+    assert!(seen.stored > 0, "no appended stored block");
+    assert!(seen.adp_lz77 > 0, "no appended ADP block kept LZ77");
 }

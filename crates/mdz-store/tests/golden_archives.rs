@@ -3,7 +3,10 @@
 //! `golden/store_*.mdz` are version-2 archives of the frames in
 //! `support/golden.rs`: ADP, VQ and MT, each in `f64` and `f32`, written by
 //! [`write_store`], plus `store_adp_f64_appended.mdz`, extended by
-//! [`append_store`]. They were written with
+//! [`append_store`]. The three ADP fixtures store the axis payloads their
+//! trials find LZ77 does not shrink; `store_adp_*_lz77_only.mdz` keep their
+//! bytes from before a trial could store one, and are only decoded. They
+//! were written with
 //!
 //! ```text
 //! MDZ_BLESS=1 cargo test -p mdz-store --test golden_archives
@@ -18,8 +21,11 @@
 
 use std::path::PathBuf;
 
-use mdz_core::{ErrorBound, Frame, MdzConfig, Method};
-use mdz_store::{append_store, write_store, MemIo, Precision, StoreOptions, StoreReader};
+use mdz_core::{Decompressor, ErrorBound, Frame, MdzConfig, Method};
+use mdz_store::archive::{record_at, split_container};
+use mdz_store::{
+    append_store, write_store, ArchiveIndex, MemIo, Precision, StoreOptions, StoreReader,
+};
 
 include!("support/golden.rs");
 
@@ -37,7 +43,11 @@ fn check_golden(name: &str, bytes: &[u8], frames: &[Frame]) {
         panic!("{name}: writer output differs from the golden archive at byte {at}");
     }
     assert_eq!(bytes.len(), golden.len(), "{name}: writer output length differs");
+    check_decodes(name, bytes, frames);
+}
 
+/// Checks that the archive `bytes` decodes to `frames` within the bound.
+fn check_decodes(name: &str, bytes: &[u8], frames: &[Frame]) {
     let decoded = StoreReader::open(bytes.to_vec()).unwrap().read_frames(0..frames.len()).unwrap();
     for (want, got) in frames.iter().zip(&decoded) {
         for (a, b) in [(&want.x, &got.x), (&want.y, &got.y), (&want.z, &got.z)] {
@@ -73,4 +83,66 @@ fn append_store_reproduces_the_golden_appended_archive() {
     assert_eq!(report.n_frames, GOLDEN_APPEND_BASE + GOLDEN_FRAMES);
     frames.extend(extra);
     check_golden(GOLDEN_APPENDED, &io.into_bytes(), &frames);
+}
+
+#[test]
+fn adp_archives_written_before_stored_payloads_still_read() {
+    // The ADP fixtures as the writer left them before a trial could store
+    // a payload: every axis block LZ77-coded. The writer no longer
+    // produces these bytes, but archives holding them are real inputs.
+    let read = |name: &str| {
+        let path = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
+            .join(format!("tests/golden/{name}_lz77_only.mdz"));
+        let bytes = std::fs::read(&path).unwrap_or_else(|e| panic!("{path:?}: {e}"));
+        let index = ArchiveIndex::parse(&bytes).unwrap();
+        for block in &index.blocks {
+            for axis in split_container(record_at(&bytes, block.offset).unwrap()).unwrap() {
+                assert!(!Decompressor::inspect(axis).unwrap().stored, "{name}: a stored block");
+            }
+        }
+        bytes
+    };
+    let frames = golden_frames(GOLDEN_FRAMES, 1);
+    check_decodes("store_adp_f64", &read("store_adp_f64"), &frames);
+    check_decodes("store_adp_f32", &read("store_adp_f32"), &frames);
+    let mut frames = frames[..GOLDEN_APPEND_BASE].to_vec();
+    frames.extend(golden_frames(GOLDEN_FRAMES, 2));
+    check_decodes(GOLDEN_APPENDED, &read(GOLDEN_APPENDED), &frames);
+}
+
+#[test]
+fn an_append_to_an_archive_written_before_stored_payloads_stores_from_its_next_trial() {
+    // The pre-change appended fixture holds its base archive as written:
+    // the base's footer is still there, as dead padding, up to the first
+    // appended record.
+    let path = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
+        .join(format!("tests/golden/{GOLDEN_APPENDED}_lz77_only.mdz"));
+    let old = std::fs::read(&path).unwrap();
+    let base_blocks = GOLDEN_APPEND_BASE / GOLDEN_BUFFER_SIZE;
+    let base = old[..ArchiveIndex::parse(&old).unwrap().blocks[base_blocks].offset].to_vec();
+    assert_eq!(ArchiveIndex::parse(&base).unwrap().n_frames, GOLDEN_APPEND_BASE);
+
+    // Trials every 6 blocks: block 0, in the base, chose LZ77; block 6
+    // is the appended segment's first trial.
+    let mut opts = golden_options(Method::Adaptive, false);
+    opts.cfg.adapt_interval = 6;
+    let extra = golden_frames(GOLDEN_FRAMES, 2);
+    let mut io = MemIo::new(base);
+    append_store(&mut io, &extra, &opts).unwrap();
+    let bytes = io.into_bytes();
+    let index = ArchiveIndex::parse(&bytes).unwrap();
+    let stored: Vec<bool> = index.blocks[base_blocks..]
+        .iter()
+        .map(|block| {
+            let axes = split_container(record_at(&bytes, block.offset).unwrap()).unwrap();
+            let forms = axes.map(|axis| Decompressor::inspect(axis).unwrap().stored);
+            assert!(forms.iter().all(|&f| f == forms[0]), "axes differ: {forms:?}");
+            forms[0]
+        })
+        .collect();
+    assert_eq!(stored, [false, false, true, true, true, true]);
+
+    let mut frames = golden_frames(GOLDEN_FRAMES, 1)[..GOLDEN_APPEND_BASE].to_vec();
+    frames.extend(extra);
+    check_decodes("appended to a pre-change archive", &bytes, &frames);
 }

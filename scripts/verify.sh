@@ -92,6 +92,49 @@ MDZ_FORCE_SCALAR=1 "$mdz" get "$tmp_out/scalar.mdz" 1..3 \
 cmp "$tmp_out/local.txt" "$tmp_out/scalar.txt"
 rm "$tmp_out/scalar.mdz" "$tmp_out/scalar.txt"
 
+# Stored-payload smoke: the LJ smokes above write only LZ77 payloads, as
+# LZ77 pays there. On ADK (protein) data it does not, so ADP stores the
+# axis blocks' inner bytes as they are (version-3 blocks, FORMAT.md §4).
+# The archive must report stored blocks and pass `mdz verify`, `mdz
+# extract` of frame 3 must keep every value within its block's ε (1e-3 of
+# the axis's value range over the block's frames 2 and 3, the default
+# bound), and the archive and its decoded frames must come out
+# byte-identical with every kernel forced to the scalar oracle.
+echo "==> stored-payload smoke (ADK: stored blocks, verify, extract within eps, force-scalar)"
+"$mdz" gen adk "$tmp_out/adk.xyz" --scale test --seed 7 > /dev/null
+"$mdz" store "$tmp_out/adk.xyz" "$tmp_out/adk.mdz" --bs 2 --epoch 2 > /dev/null
+"$mdz" info "$tmp_out/adk.mdz" | grep '^methods:.* stored ×' > /dev/null \
+    || { echo "stored smoke: mdz info reports no stored block"; exit 1; }
+"$mdz" verify "$tmp_out/adk.xyz" "$tmp_out/adk.mdz" > /dev/null
+"$mdz" extract "$tmp_out/adk.mdz" 3 > "$tmp_out/adk_frame3.xyz" 2> /dev/null
+awk 'NR == FNR {
+         if (FNR == 1) n = $1
+         f = int((FNR - 1) / (n + 2)); r = (FNR - 1) % (n + 2) - 1
+         if ((f == 2 || f == 3) && r >= 1) for (a = 2; a <= 4; a++) {
+             if (!(a in lo) || $a < lo[a]) lo[a] = $a
+             if (!(a in hi) || $a > hi[a]) hi[a] = $a
+             if (f == 3) src[r, a] = $a
+         }
+         next
+     }
+     FNR > 2 {
+         rows++
+         for (a = 2; a <= 4; a++) {
+             d = $a - src[FNR - 2, a]
+             if (d < 0) d = -d
+             if (d > 1e-3 * (hi[a] - lo[a]) + 1e-10) bad++
+         }
+     }
+     END { exit bad > 0 || rows != n }' "$tmp_out/adk.xyz" "$tmp_out/adk_frame3.xyz" \
+    || { echo "stored smoke: mdz extract left the error bound"; exit 1; }
+"$mdz" get "$tmp_out/adk.mdz" 0..8 > "$tmp_out/adk.txt" 2> /dev/null
+MDZ_FORCE_SCALAR=1 "$mdz" store "$tmp_out/adk.xyz" "$tmp_out/adk_scalar.mdz" \
+    --bs 2 --epoch 2 > /dev/null
+cmp "$tmp_out/adk.mdz" "$tmp_out/adk_scalar.mdz"
+MDZ_FORCE_SCALAR=1 "$mdz" get "$tmp_out/adk_scalar.mdz" 0..8 \
+    > "$tmp_out/adk_scalar.txt" 2> /dev/null
+cmp "$tmp_out/adk.txt" "$tmp_out/adk_scalar.txt"
+
 "$mdz" serve "$tmp_out/traj.mdz" 127.0.0.1:0 --threads 2 2> "$tmp_out/serve.log" &
 server_pid=$!
 trap 'kill "$server_pid" 2> /dev/null; rm -rf "$tmp_out"' EXIT

@@ -24,13 +24,15 @@ pub fn decompress(blob: Vec<u8>) -> Result<XyzTrajectory> {
     Ok(XyzTrajectory { elements: idx.elements.clone(), comments: idx.comments.clone(), frames })
 }
 
-/// Per-axis method tally over every block, e.g. `MT ×9, VQ ×3`: what the
-/// adaptive selector chose.
+/// Per-axis method tally over every block, e.g. `MT ×9, VQ ×1, VQ stored
+/// ×2`: what the adaptive selector chose, with the blocks whose payload is
+/// stored, not LZ77-compressed, counted apart.
 pub fn method_tally(blob: &[u8], idx: &ArchiveIndex) -> Result<String> {
     let mut counts = std::collections::BTreeMap::<String, usize>::new();
     for axes in axis_headers(blob, idx)? {
         for info in axes {
-            *counts.entry(info.method.to_string()).or_default() += 1;
+            let stored = if info.stored { " stored" } else { "" };
+            *counts.entry(format!("{}{stored}", info.method)).or_default() += 1;
         }
     }
     Ok(counts.iter().map(|(m, c)| format!("{m} ×{c}")).collect::<Vec<_>>().join(", "))

@@ -150,6 +150,24 @@ fn info_tallies_three_axis_methods_per_block() {
 }
 
 #[test]
+fn info_counts_stored_blocks_apart() {
+    // On protein data LZ77 does not pay, so ADP stores the axis payloads
+    // (version-3 blocks); `info` tallies them apart, and they verify.
+    let dir = Scratch::new("stored");
+    let (xyz, archive) = (dir.path("adk.xyz"), dir.path("adk.mdz"));
+    mdz(&["gen", "adk", &xyz, "--scale", "test", "--seed", "7"]);
+    mdz(&["store", &xyz, &archive, "--bs", "2", "--epoch", "2"]);
+    let out = mdz(&["info", &archive]);
+    let methods = field(&out, "methods");
+    assert!(methods.contains(" stored ×"), "{out}");
+    let blocks: usize = field(&out, "blocks").parse().unwrap();
+    let tallied: usize =
+        methods.split(", ").map(|m| m.split_once(" ×").unwrap().1.parse::<usize>().unwrap()).sum();
+    assert_eq!(tallied, 3 * blocks, "{out}");
+    mdz(&["verify", &xyz, &archive]);
+}
+
+#[test]
 fn compress_writes_the_bytes_store_writes() {
     let dir = Scratch::new("compress");
     let (xyz, archive) = lj_store(&dir);
