@@ -1,12 +1,8 @@
 //! CLI regenerating the paper's tables and figures.
 //!
 //! ```text
-//! experiments [--scale test|small|full] [--out DIR] [--seed N] [--reps N]
-//!             <id>... | all | list
+//! experiments [--scale test|small|full] [--out DIR] [--seed N] <id>... | all | list
 //! ```
-//!
-//! `--reps` takes the timed repetitions per measurement (default 3) of the
-//! `throughput` experiment.
 //!
 //! Each experiment prints an aligned text table and writes CSV under the
 //! output directory (default `results/`).
@@ -22,7 +18,6 @@ fn main() {
     let mut scale = Scale::Small;
     let mut out_dir = PathBuf::from("results");
     let mut seed = 20220707u64;
-    let mut reps = 3usize;
     let mut ids: Vec<String> = Vec::new();
 
     let mut args = std::env::args().skip(1);
@@ -41,14 +36,6 @@ fn main() {
                 };
             }
             "--out" => out_dir = PathBuf::from(args.next().unwrap_or_default()),
-            "--reps" => {
-                reps = args.next().and_then(|s| s.parse().ok()).filter(|&r| r > 0).unwrap_or_else(
-                    || {
-                        eprintln!("--reps requires a positive integer");
-                        std::process::exit(2);
-                    },
-                )
-            }
             "--seed" => {
                 seed = args.next().and_then(|s| s.parse().ok()).unwrap_or_else(|| {
                     eprintln!("--seed requires an integer");
@@ -65,7 +52,7 @@ fn main() {
             "--help" | "-h" => {
                 println!(
                     "usage: experiments [--scale test|small|full] [--out DIR] [--seed N] \
-                     [--reps N] <id>... | all | list"
+                     <id>... | all | list"
                 );
                 return;
             }
@@ -77,7 +64,7 @@ fn main() {
         std::process::exit(2);
     }
 
-    let mut ctx = Ctx::new(scale, out_dir, seed).with_reps(reps);
+    let mut ctx = Ctx::new(scale, out_dir, seed);
     for id in &ids {
         let t0 = Instant::now();
         match experiments::run(id, &mut ctx) {

@@ -10,7 +10,6 @@ mod comparison;
 mod core_exps;
 mod lammps;
 mod quantizer;
-mod throughput;
 
 pub use ablations::ablations;
 pub use characterization::{fig3, fig4, fig5, fig8, table1, table2};
@@ -18,7 +17,6 @@ pub use comparison::{fig12, fig12var, fig13, fig14, fig15, fig16, table4, table5
 pub use core_exps::{fig10, fig11, fig9, table3};
 pub use lammps::table7;
 pub use quantizer::quantizer;
-pub use throughput::throughput;
 
 use crate::table::Table;
 use mdz_sim::{datasets, Dataset, DatasetKind, Scale};
@@ -30,21 +28,13 @@ pub struct Ctx {
     pub scale: Scale,
     pub out_dir: PathBuf,
     pub seed: u64,
-    /// Timed repetitions per throughput measurement (CLI `--reps`).
-    pub reps: usize,
     cache: HashMap<DatasetKind, Dataset>,
 }
 
 impl Ctx {
     /// Creates a context writing CSVs under `out_dir`.
     pub fn new(scale: Scale, out_dir: PathBuf, seed: u64) -> Self {
-        Self { scale, out_dir, seed, reps: 3, cache: HashMap::new() }
-    }
-
-    /// Overrides the timed repetitions per throughput measurement.
-    pub fn with_reps(mut self, reps: usize) -> Self {
-        self.reps = reps.max(1);
-        self
+        Self { scale, out_dir, seed, cache: HashMap::new() }
     }
 
     /// Returns the (cached) dataset of `kind` at the context scale.
@@ -88,7 +78,6 @@ pub const ALL: &[&str] = &[
     "table6",
     "table7",
     "ablations",
-    "throughput",
     "quantizer",
 ];
 
@@ -116,7 +105,6 @@ pub fn run(id: &str, ctx: &mut Ctx) -> Option<Vec<Table>> {
         "table6" => table6(ctx),
         "table7" => table7(ctx),
         "ablations" => ablations(ctx),
-        "throughput" => throughput(ctx),
         "quantizer" => quantizer(ctx),
         _ => return None,
     };

@@ -94,57 +94,6 @@ impl RunMetrics {
     }
 }
 
-/// Per-repetition timing statistics.
-///
-/// [`run_dataset`] (and the throughput experiment) time the same work
-/// several times; a single accumulated total is skewed by first-repetition
-/// page faults, allocator warm-up, and scheduler noise. This summary keeps
-/// the distribution: `min` is the steady-state figure throughput should be
-/// computed from, `median` is the robust typical-case figure, and `mean`
-/// is what naive accumulation used to report.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct TimingSummary {
-    /// Fastest repetition, seconds.
-    pub min: f64,
-    /// Median repetition, seconds (midpoint average for even counts).
-    pub median: f64,
-    /// Mean over all repetitions, seconds.
-    pub mean: f64,
-    /// Number of repetitions summarized.
-    pub reps: usize,
-}
-
-impl TimingSummary {
-    /// Summarizes a set of per-repetition timings (empty input → zeros).
-    pub fn from_samples(samples: &[f64]) -> Self {
-        if samples.is_empty() {
-            return Self::default();
-        }
-        let mut sorted = samples.to_vec();
-        sorted.sort_by(|a, b| a.total_cmp(b));
-        let n = sorted.len();
-        let median =
-            if n % 2 == 1 { sorted[n / 2] } else { 0.5 * (sorted[n / 2 - 1] + sorted[n / 2]) };
-        Self { min: sorted[0], median, mean: sorted.iter().sum::<f64>() / n as f64, reps: n }
-    }
-
-    /// Throughput in MB/s for `raw_bytes` of work, using the steady-state
-    /// (minimum) repetition time.
-    pub fn mbps(&self, raw_bytes: usize) -> f64 {
-        raw_bytes as f64 / 1e6 / self.min.max(1e-12)
-    }
-}
-
-/// Runs `rep` once per repetition and summarizes the distribution.
-///
-/// `rep` performs one repetition and returns the seconds it measured for
-/// the hot region — setup (rebuilding compressor state so every repetition
-/// does identical work) stays outside the measurement by construction.
-pub fn repeat_timed(reps: usize, mut rep: impl FnMut() -> f64) -> TimingSummary {
-    let samples: Vec<f64> = (0..reps.max(1)).map(|_| rep()).collect();
-    TimingSummary::from_samples(&samples)
-}
-
 /// Resolves a value-range-relative bound against one axis of a dataset
 /// (the SZ convention the paper reports ε under).
 pub fn axis_eps(dataset: &Dataset, axis: usize, eps_rel: f64) -> f64 {
@@ -303,35 +252,6 @@ mod tests {
         let eps = eps_for_ratio(&mut codec, &d, 4, 8.0);
         let (m, _) = run_dataset(&mut codec, &d, eps, 4, false);
         assert!((m.ratio() - 8.0).abs() < 4.0, "ratio {}", m.ratio());
-    }
-
-    #[test]
-    fn timing_summary_statistics() {
-        let s = TimingSummary::from_samples(&[0.9, 0.1, 0.3]);
-        assert_eq!(s.min, 0.1);
-        assert_eq!(s.median, 0.3);
-        assert!((s.mean - 1.3 / 3.0).abs() < 1e-12);
-        assert_eq!(s.reps, 3);
-        // Even count: median is the midpoint average.
-        let s = TimingSummary::from_samples(&[0.4, 0.2, 0.8, 0.6]);
-        assert!((s.median - 0.5).abs() < 1e-12);
-        // Throughput uses the steady-state (min) repetition, so one slow
-        // first rep (page faults) cannot skew it.
-        assert_eq!(s.mbps(2_000_000), 10.0);
-        assert_eq!(TimingSummary::from_samples(&[]), TimingSummary::default());
-    }
-
-    #[test]
-    fn repeat_timed_summarizes_each_rep() {
-        let mut calls = 0;
-        let s = repeat_timed(5, || {
-            calls += 1;
-            calls as f64
-        });
-        assert_eq!(calls, 5);
-        assert_eq!(s.reps, 5);
-        assert_eq!(s.min, 1.0);
-        assert_eq!(s.median, 3.0);
     }
 
     #[test]

@@ -1,10 +1,10 @@
 //! Minimal JSON value type with an emitter and a strict parser.
 //!
 //! The workspace is offline-green (no serde), so benchmark artifacts like
-//! `BENCH_throughput.json` are produced and validated with this module: a
+//! `BENCH_quantizer.json` are produced and validated with this module: a
 //! small value enum, a deterministic renderer (object keys keep insertion
 //! order), and a recursive-descent parser used by the schema-validation
-//! tests and `scripts/verify.sh`'s throughput smoke.
+//! tests and `scripts/verify.sh`'s quantizer and metrics smokes.
 
 use std::fmt::Write as _;
 
@@ -313,7 +313,7 @@ mod tests {
     #[test]
     fn round_trips_a_nested_document() {
         let doc = Json::obj(vec![
-            ("experiment", Json::Str("throughput".into())),
+            ("experiment", Json::Str("quantizer".into())),
             ("reps", Json::Num(3.0)),
             ("ok", Json::Bool(true)),
             ("none", Json::Null),
@@ -328,7 +328,7 @@ mod tests {
         let text = doc.render();
         let parsed = Json::parse(&text).unwrap();
         assert_eq!(parsed, doc);
-        assert_eq!(parsed.get("experiment").unwrap().as_str(), Some("throughput"));
+        assert_eq!(parsed.get("experiment").unwrap().as_str(), Some("quantizer"));
         let entries = parsed.get("entries").unwrap().as_array().unwrap();
         assert_eq!(entries[0].get("workers").unwrap().as_f64(), Some(4.0));
     }

@@ -15,5 +15,5 @@ pub mod harness;
 pub mod json;
 pub mod table;
 
-pub use harness::{mdz_codec, standard_codecs, RunMetrics, TimingSummary};
+pub use harness::{mdz_codec, standard_codecs, RunMetrics};
 pub use mdz_core::Codec;

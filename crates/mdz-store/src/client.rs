@@ -41,7 +41,8 @@ use crate::reader::StatsSnapshot;
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ClientError {
-    /// The TCP connection failed; carries the rendered [`std::io::Error`].
+    /// The TCP connection failed, or the server hung up before its whole
+    /// reply arrived; carries the rendered [`std::io::Error`].
     Io(String),
     /// An I/O operation exceeded its deadline (`TimedOut`/`WouldBlock`).
     /// Split from [`ClientError::Io`] so retry policies can treat timeouts
@@ -170,9 +171,9 @@ impl RetryPolicy {
     /// Retryable: any connect-stage I/O error, timeouts at either stage,
     /// and BUSY (the server shed load; backing off is what it asked for).
     /// Never retried: application errors (`Server` with any other status),
-    /// protocol violations, and request-stage I/O errors such as a
-    /// mid-response disconnect — the server may have already acted on the
-    /// request.
+    /// protocol violations, and request-stage I/O errors such as a server
+    /// hanging up before or during its reply — the server may have already
+    /// acted on the request.
     ///
     /// # Examples
     ///
@@ -446,7 +447,12 @@ impl Client {
                 }
                 _ => e.into(),
             })?
-            .ok_or(ClientError::Protocol("server closed the connection mid-request"))?;
+            .ok_or_else(|| {
+                std::io::Error::new(
+                    std::io::ErrorKind::UnexpectedEof,
+                    "server closed the connection before its reply",
+                )
+            })?;
         match body.first().copied().and_then(Status::from_byte) {
             Some(Status::Ok) => Ok(body),
             Some(status) => Err(ClientError::Server {
@@ -783,15 +789,16 @@ impl Follower {
 }
 
 /// Whether a follower should absorb `err` by reconnecting: its requests are
-/// idempotent reads, so even a mid-response disconnect (the server was
-/// killed) is safe to retry — unlike the general client policy.
+/// idempotent reads, so even a server hanging up before or during its reply
+/// (the server was killed) is safe to retry — unlike the general client
+/// policy.
 fn is_transient_for_follow(err: &ClientError) -> bool {
-    match err {
-        ClientError::Io(_) | ClientError::Timeout(_) => true,
-        ClientError::Server { status: Status::Busy, .. } => true,
-        ClientError::Protocol(msg) => *msg == "server closed the connection mid-request",
-        ClientError::Server { .. } => false,
-    }
+    matches!(
+        err,
+        ClientError::Io(_)
+            | ClientError::Timeout(_)
+            | ClientError::Server { status: Status::Busy, .. }
+    )
 }
 
 #[cfg(test)]
@@ -867,17 +874,21 @@ mod tests {
     #[test]
     fn follower_transient_classification_covers_restarts() {
         // Everything a dying-and-restarting server can throw at a follower
-        // is absorbed; real application errors are not.
+        // is absorbed: a hang-up before or during a reply is `Io` like a
+        // refused connect. Protocol violations and application errors are
+        // not.
         assert!(is_transient_for_follow(&ClientError::Io("refused".into())));
+        let hang_up = std::io::Error::from(std::io::ErrorKind::UnexpectedEof);
+        assert!(is_transient_for_follow(&ClientError::from(hang_up)));
         assert!(is_transient_for_follow(&ClientError::Timeout("t".into())));
         assert!(is_transient_for_follow(&ClientError::Server {
             status: Status::Busy,
             message: String::new()
         }));
-        assert!(is_transient_for_follow(&ClientError::Protocol(
-            "server closed the connection mid-request"
-        )));
         assert!(!is_transient_for_follow(&ClientError::Protocol("unknown response status")));
+        assert!(!is_transient_for_follow(&ClientError::Protocol(
+            "response exceeds the client's max_response_bytes"
+        )));
         assert!(!is_transient_for_follow(&ClientError::Server {
             status: Status::Corrupt,
             message: String::new()

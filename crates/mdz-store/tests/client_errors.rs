@@ -81,22 +81,31 @@ fn connection_refused_is_io_and_retried_at_connect_stage() {
 
 #[test]
 fn mid_response_disconnect_is_io_and_never_retried() {
-    // The server advertises a 100-byte response, sends 10, and hangs up.
-    let (addr, accepts, join) = fake_server(1, |stream| {
+    // The server hangs up after reading the request: once after
+    // advertising a 100-byte response and sending 10 of its bytes, once
+    // before writing anything at all.
+    let cut_mid_body: fn(&mut TcpStream) = |stream| {
         let _ = stream.write_all(&100u32.to_le_bytes());
         let _ = stream.write_all(&[0u8; 10]);
-    });
-
-    let err = get_with_retry(addr, 0..4, &test_policy(3), &Obs::noop())
-        .expect_err("truncated response must fail");
-    match err {
-        ClientError::Io(_) => {}
-        other => panic!("expected Io, got {other:?}"),
+    };
+    let close_before_reply: fn(&mut TcpStream) = |_| {};
+    for (what, respond) in [("mid-body", cut_mid_body), ("before the reply", close_before_reply)] {
+        let (addr, accepts, join) = fake_server(1, respond);
+        let registry = Arc::new(Registry::new());
+        let obs = Obs::new(Arc::clone(&registry) as Arc<dyn mdz_obs::Recorder>);
+        let err =
+            get_with_retry(addr, 0..4, &test_policy(3), &obs).expect_err("a hang-up must fail");
+        match err {
+            ClientError::Io(_) => {}
+            other => panic!("{what}: expected Io, got {other:?}"),
+        }
+        // One accept and no retry: a connection dying mid-request is not
+        // transient — the request may have half-executed — so the policy
+        // must not retry it.
+        assert_eq!(accepts.load(Ordering::SeqCst), 1, "{what}");
+        assert_eq!(registry.counter("client.retries"), 0, "{what}");
+        join.join().unwrap();
     }
-    // One accept: a connection dying mid-response is not transient — the
-    // request may have half-executed — so the policy must not retry it.
-    assert_eq!(accepts.load(Ordering::SeqCst), 1);
-    join.join().unwrap();
 }
 
 #[test]

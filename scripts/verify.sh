@@ -40,23 +40,15 @@ MDZ_FUZZ_ITERS="${MDZ_FUZZ_ITERS:-5000}" cargo test -p mdz-fuzz --release --quie
 # Parallel gate: the store writer's bytes against the golden archives,
 # through the public API and for 1-4 workers, and against the serial
 # oracle of the decision rule (one compressor per axis fed every buffer in
-# stream order) for 1-4 workers; the append oracle, which checks that
-# appended blocks code with the decisions one create_store gives them;
-# then a 1-repetition throughput smoke whose JSON artifact is
-# schema-checked by the same validator EXPERIMENTS.md's numbers went
-# through.
+# stream order) for 1-4 workers; and the append oracle, which checks that
+# appended blocks code with the decisions one create_store gives them.
 echo "==> parallel determinism (golden store archives, serial oracle, workers 1-4, append decisions)"
 cargo test -p mdz-store --release --quiet --test golden_archives
 cargo test -p mdz-store --release --quiet --test append_decisions
 cargo test -p mdz-store --release --quiet --lib every_worker_count
 
-echo "==> throughput smoke (1 rep, JSON schema check)"
 tmp_out="$(mktemp -d)"
 trap 'rm -rf "$tmp_out"' EXIT
-cargo run --release -p mdz-bench --bin experiments -- \
-    --scale test --reps 1 --out "$tmp_out" throughput > /dev/null
-MDZ_BENCH_JSON="$tmp_out/BENCH_throughput.json" \
-    cargo test -p mdz-bench --release --quiet --test throughput_json
 
 # Bit-adaptive gate: the round-trip/bound tests for the version-2 block
 # format, then the quantizer-comparison experiment whose JSON artifact

@@ -573,18 +573,11 @@ fn main() {
                 fail("query needs <addr> <start..end>");
             };
             let range = parse_range(range_str);
-            let frames = match o.retries {
-                Some(n) => {
-                    let policy = RetryPolicy { max_retries: n, ..RetryPolicy::default() };
-                    get_with_retry(addr.as_str(), range.clone(), &policy, &mdz::store::Obs::noop())
-                        .unwrap_or_else(|e| fail(&format!("query: {e}")))
-                }
-                None => {
-                    let mut client = Client::connect(addr.as_str())
-                        .unwrap_or_else(|e| fail(&format!("connecting {addr}: {e}")));
-                    client.get(range.clone()).unwrap_or_else(|e| fail(&format!("query: {e}")))
-                }
-            };
+            let policy =
+                RetryPolicy { max_retries: o.retries.unwrap_or(0), ..RetryPolicy::default() };
+            let frames =
+                get_with_retry(addr.as_str(), range.clone(), &policy, &mdz::store::Obs::noop())
+                    .unwrap_or_else(|e| fail(&format!("query {addr}: {e}")));
             print_frames(range.start, &frames);
             eprintln!("fetched {} frames from {addr}", frames.len());
         }

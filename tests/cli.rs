@@ -298,10 +298,12 @@ fn serve_answers_from_an_archive_with_a_torn_tail() {
     };
     assert!(log.contains("torn tail") && log.contains("ignoring 14 garbage bytes"), "{log}");
     let remote = mdz(&["query", &addr, "1..3"]);
+    let retried = mdz(&["query", &addr, "1..3", "--retries", "2"]);
     drop(served);
 
     mdz(&["recover", &torn]);
     let local = mdz(&["get", &torn, "1..3"]);
     assert_eq!(atom_rows(&remote).len(), 2 * 256);
     assert_eq!(atom_rows(&remote), atom_rows(&local));
+    assert_eq!(atom_rows(&retried), atom_rows(&local));
 }
